@@ -74,7 +74,6 @@ from .training import (
     combine_kd_ce,
     cross_entropy,
     gradient_check,
-    multi_teacher_kd,
     run_step,
 )
 from .vocab import (

@@ -52,6 +52,10 @@ class PositionLogits:
             raise ValidationError("logits must be a positions-by-vocab matrix")
         if self.realized_ids.shape != (self.logits.shape[0],):
             raise ValidationError("need one realized id per position")
+        if not np.isfinite(self.logits).all():
+            raise ValidationError(
+                f"{self.side} logits of sequence {self.seq_id!r} hold non-finite values"
+            )
         if self.positions and (self.realized_ids.min() < 0
                                or self.realized_ids.max() >= self.vocab_size):
             raise ValidationError("realized id outside the vocabulary")
@@ -116,6 +120,19 @@ def topk_support(probs, k: int) -> np.ndarray:
     return np.sort(order[:k].astype(np.intp))
 
 
+def renormalize_on(probs: np.ndarray, support, side: str) -> tuple[np.ndarray, float]:
+    """``probs[support]`` rescaled to sum to one, and the mass it had there.
+
+    ``support`` is an index array or a slice; ``side`` names the distribution
+    in the error raised when the support holds no mass.
+    """
+    restricted = probs[support]
+    mass = float(restricted.sum())
+    if mass < 1e-12:
+        raise DegenerateDistributionError(f"{side} distribution has no mass on the support")
+    return restricted / mass, mass
+
+
 def topk_truncate(teacher: ChunkDistribution, student: ChunkDistribution,
                   k: int) -> tuple[ChunkDistribution, ChunkDistribution]:
     """Restrict both distributions to the teacher's top-k support and renormalize.
@@ -128,21 +145,12 @@ def topk_truncate(teacher: ChunkDistribution, student: ChunkDistribution,
         return teacher, student
     support = topk_support(teacher.probs, k)
 
-    t_new = np.zeros_like(teacher.probs)
-    t_mass = teacher.probs[support].sum()
-    if t_mass < 1e-12:
-        raise DegenerateDistributionError("teacher mass on its own top-k support vanished")
-    t_new[support] = teacher.probs[support] / t_mass
+    def truncated(dist: ChunkDistribution) -> ChunkDistribution:
+        probs = np.zeros_like(dist.probs)
+        probs[support] = renormalize_on(dist.probs, support, dist.side)[0]
+        return ChunkDistribution(dist.side, probs, dist.k)
 
-    s_mass = student.probs[support].sum()
-    if s_mass < 1e-12:
-        raise DegenerateDistributionError(
-            "student places no mass on the teacher's top-k support"
-        )
-    s_new = np.zeros_like(student.probs)
-    s_new[support] = student.probs[support] / s_mass
-    return (ChunkDistribution(teacher.side, t_new, teacher.k),
-            ChunkDistribution(student.side, s_new, student.k))
+    return truncated(teacher), truncated(student)
 
 
 def _sidecar_path(path) -> Path:
@@ -174,13 +182,16 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
         raise ValidationError(
             f"{path}: expected {positions}x{vocab_size} float32 values, found {flat.size}"
         )
-    pl = PositionLogits(
-        seq_id=meta["seq_id"],
-        side=meta["side"],
-        logits=flat.reshape(positions, vocab_size).astype(float),
-        realized_ids=np.asarray(meta["realized_ids"], dtype=np.intp),
-        vocab_hash=meta.get("vocab_hash"),
-    )
+    try:
+        pl = PositionLogits(
+            seq_id=meta["seq_id"],
+            side=meta["side"],
+            logits=flat.reshape(positions, vocab_size).astype(float),
+            realized_ids=np.asarray(meta["realized_ids"], dtype=np.intp),
+            vocab_hash=meta.get("vocab_hash"),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if expected_vocab is not None:
         expected = vocabulary_hash(expected_vocab)
         if pl.vocab_hash != expected:

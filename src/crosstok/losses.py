@@ -6,6 +6,13 @@ the remainder), ``pkl`` (project the whole student distribution into teacher
 space, then KL), and ``hkl`` (the hybrid loss over a common set relaxed with
 each student token's top-ranked projection partner).
 
+Every mode runs on one of two kernels that map a chunk's merged teacher and
+student probabilities to ``(value, grad_z, grad_w)`` in one pass: a
+support-renormalized KL (``kl``, and ``pkl`` through the projection) and the
+hybrid loss (``gold``, ``hkl``, and ``uld`` as the hybrid over the empty
+common set). ``loss_kernel`` binds a teacher's mode to its kernel; the public
+value and gradient functions are views of the same kernels.
+
 Logs are floored at a configurable ``eps`` (log(max(x, eps))), which prevents
 NaNs on truncated supports without touching any returned distribution; pass
 ``eps=None`` to make a zero probability on a live pair an error instead.
@@ -18,23 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, ValidationError
-from .projection import SparseProjection, Provenance, project
+from .chunks import renormalize_on, softmax, topk_support
+from .errors import ValidationError
+from .projection import SparseProjection, Provenance
 from .vocab import Vocabulary
 
 LOG_EPS = 1e-12
-MODES = ("pkl", "hkl", "gold", "uld", "kl")
 
 
 def _vec(dist) -> np.ndarray:
     """Accept either a ChunkDistribution or a bare probability vector."""
     return np.asarray(getattr(dist, "probs", dist), dtype=float)
-
-
-def _log_floor(x: np.ndarray, eps: float | None) -> np.ndarray:
-    if eps is None:
-        return np.log(x)
-    return np.log(np.maximum(x, eps))
 
 
 @dataclass(frozen=True)
@@ -134,98 +135,174 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
     return CommonSet(tuple(pairs))
 
 
+def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
+    """Log-floored KL sum over the entries where the teacher has mass."""
+    live = pt > 0
+    pt, q = pt[live], q[live]
+    if eps is None and np.any(q == 0):
+        raise ValidationError(
+            "student probability is zero where the teacher has mass (log of zero); "
+            "configure a log floor"
+        )
+    floor = eps or 0.0
+    return float(np.sum(pt * (np.log(np.maximum(pt, floor)) - np.log(np.maximum(q, floor)))))
+
+
+def _logit_grad(ps: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
+    """Chain a gradient in the chunk probabilities through the softmax."""
+    return ps * (grad_p - float(ps @ grad_p))
+
+
+def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
+                grads: bool):
+    """KL from the teacher to the student, both renormalized on ``support``.
+
+    With a projection ``w`` the student is first pushed into teacher space.
+    The gradient differentiates through the product and the renormalization;
+    entries where the log floor is active are treated as flat.
+    """
+    support = slice(None) if support is None else np.asarray(support, dtype=np.intp)
+    q_raw = ps if w is None else w.product(ps)
+    pt_sup, _ = renormalize_on(pt, support, "teacher")
+    q_sup, mass = renormalize_on(q_raw, support, "student" if w is None else "projected student")
+    value = _kl_sum(pt_sup, q_sup, eps)
+    if not grads:
+        return value, None, None
+
+    # dL/dq_raw on the support: -p_t/q_raw where unfloored, plus the
+    # renormalization term shared by the whole support
+    raw = q_raw[support]
+    active = (pt_sup > 0) & (raw > (eps or 0.0) * mass)
+    ratio = np.zeros(raw.size)
+    np.divide(pt_sup, raw, out=ratio, where=active)
+    d_q = np.zeros(q_raw.size)
+    d_q[support] = pt_sup[active].sum() / mass - ratio
+    if w is None:
+        return value, _logit_grad(ps, d_q), None
+    return value, _logit_grad(ps, w.transpose_product(d_q)), w.entry_gradient(ps, d_q)
+
+
+def _common_kl(pt, ps, c: CommonSet, eps: float | None, grads: bool):
+    """Partial KL over the common pairs, with no renormalization on either side.
+
+    In the logits, every uncommon entry j gets p_s[j] times the teacher mass
+    on the common set, which is non-negative; common entries get the same
+    term minus their partner's teacher probability.
+    """
+    pt_c = pt[c.teacher_ids]
+    value = _kl_sum(pt_c, ps[c.student_ids], eps)
+    if not grads:
+        return value, None
+    grad = ps * float(pt_c.sum())
+    grad[c.student_ids] -= pt_c
+    return value, grad
+
+
+def _rank_l1(pt, ps, c: CommonSet, grads: bool):
+    """Rank-sorted L1 distance between the uncommon restrictions.
+
+    Restrictions are not renormalized; the shorter sorted vector is
+    zero-padded. The rank pairing is locally a fixed permutation, so each
+    uncommon student entry gets the sign of its difference with its rank
+    partner; sorting ties make this a subgradient.
+    """
+    u_s = c.uncommon_student(ps.size)
+    if grads:
+        # the gradient needs the rank order; its sorted values equal np.sort's
+        ranked = u_s[np.argsort(-ps[u_s], kind="stable")]
+        s_sorted = ps[ranked]
+    else:
+        s_sorted = np.sort(ps[u_s])[::-1]
+    t_sorted = np.sort(pt[c.uncommon_teacher(pt.size)])[::-1]
+    diff = np.zeros(max(s_sorted.size, t_sorted.size))
+    diff[: s_sorted.size] = s_sorted
+    diff[: t_sorted.size] -= t_sorted
+    value = float(np.abs(diff).sum())
+    if not grads:
+        return value, None
+    grad_p = np.zeros(ps.size)
+    grad_p[ranked] = np.sign(diff[: s_sorted.size])
+    return value, _logit_grad(ps, grad_p)
+
+
+def _hybrid(pt, ps, c: CommonSet, hw: HybridWeights, eps: float | None, grads: bool):
+    """Weighted common-KL plus weighted rank-sorted L1."""
+    kl, kl_grad = _common_kl(pt, ps, c, eps, grads)
+    l1, l1_grad = _rank_l1(pt, ps, c, grads)
+    value = hw.lambda_kl * kl + hw.lambda_uld * l1
+    if not grads:
+        return value, None, None
+    return value, hw.lambda_kl * kl_grad + hw.lambda_uld * l1_grad, None
+
+
+def _truncated_kl(w: SparseProjection | None, top_k: int, eps: float | None):
+    def kernel(pt, ps, grads):
+        support = topk_support(pt, top_k) if top_k < pt.size else None
+        return _support_kl(pt, ps, w, support, eps, grads)
+    return kernel
+
+
+def _hybrid_on(c: CommonSet, hw: HybridWeights, eps: float | None):
+    return lambda pt, ps, grads: _hybrid(pt, ps, c, hw, eps, grads)
+
+
+# mode -> kernel binder over (student vocab, teacher vocab, projection, top_k,
+# hybrid weights, eps); kl and pkl compare on the teacher's top-k support
+_MODE_TABLE = {
+    "pkl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(w, top_k, eps),
+    "hkl": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_relaxed(w), hw, eps),
+    "gold": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_exact(vs, vt), hw,
+                                                         eps),
+    "uld": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(CommonSet(()), HybridWeights(), eps),
+    "kl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(None, top_k, eps),
+}
+MODES = tuple(_MODE_TABLE)
+
+
+def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection | None,
+                top_k: int, hw: HybridWeights, eps: float | None):
+    """Bind one teacher's mode to its kernel: common set, projection, top-k rule.
+
+    The result maps ``(p_t, p_s, grads)``, one chunk's merged teacher and
+    student probability vectors, to ``(value, grad_z, grad_w)``: ``grad_z``
+    is in the chunk logits and ``grad_w`` in the projection entries (``pkl``
+    only); both are None unless ``grads``.
+    """
+    return _MODE_TABLE[mode](vs, vt, w, top_k, hw, eps)
+
+
 def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
     """Partial KL over the common pairs of full-vocabulary distributions.
 
     No renormalization happens on either side, so the value may be negative.
     """
-    pt = _vec(p_t)
-    ps = _vec(p_s)
-    if len(c.pairs) == 0:
-        return 0.0
-    pt_c = pt[c.teacher_ids]
-    ps_c = ps[c.student_ids]
-    live = pt_c > 0
-    if eps is None and np.any(ps_c[live] == 0):
-        raise ValidationError(
-            "student probability is zero on a live common pair (log of zero); "
-            "configure a log floor"
-        )
-    return float(np.sum(pt_c[live] * (_log_floor(pt_c[live], eps) - _log_floor(ps_c[live], eps))))
+    return _common_kl(_vec(p_t), _vec(p_s), c, eps, False)[0]
 
 
 def common_kl_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
-    """Analytic gradient of ``common_kl`` in the student chunk logits.
-
-    Every uncommon logit j receives p_s[j] times the teacher mass on the
-    common set, which is non-negative; common logits get the same term minus
-    their partner's teacher probability. The realized token is not an input.
-    """
-    z = np.asarray(z_s, dtype=float)
-    pt = _vec(p_t)
-    e = np.exp(z - z.max())
-    ps = e / e.sum()
-    common_mass = float(pt[c.teacher_ids].sum()) if len(c.pairs) else 0.0
-    grad = ps * common_mass
-    if len(c.pairs):
-        grad[c.student_ids] -= pt[c.teacher_ids]
-    return grad
+    """Analytic gradient of ``common_kl`` in the student chunk logits."""
+    return _common_kl(_vec(p_t), softmax(z_s), c, LOG_EPS, True)[1]
 
 
 def uld(p_s, p_t, c: CommonSet) -> float:
-    """Rank-sorted L1 distance between the uncommon restrictions.
-
-    Restrictions are not renormalized; the shorter sorted vector is
-    zero-padded.
-    """
-    ps = _vec(p_s)
-    pt = _vec(p_t)
-    s_rest = np.sort(ps[c.uncommon_student(ps.size)])[::-1]
-    t_rest = np.sort(pt[c.uncommon_teacher(pt.size)])[::-1]
-    width = max(s_rest.size, t_rest.size)
-    if width == 0:
-        return 0.0
-    a = np.zeros(width)
-    b = np.zeros(width)
-    a[: s_rest.size] = s_rest
-    b[: t_rest.size] = t_rest
-    return float(np.abs(a - b).sum())
+    """Rank-sorted L1 distance between the uncommon restrictions."""
+    return _rank_l1(_vec(p_t), _vec(p_s), c, False)[0]
 
 
 def uld_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
-    """Subgradient of ``uld`` in the student chunk logits.
-
-    The rank pairing is locally a fixed permutation, so each uncommon student
-    entry contributes the sign of its difference with its rank partner;
-    sorting ties make this a subgradient rather than a gradient.
-    """
-    z = np.asarray(z_s, dtype=float)
-    pt = _vec(p_t)
-    e = np.exp(z - z.max())
-    ps = e / e.sum()
-    u_s = c.uncommon_student(ps.size)
-    if u_s.size == 0:
-        return np.zeros(ps.size)
-    u_t = c.uncommon_teacher(pt.size)
-    order = np.argsort(-ps[u_s], kind="stable")
-    partners = np.zeros(u_s.size)
-    t_sorted = np.sort(pt[u_t])[::-1]
-    width = min(u_s.size, t_sorted.size)
-    partners[:width] = t_sorted[:width]
-    grad_p = np.zeros(ps.size)
-    grad_p[u_s[order]] = np.sign(ps[u_s[order]] - partners)
-    return ps * (grad_p - float(ps @ grad_p))
+    """Subgradient of ``uld`` in the student chunk logits."""
+    return _rank_l1(_vec(p_t), softmax(z_s), c, True)[1]
 
 
 def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
          eps: float | None = LOG_EPS) -> float:
     """Hybrid loss: weighted common-KL plus weighted ULD."""
-    return hw.lambda_kl * common_kl(p_t, p_s, c, eps) + hw.lambda_uld * uld(p_s, p_t, c)
+    return _hybrid(_vec(p_t), _vec(p_s), c, hw, eps, False)[0]
 
 
 def gold_grad(z_s, p_t, c: CommonSet, hw: HybridWeights = HybridWeights()) -> np.ndarray:
     """Subgradient of ``gold`` in the student chunk logits."""
-    return hw.lambda_kl * common_kl_grad(z_s, p_t, c) + hw.lambda_uld * uld_grad(z_s, p_t, c)
+    return _hybrid(_vec(p_t), softmax(z_s), c, hw, LOG_EPS, True)[1]
 
 
 def pkl(p_t, p_s, w: SparseProjection, support=None,
@@ -233,66 +310,15 @@ def pkl(p_t, p_s, w: SparseProjection, support=None,
     """KL from the teacher to the projected student distribution.
 
     ``support`` restricts the comparison to pre-truncated teacher indices;
-    the projected vector is renormalized over that support. The caller is
-    responsible for having truncated ``p_t`` to the same support.
+    both sides are renormalized over that support.
     """
-    pt = _vec(p_t)
-    q = project(w, _vec(p_s))
-    if support is not None:
-        support = np.asarray(support, dtype=np.intp)
-        mass = q[support].sum()
-        if mass < 1e-12:
-            raise DegenerateDistributionError("projected student mass vanished on the support")
-        q = q[support] / mass
-        pt = pt[support]
-    live = pt > 0
-    if eps is None and np.any(q[live] == 0):
-        raise ValidationError(
-            "projected distribution is zero where the teacher has mass; configure a log floor"
-        )
-    return float(np.sum(pt[live] * (_log_floor(pt[live], eps) - _log_floor(q[live], eps))))
+    return _support_kl(_vec(p_t), _vec(p_s), w, support, eps, False)[0]
 
 
 def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
               eps: float | None = LOG_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of ``pkl`` in the student chunk logits and W entries.
-
-    Differentiates through softmax, the sparse product, and the support
-    renormalization. Entries where the log floor is active are treated as
-    flat (zero local slope).
-    """
-    z = np.asarray(z_s, dtype=float)
-    pt_full = _vec(p_t)
-    e = np.exp(z - z.max())
-    ps = e / e.sum()
-
-    q_raw = np.zeros(w.n_teacher, dtype=float)
-    np.add.at(q_raw, w._flat_t, w._flat_w * ps[w._flat_s])
-    if support is None:
-        support = np.arange(w.n_teacher, dtype=np.intp)
-    else:
-        support = np.asarray(support, dtype=np.intp)
-    mass = q_raw[support].sum()
-    if mass < 1e-12:
-        raise DegenerateDistributionError("projected student mass vanished on the support")
-
-    pt = pt_full[support]
-    q_sup = q_raw[support]
-    floor = 0.0 if eps is None else eps * mass
-    active = (pt > 0) & (q_sup > floor)
-
-    # dL/dq_raw on the support: -p_t/q_raw where unfloored, plus the
-    # renormalization term shared by the whole support
-    d_q = np.zeros(w.n_teacher, dtype=float)
-    ratio = np.zeros(support.size)
-    np.divide(pt, q_sup, out=ratio, where=active)
-    d_q[support] = pt[active].sum() / mass - ratio
-
-    grad_w = ps[w._flat_s] * d_q[w._flat_t]
-    grad_p = np.zeros(w.n_student, dtype=float)
-    np.add.at(grad_p, w._flat_s, w._flat_w * d_q[w._flat_t])
-    grad_z = ps * (grad_p - float(ps @ grad_p))
-    return grad_z, grad_w
+    """Analytic gradients of ``pkl`` in the student chunk logits and W entries."""
+    return _support_kl(_vec(p_t), softmax(z_s), w, support, eps, True)[1:]
 
 
 def hkl(p_t, p_s, w: SparseProjection, hw: HybridWeights = HybridWeights(),
@@ -306,58 +332,14 @@ def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
     """Plain KL between two distributions over one shared vocabulary.
 
     ``support`` restricts both sides to the given indices and renormalizes
-    them there (the pre-truncated caller path passes vectors already zeroed
-    off support, for which this is a no-op).
+    them there.
     """
-    pt = _vec(p_t)
-    ps = _vec(p_s)
-    if support is not None:
-        support = np.asarray(support, dtype=np.intp)
-        s_mass = ps[support].sum()
-        t_mass = pt[support].sum()
-        if s_mass < 1e-12 or t_mass < 1e-12:
-            raise DegenerateDistributionError("no probability mass on the support")
-        ps = ps[support] / s_mass
-        pt = pt[support] / t_mass
-    live = pt > 0
-    if eps is None and np.any(ps[live] == 0):
-        raise ValidationError(
-            "student probability is zero where the teacher has mass; configure a log floor"
-        )
-    return float(np.sum(pt[live] * (_log_floor(pt[live], eps) - _log_floor(ps[live], eps))))
+    return _support_kl(_vec(p_t), _vec(p_s), None, support, eps, False)[0]
 
 
 def chunk_kl_grad(z_s, p_t, support=None, eps: float | None = LOG_EPS) -> np.ndarray:
-    """Gradient of ``chunk_kl`` in the student chunk logits.
-
-    Differentiates through the student-side support restriction and
-    renormalization; floored entries are treated as flat.
-    """
-    z = np.asarray(z_s, dtype=float)
-    pt_full = _vec(p_t)
-    e = np.exp(z - z.max())
-    ps = e / e.sum()
-    if support is None:
-        support = np.arange(ps.size, dtype=np.intp)
-    else:
-        support = np.asarray(support, dtype=np.intp)
-    s_mass = ps[support].sum()
-    if s_mass < 1e-12:
-        raise DegenerateDistributionError("student mass vanished on the support")
-    pt = pt_full[support]
-    t_mass = pt.sum()
-    if t_mass < 1e-12:
-        raise DegenerateDistributionError("teacher mass vanished on the support")
-    pt = pt / t_mass
-
-    ps_sup = ps[support]
-    floor = 0.0 if eps is None else eps * s_mass
-    active = (pt > 0) & (ps_sup > floor)
-    ratio = np.zeros(support.size)
-    np.divide(pt, ps_sup, out=ratio, where=active)
-    grad_p = np.zeros(ps.size)
-    grad_p[support] = -ratio + pt[active].sum() / s_mass
-    return ps * (grad_p - float(ps @ grad_p))
+    """Gradient of ``chunk_kl`` in the student chunk logits."""
+    return _support_kl(_vec(p_t), softmax(z_s), None, support, eps, True)[1]
 
 
 def kd_aggregate(per_chunk, temperature: float) -> float:
@@ -380,7 +362,6 @@ class LossReport:
     aggregate: float
     grad_chunk_logits: tuple[np.ndarray, ...] | None = None
     grad_projection: np.ndarray | None = None
-    kd_multiplier: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

@@ -93,6 +93,8 @@ class SparseProjection:
             if len(row) > self.config.top_k:
                 raise ValidationError(f"row {s} has {len(row)} entries, top_k={self.config.top_k}")
             total = 0.0
+            if len(row) > 1 and len({t for t, _ in row}) != len(row):
+                raise ValidationError(f"row {s}: a teacher id repeats in its 'entries'")
             for t, w in row:
                 if not 0 <= t < self.n_teacher:
                     raise ValidationError(f"row {s}: teacher id {t} out of range")
@@ -109,6 +111,22 @@ class SparseProjection:
     @property
     def entry_count(self) -> int:
         return int(self._flat_w.size)
+
+    def product(self, p_s: np.ndarray) -> np.ndarray:
+        """Unnormalized projected vector ``W^T p_s`` over the teacher vocabulary."""
+        return np.bincount(self._flat_t, weights=self._flat_w * p_s[self._flat_s],
+                           minlength=self.n_teacher)
+
+    def transpose_product(self, d_q: np.ndarray) -> np.ndarray:
+        """``W d_q`` over the student vocabulary: pulls a teacher-space
+        gradient back through ``product``."""
+        return np.bincount(self._flat_s, weights=self._flat_w * d_q[self._flat_t],
+                           minlength=self.n_student)
+
+    def entry_gradient(self, p_s: np.ndarray, d_q: np.ndarray) -> np.ndarray:
+        """Gradient of ``d_q . product(p_s)`` in the stored entries, in
+        ``entries()`` order."""
+        return p_s[self._flat_s] * d_q[self._flat_t]
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """Stored entries as (student_id, teacher_id, weight), row-major."""
@@ -219,8 +237,7 @@ def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError(f"input distribution sums to {p.sum()}, not 1")
 
-    q = np.zeros(w.n_teacher, dtype=float)
-    np.add.at(q, w._flat_t, w._flat_w * p[w._flat_s])
+    q = w.product(p)
     if renormalize:
         mass = q.sum()
         if mass < _MASS_FLOOR:
@@ -252,14 +269,11 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
     if p.shape != (w.n_student,) or u.shape != (w.n_teacher,):
         raise ValidationError("shapes inconsistent with the projection")
 
-    q_raw = np.zeros(w.n_teacher, dtype=float)
-    np.add.at(q_raw, w._flat_t, w._flat_w * p[w._flat_s])
+    q_raw = w.product(p)
     mass = q_raw.sum()
     if mass < _MASS_FLOOR:
         return np.zeros(w.entry_count, dtype=float)
-    q = q_raw / mass
-    shift = float(u @ q)
-    return p[w._flat_s] * (u[w._flat_t] - shift) / mass
+    return w.entry_gradient(p, (u - float(u @ q_raw) / mass) / mass)
 
 
 def _row_record(s: int, row, prov: Provenance) -> str:
@@ -312,9 +326,18 @@ def load_projection(path) -> SparseProjection:
     n_student, n_teacher = header["n_student"], header["n_teacher"]
     rows: list[list[tuple[int, float]]] = [[] for _ in range(n_student)]
     provenance = [Provenance.EMPTY] * n_student
+    seen: set[int] = set()
     for line in body:
         rec = json.loads(line)
         s = rec["s"]
+        if type(s) is not int or not 0 <= s < n_student or s in seen:
+            raise ValidationError(
+                f"{path}: row field 's' = {s!r} is not a new student id in [0, {n_student})"
+            )
+        seen.add(s)
         rows[s] = [(t, w) for t, w in rec["entries"]]
         provenance[s] = Provenance(rec["provenance"])
-    return SparseProjection(n_student, n_teacher, rows, provenance, config)
+    try:
+        return SparseProjection(n_student, n_teacher, rows, provenance, config)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
-from .chunks import (
-    ChunkDistribution,
-    PositionLogits,
-    chain_rule_merge,
-    softmax,
-    topk_support,
-)
+from .chunks import PositionLogits, chain_rule_merge, softmax, topk_support
 from .errors import ValidationError
 from .losses import (
     LOG_EPS,
@@ -32,14 +26,11 @@ from .losses import (
     CommonSet,
     HybridWeights,
     LossReport,
-    build_common_set_exact,
-    build_common_set_relaxed,
     chunk_kl,
     chunk_kl_grad,
     common_kl,
     common_kl_grad,
-    gold,
-    gold_grad,
+    loss_kernel,
     pkl,
     pkl_grads,
     uld,
@@ -169,25 +160,6 @@ def resolve_weights(schedule: WeightSchedule, n_teachers: int,
     return adaptive_weights(schedule.kind, stats)
 
 
-def multi_teacher_kd(per_teacher_chunk_losses: Sequence[Sequence[float]],
-                     schedule: WeightSchedule,
-                     stats: Sequence[TeacherStats] | None = None,
-                     names: Sequence[str] | None = None) -> float:
-    """Weighted sum of per-teacher chunk means."""
-    if not per_teacher_chunk_losses:
-        raise ValidationError("need at least one teacher")
-    names = list(names) if names is not None else [f"teacher{i}" for i in
-                                                   range(len(per_teacher_chunk_losses))]
-    means = []
-    for name, chunk_losses in zip(names, per_teacher_chunk_losses):
-        values = list(chunk_losses)
-        if not values:
-            raise ValidationError(f"teacher {name!r} has no loss-bearing chunks")
-        means.append(float(np.mean(values)))
-    alphas = resolve_weights(schedule, len(means), stats)
-    return float(alphas @ np.asarray(means))
-
-
 @dataclass
 class TeacherConfig:
     """One teacher's loaded inputs and loss routing for a simulated step."""
@@ -284,52 +256,6 @@ def cross_entropy_grad(pl: PositionLogits) -> np.ndarray:
     return probs / pl.positions
 
 
-def _chunk_logits(dist: ChunkDistribution) -> np.ndarray:
-    # any logits vector representing the chunk distribution yields the same
-    # gradient, so the log of the merged probabilities serves as chunk logits
-    return np.log(np.maximum(dist.probs, 1e-300))
-
-
-def _teacher_loss_and_grad(teacher: TeacherConfig, p_t: ChunkDistribution,
-                           p_s: ChunkDistribution, top_k: int,
-                           exact_set: CommonSet | None, relaxed_set: CommonSet | None,
-                           hybrid: HybridWeights, eps: float | None,
-                           compute_grads: bool):
-    """One chunk's loss under the teacher's mode, plus optional gradients."""
-    mode = teacher.mode
-    grad_z = grad_w = None
-    if mode == "kl":
-        support = topk_support(p_t.probs, top_k) if top_k < p_t.probs.size else None
-        value = chunk_kl(p_t, p_s, support=support, eps=eps)
-        if compute_grads:
-            grad_z = chunk_kl_grad(_chunk_logits(p_s), p_t, support=support, eps=eps)
-    elif mode == "pkl":
-        support = topk_support(p_t.probs, top_k) if top_k < p_t.probs.size else None
-        if support is not None:
-            pt = np.zeros_like(p_t.probs)
-            pt[support] = p_t.probs[support] / p_t.probs[support].sum()
-        else:
-            pt = p_t.probs
-        value = pkl(pt, p_s, teacher.projection, support=support, eps=eps)
-        if compute_grads:
-            grad_z, grad_w = pkl_grads(_chunk_logits(p_s), pt, teacher.projection,
-                                       support=support, eps=eps)
-    elif mode == "hkl":
-        value = gold(p_t, p_s, relaxed_set, hybrid, eps)
-        if compute_grads:
-            grad_z = gold_grad(_chunk_logits(p_s), p_t, relaxed_set, hybrid)
-    elif mode == "gold":
-        value = gold(p_t, p_s, exact_set, hybrid, eps)
-        if compute_grads:
-            grad_z = gold_grad(_chunk_logits(p_s), p_t, exact_set, hybrid)
-    else:  # uld
-        empty = CommonSet(())
-        value = uld(p_s, p_t, empty)
-        if compute_grads:
-            grad_z = uld_grad(_chunk_logits(p_s), p_t, empty)
-    return value, grad_z, grad_w
-
-
 def _validate_teacher(student_vocab: Vocabulary, teacher: TeacherConfig) -> None:
     if teacher.logits.side != "teacher":
         raise ValidationError(f"teacher {teacher.name!r}: dump side is {teacher.logits.side!r}")
@@ -394,44 +320,37 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     s_seq = student_logits.realized_ids.tolist()
 
     breakdowns: list[TeacherBreakdown] = []
-    for teacher in teachers:
+    for alpha, teacher in zip(alphas, teachers):
         tok_t = Tokenizer(teacher.vocab)
         t_seq = teacher.logits.realized_ids.tolist()
         alignment = cache.get_or_compute(s_seq, t_seq, scoring, tok_s, tok_t)
 
-        exact_set = relaxed_set = None
-        if teacher.mode == "gold":
-            exact_set = build_common_set_exact(student_vocab, teacher.vocab)
-        elif teacher.mode == "hkl":
-            relaxed_set = build_common_set_relaxed(teacher.projection)
-
+        kernel = loss_kernel(teacher.mode, student_vocab, teacher.vocab, teacher.projection,
+                             top_k, hybrid, eps)
         per_chunk: list[float] = []
         grads_z: list[np.ndarray] = []
-        grad_w_total = (np.zeros(teacher.projection.entry_count)
-                        if compute_grads and teacher.mode == "pkl" else None)
+        grad_w_total = None
         for k, chunk in enumerate(alignment.chunks):
             if not chunk.in_loss:
                 continue
             p_s = chain_rule_merge(student_logits, chunk, temperature, k)
             p_t = chain_rule_merge(teacher.logits, chunk, temperature, k)
-            value, g_z, g_w = _teacher_loss_and_grad(
-                teacher, p_t, p_s, top_k, exact_set, relaxed_set, hybrid, eps,
-                compute_grads)
+            value, g_z, g_w = kernel(p_t.probs, p_s.probs, compute_grads)
             per_chunk.append(value)
             if compute_grads:
                 grads_z.append(g_z)
-                if g_w is not None:
-                    grad_w_total += g_w
+            if g_w is not None:
+                grad_w_total = g_w if grad_w_total is None else grad_w_total + g_w
         if not per_chunk:
             raise ValidationError(f"teacher {teacher.name!r} has no loss-bearing chunks")
 
         report = LossReport.from_chunks(teacher.mode, per_chunk, temperature,
                                         grad_chunk_logits=tuple(grads_z) or None,
                                         grad_projection=grad_w_total)
-        breakdowns.append(TeacherBreakdown(teacher.name, teacher.mode, 0.0, report,
+        breakdowns.append(TeacherBreakdown(teacher.name, teacher.mode, float(alpha), report,
                                            _chunk_stats(alignment)))
 
-    l_kd = float(sum(a * b.report.aggregate for a, b in zip(alphas, breakdowns)))
+    l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
     l_ce = cross_entropy(student_logits)
     if policy.kind == "dynamic" and l_kd <= _KD_FLOOR:
         # nothing to rescale when the distillation term vanishes
@@ -445,16 +364,13 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         ce_grad = ce_coeff * cross_entropy_grad(student_logits)
         # scale the stored per-chunk and projection gradients into
         # total-loss gradients, holding the dynamic multiplier constant
-        for alpha, breakdown in zip(alphas, breakdowns):
+        for breakdown in breakdowns:
             report = breakdown.report
             K = len(report.per_chunk)
-            scale = multiplier * float(alpha) * temperature ** 2 / K
+            scale = multiplier * breakdown.alpha * temperature ** 2 / K
             report.grad_chunk_logits = tuple(scale * g for g in report.grad_chunk_logits)
             if report.grad_projection is not None:
                 report.grad_projection = scale * report.grad_projection
-
-    for alpha, breakdown in zip(alphas, breakdowns):
-        breakdown.alpha = float(alpha)
 
     return StepReport(
         temperature=temperature,

@@ -179,6 +179,20 @@ class TestLogitsDumpIO:
         save_float_matrix(values, path)
         np.testing.assert_array_equal(load_float_matrix(path), values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            make_logits([[0.0, bad]], [0], side="teacher", seq_id="doc7")
+        assert "doc7" in str(info.value) and "teacher" in str(info.value)
+
+    def test_non_finite_dump_names_the_file(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        save_position_logits(make_logits(np.zeros((2, 3)), [0, 1], seq_id="doc7"), path)
+        np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0], dtype="<f4").tofile(path)
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            load_position_logits(path)
+        assert "dump.bin" in str(info.value) and "doc7" in str(info.value)
+
     def test_realized_id_range_validated(self):
         with pytest.raises(ValidationError):
             make_logits(np.zeros((1, 2)), [5])

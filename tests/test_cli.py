@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from crosstok.align import read_alignment_dump
@@ -189,6 +191,27 @@ class TestLoss:
         assert main(["--config", str(fx["config"]), "loss", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert abs(sum(payload["alphas"]) - 1.0) < 1e-12
+
+    def test_nan_teacher_dump_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        dump_path = fx["dir"] / "teacher0.bin"
+        values = np.fromfile(dump_path, dtype="<f4")
+        values[4] = np.nan
+        values.tofile(dump_path)
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "teacher0.bin" in err and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        lines = fx["projection"].read_text().splitlines()
+        header = json.loads(lines[0])
+        body = [line.replace('"s":3', '"s":4') for line in lines[1:]]
+        header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+        fx["projection"].write_text("\n".join([json.dumps(header)] + body) + "\n")
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert "projection.jsonl" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,52 @@ class TestProjectionFiles:
             ProjectionConfig(beta=0.1, gamma=0.9)
         with pytest.raises(ValidationError):
             ProjectionConfig(top_k=0)
+
+
+def rewrite_records(path, edit):
+    """Replace the row records of a saved projection and re-seal its hash."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    body = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            for rec in edit([json.loads(line) for line in lines[1:]])]
+    header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+    path.write_text("\n".join([json.dumps(header)] + body) + "\n")
+
+
+class TestProjectionIndexValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        vs = Vocabulary(["2", "0", "1", "201"])
+        vt = Vocabulary(["2", "0", "1"])
+        path = tmp_path / "digits.jsonl"
+        save_projection(build_projection(vs, vt, Tokenizer(vt)), path)
+        return path
+
+    def rejects(self, path, field):
+        with pytest.raises(ValidationError) as info:
+            load_projection(path)
+        assert path.name in str(info.value) and f"'{field}'" in str(info.value)
+
+    @pytest.mark.parametrize("bad_s", [-1, 4, "0"], ids=["negative", "past_end", "not_int"])
+    def test_bad_row_index(self, saved, bad_s):
+        rewrite_records(saved, lambda recs: [{**r, "s": bad_s} if r["s"] == 0 else r
+                                             for r in recs])
+        self.rejects(saved, "s")
+
+    def test_duplicate_row_index(self, saved):
+        rewrite_records(saved, lambda recs: recs + [recs[0]])
+        self.rejects(saved, "s")
+
+    def test_teacher_id_repeated_within_a_row(self, saved):
+        def repeat(recs):
+            row = next(r for r in recs if r["provenance"] == "multi_token")
+            row["entries"] = [row["entries"][0], [row["entries"][0][0], 0.05]]
+            return recs
+
+        rewrite_records(saved, repeat)
+        self.rejects(saved, "entries")
+
+    def test_constructor_rejects_repeated_teacher_id(self):
+        with pytest.raises(ValidationError, match="teacher id repeats"):
+            SparseProjection(1, 2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN],
+                             ProjectionConfig())

@@ -18,7 +18,6 @@ from crosstok.training import (
     cross_entropy,
     cross_entropy_grad,
     gradient_check,
-    multi_teacher_kd,
     run_step,
 )
 from crosstok.vocab import Tokenizer, Vocabulary, vocabulary_hash
@@ -112,14 +111,36 @@ class TestAdaptiveWeights:
         assert alphas[0] > alphas[1]
 
 
+def kl_teacher(vocab, logits, name="t"):
+    return TeacherConfig(name, "kl", vocab,
+                         dump("teacher", logits, [0, 1, 2], vocab, seq_id=name))
+
+
 class TestMultiTeacherKd:
+    """The weighted teacher sum, asserted through ``run_step``."""
+
+    vocab = Vocabulary(["a", "b", "c"])
+
+    def student(self, rng):
+        return dump("student", rng.normal(size=(3, 3)), [0, 1, 2], self.vocab)
+
     def test_single_teacher_is_chunk_mean(self):
-        sched = WeightSchedule("static", (1.0,))
-        assert multi_teacher_kd([[1.0, 3.0]], sched) == pytest.approx(2.0)
+        rng = np.random.default_rng(21)
+        report = run_step(self.vocab, self.student(rng),
+                          [kl_teacher(self.vocab, rng.normal(size=(3, 3)))],
+                          schedule=WeightSchedule("static", (1.0,)))
+        per_chunk = report.teachers[0].report.per_chunk
+        assert len(per_chunk) == 3
+        assert report.kd == pytest.approx(np.mean(per_chunk), rel=1e-15)
 
     def test_even_static_weights(self):
-        sched = WeightSchedule("static", (0.5, 0.5))
-        assert multi_teacher_kd([[1.0], [3.0]], sched) == pytest.approx(2.0)
+        rng = np.random.default_rng(22)
+        teachers = [kl_teacher(self.vocab, rng.normal(size=(3, 3)), name)
+                    for name in ("a", "b")]
+        report = run_step(self.vocab, self.student(rng), teachers,
+                          schedule=WeightSchedule("static", (0.5, 0.5)))
+        means = [np.mean(t.report.per_chunk) for t in report.teachers]
+        assert report.kd == pytest.approx((means[0] + means[1]) / 2, rel=1e-15)
 
     def test_uneven_static_weights_validate(self):
         WeightSchedule("static", (0.2, 0.8))
@@ -127,15 +148,29 @@ class TestMultiTeacherKd:
             WeightSchedule("static", (0.2, 0.9))
 
     def test_empty_teacher_named(self):
-        sched = WeightSchedule("static", (0.5, 0.5))
+        rng = np.random.default_rng(23)
+        vt = Vocabulary(["y", "z"])
+        hopeless = TeacherConfig("teacher_b", "uld", vt,
+                                 dump("teacher", rng.normal(size=(1, 2)), [0], vt))
         with pytest.raises(ValidationError, match="teacher_b"):
-            multi_teacher_kd([[1.0], []], sched, names=["teacher_a", "teacher_b"])
+            run_step(self.vocab, self.student(rng),
+                     [kl_teacher(self.vocab, rng.normal(size=(3, 3)), "teacher_a"), hopeless],
+                     schedule=WeightSchedule("static", (0.5, 0.5)))
 
     def test_linear_in_each_teacher_mean(self):
+        rng = np.random.default_rng(24)
+        student = self.student(rng)
+        a, a_other, b = (rng.normal(size=(3, 3)) for _ in range(3))
         sched = WeightSchedule("static", (0.25, 0.75))
-        base = multi_teacher_kd([[2.0], [4.0]], sched)
-        doubled = multi_teacher_kd([[4.0], [4.0]], sched)
-        assert doubled - base == pytest.approx(0.25 * 2.0)
+        base = run_step(self.vocab, student,
+                        [kl_teacher(self.vocab, a, "a"), kl_teacher(self.vocab, b, "b")],
+                        schedule=sched)
+        moved = run_step(self.vocab, student,
+                         [kl_teacher(self.vocab, a_other, "a"), kl_teacher(self.vocab, b, "b")],
+                         schedule=sched)
+        shift = moved.teachers[0].report.aggregate - base.teachers[0].report.aggregate
+        assert moved.teachers[1].report.per_chunk == base.teachers[1].report.per_chunk
+        assert moved.kd - base.kd == pytest.approx(0.25 * shift, rel=1e-12)
 
 
 class TestCrossEntropy:
@@ -294,6 +329,19 @@ class TestRunStep:
                                 dump("teacher", rng.normal(size=(1, 2)), [0], vt))
         with pytest.raises(ValidationError, match="hopeless"):
             run_step(vs, student, [teacher])
+
+    def test_nan_teacher_logits_rejected_not_zero_kd(self):
+        rng = np.random.default_rng(13)
+        vs = Vocabulary(["2", "0", "1", "201"])
+        vt = Vocabulary(["2", "0", "1"])
+        w = build_projection(vs, vt, Tokenizer(vt))
+        student = dump("student", rng.normal(size=(1, 4)), [3], vs)
+        z_t = rng.normal(size=(3, 3))
+        z_t[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            run_step(vs, student, [TeacherConfig(
+                "t", "pkl", vt, dump("teacher", z_t, [0, 1, 2], vt, seq_id="nan_doc"),
+                projection=w)])
 
     def test_deterministic_reports(self):
         rng = np.random.default_rng(10)

@@ -80,6 +80,7 @@ from .vocab import (
     Tokenizer,
     Vocabulary,
     canonicalize,
+    exact_partners,
     load_vocabulary,
     make_toy_tokenizer,
     save_vocabulary,

@@ -73,20 +73,13 @@ class CoverageRow:
 def audit_coverage(vs: Vocabulary, c: CommonSet,
                    rules: Sequence[CategoryRule] = ()) -> list[CoverageRow]:
     """Count, per category, the student tokens that survive into the common set."""
-    rules = tuple(rules) or default_rules()
-    if not rules:
-        raise ValidationError("need at least one category rule")
-    common_students = set(int(s) for s in c.student_ids)
+    common_students = set(c.student_ids.tolist())
+    texts = [_decode(vs.canonical(sid)) for sid in range(len(vs))]
     rows = []
-    for rule in rules:
-        size = matched = 0
-        for sid in range(len(vs)):
-            if not rule.predicate(_decode(vs.canonical(sid))):
-                continue
-            size += 1
-            if sid in common_students:
-                matched += 1
-        rows.append(CoverageRow(rule.name, matched, size))
+    for rule in tuple(rules) or default_rules():
+        members = [sid for sid, text in enumerate(texts) if rule.predicate(text)]
+        rows.append(CoverageRow(rule.name, len(common_students.intersection(members)),
+                                len(members)))
     return rows
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import AlignmentChunk
-from .errors import DegenerateDistributionError, ValidationError
+from .errors import DegenerateDistributionError, ValidationError, check_fields
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -173,9 +173,15 @@ def save_position_logits(pl: PositionLogits, path) -> None:
         fh.write("\n")
 
 
+_SIDECAR_FIELDS = {"seq_id": str, "side": str, "vocab_hash": str | None,
+                   "realized_ids": list[int], "positions": int, "vocab_size": int}
+
+
 def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> PositionLogits:
-    with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    sidecar = _sidecar_path(path)
+    with open(sidecar, "r", encoding="utf-8") as fh:
+        meta = check_fields(json.load(fh), _SIDECAR_FIELDS, sidecar,
+                            required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
     flat = np.fromfile(path, dtype="<f4")
     positions, vocab_size = meta["positions"], meta["vocab_size"]
     if flat.size != positions * vocab_size:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .align import AlignScoring, ChunkKind, dp_align, trl_substring_align, write_alignment_dump
 from .audit import DEFAULT_CRITICAL, audit_coverage, coverage_json, coverage_table, recommend_mode
 from .chunks import load_position_logits, save_float_matrix
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .losses import HybridWeights, build_common_set_exact
 from .projection import ProjectionConfig, build_projection, load_projection, save_projection
 from .training import (
@@ -30,11 +31,19 @@ from .vocab import Tokenizer, load_vocabulary
 GRADCHECK_TOLERANCE = 1e-6
 
 
-def _pick(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _flags_over_config(args, config: dict, hints: dict) -> dict:
+    """Keyword arguments named by ``hints`` (name -> type): the top-level config
+    values present, overridden by same-name CLI flags, each checked by type."""
+    picked = {name: config[name] for name in hints if name in config}
+    picked.update({name: getattr(args, name) for name in hints
+                   if getattr(args, name, None) is not None})
+    return check_fields(picked, hints, args.config)
+
+
+def _section(config: dict, path, name: str, cls):
+    """``cls`` built from the keys present in the config's ``name`` object."""
+    values = check_fields(config.get(name, {}), typing.get_type_hints(cls), path, f"{name}.")
+    return cls(**values)
 
 
 def _load_config(path) -> dict:
@@ -57,12 +66,8 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_build_w(args, config: dict) -> int:
     vs = load_vocabulary(args.student_vocab)
     vt = load_vocabulary(args.teacher_vocab)
-    cfg = ProjectionConfig(
-        beta=_pick(args, config, "beta", 0.9),
-        gamma=_pick(args, config, "gamma", 0.1),
-        max_span=_pick(args, config, "max_span", 4),
-        top_k=_pick(args, config, "top_k", 4),
-    )
+    cfg = ProjectionConfig(**_flags_over_config(args, config,
+                                                 typing.get_type_hints(ProjectionConfig)))
     w = build_projection(vs, vt, Tokenizer(vt), cfg)
     save_projection(w, args.out)
     summary = {"out": str(args.out), **w.summary()}
@@ -79,12 +84,7 @@ def cmd_build_w(args, config: dict) -> int:
 def cmd_align(args, config: dict) -> int:
     tok_s = Tokenizer(load_vocabulary(args.student_vocab))
     tok_t = Tokenizer(load_vocabulary(args.teacher_vocab))
-    scoring = AlignScoring(
-        alpha_exact=_pick(args, config, "alpha_exact", 3.0),
-        alpha_comb=_pick(args, config, "alpha_comb", 1.5),
-        alpha_gap=_pick(args, config, "alpha_gap", -1.5),
-        max_span=_pick(args, config, "max_span", 4),
-    )
+    scoring = AlignScoring(**_flags_over_config(args, config, typing.get_type_hints(AlignScoring)))
     bos_id = None
     if args.student_add_bos:
         bos_id = tok_s.vocabulary.special_roles.get("bos")
@@ -131,8 +131,8 @@ def cmd_audit(args, config: dict) -> int:
     c = build_common_set_exact(vs, vt)
     rows = audit_coverage(vs, c)
     critical = tuple(args.critical.split(",")) if args.critical else DEFAULT_CRITICAL
-    threshold = _pick(args, config, "threshold", 1.0)
-    mode = recommend_mode(rows, critical=critical, threshold=threshold)
+    threshold = _flags_over_config(args, config, {"threshold": float})
+    mode = recommend_mode(rows, critical=critical, **threshold)
     if args.format == "json":
         sys.stdout.write(coverage_json(rows, recommendation=mode))
     else:
@@ -141,30 +141,41 @@ def cmd_audit(args, config: dict) -> int:
     return 0
 
 
-def _load_step_inputs(config: dict):
-    try:
-        student_cfg = config["student"]
-        teacher_cfgs = config["teachers"]
-    except KeyError as missing:
-        raise ValidationError(f"step config is missing the {missing} section") from None
+_FILES = {"vocab": str, "logits": str}
+_TEACHER_FIELDS = {**_FILES, "mode": str, "name": str, "projection": str | None,
+                   "weight": float}
+
+
+def _load_step_inputs(config: dict, path):
+    sections = check_fields({k: config[k] for k in ("student", "teachers") if k in config},
+                            {"student": dict, "teachers": list}, path,
+                            required=("student", "teachers"))
+    student_cfg = check_fields(sections["student"], _FILES, path, "student.", required=_FILES)
+    teacher_cfgs = sections["teachers"]
 
     student_vocab = load_vocabulary(student_cfg["vocab"])
     student_logits = load_position_logits(student_cfg["logits"],
                                           expected_vocab=student_vocab)
     teachers = []
-    for tc in teacher_cfgs:
+    for i, tc in enumerate(teacher_cfgs):
+        check_fields(tc, _TEACHER_FIELDS, path, f"teachers[{i}].",
+                     required=("mode", *_FILES))
         vocab = load_vocabulary(tc["vocab"])
         logits = load_position_logits(tc["logits"], expected_vocab=vocab)
         projection = load_projection(tc["projection"]) if tc.get("projection") else None
-        teachers.append(TeacherConfig(
-            name=tc.get("name", tc["logits"]),
-            mode=tc["mode"],
-            vocab=vocab,
-            logits=logits,
-            projection=projection,
-            weight=tc.get("weight", 1.0),
-        ))
+        teachers.append(TeacherConfig(tc.get("name", tc["logits"]), tc["mode"], vocab, logits,
+                                      projection, **{k: tc[k] for k in ("weight",) if k in tc}))
     return student_vocab, student_logits, teachers
+
+
+def _schedule(config: dict, path) -> WeightSchedule | None:
+    values = config.get("schedule")
+    if values is None:
+        return None
+    check_fields(values, {"kind": str, "weights": list[float] | None}, path, "schedule.")
+    weights = values.get("weights")
+    return WeightSchedule(static=None if weights is None else tuple(weights),
+                          **{k: values[k] for k in ("kind",) if k in values})
 
 
 def cmd_loss(args, config: dict) -> int:
@@ -184,62 +195,39 @@ def cmd_loss(args, config: dict) -> int:
 
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
-    student_vocab, student_logits, teachers = _load_step_inputs(config)
-
-    policy_cfg = config.get("policy", {})
-    policy = ScalingPolicy(
-        kind=policy_cfg.get("kind", "dynamic"),
-        lambda_kd=policy_cfg.get("lambda_kd", 1.0),
-        lambda_ce=policy_cfg.get("lambda_ce", 0.1),
-    )
-    schedule_cfg = config.get("schedule")
-    schedule = None
-    if schedule_cfg is not None:
-        static = schedule_cfg.get("weights")
-        schedule = WeightSchedule(schedule_cfg.get("kind", "static"),
-                                  tuple(static) if static is not None else None)
-    scoring_cfg = config.get("scoring", {})
-    scoring = AlignScoring(
-        alpha_exact=scoring_cfg.get("alpha_exact", 3.0),
-        alpha_comb=scoring_cfg.get("alpha_comb", 1.5),
-        alpha_gap=scoring_cfg.get("alpha_gap", -1.5),
-        max_span=scoring_cfg.get("max_span", 4),
-    )
-    hybrid_cfg = config.get("hybrid", {})
-    hybrid = HybridWeights(hybrid_cfg.get("lambda_kl", 1.0),
-                           hybrid_cfg.get("lambda_uld", 1.0))
+    student_vocab, student_logits, teachers = _load_step_inputs(config, args.config)
+    step_hints = typing.get_type_hints(run_step)
+    step_kwargs = _flags_over_config(args, config,
+                                     {k: step_hints[k] for k in ("temperature", "top_k", "eps")})
 
     report = run_step(
         student_vocab, student_logits, teachers,
-        policy=policy,
-        schedule=schedule,
-        temperature=config.get("temperature", 1.0),
-        scoring=scoring,
-        top_k=config.get("top_k", 8192),
-        hybrid=hybrid,
+        policy=_section(config, args.config, "policy", ScalingPolicy),
+        schedule=_schedule(config, args.config),
+        scoring=_section(config, args.config, "scoring", AlignScoring),
+        hybrid=_section(config, args.config, "hybrid", HybridWeights),
         compute_grads=args.grad,
-        eps=config.get("eps", 1e-12),
         config_echo=config,
+        **step_kwargs,
     )
 
     payload = json.loads(report.to_json())
     if args.grad:
         if args.out is None:
             raise ValidationError("--grad needs --out to anchor the gradient files")
-        stem = Path(args.out)
         grad_files: dict[str, str] = {}
-        ce_path = stem.with_suffix(".ce_grad.bin")
-        save_float_matrix(report.ce_grad, ce_path)
-        grad_files["ce"] = ce_path.name
-        for breakdown in report.teachers:
-            for k, grad in enumerate(breakdown.report.grad_chunk_logits):
-                path = stem.with_suffix(f".{breakdown.name}.chunk{k:04d}.bin")
-                save_float_matrix(grad, path)
-                grad_files[f"{breakdown.name}/chunk{k}"] = path.name
-            if breakdown.report.grad_projection is not None:
-                path = stem.with_suffix(f".{breakdown.name}.w_entries.bin")
-                save_float_matrix(breakdown.report.grad_projection, path)
-                grad_files[f"{breakdown.name}/w_entries"] = path.name
+
+        def write(key: str, suffix: str, values) -> None:
+            path = Path(args.out).with_suffix(suffix)
+            save_float_matrix(values, path)
+            grad_files[key] = path.name
+
+        write("ce", ".ce_grad.bin", report.ce_grad)
+        for t in report.teachers:
+            for k, grad in enumerate(t.report.grad_chunk_logits):
+                write(f"{t.name}/chunk{k}", f".{t.name}.chunk{k:04d}.bin", grad)
+            if t.report.grad_projection is not None:
+                write(f"{t.name}/w_entries", f".{t.name}.w_entries.bin", t.report.grad_projection)
         payload["gradient_files"] = grad_files
 
     rendered = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -262,10 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    vocabs = argparse.ArgumentParser(add_help=False)
+    vocabs.add_argument("--student-vocab", required=True)
+    vocabs.add_argument("--teacher-vocab", required=True)
 
-    p = sub.add_parser("build-w", help="build and save a sparse projection matrix")
-    p.add_argument("--student-vocab", required=True)
-    p.add_argument("--teacher-vocab", required=True)
+    p = sub.add_parser("build-w", parents=[vocabs],
+                       help="build and save a sparse projection matrix")
     p.add_argument("--out", required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
@@ -273,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int)
     p.set_defaults(func=cmd_build_w)
 
-    p = sub.add_parser("align", help="align a file of texts under both tokenizers")
-    p.add_argument("--student-vocab", required=True)
-    p.add_argument("--teacher-vocab", required=True)
+    p = sub.add_parser("align", parents=[vocabs],
+                       help="align a file of texts under both tokenizers")
     p.add_argument("--texts", required=True, help="one input text per line")
     p.add_argument("--out", required=True, help="chunk dump (JSON Lines)")
     p.add_argument("--baseline", action="store_true",
@@ -289,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-span", type=int)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("audit", help="coverage audit and loss-mode recommendation")
-    p.add_argument("--student-vocab", required=True)
-    p.add_argument("--teacher-vocab", required=True)
+    p = sub.add_parser("audit", parents=[vocabs],
+                       help="coverage audit and loss-mode recommendation")
     p.add_argument("--critical", help="comma-separated critical categories")
     p.add_argument("--threshold", type=float)
     p.set_defaults(func=cmd_audit)
@@ -314,13 +302,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError includes ValidationError and malformed JSON/number parsing
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # includes ValidationError and malformed JSON/number parsing
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that turns
+a malformed JSON object into one of them."""
+
+import typing
 
 
 class ValidationError(ValueError):
@@ -15,3 +18,33 @@ class UnencodableTextError(ValidationError):
 
 class DegenerateDistributionError(ValidationError):
     """A probability vector lost all of its mass (e.g. empty projection rows)."""
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a type; a float takes an int, a bool only bool."""
+    if hint in (bool, int, float, str, list, dict, type(None)):
+        return type(value) is hint or (hint is float and type(value) is int)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(_fits(v, args[0]) for v in value)
+    return any(_fits(value, a) for a in args)
+
+
+def check_fields(values, hints: typing.Mapping[str, object], path, prefix: str = "",
+                 required: typing.Iterable[str] = ()) -> dict:
+    """``values`` if it is a JSON object that holds every ``required`` key and
+    whose keys all appear in ``hints`` (key -> type annotation) with values
+    that fit; otherwise a ValidationError naming ``path`` and ``prefix + key``."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"{path}: {prefix.rstrip('.') or 'the file'} must be a JSON "
+                              f"object, got {values!r:.80}")
+    for key in required:
+        if key not in values:
+            raise ValidationError(f"{path}: {prefix}{key} is missing")
+    for key, value in values.items():
+        if key not in hints:
+            raise ValidationError(f"{path}: {prefix}{key} is not a known field")
+        if not _fits(value, hints[key]):
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise ValidationError(f"{path}: {prefix}{key} must be {expected}, got {value!r:.80}")
+    return values

@@ -28,7 +28,7 @@ import numpy as np
 from .chunks import renormalize_on, softmax, topk_support
 from .errors import ValidationError
 from .projection import SparseProjection, Provenance
-from .vocab import Vocabulary
+from .vocab import Vocabulary, exact_partners
 
 LOG_EPS = 1e-12
 
@@ -83,37 +83,22 @@ class HybridWeights:
             raise ValidationError("hybrid loss weights must be non-negative")
 
 
+def _first_per_teacher(candidates) -> CommonSet:
+    """The bijective common set that keeps each teacher id's first (s, t)
+    candidate; later candidates for a taken teacher id stay uncommon."""
+    chosen: dict[int, int] = {}
+    for s, t in candidates:
+        chosen.setdefault(t, s)
+    return CommonSet(tuple(sorted((s, t) for t, s in chosen.items())))
+
+
 def build_common_set_exact(vs: Vocabulary, vt: Vocabulary) -> CommonSet:
-    """Canonical-string-equality pairs, bijective by construction.
+    """The ``exact_partners`` pairs, bijective by construction.
 
-    Canonical collisions keep the smallest-id pair; specials pair through
-    shared roles only.
+    A teacher id claimed by several student ids keeps the smallest one.
     """
-    canon_index: dict[bytes, int] = {}
-    for t in range(len(vt)):
-        if not vt.is_special(t):
-            canon_index.setdefault(vt.canonical(t), t)
-
-    candidates: list[tuple[int, int]] = []
-    for s in range(len(vs)):
-        if vs.is_special(s):
-            partners = sorted(
-                vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles
-            )
-            if partners:
-                candidates.append((s, partners[0]))
-        else:
-            t = canon_index.get(vs.canonical(s))
-            if t is not None:
-                candidates.append((s, t))
-
-    pairs: list[tuple[int, int]] = []
-    used_t: set[int] = set()
-    for s, t in sorted(candidates):
-        if t not in used_t:
-            used_t.add(t)
-            pairs.append((s, t))
-    return CommonSet(tuple(pairs))
+    return _first_per_teacher((s, t) for s, t in enumerate(exact_partners(vs, vt))
+                              if t is not None)
 
 
 def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
@@ -123,16 +108,9 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
     then the higher weight, then the smaller student id; losing student
     tokens stay uncommon, keeping the result bijective.
     """
-    by_teacher: dict[int, tuple[int, float, int]] = {}
-    for s, row in enumerate(w.rows):
-        if not row:
-            continue
-        t, weight = row[0]
-        rank = (0 if w.provenance[s] is Provenance.EXACT else 1, -weight, s)
-        if t not in by_teacher or rank < by_teacher[t]:
-            by_teacher[t] = rank
-    pairs = sorted((rank[2], t) for t, rank in by_teacher.items())
-    return CommonSet(tuple(pairs))
+    ranked = sorted((w.provenance[s] is not Provenance.EXACT, -row[0][1], s, row[0][0])
+                    for s, row in enumerate(w.rows) if row)
+    return _first_per_teacher((s, t) for _, _, s, t in ranked)
 
 
 def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
@@ -198,22 +176,25 @@ def _common_kl(pt, ps, c: CommonSet, eps: float | None, grads: bool):
     return value, grad
 
 
-def _rank_l1(pt, ps, c: CommonSet, grads: bool):
-    """Rank-sorted L1 distance between the uncommon restrictions.
+def _uncommon(c: CommonSet, n_student: int, n_teacher: int) -> tuple[np.ndarray, np.ndarray]:
+    return c.uncommon_student(n_student), c.uncommon_teacher(n_teacher)
+
+
+def _rank_l1(pt, ps, u_s: np.ndarray, u_t: np.ndarray, grads: bool):
+    """Rank-sorted L1 distance between the restrictions to the uncommon ids.
 
     Restrictions are not renormalized; the shorter sorted vector is
     zero-padded. The rank pairing is locally a fixed permutation, so each
     uncommon student entry gets the sign of its difference with its rank
     partner; sorting ties make this a subgradient.
     """
-    u_s = c.uncommon_student(ps.size)
     if grads:
         # the gradient needs the rank order; its sorted values equal np.sort's
         ranked = u_s[np.argsort(-ps[u_s], kind="stable")]
         s_sorted = ps[ranked]
     else:
         s_sorted = np.sort(ps[u_s])[::-1]
-    t_sorted = np.sort(pt[c.uncommon_teacher(pt.size)])[::-1]
+    t_sorted = np.sort(pt[u_t])[::-1]
     diff = np.zeros(max(s_sorted.size, t_sorted.size))
     diff[: s_sorted.size] = s_sorted
     diff[: t_sorted.size] -= t_sorted
@@ -225,10 +206,11 @@ def _rank_l1(pt, ps, c: CommonSet, grads: bool):
     return value, _logit_grad(ps, grad_p)
 
 
-def _hybrid(pt, ps, c: CommonSet, hw: HybridWeights, eps: float | None, grads: bool):
-    """Weighted common-KL plus weighted rank-sorted L1."""
+def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, eps: float | None,
+            grads: bool):
+    """Weighted common-KL plus weighted rank-sorted L1 (``uncommon`` from ``_uncommon``)."""
     kl, kl_grad = _common_kl(pt, ps, c, eps, grads)
-    l1, l1_grad = _rank_l1(pt, ps, c, grads)
+    l1, l1_grad = _rank_l1(pt, ps, *uncommon, grads)
     value = hw.lambda_kl * kl + hw.lambda_uld * l1
     if not grads:
         return value, None, None
@@ -242,18 +224,22 @@ def _truncated_kl(w: SparseProjection | None, top_k: int, eps: float | None):
     return kernel
 
 
-def _hybrid_on(c: CommonSet, hw: HybridWeights, eps: float | None):
-    return lambda pt, ps, grads: _hybrid(pt, ps, c, hw, eps, grads)
+def _hybrid_on(c: CommonSet, vs: Vocabulary, vt: Vocabulary, hw: HybridWeights,
+               eps: float | None):
+    uncommon = _uncommon(c, len(vs), len(vt))
+    return lambda pt, ps, grads: _hybrid(pt, ps, c, uncommon, hw, eps, grads)
 
 
 # mode -> kernel binder over (student vocab, teacher vocab, projection, top_k,
 # hybrid weights, eps); kl and pkl compare on the teacher's top-k support
 _MODE_TABLE = {
     "pkl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(w, top_k, eps),
-    "hkl": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_relaxed(w), hw, eps),
-    "gold": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_exact(vs, vt), hw,
-                                                         eps),
-    "uld": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(CommonSet(()), HybridWeights(), eps),
+    "hkl": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_relaxed(w), vs, vt,
+                                                        hw, eps),
+    "gold": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_exact(vs, vt), vs,
+                                                         vt, hw, eps),
+    "uld": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(CommonSet(()), vs, vt,
+                                                        HybridWeights(), eps),
     "kl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(None, top_k, eps),
 }
 MODES = tuple(_MODE_TABLE)
@@ -286,23 +272,27 @@ def common_kl_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
 
 def uld(p_s, p_t, c: CommonSet) -> float:
     """Rank-sorted L1 distance between the uncommon restrictions."""
-    return _rank_l1(_vec(p_t), _vec(p_s), c, False)[0]
+    pt, ps = _vec(p_t), _vec(p_s)
+    return _rank_l1(pt, ps, *_uncommon(c, ps.size, pt.size), False)[0]
 
 
 def uld_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
     """Subgradient of ``uld`` in the student chunk logits."""
-    return _rank_l1(_vec(p_t), softmax(z_s), c, True)[1]
+    pt, ps = _vec(p_t), softmax(z_s)
+    return _rank_l1(pt, ps, *_uncommon(c, ps.size, pt.size), True)[1]
 
 
 def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
          eps: float | None = LOG_EPS) -> float:
     """Hybrid loss: weighted common-KL plus weighted ULD."""
-    return _hybrid(_vec(p_t), _vec(p_s), c, hw, eps, False)[0]
+    pt, ps = _vec(p_t), _vec(p_s)
+    return _hybrid(pt, ps, c, _uncommon(c, ps.size, pt.size), hw, eps, False)[0]
 
 
 def gold_grad(z_s, p_t, c: CommonSet, hw: HybridWeights = HybridWeights()) -> np.ndarray:
     """Subgradient of ``gold`` in the student chunk logits."""
-    return _hybrid(_vec(p_t), softmax(z_s), c, hw, LOG_EPS, True)[1]
+    pt, ps = _vec(p_t), softmax(z_s)
+    return _hybrid(pt, ps, c, _uncommon(c, ps.size, pt.size), hw, LOG_EPS, True)[1]
 
 
 def pkl(p_t, p_s, w: SparseProjection, support=None,

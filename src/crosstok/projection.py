@@ -1,25 +1,26 @@
 """Row-sparse projection of student-token probability mass onto teacher tokens.
 
-Rows are built in two passes: canonical exact matches get a single entry of
-weight 1; every other student token is re-tokenized with the teacher
-tokenizer and its sub-tokens receive exponentially decaying weights, which
-are row-normalized and then truncated to the top-k entries. Truncation can
-leave a multi-token row summing to slightly less than 1, so ``project``
-renormalizes its output by default.
+Rows are built in two passes: tokens with an exact partner
+(``vocab.exact_partners``) get a single entry of weight 1; every other
+ordinary student token is re-tokenized with the teacher tokenizer and its
+sub-tokens receive exponentially decaying weights, which are row-normalized
+and then truncated to the top-k entries. Truncation can leave a multi-token
+row summing to slightly less than 1, so ``project`` renormalizes its output
+by default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDistributionError, UnencodableTextError, ValidationError
-from .vocab import Tokenizer, Vocabulary
+from .vocab import Tokenizer, Vocabulary, exact_partners
 
 _MASS_FLOOR = 1e-12
 
@@ -78,15 +79,10 @@ class SparseProjection:
         self.config = config
         self._validate()
 
-        flat_s, flat_t, flat_w = [], [], []
-        for s, row in enumerate(self.rows):
-            for t, w in row:
-                flat_s.append(s)
-                flat_t.append(t)
-                flat_w.append(w)
-        self._flat_s = np.asarray(flat_s, dtype=np.intp)
-        self._flat_t = np.asarray(flat_t, dtype=np.intp)
-        self._flat_w = np.asarray(flat_w, dtype=float)
+        self._flat_s = np.asarray([s for s, row in enumerate(self.rows) for _ in row],
+                                  dtype=np.intp)
+        self._flat_t = np.asarray([t for row in self.rows for t, _ in row], dtype=np.intp)
+        self._flat_w = np.asarray([w for row in self.rows for _, w in row], dtype=float)
 
     def _validate(self) -> None:
         for s, (row, prov) in enumerate(zip(self.rows, self.provenance)):
@@ -159,55 +155,34 @@ class SparseProjection:
         }
 
 
-def _sorted_row(weights: dict[int, float]) -> list[tuple[int, float]]:
-    return sorted(weights.items(), key=lambda tw: (-tw[1], tw[0]))
-
-
 def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
                      config: ProjectionConfig = ProjectionConfig()) -> SparseProjection:
     """Two-pass rule-based construction of the projection matrix.
 
-    Special student tokens map only through shared roles (exact row) and are
-    never re-tokenized. Unmappable rows stay empty and are flagged.
+    The exact pass gives every student token with an ``exact_partners``
+    partner a single entry of weight 1. Specials without one are never
+    re-tokenized; they and every other unmappable row stay empty and are
+    flagged.
     """
     if len(vs) == 0 or len(vt) == 0:
         raise ValidationError("both vocabularies must be nonempty")
     if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
         raise ValidationError("teacher tokenizer does not carry the teacher vocabulary")
 
-    canon_index: dict[bytes, int] = {}
-    for t in range(len(vt)):
-        if vt.is_special(t):
-            continue
-        canon_index.setdefault(vt.canonical(t), t)
-
     rows: list[list[tuple[int, float]]] = []
     provenance: list[Provenance] = []
-    for s in range(len(vs)):
-        if vs.is_special(s):
-            partners = sorted(
-                vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles
-            )
-            if partners:
-                rows.append([(partners[0], 1.0)])
-                provenance.append(Provenance.EXACT)
-            else:
-                rows.append([])
-                provenance.append(Provenance.EMPTY)
-            continue
-
-        canon = vs.canonical(s)
-        exact = canon_index.get(canon)
+    for s, exact in enumerate(exact_partners(vs, vt)):
         if exact is not None:
             rows.append([(exact, 1.0)])
             provenance.append(Provenance.EXACT)
             continue
 
-        sub_ids: list[int] | None
-        try:
-            sub_ids = tok_t.encode(canon.decode("utf-8"))
-        except (UnicodeDecodeError, UnencodableTextError):
-            sub_ids = None
+        sub_ids: list[int] | None = None
+        if not vs.is_special(s):
+            try:
+                sub_ids = tok_t.encode(vs.canonical(s).decode("utf-8"))
+            except (UnicodeDecodeError, UnencodableTextError):
+                pass
         if not sub_ids or len(sub_ids) > config.max_span:
             rows.append([])
             provenance.append(Provenance.EMPTY)
@@ -217,7 +192,7 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
         accum: dict[int, float] = {}
         for tid, w in zip(sub_ids, raw):
             accum[tid] = accum.get(tid, 0.0) + float(w)
-        rows.append(_sorted_row(accum)[: config.top_k])
+        rows.append(sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k])
         provenance.append(Provenance.MULTI_TOKEN)
 
     return SparseProjection(len(vs), len(vt), rows, provenance, config)
@@ -295,12 +270,7 @@ def save_projection(w: SparseProjection, path) -> None:
     header = {
         "n_student": w.n_student,
         "n_teacher": w.n_teacher,
-        "config": {
-            "beta": w.config.beta,
-            "gamma": w.config.gamma,
-            "max_span": w.config.max_span,
-            "top_k": w.config.top_k,
-        },
+        "config": asdict(w.config),
         "content_hash": digest,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

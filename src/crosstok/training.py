@@ -12,6 +12,7 @@ external consumer with the dynamic ratio treated as a constant.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -140,24 +141,7 @@ def adaptive_weights(kind: str, teacher_stats: Sequence[TeacherStats]) -> np.nda
             scores = p.max(axis=-1)
         means.append(float(scores.mean()))
 
-    shifted = np.asarray(means) - max(means)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def resolve_weights(schedule: WeightSchedule, n_teachers: int,
-                    stats: Sequence[TeacherStats] | None = None) -> np.ndarray:
-    if schedule.kind == "static":
-        if len(schedule.static) != n_teachers:
-            raise ValidationError(
-                f"schedule has {len(schedule.static)} weights for {n_teachers} teachers"
-            )
-        return np.asarray(schedule.static, dtype=float)
-    if stats is None:
-        raise ValidationError("adaptive schedules need per-teacher stats")
-    if len(stats) != n_teachers:
-        raise ValidationError("need stats for every teacher")
-    return adaptive_weights(schedule.kind, stats)
+    return softmax(np.asarray(means))
 
 
 @dataclass
@@ -227,33 +211,43 @@ class StepReport:
 
 
 def _chunk_stats(alignment) -> dict:
-    counts = {kind.value: 0 for kind in ChunkKind}
-    for c in alignment.chunks:
-        counts[c.kind.value] += 1
+    counts = Counter(c.kind for c in alignment.chunks)
     return {
         "chunks": len(alignment.chunks),
         "loss_chunks": len(alignment.loss_chunks()),
-        "matches": counts["match"],
-        "combinations": counts["combination"],
-        "mismatches": counts["mismatch"],
-        "gaps": counts["gap_student_side"] + counts["gap_teacher_side"],
+        "matches": counts[ChunkKind.MATCH],
+        "combinations": counts[ChunkKind.COMBINATION],
+        "mismatches": counts[ChunkKind.MISMATCH],
+        "gaps": counts[ChunkKind.GAP_STUDENT_SIDE] + counts[ChunkKind.GAP_TEACHER_SIDE],
         "score": alignment.score,
     }
 
 
+def _cross_entropy(pl: PositionLogits, grads: bool) -> tuple[float, np.ndarray | None]:
+    """Mean negative log-likelihood of the realized tokens and, with ``grads``,
+    its gradient in the position logits, from one (P, V) buffer."""
+    rows = np.arange(pl.positions)
+    buf = pl.logits - pl.logits.max(axis=1, keepdims=True)
+    picked = buf[rows, pl.realized_ids]
+    np.exp(buf, out=buf)
+    norm = buf.sum(axis=1)
+    value = float(np.mean(np.log(norm) - picked))
+    if not grads:
+        return value, None
+    buf /= norm[:, None]
+    buf[rows, pl.realized_ids] -= 1.0
+    buf /= pl.positions
+    return value, buf
+
+
 def cross_entropy(pl: PositionLogits) -> float:
     """Mean negative log-likelihood of the realized token at every position."""
-    z = pl.logits
-    log_z = np.log(np.sum(np.exp(z - z.max(axis=1, keepdims=True)), axis=1))
-    picked = z[np.arange(pl.positions), pl.realized_ids] - z.max(axis=1)
-    return float(np.mean(log_z - picked))
+    return _cross_entropy(pl, False)[0]
 
 
 def cross_entropy_grad(pl: PositionLogits) -> np.ndarray:
     """Gradient of ``cross_entropy`` in the position logits, (P, V)."""
-    probs = softmax(pl.logits)
-    probs[np.arange(pl.positions), pl.realized_ids] -= 1.0
-    return probs / pl.positions
+    return _cross_entropy(pl, True)[1]
 
 
 def _validate_teacher(student_vocab: Vocabulary, teacher: TeacherConfig) -> None:
@@ -307,13 +301,15 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
 
     if schedule is None:
         schedule = WeightSchedule("static", tuple(t.weight for t in teachers))
-    stats = None
     if schedule.kind != "static":
-        stats = [
+        alphas = adaptive_weights(schedule.kind, [
             TeacherStats(softmax(t.logits.logits)[None], t.logits.realized_ids[None])
-            for t in teachers
-        ]
-    alphas = resolve_weights(schedule, len(teachers), stats)
+            for t in teachers])
+    elif len(schedule.static) == len(teachers):
+        alphas = np.asarray(schedule.static, dtype=float)
+    else:
+        raise ValidationError(
+            f"schedule has {len(schedule.static)} weights for {len(teachers)} teachers")
 
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()
@@ -351,26 +347,29 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
                                            _chunk_stats(alignment)))
 
     l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
-    l_ce = cross_entropy(student_logits)
-    if policy.kind == "dynamic" and l_kd <= _KD_FLOOR:
+    l_ce, ce_grad = _cross_entropy(student_logits, compute_grads)
+    if policy.kind == "dynamic" and abs(l_kd) <= _KD_FLOOR:
         # nothing to rescale when the distillation term vanishes
         total, multiplier = l_ce, 0.0
     else:
-        total, multiplier = combine_kd_ce(l_kd, l_ce, policy)
-    ce_coeff = 1.0 if policy.kind == "dynamic" else policy.lambda_ce
+        try:
+            total, multiplier = combine_kd_ce(l_kd, l_ce, policy)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc}; teacher aggregates: " + ", ".join(
+                f"{b.name!r} ({b.mode}) {b.report.aggregate!r}" for b in breakdowns)) from None
 
-    ce_grad = None
     if compute_grads:
-        ce_grad = ce_coeff * cross_entropy_grad(student_logits)
+        if policy.kind == "fixed":
+            ce_grad *= policy.lambda_ce
         # scale the stored per-chunk and projection gradients into
-        # total-loss gradients, holding the dynamic multiplier constant
+        # total-loss gradients in place, holding the dynamic multiplier constant
         for breakdown in breakdowns:
             report = breakdown.report
-            K = len(report.per_chunk)
-            scale = multiplier * breakdown.alpha * temperature ** 2 / K
-            report.grad_chunk_logits = tuple(scale * g for g in report.grad_chunk_logits)
+            scale = multiplier * breakdown.alpha * temperature ** 2 / len(report.per_chunk)
+            for g in report.grad_chunk_logits:
+                g *= scale
             if report.grad_projection is not None:
-                report.grad_projection = scale * report.grad_projection
+                report.grad_projection *= scale
 
     return StepReport(
         temperature=temperature,

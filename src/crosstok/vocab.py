@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 import string
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedTokenError, UnencodableTextError, ValidationError
@@ -71,7 +72,8 @@ class Vocabulary:
     Ids are the positions in ``tokens`` (0..n-1, no gaps). ``specials`` flags
     ids that are control tokens; ``special_roles`` names them (e.g.
     ``{"bos": 3}``) so corresponding roles can be paired across vocabularies.
-    Instances are immutable after construction.
+    Instances are immutable after construction, which lets
+    ``vocabulary_hash`` compute the content hash once.
     """
 
     def __init__(
@@ -82,7 +84,8 @@ class Vocabulary:
     ) -> None:
         self.tokens: tuple[str, ...] = tuple(tokens)
         self.specials: frozenset[int] = frozenset(specials)
-        self.special_roles: dict[str, int] = dict(special_roles or {})
+        self.special_roles: Mapping[str, int] = MappingProxyType(dict(special_roles or {}))
+        self._hash: str | None = None
 
         self.id_of: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
@@ -94,12 +97,10 @@ class Vocabulary:
         for sid in self.specials:
             if not 0 <= sid < len(self.tokens):
                 raise ValidationError(f"special id {sid} outside vocabulary of size {len(self.tokens)}")
+        self._roles_of: dict[int, frozenset[str]] = {}
         for role, rid in self.special_roles.items():
             if rid not in self.specials:
                 raise ValidationError(f"role {role!r} points to id {rid}, which is not a special")
-
-        self._roles_of: dict[int, frozenset[str]] = {}
-        for role, rid in self.special_roles.items():
             self._roles_of[rid] = self._roles_of.get(rid, frozenset()) | {role}
         # Specials pass through canonicalization untouched; they pair only by role.
         self._canon: tuple[bytes, ...] = tuple(
@@ -134,28 +135,49 @@ class Vocabulary:
         return self._roles_of.get(token_id, frozenset())
 
 
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    """Stable content hash used to cross-check files against a loaded vocabulary."""
-    payload = json.dumps(
-        {
-            "tokens": list(vocab.tokens),
-            "specials": sorted(vocab.specials),
-            "special_roles": dict(sorted(vocab.special_roles.items())),
-        },
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
+    """Per student id, the teacher id of the same token, or None.
+
+    Specials pair only through a shared role and ordinary tokens only through
+    equal canonical bytes; in both cases the smallest teacher id wins.
+    """
+    by_canon: dict[bytes, int] = {}
+    for t, canon in enumerate(vt._canon):
+        if t not in vt.specials:
+            by_canon.setdefault(canon, t)
+    partners: list[int | None] = []
+    for s, canon in enumerate(vs._canon):
+        if s in vs.specials:
+            shared = [vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles]
+            partners.append(min(shared, default=None))
+        else:
+            partners.append(by_canon.get(canon))
+    return tuple(partners)
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    data = {
+def _payload(vocab: Vocabulary) -> dict:
+    """The vocabulary's file content, which its hash also covers."""
+    return {
         "tokens": list(vocab.tokens),
         "specials": sorted(vocab.specials),
         "special_roles": dict(sorted(vocab.special_roles.items())),
     }
+
+
+def vocabulary_hash(vocab: Vocabulary) -> str:
+    """Stable content hash used to cross-check files against a loaded vocabulary.
+
+    Computed on the first call and kept on the (immutable) vocabulary.
+    """
+    if vocab._hash is None:
+        payload = json.dumps(_payload(vocab), ensure_ascii=False, separators=(",", ":"))
+        vocab._hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return vocab._hash
+
+
+def save_vocabulary(vocab: Vocabulary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=1)
+        json.dump(_payload(vocab), fh, ensure_ascii=False, indent=1)
         fh.write("\n")
 
 
@@ -195,9 +217,7 @@ def load_vocabulary(path) -> Vocabulary:
     else:
         raise ValidationError(f"{path}: 'tokens' must be an array or a token->id map")
 
-    specials = data.get("specials", [])
-    roles = data.get("special_roles", {})
-    return Vocabulary(tokens, specials=specials, special_roles=roles)
+    return Vocabulary(tokens, data.get("specials", ()), data.get("special_roles"))
 
 
 class Tokenizer:

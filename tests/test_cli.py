@@ -9,7 +9,9 @@ import pytest
 from crosstok.align import read_alignment_dump
 from crosstok.cli import main
 from crosstok.projection import decay_weights, load_projection
-from crosstok.vocab import load_vocabulary, make_toy_tokenizer, save_vocabulary
+from crosstok.vocab import Vocabulary, load_vocabulary, make_toy_tokenizer, save_vocabulary
+
+from conftest import write_dump
 
 
 def write_toy_vocab(path, kind):
@@ -212,6 +214,107 @@ class TestLoss:
         fx["projection"].write_text("\n".join([json.dumps(header)] + body) + "\n")
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         assert "projection.jsonl" in capsys.readouterr().err
+
+    def test_negative_kd_exits_1(self, tmp_path, capsys):
+        vs, vt = Vocabulary(["a", "b"]), Vocabulary(["a", "c"])
+        save_vocabulary(vs, tmp_path / "vs.json")
+        save_vocabulary(vt, tmp_path / "vt.json")
+        write_dump(tmp_path / "s.bin", "student", [[3.0, 0.0]], [0], vs)
+        write_dump(tmp_path / "t.bin", "teacher", [[0.0, 3.0]], [0], vt)
+        config = tmp_path / "step.json"
+        config.write_text(json.dumps({
+            "student": {"vocab": str(tmp_path / "vs.json"), "logits": str(tmp_path / "s.bin")},
+            "teachers": [{"name": "partial", "mode": "gold", "vocab": str(tmp_path / "vt.json"),
+                          "logits": str(tmp_path / "t.bin")}],
+            "hybrid": {"lambda_kl": 1.0, "lambda_uld": 0.0}}))
+        assert main(["--config", str(config), "loss"]) == 1
+        assert "'partial'" in capsys.readouterr().err
+
+
+def edit_config(fx, edit):
+    config = json.loads(fx["config"].read_text())
+    edit(config)
+    fx["config"].write_text(json.dumps(config))
+
+
+class TestConfigFields:
+    """A missing or mistyped key fails as a ValidationError naming the file and
+    the field, and the CLI exits 1."""
+
+    CASES = [
+        (lambda c: c["teachers"][0].pop("mode"), "teachers[0].mode"),
+        (lambda c: c["teachers"][0].pop("logits"), "teachers[0].logits"),
+        (lambda c: c["teachers"][0].update(weight="1"), "teachers[0].weight"),
+        (lambda c: c["student"].pop("vocab"), "student.vocab"),
+        (lambda c: c.update(teachers={}), "teachers"),
+        (lambda c: c.update(policy=[]), "policy"),
+        (lambda c: c.update(policy={"lambda_ce": "0.1"}), "policy.lambda_ce"),
+        (lambda c: c.update(scoring={"max_span": 2.5}), "scoring.max_span"),
+        (lambda c: c.update(hybrid={"lambda_kl": None}), "hybrid.lambda_kl"),
+        (lambda c: c.update(schedule={"kind": "static", "weights": 1}), "schedule.weights"),
+        (lambda c: c.update(top_k="8"), "top_k"),
+        (lambda c: c.update(temperature=True), "temperature"),
+    ]
+
+    @pytest.mark.parametrize("edit, field", CASES, ids=[field for _, field in CASES])
+    def test_bad_step_config_exits_1(self, step_fixture, capsys, edit, field):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, edit)
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert fx["config"].name in err and field in err
+
+    def test_unknown_policy_key_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c.update(policy={"kind": "fixed", "lambda": 1.0}))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert "policy.lambda" in capsys.readouterr().err
+
+    def test_eps_null_is_accepted(self, step_fixture, tmp_path):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c.update(eps=None))
+        assert main(["--config", str(fx["config"]), "loss"]) == 0
+
+    @pytest.mark.parametrize("field", ["positions", "vocab_size", "realized_ids", "side"])
+    def test_sidecar_missing_field_exits_1(self, step_fixture, capsys, field):
+        fx = step_fixture(modes=("pkl",))
+        sidecar = fx["dir"] / "student.bin.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[field]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "student.bin.json" in err and field in err
+
+    def test_sidecar_mistyped_positions_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        sidecar = fx["dir"] / "teacher0.bin.json"
+        meta = json.loads(sidecar.read_text())
+        meta["positions"] = "3"
+        sidecar.write_text(json.dumps(meta))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "teacher0.bin.json" in err and "positions" in err
+
+    def test_build_w_config_type_exits_1(self, tmp_path, capsys):
+        vs = write_toy_vocab(tmp_path / "s.json", "char_level")
+        config = tmp_path / "build.json"
+        config.write_text(json.dumps({"top_k": "8"}))
+        rc = main(["--config", str(config), "build-w", "--student-vocab", str(vs),
+                   "--teacher-vocab", str(vs), "--out", str(tmp_path / "w")])
+        assert rc == 1
+        assert "build.json" in capsys.readouterr().err
+
+    def test_flag_overrides_config(self, tmp_path):
+        vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
+        vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
+        config = tmp_path / "build.json"
+        config.write_text(json.dumps({"top_k": 3, "max_span": 2}))
+        rc = main(["--config", str(config), "build-w", "--student-vocab", str(vs),
+                   "--teacher-vocab", str(vt), "--out", str(tmp_path / "w"), "--top-k", "2"])
+        assert rc == 0
+        w = load_projection(tmp_path / "w")
+        assert w.config.top_k == 2 and w.config.max_span == 2
 
 
 class TestEntryPoint:

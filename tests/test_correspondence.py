@@ -1,0 +1,124 @@
+"""The one token-correspondence rule and the three structures built on it.
+
+``exact_partners`` decides "student token s is teacher token t". The
+hypothesis property checks it against a brute force over every (s, t) pair;
+the pins hold digests of the projection's rows and of both common sets on
+fixed-seed vocabulary pairs, recorded from the separate implementations
+that the rule replaced.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crosstok.losses import build_common_set_exact, build_common_set_relaxed
+from crosstok.projection import Provenance, build_projection
+from crosstok.vocab import Tokenizer, Vocabulary, exact_partners
+
+# space markers, newline spellings and byte-fallback forms that collide after
+# canonicalization (e.g. "Ġa", "▁a" and " a"; "Ċ", "\\n" and "<0x0A>")
+PREFIXES = ("", " ", "Ġ", "▁", "␣")
+BODIES = ("a", "b", "ab", "ba", "abc", ".", ",", "\n", "Ċ", "\\n", "1", "12", "<s>",
+          "abab", "ab12", "a.b", "ba,", "1a2")
+FALLBACKS = tuple(f"<0x{c:02X}>" for c in b"ab.\n 1")
+ORDINARY = tuple(p + b for p in PREFIXES for b in BODIES) + FALLBACKS
+CHARS = ("a", "b", "c", ".", ",", "\n", " ", "1", "2")
+SPECIALS = ("<s>", "</s>", "<pad>", "<unk>", "<mask>")
+ROLES = ("bos", "eos", "pad", "unk", "cls")
+
+
+def make_vocab(ordinary, specials, roles):
+    """Ordinary tokens then specials; ``roles`` maps a role to an index into
+    ``specials``, so several roles may share one special id."""
+    tokens = list(ordinary) + [t for t in specials if t not in ordinary]
+    special_ids = list(range(len(ordinary), len(tokens)))
+    role_ids = {r: special_ids[i] for r, i in roles.items() if i < len(special_ids)}
+    return Vocabulary(tokens, specials=special_ids, special_roles=role_ids)
+
+
+def brute_force_partners(vs, vt):
+    def same(s, t):
+        if vs.is_special(s) or vt.is_special(t):
+            return bool(vs.roles_of(s) & vt.roles_of(t))
+        return vs.canonical(s) == vt.canonical(t)
+    return tuple(next((t for t in range(len(vt)) if same(s, t)), None) for s in range(len(vs)))
+
+
+def side(draw):
+    ordinary = draw(st.lists(st.sampled_from(ORDINARY), unique=True, max_size=14))
+    specials = draw(st.lists(st.sampled_from(SPECIALS), unique=True, max_size=4))
+    roles = draw(st.dictionaries(st.sampled_from(ROLES), st.integers(0, 3)))
+    return make_vocab(ordinary, specials, roles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_partners_matches_brute_force(data):
+    vs, vt = side(data.draw), side(data.draw)
+    assert exact_partners(vs, vt) == brute_force_partners(vs, vt)
+
+
+def test_exact_partners_cases():
+    vs = Vocabulary(["Ġa", " a", "<0x61>", "<s>", "<x>", "b"], specials=[3, 4],
+                    special_roles={"bos": 3, "eos": 3, "pad": 4})
+    vt = Vocabulary(["<e>", "a", " a", "<b>", "<s>"], specials=[0, 3, 4],
+                    special_roles={"eos": 0, "bos": 3})
+    # " a" collides with "Ġa" on both sides; "<0x61>" is the byte "a";
+    # "<s>" holds roles bos and eos, so it pairs with the smaller of ids 0
+    # and 3; "<x>" has no partner role and its string does not pair it.
+    assert exact_partners(vs, vt) == (2, 2, 1, 0, None, None)
+
+
+def random_pair(seed):
+    """A student and a teacher vocabulary; the teacher always holds the
+    single characters, so most unpaired student tokens re-tokenize into
+    multi-token rows."""
+    rng = np.random.default_rng(seed)
+
+    def one(chars=()):
+        ordinary = rng.choice(ORDINARY, size=int(rng.integers(20, len(ORDINARY))),
+                              replace=False).tolist()
+        ordinary += [c for c in chars if c not in ordinary]
+        specials = rng.choice(SPECIALS, size=int(rng.integers(0, 5)), replace=False).tolist()
+        roles = {r: int(rng.integers(0, 4)) for r in ROLES if rng.random() < 0.6}
+        return make_vocab(rng.permutation(ordinary).tolist(), specials, roles)
+
+    return one(), one(CHARS)
+
+
+def digest(value):
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()[:16]
+
+
+# seed -> (projection rows and provenance, exact common set, relaxed common set)
+PINNED = {
+    0: ("4e29d64210398de5", "4fb24b43c126abcf", "cd514ad8406d3e67"),
+    1: ("e5c46436bc9672e5", "b89e434446d5aaea", "41ffc1650dd56971"),
+    2: ("8d50b1fb7e2a182b", "7fdb60c0fc518308", "7fdb60c0fc518308"),
+    3: ("fd36cb998c9c6db0", "ebc237ca528f13a0", "3d14be6a835aa773"),
+    4: ("f9a356aeaf2a04bc", "a6c9877f2ec0477f", "6256633edefbdd07"),
+    5: ("939a8df5f5141345", "ec50dbf692d4ef19", "ec50dbf692d4ef19"),
+    6: ("2c97e21e45a9783b", "0d2fc2411aa91ff4", "0b43336798bcaa26"),
+    7: ("2331b928b5742829", "c2426564ef2076bb", "c5950c01a8d735cf"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_pinned_projection_and_common_sets(seed):
+    vs, vt = random_pair(seed)
+    w = build_projection(vs, vt, Tokenizer(vt))
+    got = (digest([[list(r) for r in w.rows], [p.value for p in w.provenance]]),
+           digest(build_common_set_exact(vs, vt).pairs),
+           digest(build_common_set_relaxed(w).pairs))
+    assert got == PINNED[seed]
+    partners = exact_partners(vs, vt)
+    for s, t in enumerate(partners):
+        assert (w.provenance[s] is Provenance.EXACT) == (t is not None)
+        if t is not None:
+            assert w.rows[s] == ((t, 1.0),)
+        elif vs.is_special(s):
+            assert w.provenance[s] is Provenance.EMPTY

@@ -131,6 +131,10 @@ class TestRelaxedCommonSet:
                              [Provenance.EXACT, Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
                              cfg)
         assert build_common_set_relaxed(w).pairs == ((0, 0),)
+        # equal weight 1: the exact row wins over a smaller student id
+        w = SparseProjection(2, 1, [[(0, 1.0)], [(0, 1.0)]],
+                             [Provenance.MULTI_TOKEN, Provenance.EXACT], cfg)
+        assert build_common_set_relaxed(w).pairs == ((1, 0),)
         # no exact row: highest weight wins
         w = SparseProjection(2, 2,
                              [[(0, 0.5), (1, 0.4)], [(0, 0.9), (1, 0.09)]],

@@ -5,7 +5,7 @@ import pytest
 
 from crosstok.chunks import PositionLogits, chain_rule_merge, softmax
 from crosstok.errors import ValidationError
-from crosstok.losses import pkl
+from crosstok.losses import HybridWeights, pkl
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import build_projection
 from crosstok.training import (
@@ -342,6 +342,28 @@ class TestRunStep:
             run_step(vs, student, [TeacherConfig(
                 "t", "pkl", vt, dump("teacher", z_t, [0, 1, 2], vt, seq_id="nan_doc"),
                 projection=w)])
+
+    def test_negative_kd_is_an_error_not_a_dropped_term(self):
+        # the partial KL over the common pair (a, a) is negative when the
+        # student puts more mass on it than the teacher does
+        vs = Vocabulary(["a", "b"])
+        vt = Vocabulary(["a", "c"])
+        student = dump("student", [[3.0, 0.0]], [0], vs)
+        teacher = TeacherConfig("partial", "gold", vt, dump("teacher", [[0.0, 3.0]], [0], vt))
+        kd_only = HybridWeights(1.0, 0.0)
+        fixed = run_step(vs, student, [teacher], policy=ScalingPolicy("fixed"),
+                         hybrid=kd_only)
+        aggregate = fixed.teachers[0].report.aggregate
+        assert aggregate < -1e-12
+        with pytest.raises(ValidationError) as exc:
+            run_step(vs, student, [teacher], hybrid=kd_only, compute_grads=True)
+        assert "'partial'" in str(exc.value) and repr(aggregate) in str(exc.value)
+
+    def test_static_schedule_needs_one_weight_per_teacher(self):
+        rng = np.random.default_rng(14)
+        vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
+        with pytest.raises(ValidationError, match="2 weights for 1 teachers"):
+            run_step(vocab, student, [teacher], schedule=WeightSchedule("static", (0.5, 0.5)))
 
     def test_deterministic_reports(self):
         rng = np.random.default_rng(10)

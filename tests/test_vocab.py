@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -85,6 +86,23 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match="bos"):
             Vocabulary(["a", "<bos>"], specials=[], special_roles={"bos": 1})
 
+    def test_special_roles_are_read_only(self):
+        v = Vocabulary(["a", "<bos>"], specials=[1], special_roles={"bos": 1})
+        with pytest.raises(TypeError):
+            v.special_roles["eos"] = 1
+        assert v.special_roles == {"bos": 1}
+
+    def test_hash_memo_equals_fresh_hash(self):
+        roles = {"eos": 3, "bos": 2, "cls": 2}
+        v = Vocabulary(["a", "Ġb", "<s>", "</s>"], specials=[2, 3], special_roles=roles)
+        first = vocabulary_hash(v)
+        roles["eos"] = 2  # the caller's dict is copied, not held
+        assert vocabulary_hash(v) is first
+        fresh = Vocabulary(["a", "Ġb", "<s>", "</s>"], specials=[3, 2],
+                           special_roles={"bos": 2, "cls": 2, "eos": 3})
+        assert vocabulary_hash(fresh) == first
+        assert first == "643feb0358439627d348b9595b2bb73ef56e966345ebef40caaa726417cc4f06"
+
     def test_specials_pass_through_canonicalization(self):
         v = Vocabulary(["Ġthe", "<bos>"], specials=[1], special_roles={"bos": 1})
         assert v.canonical(0) == b" the"
@@ -101,6 +119,14 @@ class TestVocabularyFiles:
         loaded = load_vocabulary(path)
         assert loaded == v
         assert vocabulary_hash(loaded) == vocabulary_hash(v)
+
+    def test_saved_bytes(self, tmp_path):
+        v = Vocabulary(["a", "Ġb", "<s>", "</s>"], specials=[2, 3],
+                       special_roles={"eos": 3, "bos": 2, "cls": 2})
+        path = tmp_path / "vocab.json"
+        save_vocabulary(v, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7b8676008ca22f1072fe62100859681a4ee72eef103087d2afe78ee96a81aa87")
 
     def test_map_form(self, tmp_path):
         path = tmp_path / "vocab.json"

@@ -18,14 +18,12 @@ from .align import (
 )
 from .audit import CategoryRule, CoverageRow, audit_coverage, default_rules, recommend_mode
 from .chunks import (
-    ChunkDistribution,
     PositionLogits,
     chain_rule_merge,
     load_position_logits,
     save_position_logits,
     softmax,
     topk_support,
-    topk_truncate,
 )
 from .errors import (
     DegenerateDistributionError,

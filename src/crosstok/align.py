@@ -115,6 +115,12 @@ class _CanonTable:
         return self.t_canon[j] == b"".join(self.s_canon[i_lo:i_hi])
 
 
+_MATCH = (1, 1, ChunkKind.MATCH)
+_MISMATCH = (1, 1, ChunkKind.MISMATCH)
+_GAP_T = (1, 0, ChunkKind.GAP_TEACHER_SIDE)
+_GAP_S = (0, 1, ChunkKind.GAP_STUDENT_SIDE)
+
+
 def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScoring,
              tok_s: Tokenizer, tok_t: Tokenizer) -> Alignment:
     """Optimal-score chunking of the two sequences.
@@ -127,59 +133,49 @@ def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScori
     table = _CanonTable(student, teacher, tok_s, tok_t)
     a_ex, a_cb, a_gap, span = scoring.alpha_exact, scoring.alpha_comb, scoring.alpha_gap, scoring.max_span
 
+    # each cell stores its winning move (di, dj, kind): the chunk that ends
+    # there spans [i - di, i) of the student and [j - dj, j) of the teacher
     score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    parent: list[list[tuple[str, int] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
+    move: list[list[tuple[int, int, ChunkKind] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         score[i][0] = i * a_gap
-        parent[i][0] = ("gap_t", 1)
+        move[i][0] = _GAP_T
     for j in range(1, m + 1):
         score[0][j] = j * a_gap
-        parent[0][j] = ("gap_s", 1)
+        move[0][j] = _GAP_S
 
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             # candidates in tie-break preference order; first strict max wins
-            best = score[i - 1][j - 1] + (a_ex if table.diag_matches(i - 1, j - 1) else -a_ex)
-            best_move = ("diag", 1)
+            if table.diag_matches(i - 1, j - 1):
+                best, best_move = score[i - 1][j - 1] + a_ex, _MATCH
+            else:
+                best, best_move = score[i - 1][j - 1] - a_ex, _MISMATCH
             for k in range(2, min(span, j) + 1):
                 if table.one_to_many(i - 1, j - k, j):
                     cand = score[i - 1][j - k] + a_cb * k
                     if cand > best:
-                        best, best_move = cand, ("comb_1k", k)
+                        best, best_move = cand, (1, k, ChunkKind.COMBINATION)
             for k in range(2, min(span, i) + 1):
                 if table.many_to_one(i - k, i, j - 1):
                     cand = score[i - k][j - 1] + a_cb * k
                     if cand > best:
-                        best, best_move = cand, ("comb_k1", k)
+                        best, best_move = cand, (k, 1, ChunkKind.COMBINATION)
             cand = score[i - 1][j] + a_gap
             if cand > best:
-                best, best_move = cand, ("gap_t", 1)
+                best, best_move = cand, _GAP_T
             cand = score[i][j - 1] + a_gap
             if cand > best:
-                best, best_move = cand, ("gap_s", 1)
+                best, best_move = cand, _GAP_S
             score[i][j] = best
-            parent[i][j] = best_move
+            move[i][j] = best_move
 
     chunks: list[AlignmentChunk] = []
     i, j = n, m
     while i > 0 or j > 0:
-        move, k = parent[i][j]  # type: ignore[misc]
-        if move == "diag":
-            kind = ChunkKind.MATCH if table.diag_matches(i - 1, j - 1) else ChunkKind.MISMATCH
-            chunks.append(AlignmentChunk((i - 1, i), (j - 1, j), kind))
-            i, j = i - 1, j - 1
-        elif move == "comb_1k":
-            chunks.append(AlignmentChunk((i - 1, i), (j - k, j), ChunkKind.COMBINATION))
-            i, j = i - 1, j - k
-        elif move == "comb_k1":
-            chunks.append(AlignmentChunk((i - k, i), (j - 1, j), ChunkKind.COMBINATION))
-            i, j = i - k, j - 1
-        elif move == "gap_t":
-            chunks.append(AlignmentChunk((i - 1, i), (j, j), ChunkKind.GAP_TEACHER_SIDE))
-            i -= 1
-        else:
-            chunks.append(AlignmentChunk((i, i), (j - 1, j), ChunkKind.GAP_STUDENT_SIDE))
-            j -= 1
+        di, dj, kind = move[i][j]  # type: ignore[misc]
+        chunks.append(AlignmentChunk((i - di, i), (j - dj, j), kind))
+        i, j = i - di, j - dj
     chunks.reverse()
     return Alignment(tuple(chunks), score[n][m])
 

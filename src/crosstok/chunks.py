@@ -69,29 +69,13 @@ class PositionLogits:
         return self.logits.shape[1]
 
 
-@dataclass
-class ChunkDistribution:
-    """A probability vector over one side's vocabulary, tied to aligned chunk k."""
-
-    side: str
-    probs: np.ndarray
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise ValidationError(f"side must be one of {SIDES}, got {self.side!r}")
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.ndim != 1:
-            raise ValidationError("chunk distribution must be a vector")
-        if self.probs.min(initial=0.0) < 0:
-            raise ValidationError("chunk distribution has negative entries")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"chunk distribution sums to {self.probs.sum()}, not 1")
-
-
 def chain_rule_merge(pl: PositionLogits, chunk: AlignmentChunk,
-                     temperature: float = 1.0, chunk_index: int = 0) -> ChunkDistribution:
-    """Collapse one side's span of an aligned chunk into a single distribution."""
+                     temperature: float = 1.0) -> np.ndarray:
+    """One side's span of an aligned chunk collapsed into one probability vector.
+
+    Raises DegenerateDistributionError when the realized span's product
+    underflows and leaves the merged vector no mass.
+    """
     if not chunk.in_loss:
         raise ValidationError(f"chunk kind {chunk.kind.value!r} is excluded from the loss")
     lo, hi = chunk.span(pl.side)
@@ -100,13 +84,19 @@ def chain_rule_merge(pl: PositionLogits, chunk: AlignmentChunk,
             f"span [{lo}, {hi}) outside the {pl.positions}-position {pl.side} dump"
         )
     probs = softmax(pl.logits[lo:hi], temperature)
+    merged = probs[0]
     if hi - lo == 1:
-        return ChunkDistribution(pl.side, probs[0], chunk_index)
+        return merged
     realized = pl.realized_ids[lo:hi]
-    merged = probs[0].copy()
     merged[realized[0]] = np.prod(probs[np.arange(hi - lo), realized])
-    merged /= merged.sum()
-    return ChunkDistribution(pl.side, merged, chunk_index)
+    mass = merged.sum()
+    if mass == 0:
+        raise DegenerateDistributionError(
+            f"{pl.side} chunk [{lo}, {hi}) of sequence {pl.seq_id!r}: the merged "
+            "distribution has no mass (the realized span's probability underflows)"
+        )
+    merged /= mass
+    return merged
 
 
 def topk_support(probs, k: int) -> np.ndarray:
@@ -116,8 +106,7 @@ def topk_support(probs, k: int) -> np.ndarray:
         raise ValidationError("k must be at least 1")
     if k >= p.size:
         return np.arange(p.size, dtype=np.intp)
-    order = np.lexsort((np.arange(p.size), -p))
-    return np.sort(order[:k].astype(np.intp))
+    return np.sort(np.argsort(-p, kind="stable")[:k])
 
 
 def renormalize_on(probs: np.ndarray, support, side: str) -> tuple[np.ndarray, float]:
@@ -131,26 +120,6 @@ def renormalize_on(probs: np.ndarray, support, side: str) -> tuple[np.ndarray, f
     if mass < 1e-12:
         raise DegenerateDistributionError(f"{side} distribution has no mass on the support")
     return restricted / mass, mass
-
-
-def topk_truncate(teacher: ChunkDistribution, student: ChunkDistribution,
-                  k: int) -> tuple[ChunkDistribution, ChunkDistribution]:
-    """Restrict both distributions to the teacher's top-k support and renormalize.
-
-    The returned vectors keep the full vocabulary length, zeroed off support.
-    """
-    if teacher.probs.shape != student.probs.shape:
-        raise ValidationError("distributions must share one vocabulary")
-    if k >= teacher.probs.size:
-        return teacher, student
-    support = topk_support(teacher.probs, k)
-
-    def truncated(dist: ChunkDistribution) -> ChunkDistribution:
-        probs = np.zeros_like(dist.probs)
-        probs[support] = renormalize_on(dist.probs, support, dist.side)[0]
-        return ChunkDistribution(dist.side, probs, dist.k)
-
-    return truncated(teacher), truncated(student)
 
 
 def _sidecar_path(path) -> Path:

@@ -21,12 +21,16 @@ class DegenerateDistributionError(ValidationError):
 
 
 def _fits(value, hint) -> bool:
-    """Whether a parsed JSON value fits a type; a float takes an int, a bool only bool."""
+    """Whether a parsed JSON value fits a type (``list[T]``, ``dict[K, V]`` and
+    unions included); a float takes an int, a bool only bool."""
     if hint in (bool, int, float, str, list, dict, type(None)):
         return type(value) is hint or (hint is float and type(value) is int)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
         return type(value) is list and all(_fits(v, args[0]) for v in value)
+    if typing.get_origin(hint) is dict:
+        return type(value) is dict and all(_fits(k, args[0]) and _fits(v, args[1])
+                                           for k, v in value.items())
     return any(_fits(value, a) for a in args)
 
 

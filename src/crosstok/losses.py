@@ -20,7 +20,7 @@ NaNs on truncated supports without touching any returned distribution; pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,11 +31,6 @@ from .projection import SparseProjection, Provenance
 from .vocab import Vocabulary, exact_partners
 
 LOG_EPS = 1e-12
-
-
-def _vec(dist) -> np.ndarray:
-    """Accept either a ChunkDistribution or a bare probability vector."""
-    return np.asarray(getattr(dist, "probs", dist), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -262,37 +257,35 @@ def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
 
     No renormalization happens on either side, so the value may be negative.
     """
-    return _common_kl(_vec(p_t), _vec(p_s), c, eps, False)[0]
+    return _common_kl(p_t, p_s, c, eps, False)[0]
 
 
 def common_kl_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
     """Analytic gradient of ``common_kl`` in the student chunk logits."""
-    return _common_kl(_vec(p_t), softmax(z_s), c, LOG_EPS, True)[1]
+    return _common_kl(p_t, softmax(z_s), c, LOG_EPS, True)[1]
 
 
 def uld(p_s, p_t, c: CommonSet) -> float:
     """Rank-sorted L1 distance between the uncommon restrictions."""
-    pt, ps = _vec(p_t), _vec(p_s)
-    return _rank_l1(pt, ps, *_uncommon(c, ps.size, pt.size), False)[0]
+    return _rank_l1(p_t, p_s, *_uncommon(c, p_s.size, p_t.size), False)[0]
 
 
 def uld_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
     """Subgradient of ``uld`` in the student chunk logits."""
-    pt, ps = _vec(p_t), softmax(z_s)
-    return _rank_l1(pt, ps, *_uncommon(c, ps.size, pt.size), True)[1]
+    p_s = softmax(z_s)
+    return _rank_l1(p_t, p_s, *_uncommon(c, p_s.size, p_t.size), True)[1]
 
 
 def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
          eps: float | None = LOG_EPS) -> float:
     """Hybrid loss: weighted common-KL plus weighted ULD."""
-    pt, ps = _vec(p_t), _vec(p_s)
-    return _hybrid(pt, ps, c, _uncommon(c, ps.size, pt.size), hw, eps, False)[0]
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, eps, False)[0]
 
 
 def gold_grad(z_s, p_t, c: CommonSet, hw: HybridWeights = HybridWeights()) -> np.ndarray:
     """Subgradient of ``gold`` in the student chunk logits."""
-    pt, ps = _vec(p_t), softmax(z_s)
-    return _hybrid(pt, ps, c, _uncommon(c, ps.size, pt.size), hw, LOG_EPS, True)[1]
+    p_s = softmax(z_s)
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, LOG_EPS, True)[1]
 
 
 def pkl(p_t, p_s, w: SparseProjection, support=None,
@@ -302,13 +295,13 @@ def pkl(p_t, p_s, w: SparseProjection, support=None,
     ``support`` restricts the comparison to pre-truncated teacher indices;
     both sides are renormalized over that support.
     """
-    return _support_kl(_vec(p_t), _vec(p_s), w, support, eps, False)[0]
+    return _support_kl(p_t, p_s, w, support, eps, False)[0]
 
 
 def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
               eps: float | None = LOG_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of ``pkl`` in the student chunk logits and W entries."""
-    return _support_kl(_vec(p_t), softmax(z_s), w, support, eps, True)[1:]
+    return _support_kl(p_t, softmax(z_s), w, support, eps, True)[1:]
 
 
 def hkl(p_t, p_s, w: SparseProjection, hw: HybridWeights = HybridWeights(),
@@ -324,12 +317,12 @@ def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
     ``support`` restricts both sides to the given indices and renormalizes
     them there.
     """
-    return _support_kl(_vec(p_t), _vec(p_s), None, support, eps, False)[0]
+    return _support_kl(p_t, p_s, None, support, eps, False)[0]
 
 
 def chunk_kl_grad(z_s, p_t, support=None, eps: float | None = LOG_EPS) -> np.ndarray:
     """Gradient of ``chunk_kl`` in the student chunk logits."""
-    return _support_kl(_vec(p_t), softmax(z_s), None, support, eps, True)[1]
+    return _support_kl(p_t, softmax(z_s), None, support, eps, True)[1]
 
 
 def kd_aggregate(per_chunk, temperature: float) -> float:
@@ -344,26 +337,16 @@ def kd_aggregate(per_chunk, temperature: float) -> float:
 
 @dataclass
 class LossReport:
-    """Per-chunk and aggregate loss values for one teacher."""
+    """Per-chunk loss values for one teacher and their ``kd_aggregate``."""
 
     mode: str
     temperature: float
     per_chunk: tuple[float, ...]
-    aggregate: float
+    aggregate: float = field(init=False)
     grad_chunk_logits: tuple[np.ndarray, ...] | None = None
     grad_projection: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        expected = kd_aggregate(self.per_chunk, self.temperature)
-        if abs(self.aggregate - expected) > 1e-12:
-            raise ValidationError(
-                f"aggregate {self.aggregate} != temperature^2 * mean = {expected}"
-            )
-
-    @classmethod
-    def from_chunks(cls, mode: str, per_chunk, temperature: float, **kwargs) -> "LossReport":
-        per_chunk = tuple(float(v) for v in per_chunk)
-        return cls(mode, temperature, per_chunk,
-                   kd_aggregate(per_chunk, temperature), **kwargs)
+        self.aggregate = kd_aggregate(self.per_chunk, self.temperature)

@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, UnencodableTextError, ValidationError
+from .errors import (
+    DegenerateDistributionError,
+    UnencodableTextError,
+    ValidationError,
+    check_fields,
+)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 _MASS_FLOOR = 1e-12
@@ -281,32 +287,52 @@ def save_projection(w: SparseProjection, path) -> None:
             fh.write("\n")
 
 
+_HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
+
+
 def load_projection(path) -> SparseProjection:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         raise ValidationError(f"{path}: missing projection header")
-    header = json.loads(lines[0])
+    header = check_fields(json.loads(lines[0]), _HEADER_FIELDS, path, "header.",
+                          required=_HEADER_FIELDS)
+    config = ProjectionConfig(**check_fields(header["config"],
+                                             typing.get_type_hints(ProjectionConfig), path,
+                                             "header.config."))
     body = lines[1:]
     digest = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-    if digest != header.get("content_hash"):
+    if digest != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
 
-    config = ProjectionConfig(**header["config"])
     n_student, n_teacher = header["n_student"], header["n_teacher"]
     rows: list[list[tuple[int, float]]] = [[] for _ in range(n_student)]
     provenance = [Provenance.EMPTY] * n_student
     seen: set[int] = set()
-    for line in body:
-        rec = json.loads(line)
-        s = rec["s"]
+    for lineno, line in enumerate(body, start=2):
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            rec = None
+        if not isinstance(rec, dict):
+            raise ValidationError(f"{path}: line {lineno}: not a JSON object")
+        field = "s"
+        try:
+            s = rec[field]
+            field = "entries"
+            row = [(t, w) for t, w in rec[field]]
+            field = "provenance"
+            prov = Provenance(rec[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
+                                  f"({type(exc).__name__}: {exc})") from None
         if type(s) is not int or not 0 <= s < n_student or s in seen:
             raise ValidationError(
                 f"{path}: row field 's' = {s!r} is not a new student id in [0, {n_student})"
             )
         seen.add(s)
-        rows[s] = [(t, w) for t, w in rec["entries"]]
-        provenance[s] = Provenance(rec["provenance"])
+        rows[s] = row
+        provenance[s] = prov
     try:
         return SparseProjection(n_student, n_teacher, rows, provenance, config)
     except ValidationError as exc:

@@ -326,12 +326,10 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         per_chunk: list[float] = []
         grads_z: list[np.ndarray] = []
         grad_w_total = None
-        for k, chunk in enumerate(alignment.chunks):
-            if not chunk.in_loss:
-                continue
-            p_s = chain_rule_merge(student_logits, chunk, temperature, k)
-            p_t = chain_rule_merge(teacher.logits, chunk, temperature, k)
-            value, g_z, g_w = kernel(p_t.probs, p_s.probs, compute_grads)
+        for chunk in alignment.loss_chunks():
+            p_s = chain_rule_merge(student_logits, chunk, temperature)
+            p_t = chain_rule_merge(teacher.logits, chunk, temperature)
+            value, g_z, g_w = kernel(p_t, p_s, compute_grads)
             per_chunk.append(value)
             if compute_grads:
                 grads_z.append(g_z)
@@ -340,9 +338,9 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         if not per_chunk:
             raise ValidationError(f"teacher {teacher.name!r} has no loss-bearing chunks")
 
-        report = LossReport.from_chunks(teacher.mode, per_chunk, temperature,
-                                        grad_chunk_logits=tuple(grads_z) or None,
-                                        grad_projection=grad_w_total)
+        report = LossReport(teacher.mode, temperature, tuple(per_chunk),
+                            grad_chunk_logits=tuple(grads_z) or None,
+                            grad_projection=grad_w_total)
         breakdowns.append(TeacherBreakdown(teacher.name, teacher.mode, float(alpha), report,
                                            _chunk_stats(alignment)))
 

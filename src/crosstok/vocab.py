@@ -16,7 +16,7 @@ import string
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedTokenError, UnencodableTextError, ValidationError
+from .errors import MalformedTokenError, UnencodableTextError, ValidationError, check_fields
 
 # Glyphs that tokenizer families use to mark a leading space, as UTF-8 bytes:
 # U+0120 (GPT-2 style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -181,12 +181,16 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
         fh.write("\n")
 
 
+_SPECIAL_FIELDS = {"specials": list[int], "special_roles": dict[str, int]}
+
+
 def load_vocabulary(path) -> Vocabulary:
     """Load a vocabulary file.
 
     The ``tokens`` field is either an array (index = id) or a map
     token -> id; the map form is validated for duplicate ids and id gaps.
-    A blank file loads as an empty vocabulary.
+    ``specials`` and ``special_roles`` are type-checked; other keys are
+    ignored. A blank file loads as an empty vocabulary.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -217,7 +221,9 @@ def load_vocabulary(path) -> Vocabulary:
     else:
         raise ValidationError(f"{path}: 'tokens' must be an array or a token->id map")
 
-    return Vocabulary(tokens, data.get("specials", ()), data.get("special_roles"))
+    specials = check_fields({k: data[k] for k in _SPECIAL_FIELDS if k in data},
+                            _SPECIAL_FIELDS, path)
+    return Vocabulary(tokens, specials.get("specials", ()), specials.get("special_roles"))
 
 
 class Tokenizer:

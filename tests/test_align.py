@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -269,3 +270,54 @@ class TestCacheAndDump:
         assert records == chunk_records("seq0", out)
         assert records[0]["kind"] == "match"
         assert records[0]["in_loss"] is True
+
+
+# ---------------------------------------------------------------------------
+# DP pins: chunk lists and scores recorded from the string-tagged backtrace
+# that preceded the stored-move one, on fixed-seed random pairs.
+
+SPECIALS_S = toks("<bos>", "a", "b", "ab", "c", "bc", "<eos>", "<pad>",
+                  specials=(0, 6, 7), roles={"bos": 0, "eos": 6})
+SPECIALS_T = toks("<s>", "</s>", "a", "b", "c", "abc", "ca", "<unk>",
+                  specials=(0, 1, 7), roles={"bos": 0, "eos": 1, "unk": 7})
+PIN_SCORINGS = {
+    "default": SCORING,
+    "exact2": AlignScoring(alpha_exact=2.0, alpha_comb=1.5, alpha_gap=-1.5),
+    "span3": AlignScoring(alpha_exact=5.0, alpha_comb=0.5, alpha_gap=-0.25, max_span=3),
+    "span2": AlignScoring(alpha_exact=3.0, alpha_comb=4.0, alpha_gap=-3.0, max_span=2),
+}
+PIN_VOCABS = {"combo": (COMBO, COMBO), "specials": (SPECIALS_S, SPECIALS_T)}
+PINNED_DP_DIGESTS = {
+    ("combo", "default"): "f6ee03ccc23bd477f92d843795bb0fb1fda86a57f0ef5e6734474dfbdde571c2",
+    ("combo", "exact2"): "90cfc78b5d36dfe5b90b120a5776e9867903baef3ab2b57f7afb162739ece750",
+    ("combo", "span3"): "76557a69a54705ee3fe59a4f1307c3b72baa2f5953dd0a3cea22439d55592e0b",
+    ("combo", "span2"): "ffa62f304cf2c03b9975d6d991f122e4165da75d1175e3361b8968735273ce5b",
+    ("specials", "default"): "ef80d6dd12cfea7cd7e8f981296dbede677b7e5fa75eda363a9dc3416ccf02ef",
+    ("specials", "exact2"): "091d90dd143140589686c16d43079dcc217475f726c645dd2ebb0ce27c25f11d",
+    ("specials", "span3"): "03ec38a94b8fa068f840d227e970180b4dd901fbd0c96ae2f0cc6d3aa7908dc0",
+    ("specials", "span2"): "dbfa703878f172981d919aa4f3aafa579556cb03e4ef6529f8ceb0fae3b46be6",
+}
+
+
+def dp_digest(tok_s, tok_t, scoring, seed: int, pairs: int = 120) -> str:
+    """sha256 over the chunk spans, kinds and score of ``pairs`` random pairs."""
+    rng = random.Random(seed)
+    n_s, n_t = len(tok_s.vocabulary), len(tok_t.vocabulary)
+    h = hashlib.sha256()
+    for _ in range(pairs):
+        s = [rng.randrange(n_s) for _ in range(rng.randrange(0, 25))]
+        t = [rng.randrange(n_t) for _ in range(rng.randrange(0, 25))]
+        out = dp_align(s, t, scoring, tok_s, tok_t)
+        h.update(repr([(c.student_span, c.teacher_span, c.kind.value)
+                       for c in out.chunks]).encode())
+        h.update(repr(out.score).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("vocabs,scoring", sorted(PINNED_DP_DIGESTS))
+def test_dp_chunkings_match_pins(vocabs, scoring):
+    # every chunk kind, 1-to-k and k-to-1 combinations of width 2 and 3, and
+    # specials paired by role (or unpaired) occur in these pairs
+    tok_s, tok_t = PIN_VOCABS[vocabs]
+    digest = dp_digest(tok_s, tok_t, PIN_SCORINGS[scoring], seed=31)
+    assert digest == PINNED_DP_DIGESTS[vocabs, scoring]

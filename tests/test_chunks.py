@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosstok.align import AlignmentChunk, ChunkKind
 from crosstok.chunks import (
-    ChunkDistribution,
     PositionLogits,
     chain_rule_merge,
     load_float_matrix,
@@ -14,9 +15,9 @@ from crosstok.chunks import (
     save_position_logits,
     softmax,
     topk_support,
-    topk_truncate,
 )
 from crosstok.errors import DegenerateDistributionError, ValidationError
+from crosstok.losses import chunk_kl
 from crosstok.vocab import Vocabulary, vocabulary_hash
 
 
@@ -52,7 +53,7 @@ class TestChainRuleMerge:
         pl = make_logits(rows, [0, 1, 2])
         chunk = AlignmentChunk((1, 2), (0, 1), ChunkKind.MATCH)
         out = chain_rule_merge(pl, chunk, temperature=1.0)
-        np.testing.assert_array_equal(out.probs, softmax(rows[1]))
+        np.testing.assert_array_equal(out, softmax(rows[1]))
 
     def test_two_position_merge_hand_arithmetic(self):
         # p1 = (0.5, 0.5), p2 = (0.2, 0.8), realized (0, 1):
@@ -61,7 +62,7 @@ class TestChainRuleMerge:
         pl = make_logits(rows, [0, 1])
         chunk = AlignmentChunk((0, 2), (0, 1), ChunkKind.COMBINATION)
         out = chain_rule_merge(pl, chunk)
-        np.testing.assert_allclose(out.probs, [4.0 / 9.0, 5.0 / 9.0], atol=1e-15)
+        np.testing.assert_allclose(out, [4.0 / 9.0, 5.0 / 9.0], atol=1e-15)
 
     def test_point_masses_collapse_to_first_realized(self):
         big = 800.0
@@ -69,7 +70,7 @@ class TestChainRuleMerge:
         pl = make_logits(rows, [0, 2])
         chunk = AlignmentChunk((0, 2), (0, 1), ChunkKind.COMBINATION)
         out = chain_rule_merge(pl, chunk)
-        np.testing.assert_array_equal(out.probs, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
 
     def test_refuses_excluded_chunks(self):
         pl = make_logits([[0.0, 0.0]], [0])
@@ -88,7 +89,7 @@ class TestChainRuleMerge:
         pl = make_logits(rows, [0, 1], side="teacher")
         chunk = AlignmentChunk((0, 1), (1, 2), ChunkKind.MATCH)
         out = chain_rule_merge(pl, chunk)
-        np.testing.assert_array_equal(out.probs, softmax(np.asarray(rows[1], dtype=float)))
+        np.testing.assert_array_equal(out, softmax(np.asarray(rows[1], dtype=float)))
 
     def test_output_is_valid_distribution(self):
         rng = np.random.default_rng(7)
@@ -100,35 +101,44 @@ class TestChainRuleMerge:
             kind = ChunkKind.MATCH if width == 1 else ChunkKind.COMBINATION
             chunk = AlignmentChunk((0, int(width)), (0, 1), kind)
             out = chain_rule_merge(pl, chunk, temperature=float(rng.uniform(0.5, 3.0)))
-            assert out.probs.min() >= 0
-            assert abs(out.probs.sum() - 1.0) < 1e-9
+            assert out.min() >= 0
+            assert abs(out.sum() - 1.0) < 1e-9
+
+    def test_underflowed_merge_names_side_sequence_and_span(self):
+        # the realized second token has probability exp(-800) == 0
+        pl = make_logits([[800.0, 0.0, 0.0], [0.0, 0.0, 800.0]], [0, 1], seq_id="doc7")
+        chunk = AlignmentChunk((0, 2), (0, 1), ChunkKind.COMBINATION)
+        with pytest.raises(DegenerateDistributionError) as info:
+            chain_rule_merge(pl, chunk)
+        message = str(info.value)
+        assert "student" in message and "'doc7'" in message and "[0, 2)" in message
 
 
 class TestTopkTruncate:
+    """Top-k truncation is ``topk_support`` plus the kernels' renormalization."""
+
     def test_identity_when_k_covers_vocab(self):
-        t = ChunkDistribution("teacher", np.array([0.7, 0.2, 0.1]))
-        s = ChunkDistribution("student", np.array([0.1, 0.1, 0.8]))
-        t2, s2 = topk_truncate(t, s, k=3)
-        assert t2 is t and s2 is s
+        t, s = np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.1, 0.8])
+        for k in (3, 4):
+            support = topk_support(t, k)
+            assert support.tolist() == [0, 1, 2]
+            assert chunk_kl(t, s, support=support) == chunk_kl(t, s)
 
     def test_hand_arithmetic_k2(self):
-        t = ChunkDistribution("teacher", np.array([0.7, 0.2, 0.1]))
-        s = ChunkDistribution("student", np.array([0.1, 0.1, 0.8]))
-        t2, s2 = topk_truncate(t, s, k=2)
-        np.testing.assert_allclose(t2.probs, [7.0 / 9.0, 2.0 / 9.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(s2.probs, [0.5, 0.5, 0.0], atol=1e-15)
+        # teacher restricted to {0, 1} is (7/9, 2/9), the student (1/2, 1/2)
+        t, s = np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.1, 0.8])
+        support = topk_support(t, 2)
+        assert support.tolist() == [0, 1]
+        expected = 7 / 9 * math.log(14 / 9) + 2 / 9 * math.log(4 / 9)
+        assert chunk_kl(t, s, support=support) == pytest.approx(expected, rel=1e-14)
 
     def test_boundary_tie_prefers_smaller_id(self):
-        t = ChunkDistribution("teacher", np.array([0.4, 0.3, 0.3]))
-        s = ChunkDistribution("student", np.array([1 / 3] * 3))
-        t2, _ = topk_truncate(t, s, k=2)
-        assert t2.probs[1] > 0 and t2.probs[2] == 0
+        assert topk_support(np.array([0.4, 0.3, 0.3]), 2).tolist() == [0, 1]
 
     def test_student_without_support_mass_fails(self):
-        t = ChunkDistribution("teacher", np.array([0.5, 0.5, 0.0]))
-        s = ChunkDistribution("student", np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DegenerateDistributionError):
-            topk_truncate(t, s, k=2)
+        t, s = np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0])
+        with pytest.raises(DegenerateDistributionError, match="student"):
+            chunk_kl(t, s, support=topk_support(t, 2))
 
     def test_monotone_support(self):
         rng = np.random.default_rng(11)
@@ -141,6 +151,15 @@ class TestTopkTruncate:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             topk_support(np.array([1.0]), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25]), min_size=1, max_size=12),
+           st.data())
+    def test_first_k_in_value_then_id_order(self, values, data):
+        # tie-heavy vectors: every boundary tie goes to the smaller id
+        k = data.draw(st.integers(1, len(values) + 1))
+        expected = sorted(sorted(range(len(values)), key=lambda i: (-values[i], i))[:k])
+        assert topk_support(np.asarray(values), k).tolist() == expected
 
 
 class TestLogitsDumpIO:

@@ -119,6 +119,13 @@ class TestAudit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["recommendation"] == "hkl"
 
+    def test_mistyped_specials_exits_1(self, tmp_path, capsys):
+        vs = tmp_path / "s.json"
+        vs.write_text(json.dumps({"tokens": ["a", "b"], "specials": "ab"}))
+        assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vs)]) == 1
+        err = capsys.readouterr().err
+        assert "s.json" in err and "specials" in err
+
     def test_zero_threshold_always_hybrid(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
         vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
@@ -229,6 +236,33 @@ class TestLoss:
             "hybrid": {"lambda_kl": 1.0, "lambda_uld": 0.0}}))
         assert main(["--config", str(config), "loss"]) == 1
         assert "'partial'" in capsys.readouterr().err
+
+
+    def test_degenerate_merge_exits_1(self, tmp_path, capsys):
+        vocab = Vocabulary(["a", "b", "ab"])
+        save_vocabulary(vocab, tmp_path / "v.json")
+        write_dump(tmp_path / "s.bin", "student", [[800.0, 0.0, 0.0], [0.0, 0.0, 800.0]],
+                   [0, 1], vocab)
+        write_dump(tmp_path / "t.bin", "teacher", [[0.0, 0.0, 1.0]], [2], vocab)
+        config = tmp_path / "step.json"
+        config.write_text(json.dumps({
+            "student": {"vocab": str(tmp_path / "v.json"), "logits": str(tmp_path / "s.bin")},
+            "teachers": [{"name": "t", "mode": "kl", "vocab": str(tmp_path / "v.json"),
+                          "logits": str(tmp_path / "t.bin")}],
+            "policy": {"kind": "fixed"}}))
+        assert main(["--config", str(config), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "no mass" in err and "Traceback" not in err
+
+    def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        lines = fx["projection"].read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["config"]
+        fx["projection"].write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "projection.jsonl" in err and "config" in err
 
 
 def edit_config(fx, edit):

@@ -443,9 +443,10 @@ class TestAggregate:
             kd_aggregate([], 1.0)
 
     def test_report_invariant(self):
-        report = LossReport.from_chunks("kl", [1.0, 3.0], 2.0)
+        report = LossReport("kl", 2.0, (1.0, 3.0))
         assert report.aggregate == pytest.approx(8.0)
+        # the aggregate is derived from the chunks, never passed in
+        with pytest.raises(TypeError):
+            LossReport("kl", 2.0, (1.0, 3.0), aggregate=7.0)
         with pytest.raises(ValidationError):
-            LossReport("kl", 2.0, (1.0, 3.0), 7.0)
-        with pytest.raises(ValidationError):
-            LossReport.from_chunks("bad_mode", [1.0], 1.0)
+            LossReport("bad_mode", 1.0, (1.0,))

@@ -281,15 +281,16 @@ def rewrite_records(path, edit):
     path.write_text("\n".join([json.dumps(header)] + body) + "\n")
 
 
-class TestProjectionIndexValidation:
-    @pytest.fixture
-    def saved(self, tmp_path):
-        vs = Vocabulary(["2", "0", "1", "201"])
-        vt = Vocabulary(["2", "0", "1"])
-        path = tmp_path / "digits.jsonl"
-        save_projection(build_projection(vs, vt, Tokenizer(vt)), path)
-        return path
+@pytest.fixture
+def saved(tmp_path):
+    vs = Vocabulary(["2", "0", "1", "201"])
+    vt = Vocabulary(["2", "0", "1"])
+    path = tmp_path / "digits.jsonl"
+    save_projection(build_projection(vs, vt, Tokenizer(vt)), path)
+    return path
 
+
+class TestProjectionIndexValidation:
     def rejects(self, path, field):
         with pytest.raises(ValidationError) as info:
             load_projection(path)
@@ -318,3 +319,50 @@ class TestProjectionIndexValidation:
         with pytest.raises(ValidationError, match="teacher id repeats"):
             SparseProjection(1, 2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN],
                              ProjectionConfig())
+
+
+class TestProjectionFileFields:
+    def rewrite_header(self, path, edit):
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        path.write_text("\n".join(lines) + "\n")
+
+    def rejects(self, path, *words):
+        with pytest.raises(ValidationError) as info:
+            load_projection(path)
+        for word in (path.name, *words):
+            assert word in str(info.value)
+
+    def test_header_without_config(self, saved):
+        self.rewrite_header(saved, lambda h: {k: v for k, v in h.items() if k != "config"})
+        self.rejects(saved, "config")
+
+    def test_unknown_config_key(self, saved):
+        self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "bogus": 1}})
+        self.rejects(saved, "config.bogus")
+
+    def test_mistyped_header_field(self, saved):
+        self.rewrite_header(saved, lambda h: {**h, "n_student": "2"})
+        self.rejects(saved, "n_student")
+
+    def test_header_not_an_object(self, saved):
+        self.rewrite_header(saved, lambda h: [1, 2])
+        self.rejects(saved, "object")
+
+    def test_row_without_entries(self, saved):
+        rewrite_records(saved, lambda recs: [{k: v for k, v in recs[0].items()
+                                              if k != "entries"}] + recs[1:])
+        self.rejects(saved, "line 2", "entries")
+
+    def test_malformed_entry_and_unknown_provenance(self, saved):
+        rewrite_records(saved, lambda recs: recs[:1] + [{**recs[1], "entries": [[0]]}]
+                        + recs[2:])
+        self.rejects(saved, "line 3", "entries")
+        rewrite_records(saved, lambda recs: [{**recs[0], "provenance": "guess"}] + recs[1:])
+        self.rejects(saved, "line 2", "provenance")
+        for garbled in ('{"s": 0,', "[0]"):
+            lines = saved.read_text().splitlines()
+            header, body = json.loads(lines[0]), [garbled] + lines[2:]
+            header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+            saved.write_text("\n".join([json.dumps(header)] + body) + "\n")
+            self.rejects(saved, "line 2", "not a JSON object")

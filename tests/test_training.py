@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crosstok.chunks import PositionLogits, chain_rule_merge, softmax
-from crosstok.errors import ValidationError
+from crosstok.errors import DegenerateDistributionError, ValidationError
 from crosstok.losses import HybridWeights, pkl
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import build_projection
@@ -319,6 +319,18 @@ class TestRunStep:
                                 dump("teacher", rng.normal(size=(1, 2)), [0], vs))
         with pytest.raises(ValidationError, match="hash"):
             run_step(vs, student, [teacher])
+
+    def test_underflowed_student_merge_raises(self):
+        # student realizes "a", "b" against the teacher's "ab"; the chain-rule
+        # product exp(-800) underflows, leaving the merged chunk no mass
+        vocab = Vocabulary(["a", "b", "ab"])
+        student = dump("student", [[800.0, 0.0, 0.0], [0.0, 0.0, 800.0]], [0, 1], vocab)
+        teacher = TeacherConfig("t", "kl", vocab,
+                                dump("teacher", [[0.0, 0.0, 1.0]], [2], vocab))
+        with pytest.raises(DegenerateDistributionError) as info:
+            run_step(vocab, student, [teacher], policy=ScalingPolicy("fixed"))
+        message = str(info.value)
+        assert "student" in message and "'s0'" in message and "[0, 2)" in message
 
     def test_teacher_without_loss_chunks_named(self):
         rng = np.random.default_rng(9)

@@ -155,6 +155,27 @@ class TestVocabularyFiles:
         path.write_text("", encoding="utf-8")
         assert len(load_vocabulary(path)) == 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("specials", "ab"),
+        ("specials", [0, "1"]),
+        ("specials", [True]),
+        ("special_roles", ["bos", 0]),
+        ("special_roles", {"bos": "0"}),
+    ])
+    def test_mistyped_special_fields_named(self, tmp_path, field, value):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": ["a", "<s>"], field: value}), encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_vocabulary(path)
+        assert "vocab.json" in str(exc.value) and field in str(exc.value)
+
+    def test_unknown_top_level_key_allowed(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": ["a", "<s>"], "specials": [1],
+                                    "special_roles": {"bos": 1}, "model": "x"}),
+                        encoding="utf-8")
+        assert load_vocabulary(path).special_roles == {"bos": 1}
+
 
 class TestToyTokenizers:
     def test_digit_splitting_splits_numerals(self):

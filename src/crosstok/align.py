@@ -11,12 +11,15 @@ after the divergence point into one super-group.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .vocab import Tokenizer, vocabulary_hash
@@ -84,7 +87,8 @@ class Alignment:
 
 
 class _CanonTable:
-    """Precomputed canonical forms and the match predicates used by the DP."""
+    """Per-position canonical forms, special flags and roles, and the match
+    predicates that ``brute_force_align`` evaluates one transition at a time."""
 
     def __init__(self, student: Sequence[int], teacher: Sequence[int],
                  tok_s: Tokenizer, tok_t: Tokenizer) -> None:
@@ -115,10 +119,60 @@ class _CanonTable:
         return self.t_canon[j] == b"".join(self.s_canon[i_lo:i_hi])
 
 
-_MATCH = (1, 1, ChunkKind.MATCH)
-_MISMATCH = (1, 1, ChunkKind.MISMATCH)
-_GAP_T = (1, 0, ChunkKind.GAP_TEACHER_SIDE)
-_GAP_S = (0, 1, ChunkKind.GAP_STUDENT_SIDE)
+def _diagonal_matches(table: _CanonTable) -> np.ndarray:
+    """``(n, m)`` bool: 1-to-1 equality through one integer code per
+    canonical byte string; specials pair only through shared roles."""
+    codes: dict[bytes, int] = {}
+    s_code = np.array([-1 if sp else codes.setdefault(c, len(codes))
+                       for sp, c in zip(table.s_special, table.s_canon)], dtype=np.intp)
+    t_code = np.array([-2 if sp else codes.setdefault(c, len(codes))
+                       for sp, c in zip(table.t_special, table.t_canon)], dtype=np.intp)
+    match = s_code[:, None] == t_code[None, :]
+    for role in set().union(*table.s_roles) & set().union(*table.t_roles):
+        match |= (np.array([role in r for r in table.s_roles], dtype=bool)[:, None]
+                  & np.array([role in r for r in table.t_roles], dtype=bool)[None, :])
+    return match
+
+
+def _combinations(one_canon, one_special, many_canon, many_special,
+                  span: int) -> list[tuple[int, int, int]]:
+    """Every legal 1-to-k combination as ``(p, lo, k)``: ordinary token ``p``
+    of one side has the canonical bytes of ordinary tokens ``[lo, lo + k)`` of
+    the other side joined, 2 <= k <= span."""
+    longest = max((len(c) for c, sp in zip(one_canon, one_special) if not sp), default=-1)
+    spans_of: dict[bytes, list[tuple[int, int]]] = {}
+    for lo in range(len(many_canon)):
+        joined = b""
+        for hi in range(lo, min(lo + span, len(many_canon))):
+            if many_special[hi]:
+                break
+            joined += many_canon[hi]
+            if len(joined) > longest:
+                break
+            if hi > lo:
+                spans_of.setdefault(joined, []).append((lo, hi + 1 - lo))
+    return [(p, lo, k) for p, (c, sp) in enumerate(zip(one_canon, one_special)) if not sp
+            for lo, k in spans_of.get(c, ())]
+
+
+# Move codes, one per cell: the chunk that ends at cell (i, j) and the cell
+# it continues from. Codes 2 + k (k >= 2) are 1-to-k combinations and -k are
+# k-to-1 combinations.
+_MATCH, _MISMATCH, _GAP_T, _GAP_S = 0, 1, 2, 3
+_FIXED_MOVES = {
+    _MATCH: (1, 1, ChunkKind.MATCH),
+    _MISMATCH: (1, 1, ChunkKind.MISMATCH),
+    _GAP_T: (1, 0, ChunkKind.GAP_TEACHER_SIDE),
+    _GAP_S: (0, 1, ChunkKind.GAP_STUDENT_SIDE),
+}
+
+
+def _move(code: int) -> tuple[int, int, ChunkKind]:
+    if code in _FIXED_MOVES:
+        return _FIXED_MOVES[code]
+    if code > 0:
+        return 1, code - 2, ChunkKind.COMBINATION
+    return -code, 1, ChunkKind.COMBINATION
 
 
 def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScoring,
@@ -128,56 +182,64 @@ def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScori
     Ties are broken toward finer, identity-aligned chunks: diagonal first,
     then 1-to-k combinations (smaller k first), then k-to-1 combinations,
     then a gap on the teacher side, then a gap on the student side.
+
+    Every move into cell ``(i, j)`` starts on an earlier anti-diagonal
+    ``i + j``, so the table fills one anti-diagonal at a time with numpy,
+    applying the candidates in tie-break order with strict ``>``.
     """
     n, m = len(student), len(teacher)
     table = _CanonTable(student, teacher, tok_s, tok_t)
     a_ex, a_cb, a_gap, span = scoring.alpha_exact, scoring.alpha_comb, scoring.alpha_gap, scoring.max_span
+    match = _diagonal_matches(table).ravel()
+    w = m + 1  # row stride of the (n + 1, m + 1) tables, which are indexed flat
 
-    # each cell stores its winning move (di, dj, kind): the chunk that ends
-    # there spans [i - di, i) of the student and [j - dj, j) of the teacher
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    move: list[list[tuple[int, int, ChunkKind] | None]] = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        score[i][0] = i * a_gap
-        move[i][0] = _GAP_T
-    for j in range(1, m + 1):
-        score[0][j] = j * a_gap
-        move[0][j] = _GAP_S
+    # legal combinations as (anti-diagonal, order, target cell, source cell,
+    # gain, move code); ``order`` ranks 1-to-k before k-to-1, smaller k first
+    combos = [(i + 1 + lo + k, k, (i + 1) * w + lo + k, i * w + lo, a_cb * k, 2 + k)
+              for i, lo, k in _combinations(table.s_canon, table.s_special,
+                                            table.t_canon, table.t_special, span)]
+    combos += [(lo + k + j + 1, span + k, (lo + k) * w + j + 1, lo * w + j, a_cb * k, -k)
+               for j, lo, k in _combinations(table.t_canon, table.t_special,
+                                             table.s_canon, table.s_special, span)]
+    combos.sort(key=lambda c: c[:2])
+    combos_at: dict[int, list] = {}
+    for (d, _), group in itertools.groupby(combos, key=lambda c: c[:2]):
+        _, _, target, source, gain, code = zip(*group)
+        combos_at.setdefault(d, []).append((np.array(target), np.array(source), gain[0], code[0]))
+    longest = max((abs(c[5]) for c in combos), default=0)
 
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            # candidates in tie-break preference order; first strict max wins
-            if table.diag_matches(i - 1, j - 1):
-                best, best_move = score[i - 1][j - 1] + a_ex, _MATCH
-            else:
-                best, best_move = score[i - 1][j - 1] - a_ex, _MISMATCH
-            for k in range(2, min(span, j) + 1):
-                if table.one_to_many(i - 1, j - k, j):
-                    cand = score[i - 1][j - k] + a_cb * k
-                    if cand > best:
-                        best, best_move = cand, (1, k, ChunkKind.COMBINATION)
-            for k in range(2, min(span, i) + 1):
-                if table.many_to_one(i - k, i, j - 1):
-                    cand = score[i - k][j - 1] + a_cb * k
-                    if cand > best:
-                        best, best_move = cand, (k, 1, ChunkKind.COMBINATION)
-            cand = score[i - 1][j] + a_gap
-            if cand > best:
-                best, best_move = cand, _GAP_T
-            cand = score[i][j - 1] + a_gap
-            if cand > best:
-                best, best_move = cand, _GAP_S
-            score[i][j] = best
-            move[i][j] = best_move
+    score = np.zeros((n + 1, m + 1))
+    moves = np.empty((n + 1, m + 1), dtype=np.int8 if longest <= 127 else np.int16)
+    score[1:, 0] = np.arange(1, n + 1) * a_gap
+    moves[1:, 0] = _GAP_T
+    score[0, 1:] = np.arange(1, m + 1) * a_gap
+    moves[0, 1:] = _GAP_S
+    flat_score, flat_moves = score.ravel(), moves.ravel()
+    rows = np.arange(n + 1)
+    for d in range(2, n + m + 1):
+        i = rows[max(1, d - m):min(n, d - 1) + 1]
+        if not i.size:
+            continue
+        cell = i * m + d  # i * w + (d - i)
+        hit = match[i * (m - 1) + d - m - 1]  # match[i - 1, d - i - 1]
+        flat_score[cell] = flat_score[cell - w - 1] + np.where(hit, a_ex, -a_ex)
+        flat_moves[cell] = ~hit  # _MATCH or _MISMATCH
+        for target, source, gain, code in (*combos_at.get(d, ()),
+                                           (cell, cell - w, a_gap, _GAP_T),
+                                           (cell, cell - 1, a_gap, _GAP_S)):
+            cand = flat_score[source] + gain
+            better = cand > flat_score[target]
+            flat_score[target[better]] = cand[better]
+            flat_moves[target[better]] = code
 
     chunks: list[AlignmentChunk] = []
     i, j = n, m
     while i > 0 or j > 0:
-        di, dj, kind = move[i][j]  # type: ignore[misc]
+        di, dj, kind = _move(int(moves[i, j]))
         chunks.append(AlignmentChunk((i - di, i), (j - dj, j), kind))
         i, j = i - di, j - dj
     chunks.reverse()
-    return Alignment(tuple(chunks), score[n][m])
+    return Alignment(tuple(chunks), float(score[n, m]))
 
 
 _BRUTE_FORCE_LIMIT = 12

@@ -106,7 +106,12 @@ def topk_support(probs, k: int) -> np.ndarray:
         raise ValidationError("k must be at least 1")
     if k >= p.size:
         return np.arange(p.size, dtype=np.intp)
-    return np.sort(np.argsort(-p, kind="stable")[:k])
+    # linear-time selection: every entry above the k-th largest value, then
+    # the smallest ids holding that value until there are k
+    kth = np.partition(p, p.size - k)[p.size - k]
+    keep = p > kth
+    keep[np.flatnonzero(p == kth)[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def renormalize_on(probs: np.ndarray, support, side: str) -> tuple[np.ndarray, float]:

@@ -78,6 +78,11 @@ class SparseProjection:
             raise ValidationError("rows and provenance must cover every student id")
         self.n_student = n_student
         self.n_teacher = n_teacher
+        self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), [len(row) for row in rows])
+        self._flat_t = self._flat_entries(rows, 0, (int, np.integer), np.intp,
+                                          "teacher id", "an integer")
+        self._flat_w = self._flat_entries(rows, 1, (int, float, np.integer, np.floating), float,
+                                          "weight", "a number")
         self.rows: tuple[tuple[tuple[int, float], ...], ...] = tuple(
             tuple((int(t), float(w)) for t, w in row) for row in rows
         )
@@ -85,10 +90,20 @@ class SparseProjection:
         self.config = config
         self._validate()
 
-        self._flat_s = np.asarray([s for s, row in enumerate(self.rows) for _ in row],
-                                  dtype=np.intp)
-        self._flat_t = np.asarray([t for row in self.rows for t, _ in row], dtype=np.intp)
-        self._flat_w = np.asarray([w for row in self.rows for _, w in row], dtype=float)
+    def _flat_entries(self, rows, field: int, types: tuple, dtype, name: str,
+                      expected: str) -> np.ndarray:
+        """One field of every entry, row-major, after one type check over the
+        flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
+        values = [entry[field] for row in rows for entry in row]
+        bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
+        if bad:
+            at = next(i for i, v in enumerate(values) if type(v) in bad)
+            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in 'entries' "
+                                  f"is not {expected}")
+        try:
+            return np.asarray(values, dtype=dtype)
+        except OverflowError:
+            raise ValidationError(f"a {name} in 'entries' is out of range") from None
 
     def _validate(self) -> None:
         for s, (row, prov) in enumerate(zip(self.rows, self.provenance)):

@@ -187,8 +187,9 @@ _SPECIAL_FIELDS = {"specials": list[int], "special_roles": dict[str, int]}
 def load_vocabulary(path) -> Vocabulary:
     """Load a vocabulary file.
 
-    The ``tokens`` field is either an array (index = id) or a map
-    token -> id; the map form is validated for duplicate ids and id gaps.
+    The ``tokens`` field is either an array of strings (index = id) or a
+    map token -> integer id; the map form is validated for duplicate ids and
+    id gaps.
     ``specials`` and ``special_roles`` are type-checked; other keys are
     ignored. A blank file loads as an empty vocabulary.
     """
@@ -202,11 +203,14 @@ def load_vocabulary(path) -> Vocabulary:
 
     raw_tokens = data.get("tokens", [])
     if isinstance(raw_tokens, list):
-        tokens = [str(t) for t in raw_tokens]
+        if set(map(type, raw_tokens)) - {str}:
+            i, tok = next((i, t) for i, t in enumerate(raw_tokens) if type(t) is not str)
+            raise ValidationError(f"{path}: tokens[{i}] must be a string, got {tok!r:.80}")
+        tokens = raw_tokens
     elif isinstance(raw_tokens, dict):
         by_id: dict[int, str] = {}
         for tok, tid in raw_tokens.items():
-            if not isinstance(tid, int):
+            if type(tid) is not int:
                 raise ValidationError(f"{path}: token {tok!r} has non-integer id {tid!r}")
             if tid in by_id:
                 raise ValidationError(
@@ -223,7 +227,10 @@ def load_vocabulary(path) -> Vocabulary:
 
     specials = check_fields({k: data[k] for k in _SPECIAL_FIELDS if k in data},
                             _SPECIAL_FIELDS, path)
-    return Vocabulary(tokens, specials.get("specials", ()), specials.get("special_roles"))
+    try:
+        return Vocabulary(tokens, specials.get("specials", ()), specials.get("special_roles"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 class Tokenizer:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crosstok.align import (
     Alignment,
+    AlignmentChunk,
     AlignmentCache,
     AlignScoring,
     ChunkKind,
@@ -19,6 +20,8 @@ from crosstok.align import (
 )
 from crosstok.errors import ValidationError
 from crosstok.vocab import Tokenizer, Vocabulary
+
+from dp_reference import reference_dp_align
 
 SCORING = AlignScoring()
 
@@ -321,3 +324,35 @@ def test_dp_chunkings_match_pins(vocabs, scoring):
     tok_s, tok_t = PIN_VOCABS[vocabs]
     digest = dp_digest(tok_s, tok_t, PIN_SCORINGS[scoring], seed=31)
     assert digest == PINNED_DP_DIGESTS[vocabs, scoring]
+
+
+# ---------------------------------------------------------------------------
+# The anti-diagonal wavefront against the scalar cell-by-cell reference.
+
+# an empty token lets a 1-to-k and a k-to-1 combination both be legal at
+# one cell, so the order between them shows
+EMPTY_TOKEN = toks("", "a", "b", "ab", "<s>", specials=(4,), roles={"bos": 4})
+REFERENCE_VOCABS = {**PIN_VOCABS, "empty": (EMPTY_TOKEN, EMPTY_TOKEN)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_wavefront_matches_scalar_reference(data):
+    vocabs = data.draw(st.sampled_from(sorted(REFERENCE_VOCABS)))
+    scoring = PIN_SCORINGS[data.draw(st.sampled_from(sorted(PIN_SCORINGS)))]
+    tok_s, tok_t = REFERENCE_VOCABS[vocabs]
+    s = data.draw(st.lists(st.integers(0, len(tok_s.vocabulary) - 1), max_size=40))
+    t = data.draw(st.lists(st.integers(0, len(tok_t.vocabulary) - 1), max_size=40))
+    fast = dp_align(s, t, scoring, tok_s, tok_t)
+    ref = reference_dp_align(s, t, scoring, tok_s, tok_t)
+    assert fast.chunks == ref.chunks
+    assert type(fast.score) is float and fast.score.hex() == ref.score.hex()
+
+
+def test_combination_wider_than_int8_move_codes():
+    tok_s, tok_t = toks("a" * 130, "b"), toks("a", "b")
+    s, t = [1, 0, 1], [1] + [0] * 130 + [1]
+    scoring = AlignScoring(max_span=200)
+    out = dp_align(s, t, scoring, tok_s, tok_t)
+    assert out == reference_dp_align(s, t, scoring, tok_s, tok_t)
+    assert out.chunks[1] == AlignmentChunk((1, 2), (1, 131), ChunkKind.COMBINATION)

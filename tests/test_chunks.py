@@ -161,6 +161,23 @@ class TestTopkTruncate:
         expected = sorted(sorted(range(len(values)), key=lambda i: (-values[i], i))[:k])
         assert topk_support(np.asarray(values), k).tolist() == expected
 
+    @pytest.mark.parametrize("n", [24_000, 32_000])
+    def test_full_width_matches_stable_argsort(self, n):
+        # one vector with runs of exact 0.0 (logits far below the rest) and one
+        # whose softmax underflows on most entries; planted copies of the k-th
+        # largest value straddle the cut
+        rng = np.random.default_rng(n)
+        runs = rng.normal(scale=3.0, size=n)
+        for start in rng.choice(n - 500, 8, replace=False):
+            runs[start:start + 500] = -1e4
+        for p in (softmax(runs), softmax(rng.normal(scale=300.0, size=n))):
+            assert (p == 0.0).any()
+            for k in (1, 8192, n - 1):
+                q = p.copy()
+                q[rng.choice(n, 300, replace=False)] = np.sort(q)[n - k]
+                expected = np.sort(np.argsort(-q, kind="stable")[:k])
+                assert np.array_equal(topk_support(q, k), expected)
+
 
 class TestLogitsDumpIO:
     def test_roundtrip(self, tmp_path):

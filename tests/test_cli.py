@@ -8,8 +8,10 @@ import pytest
 
 from crosstok.align import read_alignment_dump
 from crosstok.cli import main
-from crosstok.projection import decay_weights, load_projection
-from crosstok.vocab import Vocabulary, load_vocabulary, make_toy_tokenizer, save_vocabulary
+from crosstok.projection import (build_projection, decay_weights, load_projection,
+                                 save_projection)
+from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tokenizer,
+                            save_vocabulary)
 
 from conftest import write_dump
 
@@ -125,6 +127,13 @@ class TestAudit:
         assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vs)]) == 1
         err = capsys.readouterr().err
         assert "s.json" in err and "specials" in err
+
+    def test_non_string_token_exits_1(self, tmp_path, capsys):
+        vs = tmp_path / "s.json"
+        vs.write_text(json.dumps({"tokens": ["a", None]}), encoding="utf-8")
+        assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vs)]) == 1
+        err = capsys.readouterr().err
+        assert "s.json" in err and "tokens[1]" in err
 
     def test_zero_threshold_always_hybrid(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
@@ -254,6 +263,18 @@ class TestLoss:
         err = capsys.readouterr().err
         assert "no mass" in err and "Traceback" not in err
 
+    def test_projection_entry_float_id_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        lines = fx["projection"].read_text().splitlines()
+        header, recs = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        recs[-1]["entries"] = [[2.7, 0.9]]
+        body = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in recs]
+        header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+        fx["projection"].write_text("\n".join([json.dumps(header)] + body) + "\n")
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "projection.jsonl" in err and "entries" in err and "Traceback" not in err
+
     def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
         lines = fx["projection"].read_text().splitlines()
@@ -361,3 +382,80 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "pkl" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Byte-identity pins: the alignment dump and the loss report's alignment
+# statistics on a toy pair with a BOS special, 1-to-k and k-to-1
+# combinations, mismatches and gaps. Recorded from the scalar DP.
+
+PIN_TEXTS = [
+    "In 2019 the 42 cats saw 7 dogs and 123 birds.",
+    "abc 123 hello world 7",
+    "",
+    "on 04/05 at 1200 we met 99 of them",
+    "zebra 2019, 2020 and 42!",
+]
+PINNED_ALIGN_DUMPS = {
+    "dp": "3e8990e80e34cabea231386aa5c004b45e8cfc0b7be8930ee97f0d13d7af5929",
+    "baseline": "7fac42d2070722ab56e37513052e4d9e1522aca0c1155e2d388ff89568fbb09a",
+    "dp-span2": "31897a02fb8c21f57aa5f97bb8a16f1fd66d9d8951d3ec5e5a2fdd309ad5011d",
+}
+PINNED_LOSS_CHUNK_STATS = {
+    "default": {"chunks": 53, "combinations": 13, "gaps": 15, "loss_chunks": 35,
+                "matches": 22, "mismatches": 3, "score": 88.5},
+    "odd": {"chunks": 72, "combinations": 9, "gaps": 41, "loss_chunks": 31,
+            "matches": 22, "mismatches": 0, "score": 61.09999999999997},
+}
+
+
+@pytest.fixture
+def pin_pair(tmp_path):
+    numerals = make_toy_tokenizer("numeral_preserving").vocabulary
+    student = Vocabulary(list(numerals.tokens) + ["<s>"], specials=[len(numerals)],
+                         special_roles={"bos": len(numerals)})
+    teacher = make_toy_tokenizer("word_level", PIN_TEXTS[:2]).vocabulary
+    save_vocabulary(student, tmp_path / "s.json")
+    save_vocabulary(teacher, tmp_path / "t.json")
+    (tmp_path / "texts.txt").write_text("\n".join(PIN_TEXTS) + "\n", encoding="utf-8")
+    return {"student": student, "teacher": teacher, "dir": tmp_path}
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("name, flags", [("dp", []), ("baseline", ["--baseline"]),
+                                             ("dp-span2", ["--max-span", "2"])])
+    def test_align_dump_bytes(self, pin_pair, name, flags):
+        d = pin_pair["dir"]
+        out = d / "dump.jsonl"
+        assert main(["align", "--student-vocab", str(d / "s.json"),
+                     "--teacher-vocab", str(d / "t.json"), "--texts", str(d / "texts.txt"),
+                     "--out", str(out), "--student-add-bos", *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ALIGN_DUMPS[name]
+
+    def test_loss_chunk_stats(self, pin_pair, tmp_path):
+        student, teacher, d = pin_pair["student"], pin_pair["teacher"], pin_pair["dir"]
+        text = PIN_TEXTS[0] + " " + PIN_TEXTS[3]
+        rng = np.random.default_rng(5)
+        s_ids = [student.special_roles["bos"]] + Tokenizer(student).encode(text)
+        t_ids = Tokenizer(teacher).encode(text)
+        write_dump(d / "s.bin", "student", rng.normal(size=(len(s_ids), len(student))),
+                   s_ids, student)
+        write_dump(d / "t.bin", "teacher", rng.normal(size=(len(t_ids), len(teacher))),
+                   t_ids, teacher)
+        save_projection(build_projection(student, teacher, Tokenizer(teacher)), d / "w.jsonl")
+        teacher_cfg = {"name": "words", "mode": "pkl", "vocab": str(d / "t.json"),
+                       "logits": str(d / "t.bin"), "projection": str(d / "w.jsonl")}
+        stats = {}
+        for label, scoring in (("default", {}),
+                               ("odd", {"alpha_exact": 2.9, "alpha_comb": 1.3,
+                                        "alpha_gap": -0.7, "max_span": 3})):
+            config = d / f"{label}.json"
+            config.write_text(json.dumps({
+                "student": {"vocab": str(d / "s.json"), "logits": str(d / "s.bin")},
+                "teachers": [teacher_cfg], "scoring": scoring, "top_k": 16,
+                "policy": {"kind": "fixed"}}))
+            out = tmp_path / f"{label}.report.json"
+            assert main(["--config", str(config), "loss", "--out", str(out)]) == 0
+            [report] = json.loads(out.read_text())["teachers"]
+            stats[label] = report["chunk_stats"]
+        assert stats == PINNED_LOSS_CHUNK_STATS

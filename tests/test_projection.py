@@ -366,3 +366,15 @@ class TestProjectionFileFields:
             header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
             saved.write_text("\n".join([json.dumps(header)] + body) + "\n")
             self.rejects(saved, "line 2", "not a JSON object")
+
+    @pytest.mark.parametrize("entry", [[2.7, 0.9], [True, 0.9], ["x", 0.9], [None, 0.9],
+                                       [0, "0.9"], [0, None], [0, False], [10**30, 0.9],
+                                       [0, 10**400]])
+    def test_mistyped_entry_named(self, saved, entry):
+        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [entry]}])
+        self.rejects(saved, "entries")
+
+    def test_int_weight_loads_as_float(self, saved):
+        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [[0, 1]]}])
+        [(t, w)] = load_projection(saved).rows[-1]
+        assert (t, w) == (0, 1.0) and type(w) is float

@@ -144,6 +144,13 @@ class TestVocabularyFiles:
             load_vocabulary(path)
         assert "'b'" in str(exc.value) and "'c'" in str(exc.value)
 
+    def test_map_form_bool_id_rejected(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": {"a": 0, "b": True}}), encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_vocabulary(path)
+        assert "vocab.json" in str(exc.value) and "'b'" in str(exc.value)
+
     def test_id_gap_reports_position(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"tokens": {"a": 0, "b": 2}}), encoding="utf-8")
@@ -165,6 +172,33 @@ class TestVocabularyFiles:
     def test_mistyped_special_fields_named(self, tmp_path, field, value):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"tokens": ["a", "<s>"], field: value}), encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_vocabulary(path)
+        assert "vocab.json" in str(exc.value) and field in str(exc.value)
+
+    @pytest.mark.parametrize("data,words", [
+        ({"tokens": ["a", "a"]}, ["duplicate token string 'a'"]),
+        ({"tokens": ["a", "<s>"], "specials": [1], "special_roles": {"bos": 0}},
+         ["role 'bos'"]),
+        ({"tokens": ["a"], "specials": [3]}, ["special id 3"]),
+    ])
+    def test_constructor_errors_name_file(self, tmp_path, data, words):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_vocabulary(path)
+        for word in ("vocab.json", *words):
+            assert word in str(exc.value)
+
+    @pytest.mark.parametrize("tokens,field", [
+        ([1, None], "tokens[0]"),
+        (["a", None], "tokens[1]"),
+        (["a", "b", ["c"]], "tokens[2]"),
+        (["a", True], "tokens[1]"),
+    ])
+    def test_non_string_tokens_named(self, tmp_path, tokens, field):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
         with pytest.raises(ValidationError) as exc:
             load_vocabulary(path)
         assert "vocab.json" in str(exc.value) and field in str(exc.value)

@@ -156,6 +156,9 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
     with open(sidecar, "r", encoding="utf-8") as fh:
         meta = check_fields(json.load(fh), _SIDECAR_FIELDS, sidecar,
                             required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
+    for field in ("positions", "vocab_size"):
+        if meta[field] < 1:
+            raise ValidationError(f"{sidecar}: {field!r} must be positive, got {meta[field]}")
     flat = np.fromfile(path, dtype="<f4")
     positions, vocab_size = meta["positions"], meta["vocab_size"]
     if flat.size != positions * vocab_size:

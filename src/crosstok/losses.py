@@ -27,7 +27,7 @@ import numpy as np
 
 from .chunks import renormalize_on, softmax, topk_support
 from .errors import ValidationError
-from .projection import SparseProjection, Provenance
+from .projection import SparseProjection
 from .vocab import Vocabulary, exact_partners
 
 LOG_EPS = 1e-12
@@ -78,13 +78,12 @@ class HybridWeights:
             raise ValidationError("hybrid loss weights must be non-negative")
 
 
-def _first_per_teacher(candidates) -> CommonSet:
-    """The bijective common set that keeps each teacher id's first (s, t)
-    candidate; later candidates for a taken teacher id stay uncommon."""
-    chosen: dict[int, int] = {}
-    for s, t in candidates:
-        chosen.setdefault(t, s)
-    return CommonSet(tuple(sorted((s, t) for t, s in chosen.items())))
+def _first_per_teacher(s: np.ndarray, t: np.ndarray) -> CommonSet:
+    """The bijective common set that keeps each teacher id's first candidate
+    pair ``(s[i], t[i])`` (student ids distinct); later ones stay uncommon."""
+    first = np.unique(t, return_index=True)[1]
+    keep = first[np.argsort(s[first])]
+    return CommonSet(tuple(zip(s[keep].tolist(), t[keep].tolist())))
 
 
 def build_common_set_exact(vs: Vocabulary, vt: Vocabulary) -> CommonSet:
@@ -92,8 +91,9 @@ def build_common_set_exact(vs: Vocabulary, vt: Vocabulary) -> CommonSet:
 
     A teacher id claimed by several student ids keeps the smallest one.
     """
-    return _first_per_teacher((s, t) for s, t in enumerate(exact_partners(vs, vt))
-                              if t is not None)
+    partner = np.array([-1 if p is None else p for p in exact_partners(vs, vt)], dtype=np.intp)
+    s = np.flatnonzero(partner >= 0)
+    return _first_per_teacher(s, partner[s])
 
 
 def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
@@ -103,9 +103,9 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
     then the higher weight, then the smaller student id; losing student
     tokens stay uncommon, keeping the result bijective.
     """
-    ranked = sorted((w.provenance[s] is not Provenance.EXACT, -row[0][1], s, row[0][0])
-                    for s, row in enumerate(w.rows) if row)
-    return _first_per_teacher((s, t) for _, _, s, t in ranked)
+    s, t, weight, exact = w._first_entries()
+    ranked = np.lexsort((s, -weight, ~exact))
+    return _first_per_teacher(s[ranked], t[ranked])
 
 
 def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:

@@ -11,6 +11,7 @@ by default.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import typing
@@ -20,12 +21,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDistributionError,
-    UnencodableTextError,
-    ValidationError,
-    check_fields,
-)
+from .errors import (DegenerateDistributionError, UnencodableTextError, ValidationError,
+                     check_fields)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 _MASS_FLOOR = 1e-12
@@ -40,9 +37,8 @@ class ProjectionConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < self.beta <= 1:
-            raise ValidationError(
-                f"need 0 < gamma < beta <= 1, got beta={self.beta}, gamma={self.gamma}"
-            )
+            raise ValidationError(f"need 0 < gamma < beta <= 1, got beta={self.beta}, "
+                                  f"gamma={self.gamma}")
         if self.top_k < 1:
             raise ValidationError("top_k must be at least 1")
         if self.max_span < 1:
@@ -55,6 +51,10 @@ class Provenance(str, Enum):
     EMPTY = "empty"
 
 
+_KIND = {p: code for code, p in enumerate(Provenance)}
+_EXACT, _MULTI, _EMPTY = (_KIND[p] for p in Provenance)
+
+
 def decay_weights(length: int, beta: float = 0.9, gamma: float = 0.1) -> np.ndarray:
     """Normalized exponential-decay weights for a re-tokenized span."""
     if length < 1:
@@ -64,10 +64,11 @@ def decay_weights(length: int, beta: float = 0.9, gamma: float = 0.1) -> np.ndar
 
 
 class SparseProjection:
-    """Immutable row-sparse student-by-teacher weight matrix.
+    """Immutable row-sparse student-by-teacher weight matrix in CSR form.
 
-    ``rows[s]`` is a tuple of ``(teacher_id, weight)`` pairs sorted by
-    descending weight (ties toward the smaller teacher id).
+    Row ``s`` owns the entries ``indptr[s]:indptr[s + 1]`` of the flat
+    teacher-id and weight arrays, sorted by descending weight (ties toward
+    the smaller teacher id). ``rows`` is a derived tuple-of-tuples view.
     """
 
     def __init__(self, n_student: int, n_teacher: int,
@@ -76,17 +77,15 @@ class SparseProjection:
                  config: ProjectionConfig) -> None:
         if len(rows) != n_student or len(provenance) != n_student:
             raise ValidationError("rows and provenance must cover every student id")
-        self.n_student = n_student
-        self.n_teacher = n_teacher
-        self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), [len(row) for row in rows])
+        self.n_student, self.n_teacher = n_student, n_teacher
+        self._indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.intp)
+        self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), np.diff(self._indptr))
         self._flat_t = self._flat_entries(rows, 0, (int, np.integer), np.intp,
                                           "teacher id", "an integer")
         self._flat_w = self._flat_entries(rows, 1, (int, float, np.integer, np.floating), float,
                                           "weight", "a number")
-        self.rows: tuple[tuple[tuple[int, float], ...], ...] = tuple(
-            tuple((int(t), float(w)) for t, w in row) for row in rows
-        )
         self.provenance: tuple[Provenance, ...] = tuple(Provenance(p) for p in provenance)
+        self._kind = np.array([_KIND[p] for p in self.provenance], dtype=np.int8)
         self.config = config
         self._validate()
 
@@ -106,24 +105,48 @@ class SparseProjection:
             raise ValidationError(f"a {name} in 'entries' is out of range") from None
 
     def _validate(self) -> None:
-        for s, (row, prov) in enumerate(zip(self.rows, self.provenance)):
-            if len(row) > self.config.top_k:
-                raise ValidationError(f"row {s} has {len(row)} entries, top_k={self.config.top_k}")
-            total = 0.0
-            if len(row) > 1 and len({t for t, _ in row}) != len(row):
-                raise ValidationError(f"row {s}: a teacher id repeats in its 'entries'")
-            for t, w in row:
-                if not 0 <= t < self.n_teacher:
-                    raise ValidationError(f"row {s}: teacher id {t} out of range")
-                if w <= 0:
-                    raise ValidationError(f"row {s}: non-positive weight {w}")
-                total += w
-            if prov is Provenance.EXACT and (len(row) != 1 or row[0][1] != 1.0):
-                raise ValidationError(f"row {s}: exact rows hold a single entry of weight 1")
-            if prov is Provenance.EMPTY and row:
-                raise ValidationError(f"row {s}: empty provenance with entries")
-            if prov is Provenance.MULTI_TOKEN and total > 1 + 1e-9:
-                raise ValidationError(f"row {s}: weights sum to {total} > 1")
+        """Each check lists rows it rejects (the entry checks: the first bad
+        entry's row). The first such row is reported by its first failing
+        check, in this order: entry count, repeated teacher id, entry id
+        range or weight, exact rule, empty rule, row sum."""
+        n, at, s, t, w = self.n_student, self._indptr, self._flat_s, self._flat_t, self._flat_w
+        counts, top_k, order = np.diff(at), self.config.top_k, np.lexsort((t, s))
+        bad_t = (t < 0) | (t >= self.n_teacher)
+        first = np.flatnonzero(bad_t | ~(w > 0))[:1]  # the first bad entry; NaN is not positive
+        sums = np.bincount(s, weights=w, minlength=n)  # in row order, like a running total
+        where = np.flatnonzero
+        checks = [
+            (where(counts > top_k), lambda r: f"row {r} has {counts[r]} entries, top_k={top_k}"),
+            (s[order][1:][(np.diff(s[order]) == 0) & (np.diff(t[order]) == 0)],
+             lambda r: f"row {r}: a teacher id repeats in its 'entries'"),
+            (s[first[bad_t[first]]], lambda r: f"row {r}: teacher id {t[first[0]]} out of range"),
+            (s[first[~bad_t[first]]], lambda r: f"row {r}: non-positive weight {w[first[0]]}"),
+            (where((self._kind == _EXACT) & ((counts != 1) | (np.append(w, 0.0)[at[:-1]] != 1.0))),
+             lambda r: f"row {r}: exact rows hold a single entry of weight 1"),
+            (where((self._kind == _EMPTY) & (counts > 0)),
+             lambda r: f"row {r}: empty provenance with entries"),
+            (where((self._kind == _MULTI) & (sums > 1 + 1e-9)),
+             lambda r: f"row {r}: weights sum to {float(sums[r])} > 1"),
+        ]
+        firsts = [int(np.min(rows, initial=n)) for rows, _ in checks]
+        if min(firsts) < n:
+            raise ValidationError(checks[firsts.index(min(firsts))][1](min(firsts)))
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``rows[s]`` is a tuple of ``(teacher_id, weight)`` pairs; built on each access."""
+        return tuple(map(tuple, self._row_entries()))
+
+    def _row_entries(self) -> Iterator[list[tuple[int, float]]]:
+        pairs = list(zip(self._flat_t.tolist(), self._flat_w.tolist()))
+        bounds = self._indptr.tolist()
+        return (pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    def _first_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Student id, teacher id, weight and exactness of each nonempty row's head."""
+        s = np.flatnonzero(np.diff(self._indptr))
+        at = self._indptr[s]
+        return s, self._flat_t[at], self._flat_w[at], self._kind[s] == _EXACT
 
     @property
     def entry_count(self) -> int:
@@ -147,32 +170,28 @@ class SparseProjection:
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """Stored entries as (student_id, teacher_id, weight), row-major."""
-        for s, t, w in zip(self._flat_s, self._flat_t, self._flat_w):
-            yield int(s), int(t), float(w)
+        return zip(self._flat_s.tolist(), self._flat_t.tolist(), self._flat_w.tolist())
 
     def with_weights(self, flat_weights: np.ndarray) -> "SparseProjection":
         """Same sparsity pattern with replaced entry weights (for refinement)."""
-        flat = np.asarray(flat_weights, dtype=float)
+        flat = np.array(flat_weights, dtype=float)
         if flat.shape != self._flat_w.shape:
             raise ValidationError("weight vector does not match the stored entries")
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n_student)]
-        for s, t, w in zip(self._flat_s, self._flat_t, flat):
-            rows[int(s)].append((int(t), float(w)))
-        return SparseProjection(self.n_student, self.n_teacher, rows, self.provenance, self.config)
+        out = copy.copy(self)
+        out._flat_w = flat
+        out._validate()
+        return out
 
     def summary(self) -> dict:
         """Provenance histogram and truncation-dropped mass statistics."""
-        hist = {p.value: 0 for p in Provenance}
-        dropped = []
-        for row, prov in zip(self.rows, self.provenance):
-            hist[prov.value] += 1
-            if prov is Provenance.MULTI_TOKEN:
-                dropped.append(1.0 - sum(w for _, w in row))
+        hist = np.bincount(self._kind, minlength=len(Provenance))
+        sums = np.bincount(self._flat_s, weights=self._flat_w, minlength=self.n_student)
+        dropped = 1.0 - sums[self._kind == _MULTI]
         return {
             "rows": self.n_student,
-            "provenance": hist,
-            "dropped_mass_mean": float(np.mean(dropped)) if dropped else 0.0,
-            "dropped_mass_max": float(np.max(dropped)) if dropped else 0.0,
+            "provenance": {p.value: int(count) for p, count in zip(Provenance, hist)},
+            "dropped_mass_mean": float(np.mean(dropped)) if dropped.size else 0.0,
+            "dropped_mass_max": float(np.max(dropped)) if dropped.size else 0.0,
         }
 
 
@@ -190,31 +209,29 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
         raise ValidationError("teacher tokenizer does not carry the teacher vocabulary")
 
+    spans = [decay_weights(n, config.beta, config.gamma).tolist()
+             for n in range(1, config.max_span + 1)]
     rows: list[list[tuple[int, float]]] = []
     provenance: list[Provenance] = []
     for s, exact in enumerate(exact_partners(vs, vt)):
-        if exact is not None:
-            rows.append([(exact, 1.0)])
-            provenance.append(Provenance.EXACT)
-            continue
-
-        sub_ids: list[int] | None = None
-        if not vs.is_special(s):
+        sub_ids: list[int] = []
+        if exact is None and not vs.is_special(s):
             try:
                 sub_ids = tok_t.encode(vs.canonical(s).decode("utf-8"))
             except (UnicodeDecodeError, UnencodableTextError):
                 pass
-        if not sub_ids or len(sub_ids) > config.max_span:
-            rows.append([])
-            provenance.append(Provenance.EMPTY)
-            continue
-
-        raw = decay_weights(len(sub_ids), config.beta, config.gamma)
-        accum: dict[int, float] = {}
-        for tid, w in zip(sub_ids, raw):
-            accum[tid] = accum.get(tid, 0.0) + float(w)
-        rows.append(sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k])
-        provenance.append(Provenance.MULTI_TOKEN)
+        if exact is not None:
+            row, prov = [(exact, 1.0)], Provenance.EXACT
+        elif not sub_ids or len(sub_ids) > config.max_span:
+            row, prov = [], Provenance.EMPTY
+        else:
+            accum: dict[int, float] = {}
+            for tid, w in zip(sub_ids, spans[len(sub_ids) - 1]):
+                accum[tid] = accum.get(tid, 0.0) + w
+            row = sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k]
+            prov = Provenance.MULTI_TOKEN
+        rows.append(row)
+        provenance.append(prov)
 
     return SparseProjection(len(vs), len(vt), rows, provenance, config)
 
@@ -237,9 +254,8 @@ def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     if renormalize:
         mass = q.sum()
         if mass < _MASS_FLOOR:
-            raise DegenerateDistributionError(
-                "projection left no probability mass (all mass on empty rows)"
-            )
+            raise DegenerateDistributionError("projection left no probability mass "
+                                              "(all mass on empty rows)")
         q /= mass
     return q
 
@@ -248,8 +264,8 @@ def top1(w: SparseProjection, student_id: int) -> tuple[int, float] | None:
     """Highest-weight teacher partner of a student token, or None for empty rows."""
     if not 0 <= student_id < w.n_student:
         raise ValidationError(f"student id {student_id} out of range")
-    row = w.rows[student_id]
-    return row[0] if row else None
+    at = w._indptr[student_id]
+    return (int(w._flat_t[at]), float(w._flat_w[at])) if at < w._indptr[student_id + 1] else None
 
 
 def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
@@ -272,34 +288,16 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
     return w.entry_gradient(p, (u - float(u @ q_raw) / mass) / mass)
 
 
-def _row_record(s: int, row, prov: Provenance) -> str:
-    return json.dumps(
-        {"s": s, "entries": [[t, w] for t, w in row], "provenance": prov.value},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
 def save_projection(w: SparseProjection, path) -> None:
     """Header record plus one JSON line per nonempty row; hash-protected."""
-    lines = [
-        _row_record(s, row, prov)
-        for s, (row, prov) in enumerate(zip(w.rows, w.provenance))
-        if row
-    ]
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    header = {
-        "n_student": w.n_student,
-        "n_teacher": w.n_teacher,
-        "config": asdict(w.config),
-        "content_hash": digest,
-    }
+    lines = [json.dumps({"s": s, "entries": row, "provenance": prov.value},
+                        sort_keys=True, separators=(",", ":"))
+             for s, (row, prov) in enumerate(zip(w._row_entries(), w.provenance)) if row]
+    header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
+              "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
@@ -316,8 +314,7 @@ def load_projection(path) -> SparseProjection:
                                              typing.get_type_hints(ProjectionConfig), path,
                                              "header.config."))
     body = lines[1:]
-    digest = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-    if digest != header["content_hash"]:
+    if hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
 
     n_student, n_teacher = header["n_student"], header["n_teacher"]
@@ -342,9 +339,8 @@ def load_projection(path) -> SparseProjection:
             raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
                                   f"({type(exc).__name__}: {exc})") from None
         if type(s) is not int or not 0 <= s < n_student or s in seen:
-            raise ValidationError(
-                f"{path}: row field 's' = {s!r} is not a new student id in [0, {n_student})"
-            )
+            raise ValidationError(f"{path}: row field 's' = {s!r} is not a new student id "
+                                  f"in [0, {n_student})")
         seen.add(s)
         rows[s] = row
         provenance[s] = prov

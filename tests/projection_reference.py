@@ -1,0 +1,113 @@
+"""Per-row reference for ``crosstok.projection.SparseProjection``.
+
+The tuple-of-tuples storage and the row-by-row validation loop that the CSR
+arrays replaced, kept as the slow reference they are property-tested
+against, together with the summary, ``top1``, relaxed common set and saved
+file derived from those rows. Checks run in the order of the loop: entry
+count, repeated teacher ids, then per entry the id range and a positive
+weight, then the exact, empty and row-sum rules; the first failing check
+names its row.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import numpy as np
+
+from crosstok.errors import ValidationError
+from crosstok.projection import Provenance
+
+
+class ReferenceProjection:
+
+    def __init__(self, n_student, n_teacher, rows, provenance, config) -> None:
+        if len(rows) != n_student or len(provenance) != n_student:
+            raise ValidationError("rows and provenance must cover every student id")
+        self.n_student = n_student
+        self.n_teacher = n_teacher
+        self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), [len(row) for row in rows])
+        self._flat_entries(rows, 0, (int, np.integer), np.intp, "teacher id", "an integer")
+        self._flat_entries(rows, 1, (int, float, np.integer, np.floating), float,
+                           "weight", "a number")
+        self.rows = tuple(tuple((int(t), float(w)) for t, w in row) for row in rows)
+        self.provenance = tuple(Provenance(p) for p in provenance)
+        self.config = config
+        self._validate()
+
+    def _flat_entries(self, rows, field, types, dtype, name, expected):
+        values = [entry[field] for row in rows for entry in row]
+        bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
+        if bad:
+            at = next(i for i, v in enumerate(values) if type(v) in bad)
+            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in 'entries' "
+                                  f"is not {expected}")
+        try:
+            return np.asarray(values, dtype=dtype)
+        except OverflowError:
+            raise ValidationError(f"a {name} in 'entries' is out of range") from None
+
+    def _validate(self) -> None:
+        for s, (row, prov) in enumerate(zip(self.rows, self.provenance)):
+            if len(row) > self.config.top_k:
+                raise ValidationError(f"row {s} has {len(row)} entries, top_k={self.config.top_k}")
+            total = 0.0
+            if len(row) > 1 and len({t for t, _ in row}) != len(row):
+                raise ValidationError(f"row {s}: a teacher id repeats in its 'entries'")
+            for t, w in row:
+                if not 0 <= t < self.n_teacher:
+                    raise ValidationError(f"row {s}: teacher id {t} out of range")
+                if w <= 0:
+                    raise ValidationError(f"row {s}: non-positive weight {w}")
+                total += w
+            if prov is Provenance.EXACT and (len(row) != 1 or row[0][1] != 1.0):
+                raise ValidationError(f"row {s}: exact rows hold a single entry of weight 1")
+            if prov is Provenance.EMPTY and row:
+                raise ValidationError(f"row {s}: empty provenance with entries")
+            if prov is Provenance.MULTI_TOKEN and total > 1 + 1e-9:
+                raise ValidationError(f"row {s}: weights sum to {total} > 1")
+
+    def summary(self) -> dict:
+        hist = {p.value: 0 for p in Provenance}
+        dropped = []
+        for row, prov in zip(self.rows, self.provenance):
+            hist[prov.value] += 1
+            if prov is Provenance.MULTI_TOKEN:
+                dropped.append(1.0 - sum(w for _, w in row))
+        return {
+            "rows": self.n_student,
+            "provenance": hist,
+            "dropped_mass_mean": float(np.mean(dropped)) if dropped else 0.0,
+            "dropped_mass_max": float(np.max(dropped)) if dropped else 0.0,
+        }
+
+    def top1(self, s):
+        row = self.rows[s]
+        return row[0] if row else None
+
+    def common_set_relaxed(self) -> tuple[tuple[int, int], ...]:
+        ranked = sorted((self.provenance[s] is not Provenance.EXACT, -row[0][1], s, row[0][0])
+                        for s, row in enumerate(self.rows) if row)
+        chosen: dict[int, int] = {}
+        for _, _, s, t in ranked:
+            chosen.setdefault(t, s)
+        return tuple(sorted((s, t) for t, s in chosen.items()))
+
+    def saved_bytes(self) -> bytes:
+        lines = [
+            json.dumps({"s": s, "entries": [[t, w] for t, w in row], "provenance": prov.value},
+                       sort_keys=True, separators=(",", ":"))
+            for s, (row, prov) in enumerate(zip(self.rows, self.provenance))
+            if row
+        ]
+        header = {
+            "n_student": self.n_student,
+            "n_teacher": self.n_teacher,
+            "config": asdict(self.config),
+            "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest(),
+        }
+        return "".join(line + "\n" for line in
+                       [json.dumps(header, sort_keys=True, separators=(",", ":"))] + lines
+                       ).encode("utf-8")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestLogitsDumpIO:
         with pytest.raises(ValidationError, match="non-finite") as info:
             load_position_logits(path)
         assert "dump.bin" in str(info.value) and "doc7" in str(info.value)
+
+    def rewrite_sidecar(self, tmp_path, **fields):
+        path = tmp_path / "dump.bin"
+        save_position_logits(make_logits(np.zeros((2, 3)), [0, 1]), path)
+        sidecar = tmp_path / "dump.bin.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+        return path
+
+    @pytest.mark.parametrize("sizes, field", [((-2, -3), "positions"), ((2, -3), "vocab_size"),
+                                              ((-6, -1), "positions")])
+    def test_negative_sidecar_size_named(self, tmp_path, sizes, field):
+        path = self.rewrite_sidecar(tmp_path, positions=sizes[0], vocab_size=sizes[1])
+        with pytest.raises(ValidationError) as info:
+            load_position_logits(path)
+        assert "dump.bin.json" in str(info.value) and f"'{field}'" in str(info.value)
+
+    def test_zero_position_dump_rejected(self, tmp_path):
+        path = self.rewrite_sidecar(tmp_path, positions=0, realized_ids=[])
+        path.write_bytes(b"")
+        with pytest.raises(ValidationError) as info:
+            load_position_logits(path)
+        assert "dump.bin.json" in str(info.value) and "'positions'" in str(info.value)
 
     def test_realized_id_range_validated(self):
         with pytest.raises(ValidationError):

@@ -221,6 +221,17 @@ class TestLoss:
         assert "teacher0.bin" in err and "non-finite" in err
         assert "Traceback" not in err
 
+    def test_zero_position_dump_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        sidecar = fx["dir"] / "teacher0.bin.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "positions": 0, "realized_ids": []}))
+        (fx["dir"] / "teacher0.bin").write_bytes(b"")
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "teacher0.bin.json" in err and "'positions'" in err
+        assert "Traceback" not in err
+
     def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
         lines = fx["projection"].read_text().splitlines()

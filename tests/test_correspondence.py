@@ -4,7 +4,8 @@
 hypothesis property checks it against a brute force over every (s, t) pair;
 the pins hold digests of the projection's rows and of both common sets on
 fixed-seed vocabulary pairs, recorded from the separate implementations
-that the rule replaced.
+that the rule replaced, and of the saved projection file and its summary,
+recorded from the tuple-of-tuples storage that the CSR arrays replaced.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosstok.losses import build_common_set_exact, build_common_set_relaxed
-from crosstok.projection import Provenance, build_projection
+from crosstok.projection import ProjectionConfig, Provenance, build_projection, save_projection
 from crosstok.vocab import Tokenizer, Vocabulary, exact_partners
 
 # space markers, newline spellings and byte-fallback forms that collide after
@@ -122,3 +123,31 @@ def test_pinned_projection_and_common_sets(seed):
             assert w.rows[s] == ((t, 1.0),)
         elif vs.is_special(s):
             assert w.provenance[s] is Provenance.EMPTY
+
+
+# seed -> (file sha256, summary) at the default config, then at top_k=2,
+# where truncation drops mass from the three- and four-token rows
+PINNED_FILES = {
+    0: ("04f1532d49b6c0b2", "b6ad26e04ee6d391", "33ef363d7fa09bd6", "49e787b593e3a279"),
+    1: ("fca8d7a76c8a5125", "cf90aa4b45f0e570", "d8149e9498c9426f", "09d36093d0557737"),
+    2: ("063cf2839dae5e20", "5ea6aef819295b4e", "48cbdc51804d3483", "4f561487bc98bb98"),
+    3: ("3a9218d9536610d9", "c69562e5ffc12460", "beed7e6ffdcb851e", "2b196088689855d1"),
+    4: ("d7db466581db2900", "3106e94d1fad8c35", "36901346ccf91b47", "6695ef10c3bb6d68"),
+    5: ("256f0727dda2fd60", "a14163c920879913", "c1f8c1e8d6adc0d3", "a14163c920879913"),
+    6: ("7330e32320e85402", "843b8f122fb3f449", "5bad69bf75612e3f", "c1d769b3c6296ee1"),
+    7: ("b7842550f330803b", "7e1eda4ced4e8c8d", "307271d57a94e485", "2fe37b82392bc1eb"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_FILES))
+def test_pinned_projection_file_and_summary(seed, tmp_path):
+    vs, vt = random_pair(seed)
+    got = []
+    for config in (ProjectionConfig(), ProjectionConfig(top_k=2)):
+        w = build_projection(vs, vt, Tokenizer(vt), config)
+        path = tmp_path / "w.jsonl"
+        save_projection(w, path)
+        summary = json.dumps(w.summary(), sort_keys=True, separators=(",", ":"))
+        got += [hashlib.sha256(path.read_bytes()).hexdigest()[:16],
+                hashlib.sha256(summary.encode("utf-8")).hexdigest()[:16]]
+    assert tuple(got) == PINNED_FILES[seed]

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosstok.errors import DegenerateDistributionError, ValidationError
+from crosstok.losses import build_common_set_relaxed
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import (
     ProjectionConfig,
@@ -19,6 +22,8 @@ from crosstok.projection import (
     top1,
 )
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
+
+from projection_reference import ReferenceProjection
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +379,95 @@ class TestProjectionFileFields:
         rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [entry]}])
         self.rejects(saved, "entries")
 
+    def test_nan_weight_named(self, saved):
+        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1],
+                                                           "entries": [[0, float("nan")]]}])
+        self.rejects(saved, "row 3", "non-positive weight nan")
+
     def test_int_weight_loads_as_float(self, saved):
         rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [[0, 1]]}])
         [(t, w)] = load_projection(saved).rows[-1]
         assert (t, w) == (0, 1.0) and type(w) is float
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("row", [[(0, 0.5), (1, float("nan"))], [(0, float("nan"))]],
+                             ids=["second_entry", "single_entry"])
+    def test_nan_weight_rejected(self, row):
+        with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
+            SparseProjection(1, 2, [row], [Provenance.MULTI_TOKEN], ProjectionConfig())
+
+    def test_nan_weight_rejected_by_with_weights(self):
+        w = SparseProjection(1, 2, [[(0, 0.5), (1, 0.4)]], [Provenance.MULTI_TOKEN],
+                             ProjectionConfig())
+        with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
+            w.with_weights([0.5, float("nan")])
+
+
+# the reference accepts NaN weights; this stand-in makes it reject them where
+# the CSR checks do, under a message that differs only in the number
+NAN_STANDIN = -7.25
+WEIGHTS = (1.0, 1, 0.9, 0.6, 0.5, 0.45, 0.09, 1e-3, 0.0, -0.5, float("inf"), float("nan"))
+
+
+@st.composite
+def projection_inputs(draw):
+    """Rows that mostly follow their provenance's rule, mixed with arbitrary
+    rows: too many entries, repeats, ids out of range, zero, negative or
+    non-finite weights, sums over 1, exact rows not of weight 1 and empty
+    rows with entries."""
+    n_teacher = draw(st.integers(1, 5))
+    top_k = draw(st.integers(1, 3))
+    rows, provenance = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        prov = draw(st.sampled_from(Provenance))
+        if draw(st.integers(0, 3)) == 0:
+            row = draw(st.lists(st.tuples(st.integers(-1, n_teacher), st.sampled_from(WEIGHTS)),
+                                max_size=top_k + 1))
+        elif prov is Provenance.EXACT:
+            row = [(draw(st.integers(0, n_teacher - 1)), 1.0)]
+        elif prov is Provenance.EMPTY:
+            row = []
+        else:
+            ids = draw(st.lists(st.integers(0, n_teacher - 1), unique=True, min_size=1,
+                                max_size=top_k))
+            row = list(zip(ids, decay_weights(len(ids)).tolist()))
+        rows.append(row)
+        provenance.append(prov)
+    return len(rows), n_teacher, rows, provenance, ProjectionConfig(top_k=top_k)
+
+
+def outcome(make):
+    try:
+        return make(), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+def assert_same_outcome(n_s, n_t, rows, provenance, config, make):
+    standin = [[(t, NAN_STANDIN if w != w else w) for t, w in row] for row in rows]
+    ref, ref_err = outcome(lambda: ReferenceProjection(n_s, n_t, standin, provenance, config))
+    w, err = outcome(make)
+    assert err == (ref_err and ref_err.replace(str(NAN_STANDIN), "nan"))
+    if w is not None:
+        assert w.rows == ref.rows and w.provenance == ref.provenance
+        assert w.summary() == ref.summary()
+    return w, ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(projection_inputs(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
+    n_s, n_t, rows, provenance, config = args
+    w, ref = assert_same_outcome(*args, lambda: SparseProjection(*args))
+    if w is None:
+        return
+    assert [top1(w, s) for s in range(n_s)] == [ref.top1(s) for s in range(n_s)]
+    assert build_common_set_relaxed(w).pairs == ref.common_set_relaxed()
+    path = tmp_path_factory.mktemp("csr") / "w.jsonl"
+    save_projection(w, path)
+    assert path.read_bytes() == ref.saved_bytes()
+
+    scaled = [[(t, wt * scale) for t, wt in row] for row in rows]
+    flat = np.array([wt for _, _, wt in w.entries()]) * scale
+    assert_same_outcome(n_s, n_t, scaled, provenance, config, lambda: w.with_weights(flat))

@@ -35,12 +35,12 @@ class AlignScoring:
     max_span: int = 4
 
     def __post_init__(self) -> None:
-        if self.alpha_exact <= 0:
-            raise ValidationError("alpha_exact must be positive")
-        if self.alpha_comb <= 0:
-            raise ValidationError("alpha_comb must be positive")
-        if self.alpha_gap >= 0:
-            raise ValidationError("alpha_gap must be negative")
+        if not self.alpha_exact > 0:
+            raise ValidationError(f"alpha_exact must be positive, got {self.alpha_exact}")
+        if not self.alpha_comb > 0:
+            raise ValidationError(f"alpha_comb must be positive, got {self.alpha_comb}")
+        if not self.alpha_gap < 0:
+            raise ValidationError(f"alpha_gap must be negative, got {self.alpha_gap}")
         if self.max_span < 2:
             raise ValidationError("max_span must be at least 2")
 

@@ -11,6 +11,7 @@ renormalizes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +26,7 @@ SIDES = ("student", "teacher")
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
     z = np.asarray(logits, dtype=float) / temperature
     z = z - z.max(axis=-1, keepdims=True)
@@ -197,6 +198,16 @@ def save_float_matrix(values: np.ndarray, path) -> None:
 
 
 def load_float_matrix(path) -> np.ndarray:
-    with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-        shape = json.load(fh)["shape"]
-    return np.fromfile(path, dtype="<f4").reshape(shape).astype(float)
+    """Read a ``save_float_matrix`` file; its sidecar's ``shape`` must list
+    non-negative sizes whose product is the number of stored values."""
+    sidecar = _sidecar_path(path)
+    with open(sidecar, "r", encoding="utf-8") as fh:
+        shape = check_fields(json.load(fh), {"shape": list[int]}, sidecar,
+                             required=["shape"])["shape"]
+    if any(n < 0 for n in shape):
+        raise ValidationError(f"{sidecar}: 'shape' must hold non-negative sizes, got {shape}")
+    flat = np.fromfile(path, dtype="<f4")
+    if flat.size != math.prod(shape):
+        raise ValidationError(
+            f"{path}: shape {shape} needs {math.prod(shape)} float32 values, found {flat.size}")
+    return flat.reshape(shape).astype(float)

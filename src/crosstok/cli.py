@@ -168,16 +168,6 @@ def _load_step_inputs(config: dict, path):
     return student_vocab, student_logits, teachers
 
 
-def _schedule(config: dict, path) -> WeightSchedule | None:
-    values = config.get("schedule")
-    if values is None:
-        return None
-    check_fields(values, {"kind": str, "weights": list[float] | None}, path, "schedule.")
-    weights = values.get("weights")
-    return WeightSchedule(static=None if weights is None else tuple(weights),
-                          **{k: values[k] for k in ("kind",) if k in values})
-
-
 def cmd_loss(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.gradcheck:
@@ -203,7 +193,7 @@ def cmd_loss(args, config: dict) -> int:
     report = run_step(
         student_vocab, student_logits, teachers,
         policy=_section(config, args.config, "policy", ScalingPolicy),
-        schedule=_schedule(config, args.config),
+        schedule=_section(config, args.config, "schedule", WeightSchedule),
         scoring=_section(config, args.config, "scoring", AlignScoring),
         hybrid=_section(config, args.config, "hybrid", HybridWeights),
         compute_grads=args.grad,

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the field check that turns
 a malformed JSON object into one of them."""
 
+import math
 import typing
 
 
@@ -22,8 +23,11 @@ class DegenerateDistributionError(ValidationError):
 
 def _fits(value, hint) -> bool:
     """Whether a parsed JSON value fits a type (``list[T]``, ``dict[K, V]`` and
-    unions included); a float takes an int, a bool only bool."""
+    unions included); a float takes an int, a bool only bool, and a float value
+    fits only when it is finite."""
     if hint in (bool, int, float, str, list, dict, type(None)):
+        if type(value) is float:
+            return hint is float and math.isfinite(value)
         return type(value) is hint or (hint is float and type(value) is int)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:

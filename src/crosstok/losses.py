@@ -15,7 +15,7 @@ value and gradient functions are views of the same kernels.
 
 Logs are floored at a configurable ``eps`` (log(max(x, eps))), which prevents
 NaNs on truncated supports without touching any returned distribution; pass
-``eps=None`` to make a zero probability on a live pair an error instead.
+``eps=None`` (or 0) to make a zero probability on a live pair an error instead.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ class HybridWeights:
     lambda_uld: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lambda_kl < 0 or self.lambda_uld < 0:
-            raise ValidationError("hybrid loss weights must be non-negative")
+        if not (self.lambda_kl >= 0 and self.lambda_uld >= 0):
+            raise ValidationError("hybrid loss weights must be non-negative, got "
+                                  f"lambda_kl={self.lambda_kl}, lambda_uld={self.lambda_uld}")
 
 
 def _first_per_teacher(s: np.ndarray, t: np.ndarray) -> CommonSet:
@@ -110,9 +111,11 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
 
 def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
     """Log-floored KL sum over the entries where the teacher has mass."""
+    if eps is not None and not eps >= 0:
+        raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
     live = pt > 0
     pt, q = pt[live], q[live]
-    if eps is None and np.any(q == 0):
+    if not eps and np.any(q == 0):
         raise ValidationError(
             "student probability is zero where the teacher has mass (log of zero); "
             "configure a log floor"
@@ -330,7 +333,7 @@ def kd_aggregate(per_chunk, temperature: float) -> float:
     values = np.asarray(list(per_chunk), dtype=float)
     if values.size == 0:
         raise ValidationError("no loss-bearing chunks to aggregate")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
     return float(temperature ** 2 * values.mean())
 

@@ -21,11 +21,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateDistributionError, UnencodableTextError, ValidationError,
-                     check_fields)
+from .chunks import renormalize_on
+from .errors import UnencodableTextError, ValidationError, check_fields
 from .vocab import Tokenizer, Vocabulary, exact_partners
-
-_MASS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,28 +234,28 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     return SparseProjection(len(vs), len(vt), rows, provenance, config)
 
 
+def _student_distribution(w: SparseProjection, p_s) -> np.ndarray:
+    """``p_s`` as a float vector, checked to be a probability distribution over
+    the projection's student vocabulary."""
+    p = np.asarray(p_s, dtype=float)
+    if p.shape != (w.n_student,):
+        raise ValidationError(f"expected a vector of length {w.n_student}, got shape {p.shape}")
+    if not p.min(initial=0.0) >= -1e-12:
+        raise ValidationError("input distribution has negative or NaN entries")
+    if not abs(p.sum() - 1.0) <= 1e-9:
+        raise ValidationError(f"input distribution sums to {p.sum()}, not 1")
+    return p
+
+
 def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     """Push a student distribution through the projection.
 
     Renormalization compensates mass dropped by row truncation and by empty
     rows; the result is a probability vector over the teacher vocabulary.
+    Raises DegenerateDistributionError when the mass sits on empty rows only.
     """
-    p = np.asarray(p_s, dtype=float)
-    if p.shape != (w.n_student,):
-        raise ValidationError(f"expected a vector of length {w.n_student}, got shape {p.shape}")
-    if p.min(initial=0.0) < -1e-12:
-        raise ValidationError("input distribution has negative entries")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"input distribution sums to {p.sum()}, not 1")
-
-    q = w.product(p)
-    if renormalize:
-        mass = q.sum()
-        if mass < _MASS_FLOOR:
-            raise DegenerateDistributionError("projection left no probability mass "
-                                              "(all mass on empty rows)")
-        q /= mass
-    return q
+    q = w.product(_student_distribution(w, p_s))
+    return renormalize_on(q, slice(None), "projected student")[0] if renormalize else q
 
 
 def top1(w: SparseProjection, student_id: int) -> tuple[int, float] | None:
@@ -273,18 +271,17 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
 
     Differentiates through the output renormalization, so a refinement step
     sees exactly the function the loss sees. Returns one value per stored
-    entry, in ``entries()`` order. Degenerate inputs (no projected mass)
-    yield a zero gradient.
+    entry, in ``entries()`` order. Takes the same inputs as ``project`` and
+    raises the same errors, including for no projected mass.
     """
-    p = np.asarray(p_s, dtype=float)
+    p = _student_distribution(w, p_s)
     u = np.asarray(upstream, dtype=float)
-    if p.shape != (w.n_student,) or u.shape != (w.n_teacher,):
-        raise ValidationError("shapes inconsistent with the projection")
+    if u.shape != (w.n_teacher,):
+        raise ValidationError(f"expected an upstream vector of length {w.n_teacher}, "
+                              f"got shape {u.shape}")
 
     q_raw = w.product(p)
-    mass = q_raw.sum()
-    if mass < _MASS_FLOOR:
-        return np.zeros(w.entry_count, dtype=float)
+    mass = renormalize_on(q_raw, slice(None), "projected student")[1]
     return w.entry_gradient(p, (u - float(u @ q_raw) / mass) / mass)
 
 

@@ -56,8 +56,9 @@ class ScalingPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("dynamic", "fixed"):
             raise ValidationError(f"policy kind must be 'dynamic' or 'fixed', got {self.kind!r}")
-        if self.lambda_kd < 0 or self.lambda_ce < 0:
-            raise ValidationError("fixed policy weights must be non-negative")
+        if not (self.lambda_kd >= 0 and self.lambda_ce >= 0):
+            raise ValidationError("fixed policy weights must be non-negative, got "
+                                  f"lambda_kd={self.lambda_kd}, lambda_ce={self.lambda_ce}")
 
 
 def combine_kd_ce(l_kd: float, l_ce: float, policy: ScalingPolicy) -> tuple[float, float]:
@@ -79,21 +80,17 @@ def combine_kd_ce(l_kd: float, l_ce: float, policy: ScalingPolicy) -> tuple[floa
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Static or confidence-adaptive weighting across teachers."""
+    """Static or confidence-adaptive weighting across teachers.
+
+    ``static`` weights each teacher by its ``TeacherConfig.weight``, and those
+    weights must sum to 1; the adaptive kinds ignore them.
+    """
 
     kind: str = "static"
-    static: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
             raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
-        if self.kind == "static":
-            if self.static is None:
-                raise ValidationError("static schedule needs explicit weights")
-            if any(w < 0 for w in self.static):
-                raise ValidationError("static weights must be non-negative")
-            if abs(sum(self.static) - 1.0) > 1e-9:
-                raise ValidationError(f"static weights sum to {sum(self.static)}, not 1")
 
 
 @dataclass
@@ -153,13 +150,14 @@ class TeacherConfig:
     vocab: Vocabulary
     logits: PositionLogits
     projection: SparseProjection | None = None
-    weight: float = 1.0
+    weight: float = 1.0  # the static schedule's alpha; adaptive kinds ignore it
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"teacher {self.name!r}: mode must be one of {MODES}")
-        if self.weight < 0:
-            raise ValidationError(f"teacher {self.name!r}: weight must be non-negative")
+        if not self.weight >= 0:
+            raise ValidationError(
+                f"teacher {self.name!r}: weight must be non-negative, got {self.weight}")
 
 
 @dataclass
@@ -277,7 +275,7 @@ def _validate_teacher(student_vocab: Vocabulary, teacher: TeacherConfig) -> None
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              teachers: Sequence[TeacherConfig],
              policy: ScalingPolicy = ScalingPolicy(),
-             schedule: WeightSchedule | None = None,
+             schedule: WeightSchedule = WeightSchedule(),
              temperature: float = 1.0,
              scoring: AlignScoring = AlignScoring(),
              top_k: int = 8192,
@@ -299,17 +297,16 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     for teacher in teachers:
         _validate_teacher(student_vocab, teacher)
 
-    if schedule is None:
-        schedule = WeightSchedule("static", tuple(t.weight for t in teachers))
-    if schedule.kind != "static":
+    if schedule.kind == "static":
+        alphas = np.asarray([t.weight for t in teachers], dtype=float)
+        total = sum(t.weight for t in teachers)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValidationError(f"static teacher weights sum to {total!r}, not 1: " + ", ".join(
+                f"{t.name!r} {t.weight!r}" for t in teachers))
+    else:
         alphas = adaptive_weights(schedule.kind, [
             TeacherStats(softmax(t.logits.logits)[None], t.logits.realized_ids[None])
             for t in teachers])
-    elif len(schedule.static) == len(teachers):
-        alphas = np.asarray(schedule.static, dtype=float)
-    else:
-        raise ValidationError(
-            f"schedule has {len(schedule.static)} weights for {len(teachers)} teachers")
 
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()

@@ -216,6 +216,20 @@ class TestLogitsDumpIO:
         save_float_matrix(values, path)
         np.testing.assert_array_equal(load_float_matrix(path), values)
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ({}, "shape is missing"),
+        ({"shape": [-2, -3]}, "non-negative sizes"),
+        ({"shape": "ab"}, "shape must be list"),
+        ({"shape": [4, 4]}, "needs 16 float32 values, found 6"),
+    ], ids=["missing", "negative", "mistyped", "size"])
+    def test_float_matrix_sidecar_checked(self, tmp_path, sidecar, message):
+        path = tmp_path / "grad.bin"
+        save_float_matrix(np.zeros((2, 3)), path)
+        (tmp_path / "grad.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValidationError) as info:
+            load_float_matrix(path)
+        assert "grad.bin" in str(info.value) and message in str(info.value)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_logits_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite") as info:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,14 @@ class TestAlign:
         assert kinds == ["gap_teacher_side", "match", "match", "match"]
         summary = json.loads(capsys.readouterr().out)
         assert summary["match"] == 3 and summary["gap_teacher_side"] == 1
+
+    def test_nan_flag_exits_1(self, bos_fixture, tmp_path, capsys):
+        rc = main(["align",
+                   "--student-vocab", str(bos_fixture["student_vocab"]),
+                   "--teacher-vocab", str(bos_fixture["teacher_vocab"]),
+                   "--texts", str(bos_fixture["texts"]),
+                   "--out", str(tmp_path / "dp.jsonl"), "--alpha-gap", "nan"])
+        assert rc == 1 and "alpha_gap" in capsys.readouterr().err
 
     def test_baseline_engine_super_group(self, bos_fixture, tmp_path):
         out = tmp_path / "trl.jsonl"
@@ -335,6 +345,49 @@ class TestConfigFields:
         edit_config(fx, lambda c: c.update(policy={"kind": "fixed", "lambda": 1.0}))
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         assert "policy.lambda" in capsys.readouterr().err
+
+    NON_FINITE = [
+        (lambda c: c.update(temperature=math.nan), "temperature"),
+        (lambda c: c["teachers"][0].update(weight=math.nan), "teachers[0].weight"),
+        (lambda c: c.update(policy={"kind": "fixed", "lambda_ce": math.nan}), "policy.lambda_ce"),
+        (lambda c: c.update(hybrid={"lambda_uld": math.inf}), "hybrid.lambda_uld"),
+        (lambda c: c.update(scoring={"alpha_gap": -math.inf}), "scoring.alpha_gap"),
+        (lambda c: c.update(eps=math.nan), "eps"),
+    ]
+
+    @pytest.mark.parametrize("edit, field", NON_FINITE, ids=[field for _, field in NON_FINITE])
+    def test_non_finite_setting_exits_1(self, step_fixture, capsys, edit, field):
+        """JSON ``NaN``/``Infinity`` literals parse as floats; they fail by name."""
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, edit)
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert fx["config"].name in err and field in err
+
+    def test_schedule_weights_key_rejected(self, step_fixture, capsys):
+        """Static weights live on the teachers; the schedule has no weight list."""
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c.update(schedule={"kind": "static", "weights": [1.0]}))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert "schedule.weights" in capsys.readouterr().err
+
+    def test_readme_step_config_runs(self, step_fixture, tmp_path):
+        """The README's step-config example, with its files swapped for fixture
+        files of the same role, is a config ``crosstok loss`` accepts."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Step config schema", 1)[1].split("```json\n", 1)[1]
+        config = json.loads(block.split("```", 1)[0])
+        fx = step_fixture(modes=("pkl",))
+        files = {"student.json": fx["student_vocab"], "teacher.json": fx["teacher_vocab"],
+                 "w.jsonl": fx["projection"], "student.bin": fx["dir"] / "student.bin",
+                 "teacher0.bin": fx["dir"] / "teacher0.bin"}
+        for section in [config["student"], *config["teachers"]]:
+            for key in ("vocab", "logits", "projection"):
+                if key in section:
+                    section[key] = str(files[section[key]])
+        path = tmp_path / "readme_step.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(path), "loss"]) == 0
 
     def test_eps_null_is_accepted(self, step_fixture, tmp_path):
         fx = step_fixture(modes=("pkl",))

@@ -166,6 +166,12 @@ class TestCommonKl:
             common_kl(PT3, ps, C01, eps=None)
         assert np.isfinite(common_kl(PT3, ps, C01))  # default floor
 
+    def test_zero_floor_is_no_floor(self):
+        """``eps=0`` fails like ``eps=None`` instead of returning inf."""
+        ps = np.array([0.0, 0.5, 0.5])
+        with pytest.raises(ValidationError, match="log"):
+            common_kl(PT3, ps, C01, eps=0.0)
+
 
 class TestCommonKlGrad:
     def test_zero_common_teacher_mass(self):

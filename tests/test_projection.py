@@ -176,6 +176,17 @@ class TestProject:
         with pytest.raises(ValidationError):
             project(w, np.full(w.n_student, 0.5))  # does not sum to 1
 
+    @pytest.mark.parametrize("helper", ["project", "apply_w_gradient"])
+    def test_nan_input_rejected(self, digit_pair, helper):
+        _, _, w = digit_pair
+        p = np.full(w.n_student, 1.0 / w.n_student)
+        p[0] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            if helper == "project":
+                project(w, p)
+            else:
+                apply_w_gradient(w, p, np.ones(w.n_teacher))
+
 
 class TestTop1:
     def test_exact_row(self):
@@ -222,9 +233,17 @@ class TestWGradient:
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_zero_distribution_gives_zero_gradient(self, digit_pair):
+        """An all-zero input is not a distribution: rejected as ``project`` rejects it."""
         _, _, w = digit_pair
-        grad = apply_w_gradient(w, np.zeros(w.n_student), np.ones(w.n_teacher))
-        np.testing.assert_array_equal(grad, 0.0)
+        with pytest.raises(ValidationError, match="sums to 0.0"):
+            apply_w_gradient(w, np.zeros(w.n_student), np.ones(w.n_teacher))
+
+    def test_all_mass_on_empty_rows_fails(self):
+        student = Tokenizer(Vocabulary(["é", "a"]))
+        teacher = make_toy_tokenizer("char_level")
+        w = build_projection(student.vocabulary, teacher.vocabulary, teacher)
+        with pytest.raises(DegenerateDistributionError):
+            apply_w_gradient(w, np.array([1.0, 0.0]), np.ones(w.n_teacher))
 
     def test_matches_finite_differences_dense_2x2(self):
         rows = [[(0, 0.8), (1, 0.2)], [(0, 0.4), (1, 0.6)]]

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crosstok.align import AlignScoring
 from crosstok.chunks import PositionLogits, chain_rule_merge, softmax
 from crosstok.errors import DegenerateDistributionError, ValidationError
 from crosstok.losses import HybridWeights, pkl
@@ -111,9 +113,9 @@ class TestAdaptiveWeights:
         assert alphas[0] > alphas[1]
 
 
-def kl_teacher(vocab, logits, name="t"):
+def kl_teacher(vocab, logits, name="t", weight=1.0):
     return TeacherConfig(name, "kl", vocab,
-                         dump("teacher", logits, [0, 1, 2], vocab, seq_id=name))
+                         dump("teacher", logits, [0, 1, 2], vocab, seq_id=name), weight=weight)
 
 
 class TestMultiTeacherKd:
@@ -127,47 +129,46 @@ class TestMultiTeacherKd:
     def test_single_teacher_is_chunk_mean(self):
         rng = np.random.default_rng(21)
         report = run_step(self.vocab, self.student(rng),
-                          [kl_teacher(self.vocab, rng.normal(size=(3, 3)))],
-                          schedule=WeightSchedule("static", (1.0,)))
+                          [kl_teacher(self.vocab, rng.normal(size=(3, 3)))])
         per_chunk = report.teachers[0].report.per_chunk
         assert len(per_chunk) == 3
         assert report.kd == pytest.approx(np.mean(per_chunk), rel=1e-15)
 
     def test_even_static_weights(self):
         rng = np.random.default_rng(22)
-        teachers = [kl_teacher(self.vocab, rng.normal(size=(3, 3)), name)
+        teachers = [kl_teacher(self.vocab, rng.normal(size=(3, 3)), name, 0.5)
                     for name in ("a", "b")]
-        report = run_step(self.vocab, self.student(rng), teachers,
-                          schedule=WeightSchedule("static", (0.5, 0.5)))
+        report = run_step(self.vocab, self.student(rng), teachers)
         means = [np.mean(t.report.per_chunk) for t in report.teachers]
         assert report.kd == pytest.approx((means[0] + means[1]) / 2, rel=1e-15)
 
     def test_uneven_static_weights_validate(self):
-        WeightSchedule("static", (0.2, 0.8))
+        rng = np.random.default_rng(25)
+        student, a, b = self.student(rng), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        run_step(self.vocab, student,
+                 [kl_teacher(self.vocab, a, "a", 0.2), kl_teacher(self.vocab, b, "b", 0.8)])
         with pytest.raises(ValidationError):
-            WeightSchedule("static", (0.2, 0.9))
+            run_step(self.vocab, student,
+                     [kl_teacher(self.vocab, a, "a", 0.2), kl_teacher(self.vocab, b, "b", 0.9)])
 
     def test_empty_teacher_named(self):
         rng = np.random.default_rng(23)
         vt = Vocabulary(["y", "z"])
         hopeless = TeacherConfig("teacher_b", "uld", vt,
-                                 dump("teacher", rng.normal(size=(1, 2)), [0], vt))
+                                 dump("teacher", rng.normal(size=(1, 2)), [0], vt), weight=0.5)
         with pytest.raises(ValidationError, match="teacher_b"):
             run_step(self.vocab, self.student(rng),
-                     [kl_teacher(self.vocab, rng.normal(size=(3, 3)), "teacher_a"), hopeless],
-                     schedule=WeightSchedule("static", (0.5, 0.5)))
+                     [kl_teacher(self.vocab, rng.normal(size=(3, 3)), "teacher_a", 0.5),
+                      hopeless])
 
     def test_linear_in_each_teacher_mean(self):
         rng = np.random.default_rng(24)
         student = self.student(rng)
         a, a_other, b = (rng.normal(size=(3, 3)) for _ in range(3))
-        sched = WeightSchedule("static", (0.25, 0.75))
-        base = run_step(self.vocab, student,
-                        [kl_teacher(self.vocab, a, "a"), kl_teacher(self.vocab, b, "b")],
-                        schedule=sched)
-        moved = run_step(self.vocab, student,
-                         [kl_teacher(self.vocab, a_other, "a"), kl_teacher(self.vocab, b, "b")],
-                         schedule=sched)
+        base = run_step(self.vocab, student, [kl_teacher(self.vocab, a, "a", 0.25),
+                                              kl_teacher(self.vocab, b, "b", 0.75)])
+        moved = run_step(self.vocab, student, [kl_teacher(self.vocab, a_other, "a", 0.25),
+                                               kl_teacher(self.vocab, b, "b", 0.75)])
         shift = moved.teachers[0].report.aggregate - base.teachers[0].report.aggregate
         assert moved.teachers[1].report.per_chunk == base.teachers[1].report.per_chunk
         assert moved.kd - base.kd == pytest.approx(0.25 * shift, rel=1e-12)
@@ -372,10 +373,31 @@ class TestRunStep:
         assert "'partial'" in str(exc.value) and repr(aggregate) in str(exc.value)
 
     def test_static_schedule_needs_one_weight_per_teacher(self):
+        """Static weights that do not sum to 1 fail naming each teacher's weight."""
         rng = np.random.default_rng(14)
         vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
-        with pytest.raises(ValidationError, match="2 weights for 1 teachers"):
-            run_step(vocab, student, [teacher], schedule=WeightSchedule("static", (0.5, 0.5)))
+        teachers = [replace(teacher, name="a", weight=0.5), replace(teacher, name="b", weight=0.6)]
+        with pytest.raises(ValidationError) as info:
+            run_step(vocab, student, teachers)
+        assert "'a' 0.5" in str(info.value) and "'b' 0.6" in str(info.value)
+
+    def test_static_alphas_are_the_teacher_weights(self):
+        rng = np.random.default_rng(15)
+        vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
+        teachers = [replace(teacher, name="a", weight=0.9), replace(teacher, name="b", weight=0.1)]
+        for kwargs in ({}, {"schedule": WeightSchedule("static")}):
+            assert run_step(vocab, student, teachers, **kwargs).alphas == (0.9, 0.1)
+
+    def test_adaptive_schedule_ignores_teacher_weights(self):
+        rng = np.random.default_rng(16)
+        vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
+        other = replace(teacher, name="b", logits=dump("teacher", rng.normal(size=(3, 3)),
+                                                       [0, 1, 2], vocab))
+        schedule = WeightSchedule("adaptive_entropy")
+        a = run_step(vocab, student, [teacher, other], schedule=schedule)
+        b = run_step(vocab, student, [replace(teacher, weight=0.0), replace(other, weight=7.0)],
+                     schedule=schedule)
+        assert a.to_json() == b.to_json() and a.alphas[0] != a.alphas[1]
 
     def test_deterministic_reports(self):
         rng = np.random.default_rng(10)
@@ -383,6 +405,40 @@ class TestRunStep:
         a = run_step(vocab, student, [teacher]).to_json()
         b = run_step(vocab, student, [teacher]).to_json()
         assert a == b
+
+
+def _nan_step(**kwargs):
+    vocab, student, teacher = same_tokenizer_setup(np.random.default_rng(17), equal=False)
+    return run_step(vocab, student, [teacher], **kwargs)
+
+
+def _nan_weight_after_construction():
+    vocab, student, teacher = same_tokenizer_setup(np.random.default_rng(18), equal=False)
+    teacher.weight = math.nan
+    return run_step(vocab, student, [teacher])
+
+
+NAN_SETTINGS = {
+    "teacher weight": lambda: kl_teacher(Vocabulary(["a", "b", "c"]), np.zeros((3, 3)),
+                                         weight=math.nan),
+    "lambda_kd": lambda: ScalingPolicy("fixed", lambda_kd=math.nan),
+    "lambda_ce": lambda: ScalingPolicy("fixed", lambda_ce=math.nan),
+    "lambda_kl": lambda: HybridWeights(lambda_kl=math.nan),
+    "lambda_uld": lambda: HybridWeights(lambda_uld=math.nan),
+    "alpha_exact": lambda: AlignScoring(alpha_exact=math.nan),
+    "alpha_comb": lambda: AlignScoring(alpha_comb=math.nan),
+    "alpha_gap": lambda: AlignScoring(alpha_gap=math.nan),
+    "temperature": lambda: _nan_step(temperature=math.nan),
+    "eps": lambda: _nan_step(eps=math.nan),
+    "weight sum": _nan_weight_after_construction,
+}
+
+
+@pytest.mark.parametrize("name", NAN_SETTINGS)
+def test_nan_setting_rejected(name):
+    """A NaN setting fails instead of passing checks written as ``x < 0``."""
+    with pytest.raises(ValidationError, match="nan"):
+        NAN_SETTINGS[name]()
 
 
 class TestDynamicGradientContract:

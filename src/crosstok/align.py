@@ -155,26 +155,6 @@ def _combinations(one_canon, one_special, many_canon, many_special,
             for lo, k in spans_of.get(c, ())]
 
 
-# Move codes, one per cell: the chunk that ends at cell (i, j) and the cell
-# it continues from. Codes 2 + k (k >= 2) are 1-to-k combinations and -k are
-# k-to-1 combinations.
-_MATCH, _MISMATCH, _GAP_T, _GAP_S = 0, 1, 2, 3
-_FIXED_MOVES = {
-    _MATCH: (1, 1, ChunkKind.MATCH),
-    _MISMATCH: (1, 1, ChunkKind.MISMATCH),
-    _GAP_T: (1, 0, ChunkKind.GAP_TEACHER_SIDE),
-    _GAP_S: (0, 1, ChunkKind.GAP_STUDENT_SIDE),
-}
-
-
-def _move(code: int) -> tuple[int, int, ChunkKind]:
-    if code in _FIXED_MOVES:
-        return _FIXED_MOVES[code]
-    if code > 0:
-        return 1, code - 2, ChunkKind.COMBINATION
-    return -code, 1, ChunkKind.COMBINATION
-
-
 def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScoring,
              tok_s: Tokenizer, tok_t: Tokenizer) -> Alignment:
     """Optimal-score chunking of the two sequences.
@@ -185,7 +165,10 @@ def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScori
 
     Every move into cell ``(i, j)`` starts on an earlier anti-diagonal
     ``i + j``, so the table fills one anti-diagonal at a time with numpy,
-    applying the candidates in tie-break order with strict ``>``.
+    applying the candidates in tie-break order with strict ``>``. A cell keeps
+    one back step, the flat distance to the cell its winning chunk starts
+    from. The backtrace reads each kind from the spans: an empty side is a
+    gap, a side longer than 1 a combination, and 1x1 a match or mismatch.
     """
     n, m = len(student), len(teacher)
     table = _CanonTable(student, teacher, tok_s, tok_t)
@@ -193,51 +176,51 @@ def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScori
     match = _diagonal_matches(table).ravel()
     w = m + 1  # row stride of the (n + 1, m + 1) tables, which are indexed flat
 
-    # legal combinations as (anti-diagonal, order, target cell, source cell,
-    # gain, move code); ``order`` ranks 1-to-k before k-to-1, smaller k first
-    combos = [(i + 1 + lo + k, k, (i + 1) * w + lo + k, i * w + lo, a_cb * k, 2 + k)
+    # legal combinations as (anti-diagonal, order, target cell, back step,
+    # gain); ``order`` ranks 1-to-k before k-to-1, smaller k first
+    combos = [(i + 1 + lo + k, k, (i + 1) * w + lo + k, w + k, a_cb * k)
               for i, lo, k in _combinations(table.s_canon, table.s_special,
                                             table.t_canon, table.t_special, span)]
-    combos += [(lo + k + j + 1, span + k, (lo + k) * w + j + 1, lo * w + j, a_cb * k, -k)
+    combos += [(lo + k + j + 1, span + k, (lo + k) * w + j + 1, k * w + 1, a_cb * k)
                for j, lo, k in _combinations(table.t_canon, table.t_special,
                                              table.s_canon, table.s_special, span)]
     combos.sort(key=lambda c: c[:2])
     combos_at: dict[int, list] = {}
     for (d, _), group in itertools.groupby(combos, key=lambda c: c[:2]):
-        _, _, target, source, gain, code = zip(*group)
-        combos_at.setdefault(d, []).append((np.array(target), np.array(source), gain[0], code[0]))
-    longest = max((abs(c[5]) for c in combos), default=0)
+        _, _, target, step, gain = zip(*group)
+        combos_at.setdefault(d, []).append((np.array(target), step[0], gain[0]))
 
     score = np.zeros((n + 1, m + 1))
-    moves = np.empty((n + 1, m + 1), dtype=np.int8 if longest <= 127 else np.int16)
+    steps = np.empty((n + 1, m + 1), dtype=np.intp)
     score[1:, 0] = np.arange(1, n + 1) * a_gap
-    moves[1:, 0] = _GAP_T
     score[0, 1:] = np.arange(1, m + 1) * a_gap
-    moves[0, 1:] = _GAP_S
-    flat_score, flat_moves = score.ravel(), moves.ravel()
+    steps[1:, 0], steps[0, 1:] = w, 1
+    flat_score, flat_steps = score.ravel(), steps.ravel()
     rows = np.arange(n + 1)
     for d in range(2, n + m + 1):
         i = rows[max(1, d - m):min(n, d - 1) + 1]
-        if not i.size:
-            continue
         cell = i * m + d  # i * w + (d - i)
         hit = match[i * (m - 1) + d - m - 1]  # match[i - 1, d - i - 1]
         flat_score[cell] = flat_score[cell - w - 1] + np.where(hit, a_ex, -a_ex)
-        flat_moves[cell] = ~hit  # _MATCH or _MISMATCH
-        for target, source, gain, code in (*combos_at.get(d, ()),
-                                           (cell, cell - w, a_gap, _GAP_T),
-                                           (cell, cell - 1, a_gap, _GAP_S)):
-            cand = flat_score[source] + gain
+        flat_steps[cell] = w + 1
+        for target, step, gain in (*combos_at.get(d, ()), (cell, w, a_gap), (cell, 1, a_gap)):
+            cand = flat_score[target - step] + gain
             better = cand > flat_score[target]
             flat_score[target[better]] = cand[better]
-            flat_moves[target[better]] = code
+            flat_steps[target[better]] = step
 
     chunks: list[AlignmentChunk] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        di, dj, kind = _move(int(moves[i, j]))
-        chunks.append(AlignmentChunk((i - di, i), (j - dj, j), kind))
-        i, j = i - di, j - dj
+    hi, hj = n, m
+    while hi or hj:
+        i, j = divmod(hi * w + hj - int(steps[hi, hj]), w)
+        if i == hi or j == hj:
+            kind = ChunkKind.GAP_STUDENT_SIDE if i == hi else ChunkKind.GAP_TEACHER_SIDE
+        elif max(hi - i, hj - j) > 1:
+            kind = ChunkKind.COMBINATION
+        else:
+            kind = ChunkKind.MATCH if match[i * m + j] else ChunkKind.MISMATCH
+        chunks.append(AlignmentChunk((i, hi), (j, hj), kind))
+        hi, hj = i, j
     chunks.reverse()
     return Alignment(tuple(chunks), float(score[n, m]))
 

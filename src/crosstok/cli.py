@@ -33,11 +33,14 @@ GRADCHECK_TOLERANCE = 1e-6
 
 def _flags_over_config(args, config: dict, hints: dict) -> dict:
     """Keyword arguments named by ``hints`` (name -> type): the top-level config
-    values present, overridden by same-name CLI flags, each checked by type."""
-    picked = {name: config[name] for name in hints if name in config}
-    picked.update({name: getattr(args, name) for name in hints
-                   if getattr(args, name, None) is not None})
-    return check_fields(picked, hints, args.config)
+    values present, overridden by same-name CLI flags, each checked by type. A
+    bad value is named by the config path and key, or by its flag."""
+    flags = {name: getattr(args, name) for name in hints if getattr(args, name, None) is not None}
+    picked = check_fields({name: config[name] for name in hints
+                           if name in config and name not in flags}, hints, args.config)
+    for name, value in flags.items():
+        picked.update(check_fields({name: value}, hints, "--" + name.replace("_", "-")))
+    return picked
 
 
 def _section(config: dict, path, name: str, cls):

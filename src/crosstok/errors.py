@@ -42,7 +42,8 @@ def check_fields(values, hints: typing.Mapping[str, object], path, prefix: str =
                  required: typing.Iterable[str] = ()) -> dict:
     """``values`` if it is a JSON object that holds every ``required`` key and
     whose keys all appear in ``hints`` (key -> type annotation) with values
-    that fit; otherwise a ValidationError naming ``path`` and ``prefix + key``."""
+    that fit; otherwise a ValidationError naming ``path`` and ``prefix + key``
+    and the type as written (``list[int]``, ``str | None``)."""
     if not isinstance(values, dict):
         raise ValidationError(f"{path}: {prefix.rstrip('.') or 'the file'} must be a JSON "
                               f"object, got {values!r:.80}")
@@ -52,7 +53,11 @@ def check_fields(values, hints: typing.Mapping[str, object], path, prefix: str =
     for key, value in values.items():
         if key not in hints:
             raise ValidationError(f"{path}: {prefix}{key} is not a known field")
-        if not _fits(value, hints[key]):
-            expected = getattr(hints[key], "__name__", hints[key])
+        hint = hints[key]
+        if not _fits(value, hint):
+            if type(value) is float and not math.isfinite(value) and _fits(0.0, hint):
+                expected = "a finite float"
+            else:
+                expected = hint.__name__ if isinstance(hint, type) else hint
             raise ValidationError(f"{path}: {prefix}{key} must be {expected}, got {value!r:.80}")
     return values

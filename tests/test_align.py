@@ -356,3 +356,7 @@ def test_combination_wider_than_int8_move_codes():
     out = dp_align(s, t, scoring, tok_s, tok_t)
     assert out == reference_dp_align(s, t, scoring, tok_s, tok_t)
     assert out.chunks[1] == AlignmentChunk((1, 2), (1, 131), ChunkKind.COMBINATION)
+    # the mirrored 130-to-1 combination steps back k rows and one column
+    out = dp_align(t, s, scoring, tok_t, tok_s)
+    assert out == reference_dp_align(t, s, scoring, tok_t, tok_s)
+    assert out.chunks[1] == AlignmentChunk((1, 131), (1, 2), ChunkKind.COMBINATION)

@@ -220,8 +220,9 @@ class TestLogitsDumpIO:
         ({}, "shape is missing"),
         ({"shape": [-2, -3]}, "non-negative sizes"),
         ({"shape": "ab"}, "shape must be list"),
+        ({"shape": [2, "x"]}, "shape must be list[int], got [2, 'x']"),
         ({"shape": [4, 4]}, "needs 16 float32 values, found 6"),
-    ], ids=["missing", "negative", "mistyped", "size"])
+    ], ids=["missing", "negative", "mistyped", "mistyped-entry", "size"])
     def test_float_matrix_sidecar_checked(self, tmp_path, sidecar, message):
         path = tmp_path / "grad.bin"
         save_float_matrix(np.zeros((2, 3)), path)

@@ -209,6 +209,12 @@ class TestLoss:
         assert payload["pass"] is True
         assert all(err < 1e-6 for err in payload["max_relative_error"].values())
 
+    def test_gradcheck_passes_on_small_projection_weights(self, capsys):
+        rc = main(["--format", "json", "--seed", "142", "loss", "--gradcheck"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_relative_error"]["pkl_entries"] < 1e-6
+        assert rc == 0 and payload["pass"] is True
+
     def test_loss_without_config_exits_1(self, capsys):
         assert main(["loss"]) == 1
 
@@ -434,6 +440,30 @@ class TestConfigFields:
         assert rc == 0
         w = load_projection(tmp_path / "w")
         assert w.config.top_k == 2 and w.config.max_span == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("align", "--alpha-gap", "nan"),
+        ("build-w", "--beta", "inf"),
+    ])
+    def test_bad_flag_named_by_flag(self, bos_fixture, tmp_path, capsys, command, flag, value):
+        texts = ["--texts", str(bos_fixture["texts"])] if command == "align" else []
+        rc = main([command, *texts, "--student-vocab", str(bos_fixture["student_vocab"]),
+                   "--teacher-vocab", str(bos_fixture["teacher_vocab"]),
+                   "--out", str(tmp_path / "out"), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1 and f"error: {flag}: " in err and "a finite float" in err
+        assert "None" not in err
+
+    def test_bad_config_value_named_by_path_beside_a_good_flag(self, bos_fixture, tmp_path,
+                                                               capsys):
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps({"alpha_gap": math.nan}))
+        rc = main(["--config", str(config), "align", "--texts", str(bos_fixture["texts"]),
+                   "--student-vocab", str(bos_fixture["student_vocab"]),
+                   "--teacher-vocab", str(bos_fixture["teacher_vocab"]),
+                   "--out", str(tmp_path / "out"), "--alpha-comb", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1 and f"error: {config}: alpha_gap must be a finite float" in err
 
 
 class TestEntryPoint:

@@ -33,13 +33,15 @@ GRADCHECK_TOLERANCE = 1e-6
 
 def _flags_over_config(args, config: dict, hints: dict) -> dict:
     """Keyword arguments named by ``hints`` (name -> type): the top-level config
-    values present, overridden by same-name CLI flags, each checked by type. A
-    bad value is named by the config path and key, or by its flag."""
-    flags = {name: getattr(args, name) for name in hints if getattr(args, name, None) is not None}
-    picked = check_fields({name: config[name] for name in hints
-                           if name in config and name not in flags}, hints, args.config)
-    for name, value in flags.items():
-        picked.update(check_fields({name: value}, hints, "--" + name.replace("_", "-")))
+    values present, overridden by same-name CLI flags, each checked by type
+    (overridden config values too). A bad value is named by the config path
+    and key, or by its flag."""
+    picked = check_fields({name: config[name] for name in hints if name in config},
+                          hints, args.config)
+    for name in hints:
+        value = getattr(args, name, None)
+        if value is not None:
+            picked.update(check_fields({name: value}, hints, "--" + name.replace("_", "-")))
     return picked
 
 
@@ -174,7 +176,10 @@ def _load_step_inputs(config: dict, path):
 def cmd_loss(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.gradcheck:
-        worst = gradient_check(seed=seed, instances=args.instances)
+        try:
+            worst = gradient_check(seed=seed, instances=args.instances)
+        except ValidationError as exc:
+            raise ValidationError(f"--instances: {exc}") from None
         ok = all(err < GRADCHECK_TOLERANCE for err in worst.values())
         payload = {"max_relative_error": worst, "tolerance": GRADCHECK_TOLERANCE,
                    "pass": ok}

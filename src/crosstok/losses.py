@@ -10,8 +10,9 @@ Every mode runs on one of two kernels that map a chunk's merged teacher and
 student probabilities to ``(value, grad_z, grad_w)`` in one pass: a
 support-renormalized KL (``kl``, and ``pkl`` through the projection) and the
 hybrid loss (``gold``, ``hkl``, and ``uld`` as the hybrid over the empty
-common set). ``loss_kernel`` binds a teacher's mode to its kernel; the public
-value and gradient functions are views of the same kernels.
+common set). ``loss_kernel`` checks a teacher's mode against its inputs and
+binds it to its kernel; the public value and gradient functions are views of
+the same kernels.
 
 Logs are floored at a configurable ``eps`` (log(max(x, eps))), which prevents
 NaNs on truncated supports without touching any returned distribution; pass
@@ -38,16 +39,14 @@ class CommonSet:
     """Student/teacher token pairs treated as equivalent."""
 
     pairs: tuple[tuple[int, int], ...]
-    bijective: bool = True
 
     def __post_init__(self) -> None:
         student_ids = [s for s, _ in self.pairs]
         if len(set(student_ids)) != len(student_ids):
             raise ValidationError("a student id appears in more than one pair")
-        if self.bijective:
-            teacher_ids = [t for _, t in self.pairs]
-            if len(set(teacher_ids)) != len(teacher_ids):
-                raise ValidationError("bijective common set reuses a teacher id")
+        teacher_ids = [t for _, t in self.pairs]
+        if len(set(teacher_ids)) != len(teacher_ids):
+            raise ValidationError("bijective common set reuses a teacher id")
 
     @cached_property
     def student_ids(self) -> np.ndarray:
@@ -215,44 +214,44 @@ def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, eps: float | None
     return value, hw.lambda_kl * kl_grad + hw.lambda_uld * l1_grad, None
 
 
-def _truncated_kl(w: SparseProjection | None, top_k: int, eps: float | None):
-    def kernel(pt, ps, grads):
-        support = topk_support(pt, top_k) if top_k < pt.size else None
-        return _support_kl(pt, ps, w, support, eps, grads)
-    return kernel
-
-
-def _hybrid_on(c: CommonSet, vs: Vocabulary, vt: Vocabulary, hw: HybridWeights,
-               eps: float | None):
-    uncommon = _uncommon(c, len(vs), len(vt))
-    return lambda pt, ps, grads: _hybrid(pt, ps, c, uncommon, hw, eps, grads)
-
-
-# mode -> kernel binder over (student vocab, teacher vocab, projection, top_k,
-# hybrid weights, eps); kl and pkl compare on the teacher's top-k support
-_MODE_TABLE = {
-    "pkl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(w, top_k, eps),
-    "hkl": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_relaxed(w), vs, vt,
-                                                        hw, eps),
-    "gold": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(build_common_set_exact(vs, vt), vs,
-                                                         vt, hw, eps),
-    "uld": lambda vs, vt, w, top_k, hw, eps: _hybrid_on(CommonSet(()), vs, vt,
-                                                        HybridWeights(), eps),
-    "kl": lambda vs, vt, w, top_k, hw, eps: _truncated_kl(None, top_k, eps),
-}
-MODES = tuple(_MODE_TABLE)
+MODES = ("pkl", "hkl", "gold", "uld", "kl")
 
 
 def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection | None,
                 top_k: int, hw: HybridWeights, eps: float | None):
-    """Bind one teacher's mode to its kernel: common set, projection, top-k rule.
+    """Check one teacher's mode against its inputs and bind it to its kernel.
 
-    The result maps ``(p_t, p_s, grads)``, one chunk's merged teacher and
-    student probability vectors, to ``(value, grad_z, grad_w)``: ``grad_z``
-    is in the chunk logits and ``grad_w`` in the projection entries (``pkl``
-    only); both are None unless ``grads``.
+    ``kl`` needs the student's vocabulary on the teacher side; ``pkl`` and
+    ``hkl`` need a projection shaped by both vocabularies. ``kl`` and ``pkl``
+    compare on the teacher's top-k support; ``hkl``, ``gold`` and ``uld`` run
+    the hybrid loss over the relaxed, exact and empty common set (``uld`` at
+    default weights). The result maps ``(p_t, p_s, grads)``, one chunk's
+    merged teacher and student probability vectors, to
+    ``(value, grad_z, grad_w)``: ``grad_z`` is in the chunk logits and
+    ``grad_w`` in the projection entries (``pkl`` only); both are None unless
+    ``grads``.
     """
-    return _MODE_TABLE[mode](vs, vt, w, top_k, hw, eps)
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "kl" and vt != vs:
+        raise ValidationError("KL mode requires the student's vocabulary")
+    if mode in ("pkl", "hkl"):
+        if w is None:
+            raise ValidationError(f"mode {mode} needs a projection")
+        if w.n_student != len(vs) or w.n_teacher != len(vt):
+            raise ValidationError("projection shape does not match the vocabularies")
+    if mode in ("kl", "pkl"):
+        proj = w if mode == "pkl" else None
+        return lambda pt, ps, grads: _support_kl(
+            pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, grads)
+    if mode == "hkl":
+        c = build_common_set_relaxed(w)
+    elif mode == "gold":
+        c = build_common_set_exact(vs, vt)
+    else:
+        c, hw = CommonSet(()), HybridWeights()
+    uncommon = _uncommon(c, len(vs), len(vt))
+    return lambda pt, ps, grads: _hybrid(pt, ps, c, uncommon, hw, eps, grads)
 
 
 def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
@@ -308,10 +307,9 @@ def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
 
 
 def hkl(p_t, p_s, w: SparseProjection, hw: HybridWeights = HybridWeights(),
-        relaxed: CommonSet | None = None, eps: float | None = LOG_EPS) -> float:
+        eps: float | None = LOG_EPS) -> float:
     """Hybrid loss over the relaxed common set induced by the projection."""
-    c = build_common_set_relaxed(w) if relaxed is None else relaxed
-    return gold(p_t, p_s, c, hw, eps)
+    return gold(p_t, p_s, build_common_set_relaxed(w), hw, eps)
 
 
 def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:

@@ -248,28 +248,15 @@ def cross_entropy_grad(pl: PositionLogits) -> np.ndarray:
     return _cross_entropy(pl, True)[1]
 
 
-def _validate_teacher(student_vocab: Vocabulary, teacher: TeacherConfig) -> None:
-    if teacher.logits.side != "teacher":
-        raise ValidationError(f"teacher {teacher.name!r}: dump side is {teacher.logits.side!r}")
-    if teacher.logits.vocab_size != len(teacher.vocab):
-        raise ValidationError(f"teacher {teacher.name!r}: dump width != vocabulary size")
-    if teacher.logits.vocab_hash is not None:
-        if teacher.logits.vocab_hash != vocabulary_hash(teacher.vocab):
-            raise ValidationError(f"teacher {teacher.name!r}: vocab hash mismatch")
-    if teacher.mode == "kl" and teacher.vocab != student_vocab:
-        raise ValidationError(
-            f"teacher {teacher.name!r}: KL mode requires the student's vocabulary"
-        )
-    if teacher.mode in ("pkl", "hkl"):
-        if teacher.projection is None:
-            raise ValidationError(
-                f"teacher {teacher.name!r}: mode {teacher.mode} needs a projection"
-            )
-        if (teacher.projection.n_student != len(student_vocab)
-                or teacher.projection.n_teacher != len(teacher.vocab)):
-            raise ValidationError(
-                f"teacher {teacher.name!r}: projection shape does not match the vocabularies"
-            )
+def _check_dump(pl: PositionLogits, side: str, vocab: Vocabulary, who: str) -> None:
+    """Reject a dump from the other side, of another width or hashed from
+    another vocabulary; each message starts with ``who``."""
+    if pl.side != side:
+        raise ValidationError(f"{who} dump side is {pl.side!r}")
+    if pl.vocab_size != len(vocab):
+        raise ValidationError(f"{who} dump width != vocabulary size")
+    if pl.vocab_hash is not None and pl.vocab_hash != vocabulary_hash(vocab):
+        raise ValidationError(f"{who} vocab hash mismatch")
 
 
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
@@ -287,15 +274,16 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     """One simulated training step over stored logits. Deterministic."""
     if not teachers:
         raise ValidationError("need at least one teacher")
-    if student_logits.side != "student":
-        raise ValidationError(f"student dump side is {student_logits.side!r}")
-    if student_logits.vocab_size != len(student_vocab):
-        raise ValidationError("student dump width != vocabulary size")
-    if (student_logits.vocab_hash is not None
-            and student_logits.vocab_hash != vocabulary_hash(student_vocab)):
-        raise ValidationError("student vocab hash mismatch")
+    _check_dump(student_logits, "student", student_vocab, "student")
+    kernels = []
     for teacher in teachers:
-        _validate_teacher(student_vocab, teacher)
+        who = f"teacher {teacher.name!r}:"
+        _check_dump(teacher.logits, "teacher", teacher.vocab, who)
+        try:
+            kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
+                                       teacher.projection, top_k, hybrid, eps))
+        except ValidationError as exc:
+            raise ValidationError(f"{who} {exc}") from None
 
     if schedule.kind == "static":
         alphas = np.asarray([t.weight for t in teachers], dtype=float)
@@ -313,13 +301,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     s_seq = student_logits.realized_ids.tolist()
 
     breakdowns: list[TeacherBreakdown] = []
-    for alpha, teacher in zip(alphas, teachers):
+    for alpha, teacher, kernel in zip(alphas, teachers, kernels):
         tok_t = Tokenizer(teacher.vocab)
         t_seq = teacher.logits.realized_ids.tolist()
         alignment = cache.get_or_compute(s_seq, t_seq, scoring, tok_s, tok_t)
 
-        kernel = loss_kernel(teacher.mode, student_vocab, teacher.vocab, teacher.projection,
-                             top_k, hybrid, eps)
         per_chunk: list[float] = []
         grads_z: list[np.ndarray] = []
         grad_w_total = None
@@ -383,24 +369,27 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
     """Finite-difference verification of every analytic gradient path.
 
     Returns the max relative error per gradient family over random toy
-    instances; used by the CLI and mirrored by the test suite.
+    instances, every family checked on each of them; used by the CLI and
+    mirrored by the test suite.
     """
+    if not instances >= 1:
+        raise ValidationError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = {"pkl_logits": 0.0, "pkl_entries": 0.0, "common_kl": 0.0,
              "uld": 0.0, "chunk_kl": 0.0}
     for _ in range(instances):
         n_s = int(rng.integers(3, 8))
         n_t = int(rng.integers(3, 8))
-        rows, covered = [], set()
-        for s in range(n_s):
-            k = int(rng.integers(1, min(4, n_t) + 1))
-            ids = rng.choice(n_t, size=k, replace=False)
-            weights = rng.dirichlet(np.ones(k)) * 0.9
-            rows.append(sorted(zip(ids.tolist(), weights.tolist()),
-                               key=lambda tw: (-tw[1], tw[0])))
-            covered.update(ids.tolist())
-        if covered != set(range(n_t)):
-            continue
+        covered = set()
+        while covered != set(range(n_t)):  # redraw until every teacher id is reachable
+            rows, covered = [], set()
+            for s in range(n_s):
+                k = int(rng.integers(1, min(4, n_t) + 1))
+                ids = rng.choice(n_t, size=k, replace=False)
+                weights = rng.dirichlet(np.ones(k)) * 0.9
+                rows.append(sorted(zip(ids.tolist(), weights.tolist()),
+                                   key=lambda tw: (-tw[1], tw[0])))
+                covered.update(ids.tolist())
         w = SparseProjection(n_s, n_t, rows, [Provenance.MULTI_TOKEN] * n_s,
                              ProjectionConfig())
         z = rng.normal(size=n_s)
@@ -430,10 +419,10 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
         num_u = central_difference(lambda zz: uld(softmax(zz), pt, c), z, h)
         worst["uld"] = max(worst["uld"], max_relative_error(g_u, num_u))
 
-        if n_s == n_t:
-            support = topk_support(pt, max(1, n_t - 2))
-            g_k = chunk_kl_grad(z, pt, support=support)
-            num_k = central_difference(
-                lambda zz: chunk_kl(pt, softmax(zz), support=support), z, h)
-            worst["chunk_kl"] = max(worst["chunk_kl"], max_relative_error(g_k, num_k))
+        # chunk_kl compares over the student's vocabulary
+        p = pt if n_s == n_t else rng.dirichlet(np.ones(n_s))
+        support = topk_support(p, max(1, n_s - 2))
+        g_k = chunk_kl_grad(z, p, support=support)
+        num_k = central_difference(lambda zz: chunk_kl(p, softmax(zz), support=support), z, h)
+        worst["chunk_kl"] = max(worst["chunk_kl"], max_relative_error(g_k, num_k))
     return worst

@@ -209,6 +209,13 @@ class TestLoss:
         assert payload["pass"] is True
         assert all(err < 1e-6 for err in payload["max_relative_error"].values())
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_gradcheck_without_instances_exits_1(self, capsys, instances):
+        rc = main(["loss", "--gradcheck", "--instances", instances])
+        captured = capsys.readouterr()
+        assert rc == 1 and "PASS" not in captured.out
+        assert f"error: --instances: instances must be at least 1, got {instances}" in captured.err
+
     def test_gradcheck_passes_on_small_projection_weights(self, capsys):
         rc = main(["--format", "json", "--seed", "142", "loss", "--gradcheck"])
         payload = json.loads(capsys.readouterr().out)
@@ -462,6 +469,17 @@ class TestConfigFields:
                    "--student-vocab", str(bos_fixture["student_vocab"]),
                    "--teacher-vocab", str(bos_fixture["teacher_vocab"]),
                    "--out", str(tmp_path / "out"), "--alpha-comb", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1 and f"error: {config}: alpha_gap must be a finite float" in err
+
+    def test_bad_config_value_checked_under_its_own_flag(self, bos_fixture, tmp_path, capsys):
+        # the flag overrides the value, but the config file is still broken
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps({"alpha_gap": math.nan}))
+        rc = main(["--config", str(config), "align", "--texts", str(bos_fixture["texts"]),
+                   "--student-vocab", str(bos_fixture["student_vocab"]),
+                   "--teacher-vocab", str(bos_fixture["teacher_vocab"]),
+                   "--out", str(tmp_path / "out"), "--alpha-gap", "-2"])
         err = capsys.readouterr().err
         assert rc == 1 and f"error: {config}: alpha_gap must be a finite float" in err
 

@@ -3,8 +3,10 @@
 ``TestPinnedStep`` holds per-chunk values and gradient probes recorded from
 the earlier separate value/gradient functions on a fixed-seed step with a
 truncated top-k support; the kernels must reproduce them to 1e-12.
-``test_kernel_gradients_match_finite_differences`` checks every entry of the
-mode table against central differences of its own value.
+``test_kernel_gradients_match_finite_differences`` checks every mode's kernel
+against central differences of its own value, and
+``test_loss_kernel_rejects_inputs_its_mode_cannot_use`` pins the input rules
+``loss_kernel`` checks before binding.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosstok.chunks import PositionLogits, softmax
+from crosstok.errors import ValidationError
 from crosstok.losses import (
     LOG_EPS,
     MODES,
@@ -162,3 +165,26 @@ def test_kernel_gradients_match_finite_differences(seed, mode, truncate):
     numeric_w = central_difference(
         lambda u: value(w.with_weights(base * np.exp(u)), ps), np.zeros_like(base))
     assert max_relative_error(base * grad_w, numeric_w) < 1e-6
+
+
+@pytest.mark.parametrize("mode, teacher_vocab, projection, message", [
+    ("bogus", "other", "fits", "mode must be one of ('pkl', 'hkl', 'gold', 'uld', 'kl'), "
+                               "got 'bogus'"),
+    ("kl", "other", None, "KL mode requires the student's vocabulary"),
+    ("pkl", "other", None, "mode pkl needs a projection"),
+    ("hkl", "other", None, "mode hkl needs a projection"),
+    ("pkl", "other", "transposed", "projection shape does not match the vocabularies"),
+    ("hkl", "other", "transposed", "projection shape does not match the vocabularies"),
+    ("pkl", "student", "fits", "projection shape does not match the vocabularies"),
+], ids=["unknown-mode", "kl-vocabulary", "pkl-no-projection", "hkl-no-projection",
+        "pkl-transposed", "hkl-transposed", "pkl-student-vocabulary"])
+def test_loss_kernel_rejects_inputs_its_mode_cannot_use(mode, teacher_vocab, projection,
+                                                        message):
+    rng = np.random.default_rng(0)
+    vs = Vocabulary(["a", "b", "c", "ab"])
+    vt = vs if teacher_vocab == "student" else Vocabulary(["a", "b", "c"])
+    w = {"fits": random_projection(rng, 4, 3), "transposed": random_projection(rng, 3, 4),
+         None: None}[projection]
+    with pytest.raises(ValidationError) as info:
+        loss_kernel(mode, vs, vt, w, 8, HybridWeights(), LOG_EPS)
+    assert str(info.value) == message

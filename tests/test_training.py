@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crosstok.align import AlignScoring
+import crosstok.training as training
+from crosstok.align import AlignmentCache, AlignScoring
 from crosstok.chunks import PositionLogits, chain_rule_merge, softmax
 from crosstok.errors import DegenerateDistributionError, ValidationError
 from crosstok.losses import HybridWeights, pkl
@@ -473,7 +475,90 @@ class TestDynamicGradientContract:
         assert max_relative_error(assembled, numeric) < 1e-6
 
 
+PIN_VS = Vocabulary(["2", "0", "1", "201"])
+PIN_VT = Vocabulary(["2", "0", "1"])
+# each case breaks one input of a valid pkl step: (student, teacher) -> (student, teacher)
+DUMP_AND_MODE_MESSAGES = {
+    "student side": (lambda s, t: (replace(s, side="teacher"), t),
+                     "student dump side is 'teacher'"),
+    "student width": (lambda s, t: (dump("student", np.zeros((1, 3)), [0]), t),
+                      "student dump width != vocabulary size"),
+    "student hash": (lambda s, t: (replace(s, vocab_hash=vocabulary_hash(PIN_VT)), t),
+                     "student vocab hash mismatch"),
+    "teacher side": (lambda s, t: (s, replace(t, logits=replace(t.logits, side="student"))),
+                     "teacher 'x': dump side is 'student'"),
+    "teacher width": (lambda s, t: (s, replace(t, logits=dump("teacher", np.zeros((1, 4)),
+                                                               [0]))),
+                      "teacher 'x': dump width != vocabulary size"),
+    "teacher hash": (lambda s, t: (s, replace(t, logits=replace(
+                         t.logits, vocab_hash=vocabulary_hash(PIN_VS)))),
+                     "teacher 'x': vocab hash mismatch"),
+    "kl vocabulary": (lambda s, t: (s, replace(t, mode="kl")),
+                      "teacher 'x': KL mode requires the student's vocabulary"),
+    "no projection": (lambda s, t: (s, replace(t, projection=None)),
+                      "teacher 'x': mode pkl needs a projection"),
+    "projection shape": (lambda s, t: (s, replace(t, projection=build_projection(
+                             PIN_VT, PIN_VT, Tokenizer(PIN_VT)))),
+                         "teacher 'x': projection shape does not match the vocabularies"),
+}
+
+
+def valid_pkl_step_inputs():
+    rng = np.random.default_rng(0)
+    student = dump("student", rng.normal(size=(1, 4)), [3], PIN_VS)
+    teacher = TeacherConfig("x", "pkl", PIN_VT,
+                            dump("teacher", rng.normal(size=(3, 3)), [0, 1, 2], PIN_VT),
+                            projection=build_projection(PIN_VS, PIN_VT, Tokenizer(PIN_VT)))
+    return student, teacher
+
+
+class TestStepInputMessages:
+    @pytest.mark.parametrize("case", sorted(DUMP_AND_MODE_MESSAGES))
+    def test_message(self, case):
+        breaks, message = DUMP_AND_MODE_MESSAGES[case]
+        student, teacher = breaks(*valid_pkl_step_inputs())
+        with pytest.raises(ValidationError) as info:
+            run_step(PIN_VS, student, [teacher])
+        assert str(info.value) == message
+
+    def test_invalid_last_teacher_aligns_nothing(self):
+        student, teacher = valid_pkl_step_inputs()
+        run_step(PIN_VS, student, [teacher])  # the valid step runs
+        cache = AlignmentCache()
+        with pytest.raises(ValidationError, match="teacher 'y': mode hkl needs a projection"):
+            run_step(PIN_VS, student, [replace(teacher, weight=0.5),
+                                       replace(teacher, name="y", mode="hkl", projection=None,
+                                               weight=0.5)],
+                     cache=cache)
+        assert len(cache) == 0
+
+
 class TestGradientCheck:
+    def test_every_family_checked_on_every_instance(self, monkeypatch):
+        # seed 13 draws no instance with n_s == n_t, and some draws leave a
+        # teacher id uncovered by the projection
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        names = ("pkl_grads", "common_kl_grad", "uld_grad", "chunk_kl_grad")
+        for name in names:
+            monkeypatch.setattr(training, name, counted(name))
+        worst = gradient_check(seed=13, instances=20)
+        assert calls == {name: 20 for name in names}
+        assert all(err < 1e-6 for err in worst.values())
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_rejects_fewer_than_one_instance(self, instances):
+        with pytest.raises(ValidationError, match="instances must be at least 1"):
+            gradient_check(seed=0, instances=instances)
+
     def test_all_paths_below_tolerance(self):
         worst = gradient_check(seed=123, instances=10)
         assert set(worst) == {"pkl_logits", "pkl_entries", "common_kl", "uld", "chunk_kl"}

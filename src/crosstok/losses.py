@@ -177,20 +177,34 @@ def _uncommon(c: CommonSet, n_student: int, n_teacher: int) -> tuple[np.ndarray,
     return c.uncommon_student(n_student), c.uncommon_teacher(n_teacher)
 
 
+def _stable_order(v: np.ndarray) -> np.ndarray:
+    """``np.argsort(v, kind="stable")`` from an unstable sort.
+
+    When equal neighbours exist, one sort of the int64 key
+    ``tie group * n + index`` puts each tie group back in index order.
+    """
+    order = np.argsort(v)
+    v_sorted = v[order]
+    starts = v_sorted[1:] != v_sorted[:-1]
+    if starts.all():
+        return order
+    group = np.concatenate(([0], np.cumsum(starts)))
+    return np.sort(group * v.size + order) % v.size
+
+
 def _rank_l1(pt, ps, u_s: np.ndarray, u_t: np.ndarray, grads: bool):
     """Rank-sorted L1 distance between the restrictions to the uncommon ids.
 
     Restrictions are not renormalized; the shorter sorted vector is
     zero-padded. The rank pairing is locally a fixed permutation, so each
     uncommon student entry gets the sign of its difference with its rank
-    partner; sorting ties make this a subgradient.
+    partner; sorting ties make this a subgradient. Ranks follow the stable
+    order (equal student values rank by the smaller id). Past rank
+    ``m = min(|u_s|, |u_t|)`` every partner is padding, so only the top m
+    student entries are sorted.
     """
-    if grads:
-        # the gradient needs the rank order; its sorted values equal np.sort's
-        ranked = u_s[np.argsort(-ps[u_s], kind="stable")]
-        s_sorted = ps[ranked]
-    else:
-        s_sorted = np.sort(ps[u_s])[::-1]
+    s_vals = ps[u_s]
+    s_sorted = np.sort(s_vals)[::-1]
     t_sorted = np.sort(pt[u_t])[::-1]
     diff = np.zeros(max(s_sorted.size, t_sorted.size))
     diff[: s_sorted.size] = s_sorted
@@ -198,8 +212,13 @@ def _rank_l1(pt, ps, u_s: np.ndarray, u_t: np.ndarray, grads: bool):
     value = float(np.abs(diff).sum())
     if not grads:
         return value, None
+    m = min(s_sorted.size, t_sorted.size)
     grad_p = np.zeros(ps.size)
-    grad_p[ranked] = np.sign(diff[: s_sorted.size])
+    grad_p[u_s] = np.sign(s_vals)
+    if m:
+        top = topk_support(s_vals, m)
+        ranked = top[_stable_order(-s_vals[top])]
+        grad_p[u_s[ranked]] = np.sign(s_vals[ranked] - t_sorted[:m])
     return value, _logit_grad(ps, grad_p)
 
 

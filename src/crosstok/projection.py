@@ -286,9 +286,14 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
 
 
 def save_projection(w: SparseProjection, path) -> None:
-    """Header record plus one JSON line per nonempty row; hash-protected."""
-    lines = [json.dumps({"s": s, "entries": row, "provenance": prov.value},
-                        sort_keys=True, separators=(",", ":"))
+    """Header record plus one JSON line per nonempty row; hash-protected.
+
+    Each row record is written in sorted key order (``entries``,
+    ``provenance``, ``s``) from one encoding of its entries list.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    prov_json = {p: encode(p.value) for p in Provenance}
+    lines = [f'{{"entries":{encode(row)},"provenance":{prov_json[prov]},"s":{s}}}'
              for s, (row, prov) in enumerate(zip(w._row_entries(), w.provenance)) if row]
     header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
               "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}

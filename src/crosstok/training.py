@@ -23,7 +23,6 @@ from .chunks import PositionLogits, chain_rule_merge, softmax, topk_support
 from .errors import ValidationError
 from .losses import (
     LOG_EPS,
-    MODES,
     CommonSet,
     HybridWeights,
     LossReport,
@@ -153,8 +152,6 @@ class TeacherConfig:
     weight: float = 1.0  # the static schedule's alpha; adaptive kinds ignore it
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"teacher {self.name!r}: mode must be one of {MODES}")
         if not self.weight >= 0:
             raise ValidationError(
                 f"teacher {self.name!r}: weight must be non-negative, got {self.weight}")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 import string
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -73,7 +74,8 @@ class Vocabulary:
     ids that are control tokens; ``special_roles`` names them (e.g.
     ``{"bos": 3}``) so corresponding roles can be paired across vocabularies.
     Instances are immutable after construction, which lets
-    ``vocabulary_hash`` compute the content hash once.
+    ``vocabulary_hash`` compute the content hash once and
+    ``max_token_length`` the longest token once.
     """
 
     def __init__(
@@ -133,6 +135,11 @@ class Vocabulary:
     def roles_of(self, token_id: int) -> frozenset[str]:
         """Role names assigned to a special id (empty for ordinary tokens)."""
         return self._roles_of.get(token_id, frozenset())
+
+    @cached_property
+    def max_token_length(self) -> int:
+        """Length of the longest token string (0 if empty), computed on first use."""
+        return max((len(t) for t in self.tokens), default=0)
 
 
 def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
@@ -238,15 +245,15 @@ class Tokenizer:
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         self.vocabulary = vocabulary
-        self._max_len = max((len(t) for t in vocabulary.tokens), default=0)
 
     def encode(self, text: str) -> list[int]:
         ids: list[int] = []
         lookup = self.vocabulary.id_of
+        max_len = self.vocabulary.max_token_length
         i = 0
         n = len(text)
         while i < n:
-            for width in range(min(self._max_len, n - i), 0, -1):
+            for width in range(min(max_len, n - i), 0, -1):
                 tid = lookup.get(text[i : i + width])
                 if tid is not None:
                     ids.append(tid)

@@ -244,6 +244,14 @@ class TestLoss:
         assert "teacher0.bin" in err and "non-finite" in err
         assert "Traceback" not in err
 
+    def test_unknown_mode_exits_1(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c["teachers"][0].update(mode="bogus"))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert "mode must be one of" in err and "got 'bogus'" in err
+        assert "Traceback" not in err
+
     def test_zero_position_dump_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
         sidecar = fx["dir"] / "teacher0.bin.json"

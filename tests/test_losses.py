@@ -1,28 +1,37 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crosstok import losses
 from crosstok.errors import ValidationError
 from crosstok.losses import (
     CommonSet,
     HybridWeights,
     LossReport,
+    _rank_l1,
+    _stable_order,
     build_common_set_exact,
     build_common_set_relaxed,
     common_kl,
     common_kl_grad,
     gold,
+    gold_grad,
     hkl,
     kd_aggregate,
     pkl,
     pkl_grads,
     uld,
+    uld_grad,
 )
 from crosstok.chunks import softmax, topk_support
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import ProjectionConfig, Provenance, SparseProjection, build_projection, project
 from crosstok.vocab import Vocabulary, make_toy_tokenizer
+from uld_reference import reference_rank_l1
 
 PT3 = np.array([0.5, 0.3, 0.2])
 PS3 = np.array([0.2, 0.3, 0.5])
@@ -456,3 +465,96 @@ class TestAggregate:
             LossReport("kl", 2.0, (1.0, 3.0), aggregate=7.0)
         with pytest.raises(ValidationError):
             LossReport("bad_mode", 1.0, (1.0,))
+
+
+# The top-m rank order of the ULD subgradient against the full stable-argsort
+# reference, bit for bit, on tie-heavy vectors.
+
+TIE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 0.125, 0.25, 0.5)
+# logits whose softmax holds ties, exact zeros and subnormals
+TIE_LOGITS = (0.0, -0.5, -740.0, -745.0, -800.0)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def tie_vector(rng, size: int, values) -> np.ndarray:
+    return rng.choice(np.array(values), size=size)
+
+
+@st.composite
+def uncommon_cases(draw):
+    """``(rng, n_s, n_t, k_s, k_t)``: vocabulary sizes up to 300, so above 16,
+    where numpy's unstable sorts stop being insertion sorts, and uncommon set
+    sizes in every order, empty sets included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_s = draw(st.integers(1, 300))
+    n_t = draw(st.one_of(st.just(n_s), st.integers(1, 300)))
+    k_s = draw(st.one_of(st.sampled_from((0, n_s)), st.integers(0, n_s)))
+    k_t = draw(st.one_of(st.sampled_from((0, n_t, min(k_s, n_t))), st.integers(0, n_t)))
+    return rng, n_s, n_t, k_s, k_t
+
+
+def draw_ids(rng, n: int, k: int) -> np.ndarray:
+    return np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
+
+
+def draw_common_set(rng, n_s: int, n_t: int, k_s: int) -> CommonSet:
+    """A bijective common set leaving k_s student ids uncommon, or every
+    teacher id common if there are too few of them."""
+    width = min(n_s - k_s, n_t)
+    s_ids = rng.choice(n_s, size=width, replace=False)
+    t_ids = rng.choice(n_t, size=width, replace=False)
+    return CommonSet(tuple(sorted(zip(s_ids.tolist(), t_ids.tolist()))))
+
+
+def assert_rank_l1_matches_reference(pt, ps, u_s, u_t):
+    for grads in (False, True):
+        got = _rank_l1(pt, ps, u_s, u_t, grads)
+        want = reference_rank_l1(pt, ps, u_s, u_t, grads)
+        assert bits(got[0]) == bits(want[0])
+        assert (got[1] is None and want[1] is None) or bits(got[1]) == bits(want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TIE_VALUES + (-0.5, -5e-324, 1.0)), max_size=400))
+def test_stable_order_matches_stable_argsort(values):
+    v = np.array(values, dtype=float)
+    assert np.array_equal(_stable_order(v), np.argsort(v, kind="stable"))
+
+
+def test_stable_order_without_ties():
+    v = np.random.default_rng(3).normal(size=5000)
+    assert np.array_equal(_stable_order(v), np.argsort(v, kind="stable"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(uncommon_cases())
+def test_rank_l1_matches_full_sort_reference(case):
+    rng, n_s, n_t, k_s, k_t = case
+    ps, pt = tie_vector(rng, n_s, TIE_VALUES), tie_vector(rng, n_t, TIE_VALUES)
+    assert_rank_l1_matches_reference(pt, ps, draw_ids(rng, n_s, k_s), draw_ids(rng, n_t, k_t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uncommon_cases())
+def test_uld_views_match_full_sort_reference(case):
+    rng, n_s, n_t, k_s, _ = case
+    c = draw_common_set(rng, n_s, n_t, k_s)
+    z = tie_vector(rng, n_s, TIE_LOGITS)
+    p_s, p_t = softmax(z), tie_vector(rng, n_t, TIE_VALUES)
+    hw = HybridWeights(0.5, 2.0)
+    got = (uld(p_s, p_t, c), uld_grad(z, p_t, c), gold_grad(z, p_t, c, hw))
+    with mock.patch.object(losses, "_rank_l1", reference_rank_l1):
+        want = (uld(p_s, p_t, c), uld_grad(z, p_t, c), gold_grad(z, p_t, c, hw))
+    assert [bits(x) for x in got] == [bits(x) for x in want]
+
+
+@pytest.mark.parametrize("k_s, k_t", [(40, 90), (60, 60), (90, 40), (0, 50), (50, 0), (0, 0)],
+                         ids=["fewer-student", "equal", "more-student", "no-student",
+                              "no-teacher", "neither"])
+def test_rank_l1_set_sizes_match_reference(k_s, k_t):
+    rng = np.random.default_rng(k_s * 100 + k_t)
+    ps, pt = tie_vector(rng, 100, TIE_VALUES), tie_vector(rng, 100, TIE_VALUES)
+    assert_rank_l1_matches_reference(pt, ps, draw_ids(rng, 100, k_s), draw_ids(rng, 100, k_t))

@@ -493,6 +493,9 @@ DUMP_AND_MODE_MESSAGES = {
     "teacher hash": (lambda s, t: (s, replace(t, logits=replace(
                          t.logits, vocab_hash=vocabulary_hash(PIN_VS)))),
                      "teacher 'x': vocab hash mismatch"),
+    "unknown mode": (lambda s, t: (s, replace(t, mode="bogus")),
+                     "teacher 'x': mode must be one of ('pkl', 'hkl', 'gold', 'uld', 'kl'), "
+                     "got 'bogus'"),
     "kl vocabulary": (lambda s, t: (s, replace(t, mode="kl")),
                       "teacher 'x': KL mode requires the student's vocabulary"),
     "no projection": (lambda s, t: (s, replace(t, projection=None)),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crosstok.errors import MalformedTokenError, UnencodableTextError, ValidationError
 from crosstok.vocab import (
+    Tokenizer,
     Vocabulary,
     canonicalize,
     canonicalize_bytes,
@@ -102,6 +103,14 @@ class TestVocabulary:
                            special_roles={"bos": 2, "cls": 2, "eos": 3})
         assert vocabulary_hash(fresh) == first
         assert first == "643feb0358439627d348b9595b2bb73ef56e966345ebef40caaa726417cc4f06"
+
+    def test_max_token_length_computed_once(self, monkeypatch):
+        v = Vocabulary(["a", "Ġbc", "<bos>", "ab"], specials=[2], special_roles={"bos": 2})
+        assert v.max_token_length == max(len(t) for t in v.tokens) == 5
+        monkeypatch.setattr(v, "tokens", None)  # a second scan would fail
+        assert v.max_token_length == 5
+        assert Tokenizer(v).encode("aab") == [0, 3]
+        assert Vocabulary(()).max_token_length == 0
 
     def test_specials_pass_through_canonicalization(self):
         v = Vocabulary(["Ġthe", "<bos>"], specials=[1], special_roles={"bos": 1})

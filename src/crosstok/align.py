@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_object, read_text
 from .vocab import Tokenizer, vocabulary_hash
 
 
@@ -35,6 +35,9 @@ class AlignScoring:
     max_span: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("alpha_exact", "alpha_comb", "alpha_gap"):
+            if type(getattr(self, name)) is int:  # numpy would keep it an int64
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not self.alpha_exact > 0:
             raise ValidationError(f"alpha_exact must be positive, got {self.alpha_exact}")
         if not self.alpha_comb > 0:
@@ -391,5 +394,5 @@ def write_alignment_dump(path, items: Iterable[tuple[object, Alignment]]) -> Non
 
 
 def read_alignment_dump(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    lines = read_text(path).split("\n")
+    return [parse_object(line, path, n) for n, line in enumerate(lines, 1) if line.strip()]

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .align import AlignmentChunk
-from .errors import DegenerateDistributionError, ValidationError, check_fields
+from .errors import (DegenerateDistributionError, ValidationError, check_fields, parse_object,
+                     read_text)
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -48,7 +49,10 @@ class PositionLogits:
         if self.side not in SIDES:
             raise ValidationError(f"side must be one of {SIDES}, got {self.side!r}")
         self.logits = np.asarray(self.logits, dtype=float)
-        self.realized_ids = np.asarray(self.realized_ids, dtype=np.intp)
+        try:
+            self.realized_ids = np.asarray(self.realized_ids, dtype=np.intp)
+        except OverflowError:
+            raise ValidationError("realized id outside the vocabulary") from None
         if self.logits.ndim != 2:
             raise ValidationError("logits must be a positions-by-vocab matrix")
         if self.realized_ids.shape != (self.logits.shape[0],):
@@ -154,9 +158,8 @@ _SIDECAR_FIELDS = {"seq_id": str, "side": str, "vocab_hash": str | None,
 
 def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> PositionLogits:
     sidecar = _sidecar_path(path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = check_fields(json.load(fh), _SIDECAR_FIELDS, sidecar,
-                            required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
+    meta = check_fields(parse_object(read_text(sidecar), sidecar), _SIDECAR_FIELDS, sidecar,
+                        required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
     for field in ("positions", "vocab_size"):
         if meta[field] < 1:
             raise ValidationError(f"{sidecar}: {field!r} must be positive, got {meta[field]}")
@@ -171,7 +174,7 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
             seq_id=meta["seq_id"],
             side=meta["side"],
             logits=flat.reshape(positions, vocab_size).astype(float),
-            realized_ids=np.asarray(meta["realized_ids"], dtype=np.intp),
+            realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
         )
     except ValidationError as exc:
@@ -201,13 +204,15 @@ def load_float_matrix(path) -> np.ndarray:
     """Read a ``save_float_matrix`` file; its sidecar's ``shape`` must list
     non-negative sizes whose product is the number of stored values."""
     sidecar = _sidecar_path(path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        shape = check_fields(json.load(fh), {"shape": list[int]}, sidecar,
-                             required=["shape"])["shape"]
+    shape = check_fields(parse_object(read_text(sidecar), sidecar), {"shape": list[int]},
+                         sidecar, required=["shape"])["shape"]
     if any(n < 0 for n in shape):
         raise ValidationError(f"{sidecar}: 'shape' must hold non-negative sizes, got {shape}")
     flat = np.fromfile(path, dtype="<f4")
     if flat.size != math.prod(shape):
         raise ValidationError(
             f"{path}: shape {shape} needs {math.prod(shape)} float32 values, found {flat.size}")
-    return flat.reshape(shape).astype(float)
+    try:
+        return flat.reshape(shape).astype(float)
+    except ValueError as exc:  # a size or a rank numpy cannot hold
+        raise ValidationError(f"{sidecar}: 'shape' {shape} is not a numpy shape ({exc})") from None

@@ -16,7 +16,7 @@ from pathlib import Path
 from .align import AlignScoring, ChunkKind, dp_align, trl_substring_align, write_alignment_dump
 from .audit import DEFAULT_CRITICAL, audit_coverage, coverage_json, coverage_table, recommend_mode
 from .chunks import load_position_logits, save_float_matrix
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, check_fields, parse_object, read_text
 from .losses import HybridWeights, build_common_set_exact
 from .projection import ProjectionConfig, build_projection, load_projection, save_projection
 from .training import (
@@ -49,16 +49,6 @@ def _section(config: dict, path, name: str, cls):
     """``cls`` built from the keys present in the config's ``name`` object."""
     values = check_fields(config.get(name, {}), typing.get_type_hints(cls), path, f"{name}.")
     return cls(**values)
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    return data
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -97,8 +87,7 @@ def cmd_align(args, config: dict) -> int:
             raise ValidationError(
                 "--student-add-bos needs a 'bos' role in the student vocabulary"
             )
-    with open(args.texts, "r", encoding="utf-8") as fh:
-        texts = fh.read().splitlines()
+    texts = read_text(args.texts).splitlines()
 
     items = []
     counts = {kind.value: 0 for kind in ChunkKind}
@@ -209,11 +198,10 @@ def cmd_loss(args, config: dict) -> int:
         **step_kwargs,
     )
 
-    payload = json.loads(report.to_json())
+    grad_files: dict[str, str] = {}
     if args.grad:
         if args.out is None:
             raise ValidationError("--grad needs --out to anchor the gradient files")
-        grad_files: dict[str, str] = {}
 
         def write(key: str, suffix: str, values) -> None:
             path = Path(args.out).with_suffix(suffix)
@@ -226,9 +214,8 @@ def cmd_loss(args, config: dict) -> int:
                 write(f"{t.name}/chunk{k}", f".{t.name}.chunk{k:04d}.bin", grad)
             if t.report.grad_projection is not None:
                 write(f"{t.name}/w_entries", f".{t.name}.w_entries.bin", t.report.grad_projection)
-        payload["gradient_files"] = grad_files
 
-    rendered = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    rendered = report.to_json(**({"gradient_files": grad_files} if args.grad else {}))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(rendered)
@@ -298,10 +285,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = {} if args.config is None else parse_object(read_text(args.config), args.config)
         return args.func(args, config)
     except (OSError, ValueError) as exc:
-        # ValueError includes ValidationError and malformed JSON/number parsing
+        # a ValidationError, or another ValueError that no check names yet
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
 

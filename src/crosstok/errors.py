@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the field check that turns
-a malformed JSON object into one of them."""
+"""Exception types shared across the package, the one reader of input files,
+and the field check that turns a malformed JSON object into a ValidationError."""
 
-import math
+import json
+import sys
 import typing
 
 
@@ -21,14 +22,37 @@ class DegenerateDistributionError(ValidationError):
     """A probability vector lost all of its mass (e.g. empty projection rows)."""
 
 
+def read_text(path) -> str:
+    """The file's UTF-8 text, read in text mode; other bytes raise a ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def parse_object(text: str, path, line: int | None = None) -> dict:
+    """``json.loads(text)`` if that is an object, else a ValidationError naming
+    ``path`` (and the ``line`` of a JSON Lines file), built only on failure."""
+    try:
+        value = json.loads(text)
+        if type(value) is dict:
+            return value
+        detail = f"got {value!r:.80}"
+    except (ValueError, RecursionError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+    where = f": line {line}" if line is not None else ""
+    raise ValidationError(f"{path}{where}: not a JSON object ({detail})")
+
+
 def _fits(value, hint) -> bool:
     """Whether a parsed JSON value fits a type (``list[T]``, ``dict[K, V]`` and
-    unions included); a float takes an int, a bool only bool, and a float value
-    fits only when it is finite."""
+    unions included); a float takes an int, a bool only bool, and a number
+    fits a float only when a finite float can hold it."""
     if hint in (bool, int, float, str, list, dict, type(None)):
-        if type(value) is float:
-            return hint is float and math.isfinite(value)
-        return type(value) is hint or (hint is float and type(value) is int)
+        if type(value) is float or (hint is float and type(value) is int):
+            return hint is float and abs(value) <= sys.float_info.max
+        return type(value) is hint
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
         return type(value) is list and all(_fits(v, args[0]) for v in value)
@@ -55,7 +79,7 @@ def check_fields(values, hints: typing.Mapping[str, object], path, prefix: str =
             raise ValidationError(f"{path}: {prefix}{key} is not a known field")
         hint = hints[key]
         if not _fits(value, hint):
-            if type(value) is float and not math.isfinite(value) and _fits(0.0, hint):
+            if type(value) in (int, float) and _fits(0.0, hint):
                 expected = "a finite float"
             else:
                 expected = hint.__name__ if isinstance(hint, type) else hint

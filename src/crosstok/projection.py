@@ -12,8 +12,10 @@ by default.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import sys
 import typing
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -22,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chunks import renormalize_on
-from .errors import UnencodableTextError, ValidationError, check_fields
+from .errors import UnencodableTextError, ValidationError, check_fields, parse_object, read_text
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -207,8 +209,7 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
         raise ValidationError("teacher tokenizer does not carry the teacher vocabulary")
 
-    spans = [decay_weights(n, config.beta, config.gamma).tolist()
-             for n in range(1, config.max_span + 1)]
+    span_weights = functools.cache(lambda n: decay_weights(n, config.beta, config.gamma).tolist())
     rows: list[list[tuple[int, float]]] = []
     provenance: list[Provenance] = []
     for s, exact in enumerate(exact_partners(vs, vt)):
@@ -224,7 +225,7 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
             row, prov = [], Provenance.EMPTY
         else:
             accum: dict[int, float] = {}
-            for tid, w in zip(sub_ids, spans[len(sub_ids) - 1]):
+            for tid, w in zip(sub_ids, span_weights(len(sub_ids))):
                 accum[tid] = accum.get(tid, 0.0) + w
             row = sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k]
             prov = Provenance.MULTI_TOKEN
@@ -306,30 +307,30 @@ _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_h
 
 
 def load_projection(path) -> SparseProjection:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line for line in read_text(path).split("\n") if line.strip()]
     if not lines:
         raise ValidationError(f"{path}: missing projection header")
-    header = check_fields(json.loads(lines[0]), _HEADER_FIELDS, path, "header.",
+    header = check_fields(parse_object(lines[0], path, 1), _HEADER_FIELDS, path, "header.",
                           required=_HEADER_FIELDS)
-    config = ProjectionConfig(**check_fields(header["config"],
-                                             typing.get_type_hints(ProjectionConfig), path,
-                                             "header.config."))
+    constants = check_fields(header["config"], typing.get_type_hints(ProjectionConfig), path,
+                             "header.config.")
+    try:
+        config = ProjectionConfig(**constants)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: header.config: {exc}") from None
     body = lines[1:]
     if hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
 
     n_student, n_teacher = header["n_student"], header["n_teacher"]
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n_student)]
+    if not 0 <= n_student <= sys.maxsize:
+        raise ValidationError(f"{path}: header.n_student must be a row count in "
+                              f"[0, {sys.maxsize}], got {n_student}")
+    rows: list[Sequence[tuple[int, float]]] = [()] * n_student
     provenance = [Provenance.EMPTY] * n_student
     seen: set[int] = set()
     for lineno, line in enumerate(body, start=2):
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            rec = None
-        if not isinstance(rec, dict):
-            raise ValidationError(f"{path}: line {lineno}: not a JSON object")
+        rec = parse_object(line, path, lineno)
         field = "s"
         try:
             s = rec[field]

@@ -180,8 +180,9 @@ class StepReport:
     ce_grad: np.ndarray | None = None
     config_echo: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        """Deterministic JSON (gradient tensors are written separately)."""
+    def to_json(self, **extra) -> str:
+        """Deterministic JSON, plus ``extra`` top-level fields (gradient tensors
+        are written separately)."""
         payload = {
             "temperature": self.temperature,
             "ce": self.ce,
@@ -201,6 +202,7 @@ class StepReport:
                 for t in self.teachers
             ],
             "config_echo": self.config_echo,
+            **extra,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -17,7 +17,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedTokenError, UnencodableTextError, ValidationError, check_fields
+from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
+                     parse_object, read_text)
 
 # Glyphs that tokenizer families use to mark a leading space, as UTF-8 bytes:
 # U+0120 (GPT-2 style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -26,6 +27,7 @@ _NEWLINE_MARKER = b"\xc4\x8a"  # U+010A, GPT-2 style newline
 _ESCAPED_NEWLINE = b"\\n"
 _BYTE_FALLBACK = re.compile(rb"<0x([0-9A-Fa-f]{2})>\Z")
 _ASCII_PUNCT = frozenset(string.punctuation.encode("ascii"))
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
 def canonicalize_bytes(raw: bytes) -> bytes:
@@ -101,14 +103,22 @@ class Vocabulary:
                 raise ValidationError(f"special id {sid} outside vocabulary of size {len(self.tokens)}")
         self._roles_of: dict[int, frozenset[str]] = {}
         for role, rid in self.special_roles.items():
+            if _SURROGATE.search(role):
+                raise ValidationError(f"role {role!r} holds a lone surrogate, which UTF-8 "
+                                      "cannot encode")
             if rid not in self.specials:
                 raise ValidationError(f"role {role!r} points to id {rid}, which is not a special")
             self._roles_of[rid] = self._roles_of.get(rid, frozenset()) | {role}
         # Specials pass through canonicalization untouched; they pair only by role.
-        self._canon: tuple[bytes, ...] = tuple(
-            tok.encode("utf-8") if i in self.specials else canonicalize(tok)
-            for i, tok in enumerate(self.tokens)
-        )
+        try:
+            self._canon: tuple[bytes, ...] = tuple(
+                tok.encode("utf-8") if i in self.specials else canonicalize(tok)
+                for i, tok in enumerate(self.tokens)
+            )
+        except UnicodeEncodeError:
+            i = next(i for i, tok in enumerate(self.tokens) if _SURROGATE.search(tok))
+            raise ValidationError(f"token {i} {self.tokens[i]!r} holds a lone surrogate, which "
+                                  "UTF-8 cannot encode") from None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -200,13 +210,10 @@ def load_vocabulary(path) -> Vocabulary:
     ``specials`` and ``special_roles`` are type-checked; other keys are
     ignored. A blank file loads as an empty vocabulary.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if not text.strip():
         return Vocabulary(())
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: vocabulary file must be a JSON object")
+    data = parse_object(text, path)
 
     raw_tokens = data.get("tokens", [])
     if isinstance(raw_tokens, list):

@@ -267,6 +267,22 @@ class TestLogitsDumpIO:
             load_position_logits(path)
         assert "dump.bin.json" in str(info.value) and "'positions'" in str(info.value)
 
+    @pytest.mark.parametrize("big", [10**30, -10**30, 2**63], ids=["1e30", "-1e30", "2**63"])
+    def test_oversized_realized_id_named(self, tmp_path, big):
+        path = self.rewrite_sidecar(tmp_path, realized_ids=[big, 0])
+        with pytest.raises(ValidationError) as info:
+            load_position_logits(path)
+        assert str(info.value) == f"{path}: realized id outside the vocabulary"
+
+    @pytest.mark.parametrize("shape", [[10**30, 0], [6] + [1] * 64], ids=["huge", "65-dims"])
+    def test_float_matrix_shape_numpy_cannot_hold_named(self, tmp_path, shape):
+        path = tmp_path / "grad.bin"
+        save_float_matrix(np.zeros(math.prod(shape)), path)
+        (tmp_path / "grad.bin.json").write_text(json.dumps({"shape": shape}))
+        with pytest.raises(ValidationError) as info:
+            load_float_matrix(path)
+        assert str(info.value).startswith(f"{path}.json: 'shape' {shape} is not a numpy shape (")
+
     def test_realized_id_range_validated(self):
         with pytest.raises(ValidationError):
             make_logits(np.zeros((1, 2)), [5])

@@ -145,6 +145,13 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "s.json" in err and "tokens[1]" in err
 
+    def test_surrogate_token_exits_1(self, tmp_path, capsys):
+        vs = tmp_path / "s.json"
+        vs.write_text('{"tokens": ["\\ud800", "a"]}', encoding="utf-8")
+        assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vs}: token 0 ") and "surrogate" in err
+
     def test_zero_threshold_always_hybrid(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
         vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
@@ -262,6 +269,16 @@ class TestLoss:
         err = capsys.readouterr().err
         assert "teacher0.bin.json" in err and "'positions'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("big", [10**30, -10**30], ids=["1e30", "-1e30"])
+    def test_oversized_realized_id_exits_1(self, step_fixture, capsys, big):
+        fx = step_fixture(modes=("pkl",))
+        sidecar = fx["dir"] / "teacher0.bin.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "realized_ids": [big] + meta["realized_ids"][1:]}))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {fx['dir'] / 'teacher0.bin'}: realized id outside the vocabulary\n"
 
     def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
@@ -384,6 +401,34 @@ class TestConfigFields:
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         err = capsys.readouterr().err
         assert fx["config"].name in err and field in err
+
+    HUGE = [
+        (lambda c: c.update(temperature=10**400), "temperature"),
+        (lambda c: c["teachers"][0].update(weight=10**400), "teachers[0].weight"),
+        (lambda c: c.update(scoring={"alpha_comb": 10**400}), "scoring.alpha_comb"),
+        (lambda c: c.update(eps=-(10**400)), "eps"),
+    ]
+
+    @pytest.mark.parametrize("edit, field", HUGE, ids=[field for _, field in HUGE])
+    def test_integer_beyond_float_range_exits_1(self, step_fixture, capsys, edit, field):
+        """An integer literal no float can hold fails by name, like ``Infinity``."""
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, edit)
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {fx['config']}: {field} must be a finite float, got ")
+
+    def test_large_integer_scoring_runs_as_float(self, step_fixture, tmp_path):
+        fx = step_fixture(modes=("pkl",))
+        reports = []
+        for scoring in ({"alpha_exact": 10**30, "alpha_gap": -(10**30)},
+                        {"alpha_exact": 1e30, "alpha_gap": -1e30}):
+            edit_config(fx, lambda c: c.update(scoring=scoring))
+            assert main(["--config", str(fx["config"]), "loss",
+                         "--out", str(tmp_path / "r.json")]) == 0
+            report = json.loads((tmp_path / "r.json").read_text())
+            reports.append({k: v for k, v in report.items() if k != "config_echo"})
+        assert reports[0] == reports[1]
 
     def test_schedule_weights_key_rejected(self, step_fixture, capsys):
         """Static weights live on the teachers; the schedule has no weight list."""

@@ -13,7 +13,9 @@ from crosstok.errors import ValidationError, check_fields
     (str | None, 3, "str | None, got 3"),
     (float, math.nan, "a finite float, got nan"),
     (float | None, -math.inf, "a finite float, got -inf"),
-], ids=["list", "dict", "union", "nan", "optional-inf"])
+    (float, 10**400, f"a finite float, got {10**400!r:.80}"),
+    (float | None, -(10**309), f"a finite float, got {-(10**309)!r:.80}"),
+], ids=["list", "dict", "union", "nan", "optional-inf", "huge-int", "optional-huge-int"])
 def test_mistyped_value_message(hint, value, expected):
     with pytest.raises(ValidationError) as info:
         check_fields({"key": value}, {"key": hint}, "cfg.json", "section.")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosstok import projection
 from crosstok.errors import DegenerateDistributionError, ValidationError
 from crosstok.losses import build_common_set_relaxed
 from crosstok.numdiff import central_difference, max_relative_error
@@ -119,6 +120,24 @@ class TestBuildProjection:
         save_projection(w1, p1)
         save_projection(w2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_huge_max_span_weighs_only_lengths_that_occur(self, monkeypatch):
+        """``max_span`` comes from a config file; 10**30 must not precompute a
+        weight vector for every span length up to it."""
+        vs = Vocabulary(["2", "0", "1", "201", "20"])
+        vt = Vocabulary(["2", "0", "1"])
+        expected = build_projection(vs, vt, Tokenizer(vt), ProjectionConfig(max_span=3)).rows
+        lengths = []
+
+        def counted(length, beta, gamma):
+            lengths.append(length)
+            assert len(lengths) <= 10, "weights computed for span lengths no row has"
+            return decay_weights(length, beta, gamma)
+
+        monkeypatch.setattr(projection, "decay_weights", counted)
+        w = build_projection(vs, vt, Tokenizer(vt), ProjectionConfig(max_span=10**30))
+        assert w.rows == expected and sorted(set(lengths)) == [2, 3]
 
 
 class TestProject:
@@ -368,6 +387,17 @@ class TestProjectionFileFields:
     def test_mistyped_header_field(self, saved):
         self.rewrite_header(saved, lambda h: {**h, "n_student": "2"})
         self.rejects(saved, "n_student")
+
+    @pytest.mark.parametrize("n_student", [10**30, 2**63, -1], ids=["1e30", "2**63", "-1"])
+    def test_impossible_student_count_named(self, saved, n_student):
+        self.rewrite_header(saved, lambda h: {**h, "n_student": n_student})
+        self.rejects(saved, "header.n_student")
+
+    def test_bad_config_constants_named(self, saved):
+        self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "beta": 0.05}})
+        with pytest.raises(ValidationError) as info:
+            load_projection(saved)
+        assert str(info.value).startswith(f"{saved}: header.config: need 0 < gamma < beta")
 
     def test_header_not_an_object(self, saved):
         self.rewrite_header(saved, lambda h: [1, 2])

@@ -112,6 +112,16 @@ class TestVocabulary:
         assert Tokenizer(v).encode("aab") == [0, 3]
         assert Vocabulary(()).max_token_length == 0
 
+    @pytest.mark.parametrize("tokens, specials, roles, named", [
+        (["a", "b\ud800"], [], {}, "token 1 'b\\ud800' holds a lone surrogate"),
+        (["\udcff", "a"], [0], {}, "token 0 '\\udcff' holds a lone surrogate"),
+        (["a", "<s>"], [1], {"\ud800": 1}, "role '\\ud800' holds a lone surrogate"),
+    ], ids=["token", "special", "role"])
+    def test_lone_surrogate_named(self, tokens, specials, roles, named):
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(tokens, specials, roles)
+        assert str(info.value).startswith(named)
+
     def test_specials_pass_through_canonicalization(self):
         v = Vocabulary(["Ġthe", "<bos>"], specials=[1], special_roles={"bos": 1})
         assert v.canonical(0) == b" the"

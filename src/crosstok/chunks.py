@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .align import AlignmentChunk
-from .errors import (DegenerateDistributionError, ValidationError, check_fields, parse_object,
-                     read_text)
+from .errors import (DegenerateDistributionError, ValidationError, check_fields, located,
+                     parse_object, read_text)
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -169,7 +169,7 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
         raise ValidationError(
             f"{path}: expected {positions}x{vocab_size} float32 values, found {flat.size}"
         )
-    try:
+    with located(path):
         pl = PositionLogits(
             seq_id=meta["seq_id"],
             side=meta["side"],
@@ -177,8 +177,6 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
             realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     if expected_vocab is not None:
         expected = vocabulary_hash(expected_vocab)
         if pl.vocab_hash != expected:

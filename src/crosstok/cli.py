@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from .align import AlignScoring, ChunkKind, dp_align, trl_substring_align, write_alignment_dump
 from .audit import DEFAULT_CRITICAL, audit_coverage, coverage_json, coverage_table, recommend_mode
 from .chunks import load_position_logits, save_float_matrix
-from .errors import ValidationError, check_fields, parse_object, read_text
+from .errors import ValidationError, check_fields, located, parse_object, read_text
 from .losses import HybridWeights, build_common_set_exact
 from .projection import ProjectionConfig, build_projection, load_projection, save_projection
 from .training import (
@@ -48,7 +49,8 @@ def _flags_over_config(args, config: dict, hints: dict) -> dict:
 def _section(config: dict, path, name: str, cls):
     """``cls`` built from the keys present in the config's ``name`` object."""
     values = check_fields(config.get(name, {}), typing.get_type_hints(cls), path, f"{name}.")
-    return cls(**values)
+    with located(path):
+        return cls(**values)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -140,35 +142,65 @@ _TEACHER_FIELDS = {**_FILES, "mode": str, "name": str, "projection": str | None,
                    "weight": float}
 
 
-def _load_step_inputs(config: dict, path):
+def _file_part(name: str) -> bool:
+    """Whether ``name`` can sit inside one file name on this file system."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        return False
+    return not {"\0", os.sep, os.altsep} & set(name)
+
+
+def _teacher_names(teacher_cfgs: list, path, grad: bool) -> list[str]:
+    """Each teacher's name (its logits path when unnamed), checked before any
+    file is read: names are unique and not empty, and with ``grad`` each can
+    sit inside the gradient file names written after it."""
+    names: list[str] = []
+    for i, tc in enumerate(teacher_cfgs):
+        name = tc.get("name", tc["logits"])
+        if "name" in tc and not name:
+            raise ValidationError(f"{path}: teachers[{i}].name must not be empty")
+        if grad and not _file_part(name):
+            why = (f"must fit in a gradient file name, got {name!r}" if "name" in tc else
+                   f"is missing, and the logits path {name!r} cannot name gradient files")
+            raise ValidationError(f"{path}: teachers[{i}].name {why} (--grad)")
+        if name in names:
+            raise ValidationError(f"{path}: teachers[{names.index(name)}] and teachers[{i}] "
+                                  f"share the name {name!r}")
+        names.append(name)
+    return names
+
+
+def _load_step_inputs(config: dict, path, grad: bool):
     sections = check_fields({k: config[k] for k in ("student", "teachers") if k in config},
                             {"student": dict, "teachers": list}, path,
                             required=("student", "teachers"))
     student_cfg = check_fields(sections["student"], _FILES, path, "student.", required=_FILES)
     teacher_cfgs = sections["teachers"]
+    for i, tc in enumerate(teacher_cfgs):
+        check_fields(tc, _TEACHER_FIELDS, path, f"teachers[{i}].",
+                     required=("mode", *_FILES))
+    names = _teacher_names(teacher_cfgs, path, grad)
 
     student_vocab = load_vocabulary(student_cfg["vocab"])
     student_logits = load_position_logits(student_cfg["logits"],
                                           expected_vocab=student_vocab)
     teachers = []
-    for i, tc in enumerate(teacher_cfgs):
-        check_fields(tc, _TEACHER_FIELDS, path, f"teachers[{i}].",
-                     required=("mode", *_FILES))
+    for name, tc in zip(names, teacher_cfgs):
         vocab = load_vocabulary(tc["vocab"])
         logits = load_position_logits(tc["logits"], expected_vocab=vocab)
         projection = load_projection(tc["projection"]) if tc.get("projection") else None
-        teachers.append(TeacherConfig(tc.get("name", tc["logits"]), tc["mode"], vocab, logits,
-                                      projection, **{k: tc[k] for k in ("weight",) if k in tc}))
+        with located(path):
+            teachers.append(TeacherConfig(name, tc["mode"], vocab, logits, projection,
+                                          **{k: tc[k] for k in ("weight",) if k in tc}))
     return student_vocab, student_logits, teachers
 
 
 def cmd_loss(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.gradcheck:
-        try:
+        with located("--instances"):
             worst = gradient_check(seed=seed, instances=args.instances)
-        except ValidationError as exc:
-            raise ValidationError(f"--instances: {exc}") from None
         ok = all(err < GRADCHECK_TOLERANCE for err in worst.values())
         payload = {"max_relative_error": worst, "tolerance": GRADCHECK_TOLERANCE,
                    "pass": ok}
@@ -180,29 +212,24 @@ def cmd_loss(args, config: dict) -> int:
         _emit(args, payload, text)
         return 0 if ok else 1
 
+    if args.grad and args.out is None:
+        raise ValidationError("--grad needs --out to anchor the gradient files")
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
-    student_vocab, student_logits, teachers = _load_step_inputs(config, args.config)
+    student_vocab, student_logits, teachers = _load_step_inputs(config, args.config, args.grad)
     step_hints = typing.get_type_hints(run_step)
     step_kwargs = _flags_over_config(args, config,
                                      {k: step_hints[k] for k in ("temperature", "top_k", "eps")})
+    sections = {name: _section(config, args.config, name, cls) for name, cls in (
+        ("policy", ScalingPolicy), ("schedule", WeightSchedule), ("scoring", AlignScoring),
+        ("hybrid", HybridWeights))}
 
-    report = run_step(
-        student_vocab, student_logits, teachers,
-        policy=_section(config, args.config, "policy", ScalingPolicy),
-        schedule=_section(config, args.config, "schedule", WeightSchedule),
-        scoring=_section(config, args.config, "scoring", AlignScoring),
-        hybrid=_section(config, args.config, "hybrid", HybridWeights),
-        compute_grads=args.grad,
-        config_echo=config,
-        **step_kwargs,
-    )
+    with located(args.config):
+        report = run_step(student_vocab, student_logits, teachers, compute_grads=args.grad,
+                          config_echo=config, **sections, **step_kwargs)
 
     grad_files: dict[str, str] = {}
     if args.grad:
-        if args.out is None:
-            raise ValidationError("--grad needs --out to anchor the gradient files")
-
         def write(key: str, suffix: str, values) -> None:
             path = Path(args.out).with_suffix(suffix)
             save_float_matrix(values, path)

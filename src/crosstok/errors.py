@@ -1,6 +1,8 @@
 """Exception types shared across the package, the one reader of input files,
-and the field check that turns a malformed JSON object into a ValidationError."""
+the field check that turns a malformed JSON object into a ValidationError, and
+``located``, which names where a ValidationError's input came from."""
 
+import contextlib
 import json
 import sys
 import typing
@@ -22,13 +24,26 @@ class DegenerateDistributionError(ValidationError):
     """A probability vector lost all of its mass (e.g. empty projection rows)."""
 
 
+@contextlib.contextmanager
+def located(where):
+    """Re-raise a ValidationError from the block as the same type, its message
+    prefixed with ``where``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def read_text(path) -> str:
-    """The file's UTF-8 text, read in text mode; other bytes raise a ValidationError."""
+    """The file's UTF-8 text, read in text mode; other bytes, or a path the file
+    system cannot encode (named by its ``repr``), raise a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{str(path)!r}: not an encodable file path ({exc})") from None
 
 
 def parse_object(text: str, path, line: int | None = None) -> dict:

@@ -242,9 +242,9 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
 
     ``kl`` needs the student's vocabulary on the teacher side; ``pkl`` and
     ``hkl`` need a projection shaped by both vocabularies. ``kl`` and ``pkl``
-    compare on the teacher's top-k support; ``hkl``, ``gold`` and ``uld`` run
-    the hybrid loss over the relaxed, exact and empty common set (``uld`` at
-    default weights). The result maps ``(p_t, p_s, grads)``, one chunk's
+    compare on the teacher's top-k support, ``top_k`` at least 1; ``hkl``,
+    ``gold`` and ``uld`` run the hybrid loss over the relaxed, exact and empty
+    common set (``uld`` at default weights). The result maps ``(p_t, p_s, grads)``, one chunk's
     merged teacher and student probability vectors, to
     ``(value, grad_z, grad_w)``: ``grad_z`` is in the chunk logits and
     ``grad_w`` in the projection entries (``pkl`` only); both are None unless
@@ -260,6 +260,8 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
         if w.n_student != len(vs) or w.n_teacher != len(vt):
             raise ValidationError("projection shape does not match the vocabularies")
     if mode in ("kl", "pkl"):
+        if not top_k >= 1:
+            raise ValidationError(f"top_k must be at least 1, got {top_k}")
         proj = w if mode == "pkl" else None
         return lambda pt, ps, grads: _support_kl(
             pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, grads)

@@ -24,7 +24,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chunks import renormalize_on
-from .errors import UnencodableTextError, ValidationError, check_fields, parse_object, read_text
+from .errors import (UnencodableTextError, ValidationError, check_fields, located, parse_object,
+                     read_text)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -307,29 +308,34 @@ _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_h
 
 
 def load_projection(path) -> SparseProjection:
-    lines = [line for line in read_text(path).split("\n") if line.strip()]
-    if not lines:
+    lines = read_text(path).split("\n")
+    kept = [line for line in lines if line.strip()]
+    if not kept:
         raise ValidationError(f"{path}: missing projection header")
-    header = check_fields(parse_object(lines[0], path, 1), _HEADER_FIELDS, path, "header.",
+    first = lines.index(kept[0]) + 1  # the header's file line; rows are named by file line
+    header = check_fields(parse_object(kept[0], path, first), _HEADER_FIELDS, path, "header.",
                           required=_HEADER_FIELDS)
     constants = check_fields(header["config"], typing.get_type_hints(ProjectionConfig), path,
                              "header.config.")
-    try:
+    with located(f"{path}: header.config"):
         config = ProjectionConfig(**constants)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: header.config: {exc}") from None
-    body = lines[1:]
-    if hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest() != header["content_hash"]:
+    if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
 
     n_student, n_teacher = header["n_student"], header["n_teacher"]
+    bad_count = ValidationError(f"{path}: header.n_student must be a row count in [0, "
+                                f"{sys.maxsize}] that fits in memory, got {n_student}")
     if not 0 <= n_student <= sys.maxsize:
-        raise ValidationError(f"{path}: header.n_student must be a row count in "
-                              f"[0, {sys.maxsize}], got {n_student}")
-    rows: list[Sequence[tuple[int, float]]] = [()] * n_student
-    provenance = [Provenance.EMPTY] * n_student
+        raise bad_count
+    try:
+        rows: list[Sequence[tuple[int, float]]] = [()] * n_student
+        provenance = [Provenance.EMPTY] * n_student
+    except MemoryError:
+        raise bad_count from None
     seen: set[int] = set()
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
         rec = parse_object(line, path, lineno)
         field = "s"
         try:
@@ -347,7 +353,5 @@ def load_projection(path) -> SparseProjection:
         seen.add(s)
         rows[s] = row
         provenance[s] = prov
-    try:
+    with located(path):
         return SparseProjection(n_student, n_teacher, rows, provenance, config)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

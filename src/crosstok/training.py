@@ -20,7 +20,7 @@ import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, softmax, topk_support
-from .errors import ValidationError
+from .errors import ValidationError, located
 from .losses import (
     LOG_EPS,
     CommonSet,
@@ -276,13 +276,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     _check_dump(student_logits, "student", student_vocab, "student")
     kernels = []
     for teacher in teachers:
-        who = f"teacher {teacher.name!r}:"
-        _check_dump(teacher.logits, "teacher", teacher.vocab, who)
-        try:
+        who = f"teacher {teacher.name!r}"
+        _check_dump(teacher.logits, "teacher", teacher.vocab, who + ":")
+        with located(who):
             kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
                                        teacher.projection, top_k, hybrid, eps))
-        except ValidationError as exc:
-            raise ValidationError(f"{who} {exc}") from None
 
     if schedule.kind == "static":
         alphas = np.asarray([t.weight for t in teachers], dtype=float)

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
-                     parse_object, read_text)
+                     located, parse_object, read_text)
 
 # Glyphs that tokenizer families use to mark a leading space, as UTF-8 bytes:
 # U+0120 (GPT-2 style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -241,10 +241,8 @@ def load_vocabulary(path) -> Vocabulary:
 
     specials = check_fields({k: data[k] for k in _SPECIAL_FIELDS if k in data},
                             _SPECIAL_FIELDS, path)
-    try:
+    with located(path):
         return Vocabulary(tokens, specials.get("specials", ()), specials.get("special_roles"))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 class Tokenizer:

@@ -537,6 +537,116 @@ class TestConfigFields:
         assert rc == 1 and f"error: {config}: alpha_gap must be a finite float" in err
 
 
+class TestStepConfigSemantics:
+    """A well-typed step config value that the step cannot use fails as
+    ``error: <config>: ...``, naming the config once; ``--grad`` checks its
+    output names before any work."""
+
+    SEMANTIC = [
+        (lambda c: c.update(temperature=0), "temperature must be positive, got 0"),
+        (lambda c: c.update(top_k=0), "teacher 't0_pkl': top_k must be at least 1, got 0"),
+        (lambda c: c.update(policy={"kind": "adaptive"}),
+         "policy kind must be 'dynamic' or 'fixed', got 'adaptive'"),
+        (lambda c: c.update(policy={"kind": "fixed", "lambda_ce": -1.0}),
+         "fixed policy weights must be non-negative"),
+        (lambda c: c.update(schedule={"kind": "bogus"}), "schedule kind must be one of"),
+        (lambda c: c.update(scoring={"alpha_gap": 1.0}), "alpha_gap must be negative, got 1.0"),
+        (lambda c: c.update(scoring={"max_span": 1}), "max_span must be at least 2"),
+        (lambda c: c.update(hybrid={"lambda_kl": -1.0}), "hybrid loss weights must be "
+                                                          "non-negative"),
+        (lambda c: c.update(eps=-1.0), "log floor eps must be None or non-negative, got -1.0"),
+        (lambda c: c.update(teachers=[]), "need at least one teacher"),
+        (lambda c: c["teachers"][0].update(weight=-1.0),
+         "teacher 't0_pkl': weight must be non-negative, got -1.0"),
+        (lambda c: c["teachers"][0].update(weight=0.5), "static teacher weights sum to 0.5"),
+        (lambda c: c["teachers"][0].update(mode="adaptive"),
+         "teacher 't0_pkl': mode must be one of"),
+        (lambda c: c["teachers"][0].pop("projection"), "teacher 't0_pkl': mode pkl needs a "
+                                                        "projection"),
+        (lambda c: c["teachers"][0].update(mode="kl"),
+         "teacher 't0_pkl': KL mode requires the student's vocabulary"),
+    ]
+    IDS = ["temperature", "top_k", "policy-kind", "policy-weights", "schedule-kind",
+           "alpha_gap", "max_span", "hybrid", "eps", "no-teacher", "weight", "weight-sum",
+           "mode", "no-projection", "kl-vocabulary"]
+
+    @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
+    def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, edit)
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fx['config']}: ") and message in err, err
+        assert err.count(str(fx["config"])) == 1
+
+    def test_unencodable_file_path_named(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c["teachers"][0].update(vocab="\ud800"))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err.startswith("error: '\\ud800': not an encodable file path")
+
+    def grad_run(self, fx, tmp_path, capsys, with_out=True):
+        """Exit code and stderr of ``loss --grad``, with ``--out`` in an empty
+        directory; no file may appear there on failure."""
+        out = tmp_path / "grads"
+        out.mkdir()
+        rc = main(["--config", str(fx["config"]), "loss", "--grad",
+                   *(["--out", str(out / "r.json")] if with_out else [])])
+        if rc:
+            assert list(out.iterdir()) == []
+        return rc, capsys.readouterr().err
+
+    def test_grad_rejects_unnamed_teacher_with_a_directory(self, step_fixture, tmp_path,
+                                                           capsys):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c["teachers"][0].pop("name"))
+        rc, err = self.grad_run(fx, tmp_path, capsys)
+        assert rc == 1 and err.startswith(f"error: {fx['config']}: teachers[0].name is missing")
+
+    @pytest.mark.parametrize("name", ["a/b", "\ud800", "a\0b"], ids=["slash", "surrogate",
+                                                                    "nul"])
+    def test_grad_rejects_name_that_cannot_be_a_file_name_part(self, step_fixture, tmp_path,
+                                                               capsys, name):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c["teachers"][0].update(name=name))
+        rc, err = self.grad_run(fx, tmp_path, capsys)
+        assert rc == 1 and err.startswith(
+            f"error: {fx['config']}: teachers[0].name must fit in a gradient file name")
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["report", "grad"])
+    def test_repeated_teacher_name_rejected(self, step_fixture, tmp_path, capsys, grad):
+        fx = step_fixture(modes=("pkl", "gold"))
+        edit_config(fx, lambda c: [t.update(name="t") for t in c["teachers"]])
+        if grad:
+            rc, err = self.grad_run(fx, tmp_path, capsys)
+        else:
+            rc, err = main(["--config", str(fx["config"]), "loss"]), capsys.readouterr().err
+        assert rc == 1 and err == (f"error: {fx['config']}: teachers[0] and teachers[1] share "
+                                   "the name 't'\n")
+
+    def test_empty_teacher_name_rejected(self, step_fixture, capsys):
+        fx = step_fixture(modes=("pkl",))
+        edit_config(fx, lambda c: c["teachers"][0].update(name=""))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err == (f"error: {fx['config']}: teachers[0].name must not "
+                                           "be empty\n")
+
+    def test_grad_without_out_rejected_before_the_step(self, step_fixture, tmp_path, capsys):
+        fx = step_fixture(modes=("pkl",), temperature=0)
+        rc, err = self.grad_run(fx, tmp_path, capsys, with_out=False)
+        assert rc == 1 and err == "error: --grad needs --out to anchor the gradient files\n"
+
+    def test_grad_file_names_follow_teacher_names(self, step_fixture, tmp_path, capsys):
+        fx = step_fixture(modes=("pkl", "gold"))
+        edit_config(fx, lambda c: c["teachers"][1].update(name="t.b"))
+        assert self.grad_run(fx, tmp_path, capsys)[0] == 0
+        report = json.loads((tmp_path / "grads" / "r.json").read_text())
+        assert sorted(report["gradient_files"].items()) == [
+            ("ce", "r.ce_grad.bin"), ("t.b/chunk0", "r.t.b.chunk0000.bin"),
+            ("t0_pkl/chunk0", "r.t0_pkl.chunk0000.bin"),
+            ("t0_pkl/w_entries", "r.t0_pkl.w_entries.bin")]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")

@@ -5,7 +5,9 @@ retypes a value, drops a key, or puts NaN, an infinity or a huge integer in a
 value. A library reader may then only return, raise an OSError, or raise a
 ValidationError whose message starts with the path it was given (a ``.bin``
 path prefixes its sidecar's). A CLI command may only return 0, 1 or 2, and
-reports a failure on stderr as ``error: ...``; it never raises.
+reports a failure on stderr as ``error: ...``; it never raises. A step config
+that fails validation is named first (``error: <config>: ...``), unless it
+holds a path the file system cannot encode, which is named instead.
 """
 
 import hashlib
@@ -116,7 +118,8 @@ def test_reader_names_its_file(tmp_path, reader, data):
 
 @pytest.fixture
 def commands(step_fixture, bos_fixture):
-    """Per command: its arguments and the input files a mutation may hit."""
+    """Per command: its arguments and the input files a mutation may hit
+    (``loss-config``: the step config alone, the file ``loss`` names first)."""
     fx = step_fixture(modes=("pkl", "gold"))
     vocabs = ["--student-vocab", str(bos_fixture["student_vocab"]),
               "--teacher-vocab", str(bos_fixture["teacher_vocab"])]
@@ -130,12 +133,13 @@ def commands(step_fixture, bos_fixture):
                   vocab_files + [bos_fixture["texts"]]),
         "audit": (["audit", *vocabs], vocab_files),
         "loss": (["--config", str(fx["config"]), "loss"], step_files),
+        "loss-config": (["--config", str(fx["config"]), "loss"], step_files[:1]),
     }
 
 
 @FUZZ
 @given(data=st.data())
-@pytest.mark.parametrize("command", ["build-w", "align", "audit", "loss"])
+@pytest.mark.parametrize("command", ["build-w", "align", "audit", "loss", "loss-config"])
 def test_command_exits_cleanly(commands, capsys, tmp_path, command, data):
     argv, files = commands[command]
     target = data.draw(st.sampled_from(files))
@@ -152,3 +156,5 @@ def test_command_exits_cleanly(commands, capsys, tmp_path, command, data):
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert rc == 0 or err.startswith("error: "), err
+    if command.startswith("loss") and target == files[0] and rc == 1:
+        assert err.startswith(f"error: {target}: ") or repr("\ud800") in err, err

@@ -22,6 +22,7 @@ from crosstok.losses import (
     gold_grad,
     hkl,
     kd_aggregate,
+    loss_kernel,
     pkl,
     pkl_grads,
     uld,
@@ -346,6 +347,16 @@ class TestPkl:
         ps = rng.dirichlet(np.ones(6))
         q = project(w, ps)
         assert pkl(q, ps, w) == pytest.approx(0.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("mode", ["kl", "pkl"])
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_top_k_below_one_rejected_at_bind_time(self, mode, top_k):
+        tok = make_toy_tokenizer("char_level")
+        w = build_projection(tok.vocabulary, tok.vocabulary, tok)
+        with pytest.raises(ValidationError) as info:
+            loss_kernel(mode, tok.vocabulary, tok.vocabulary, w, top_k, HybridWeights(), None)
+        assert str(info.value) == f"top_k must be at least 1, got {top_k}"
 
 
 class TestPklGrads:

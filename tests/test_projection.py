@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,6 +395,32 @@ class TestProjectionFileFields:
     def test_impossible_student_count_named(self, saved, n_student):
         self.rewrite_header(saved, lambda h: {**h, "n_student": n_student})
         self.rejects(saved, "header.n_student")
+
+    def test_student_count_beyond_memory_named(self, saved):
+        """A row count that no allocation can hold fails by name, not as a bare
+        MemoryError (run under a 2 GB address-space limit)."""
+        self.rewrite_header(saved, lambda h: {**h, "n_student": 2**40})
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from crosstok.errors import ValidationError\n"
+                  "from crosstok.projection import load_projection\n"
+                  "try:\n"
+                  "    load_projection(sys.argv[1])\n"
+                  "except ValidationError as exc:\n"
+                  "    print(exc)\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script, str(saved)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"{saved}: header.n_student must be a row count "), proc.stdout
+
+    def test_rows_numbered_by_file_line(self, saved):
+        rewrite_records(saved, lambda recs: [{**recs[0], "provenance": "guess"}] + recs[1:])
+        lines = saved.read_text().split("\n")
+        # blank lines are outside the content hash; the bad row moves to file line 7
+        saved.write_text("\n".join(lines[:1] + ["", " ", "", "\t", ""] + lines[1:]))
+        self.rejects(saved, "line 7: cannot read row field 'provenance'")
 
     def test_bad_config_constants_named(self, saved):
         self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "beta": 0.05}})

@@ -11,7 +11,7 @@ import pytest
 from crosstok.align import AlignScoring, dp_align, read_alignment_dump, write_alignment_dump
 from crosstok.chunks import load_float_matrix, load_position_logits, save_float_matrix
 from crosstok.cli import main
-from crosstok.errors import ValidationError, parse_object
+from crosstok.errors import ValidationError, parse_object, read_text
 from crosstok.projection import build_projection, load_projection, save_projection
 from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tokenizer,
                             save_vocabulary)
@@ -113,3 +113,9 @@ def test_parse_object_message(text, detail):
 
 def test_parse_object_keeps_json_loads_inputs():
     assert parse_object('{"w": NaN, "n": 1e400}', "f.json")["n"] == float("inf")
+
+
+def test_read_text_names_an_unencodable_path():
+    with pytest.raises(ValidationError) as info:
+        read_text("dir/\ud800.json")
+    assert str(info.value).startswith("'dir/\\ud800.json': not an encodable file path (")

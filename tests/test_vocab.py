@@ -222,6 +222,13 @@ class TestVocabularyFiles:
             load_vocabulary(path)
         assert "vocab.json" in str(exc.value) and field in str(exc.value)
 
+    def test_malformed_byte_token_keeps_its_type(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": ["a", "<0xZZ>"]}), encoding="utf-8")
+        with pytest.raises(MalformedTokenError) as exc:
+            load_vocabulary(path)
+        assert str(exc.value).startswith(f"{path}: ") and "0xZZ" in str(exc.value)
+
     def test_unknown_top_level_key_allowed(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"tokens": ["a", "<s>"], "specials": [1],

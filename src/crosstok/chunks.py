@@ -26,18 +26,22 @@ SIDES = ("student", "teacher")
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
+    """Numerically stable softmax along the last axis, as a new float64 array."""
     if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=float) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.divide(logits, temperature, dtype=float)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 @dataclass
 class PositionLogits:
-    """Per-position logits over one side's vocabulary plus realized token ids."""
+    """Per-position logits over one side's vocabulary plus realized token ids.
+
+    float32 logits stay float32 (kernels upcast the rows they read, exactly);
+    any other input becomes float64."""
 
     seq_id: str
     side: str
@@ -48,7 +52,8 @@ class PositionLogits:
     def __post_init__(self) -> None:
         if self.side not in SIDES:
             raise ValidationError(f"side must be one of {SIDES}, got {self.side!r}")
-        self.logits = np.asarray(self.logits, dtype=float)
+        if not (isinstance(self.logits, np.ndarray) and self.logits.dtype == np.float32):
+            self.logits = np.asarray(self.logits, dtype=float)
         try:
             self.realized_ids = np.asarray(self.realized_ids, dtype=np.intp)
         except OverflowError:
@@ -156,7 +161,10 @@ _SIDECAR_FIELDS = {"seq_id": str, "side": str, "vocab_hash": str | None,
                    "realized_ids": list[int], "positions": int, "vocab_size": int}
 
 
-def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> PositionLogits:
+def load_position_logits(path, expected_vocab: Vocabulary | None = None,
+                         side: str | None = None) -> PositionLogits:
+    """Read a ``save_position_logits`` dump (float32 logits), optionally
+    checked against a side and a vocabulary; errors name the file."""
     sidecar = _sidecar_path(path)
     meta = check_fields(parse_object(read_text(sidecar), sidecar), _SIDECAR_FIELDS, sidecar,
                         required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
@@ -173,10 +181,12 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None) -> Posi
         pl = PositionLogits(
             seq_id=meta["seq_id"],
             side=meta["side"],
-            logits=flat.reshape(positions, vocab_size).astype(float),
+            logits=flat.reshape(positions, vocab_size),
             realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
         )
+    if side is not None and pl.side != side:
+        raise ValidationError(f"{path}: dump side is {pl.side!r}")
     if expected_vocab is not None:
         expected = vocabulary_hash(expected_vocab)
         if pl.vocab_hash != expected:

@@ -183,12 +183,11 @@ def _load_step_inputs(config: dict, path, grad: bool):
     names = _teacher_names(teacher_cfgs, path, grad)
 
     student_vocab = load_vocabulary(student_cfg["vocab"])
-    student_logits = load_position_logits(student_cfg["logits"],
-                                          expected_vocab=student_vocab)
+    student_logits = load_position_logits(student_cfg["logits"], student_vocab, "student")
     teachers = []
     for name, tc in zip(names, teacher_cfgs):
         vocab = load_vocabulary(tc["vocab"])
-        logits = load_position_logits(tc["logits"], expected_vocab=vocab)
+        logits = load_position_logits(tc["logits"], vocab, "teacher")
         projection = load_projection(tc["projection"]) if tc.get("projection") else None
         with located(path):
             teachers.append(TeacherConfig(name, tc["mode"], vocab, logits, projection,
@@ -214,6 +213,8 @@ def cmd_loss(args, config: dict) -> int:
 
     if args.grad and args.out is None:
         raise ValidationError("--grad needs --out to anchor the gradient files")
+    if args.out is not None and os.path.isdir(args.out):
+        raise ValidationError(f"--out {args.out!r} is a directory; it must name the report file")
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
     student_vocab, student_logits, teachers = _load_step_inputs(config, args.config, args.grad)

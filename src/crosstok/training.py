@@ -220,21 +220,35 @@ def _chunk_stats(alignment) -> dict:
     }
 
 
-def _cross_entropy(pl: PositionLogits, grads: bool) -> tuple[float, np.ndarray | None]:
-    """Mean negative log-likelihood of the realized tokens and, with ``grads``,
-    its gradient in the position logits, from one (P, V) buffer."""
-    rows = np.arange(pl.positions)
-    buf = pl.logits - pl.logits.max(axis=1, keepdims=True)
-    picked = buf[rows, pl.realized_ids]
+def _exp_shifted(logits: np.ndarray, realized: np.ndarray):
+    """exp(row - row max) of logit rows as a new float64 array, each row's
+    negative log-likelihood of its realized token, and each row's normalizer."""
+    buf = np.subtract(logits, logits.max(axis=1, keepdims=True), dtype=float)
+    picked = buf[np.arange(buf.shape[0]), realized]
     np.exp(buf, out=buf)
     norm = buf.sum(axis=1)
-    value = float(np.mean(np.log(norm) - picked))
-    if not grads:
-        return value, None
-    buf /= norm[:, None]
-    buf[rows, pl.realized_ids] -= 1.0
-    buf /= pl.positions
-    return value, buf
+    return buf, np.log(norm) - picked, norm
+
+
+_CE_BLOCK = 32  # rows upcast at a time by the value-only cross-entropy
+
+
+def _cross_entropy(pl: PositionLogits, grads: bool) -> tuple[float, np.ndarray | None]:
+    """Mean negative log-likelihood of the realized tokens and, with ``grads``,
+    its gradient in the position logits. The gradient is built in one float64
+    copy of the (P, V) dump; the value alone upcasts ``_CE_BLOCK`` rows at a
+    time."""
+    if grads:
+        buf, nll, norm = _exp_shifted(pl.logits, pl.realized_ids)
+        buf /= norm[:, None]
+        buf[np.arange(pl.positions), pl.realized_ids] -= 1.0
+        buf /= pl.positions
+        return float(np.mean(nll)), buf
+    nll = np.empty(pl.positions)
+    for lo in range(0, pl.positions, _CE_BLOCK):
+        hi = lo + _CE_BLOCK
+        nll[lo:hi] = _exp_shifted(pl.logits[lo:hi], pl.realized_ids[lo:hi])[1]
+    return float(np.mean(nll)), None
 
 
 def cross_entropy(pl: PositionLogits) -> float:

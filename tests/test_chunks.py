@@ -22,6 +22,14 @@ from crosstok.losses import chunk_kl
 from crosstok.vocab import Vocabulary, vocabulary_hash
 
 
+def reference_softmax(logits, temperature=1.0):
+    """The four-array softmax that ``chunks.softmax`` replaced."""
+    z = np.asarray(logits, dtype=float) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def make_logits(rows, realized, side="student", seq_id="s0"):
     return PositionLogits(seq_id=seq_id, side=side,
                           logits=np.asarray(rows, dtype=float),
@@ -45,6 +53,23 @@ class TestSoftmax:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValidationError):
             softmax(np.zeros(2), temperature=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([1.0, 0.3, 2.0, 7.5]))
+    def test_matches_reference_bit_for_bit(self, data, dtype, temperature):
+        shape = data.draw(st.one_of(st.tuples(st.integers(1, 12)),
+                                    st.tuples(st.integers(1, 5), st.integers(1, 12))))
+        bound = 80.0 if dtype == np.float32 else 700.0
+        values = data.draw(st.lists(st.floats(-bound, bound, width=32 if dtype == np.float32
+                                               else 64),
+                                    min_size=math.prod(shape), max_size=math.prod(shape)))
+        logits = np.array(values, dtype=dtype).reshape(shape)
+        before = logits.copy()
+        out = softmax(logits, temperature)
+        assert out.dtype == np.float64
+        assert out.tobytes() == reference_softmax(logits, temperature).tobytes()
+        assert logits.dtype == dtype and logits.tobytes() == before.tobytes()
 
 
 class TestChainRuleMerge:
@@ -282,6 +307,54 @@ class TestLogitsDumpIO:
         with pytest.raises(ValidationError) as info:
             load_float_matrix(path)
         assert str(info.value).startswith(f"{path}.json: 'shape' {shape} is not a numpy shape (")
+
+    def test_loaded_logits_stay_float32(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        save_position_logits(make_logits(np.random.default_rng(3).normal(size=(5, 7)),
+                                         [0, 6, 1, 2, 3]), path)
+        loaded = load_position_logits(path)
+        assert loaded.logits.dtype == np.float32
+        # no float64 copy held next to the file's values
+        assert loaded.logits.nbytes == path.stat().st_size
+
+    def test_save_load_roundtrip_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(4)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_position_logits(make_logits(rng.normal(size=(3, 6)), [5, 0, 2]), first)
+        save_position_logits(load_position_logits(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert (tmp_path / "a.bin.json").read_bytes() == (tmp_path / "b.bin.json").read_bytes()
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0.5, -1.0]], dtype=np.float32), np.array([[0.5, -1.0]], dtype=">f4")],
+        ids=["float32", "big-endian-float32"])
+    def test_only_native_float32_kept(self, rows):
+        pl = PositionLogits("s0", "student", rows, [0])
+        assert pl.logits.dtype == (np.float32 if rows.dtype == np.float32 else np.float64)
+        np.testing.assert_array_equal(pl.logits, rows)
+
+    @pytest.mark.parametrize("rows", [np.array([[0.5, -1.0]]), np.array([[1, -2]]),
+                                      [[0.5, -1.0]], [[1, -2]]],
+                             ids=["float64", "int", "float-list", "int-list"])
+    def test_other_input_becomes_float64(self, rows):
+        pl = PositionLogits("s0", "student", rows, [0])
+        assert pl.logits.dtype == np.float64
+        np.testing.assert_array_equal(pl.logits, np.asarray(rows, dtype=float))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float32_logits_rejected(self, bad):
+        with pytest.raises(ValidationError) as info:
+            PositionLogits("doc7", "teacher", np.array([[0.0, bad]], dtype=np.float32), [0])
+        assert str(info.value) == "teacher logits of sequence 'doc7' hold non-finite values"
+
+    @pytest.mark.parametrize("side, other", [("student", "teacher"), ("teacher", "student")])
+    def test_side_checked_naming_the_file(self, tmp_path, side, other):
+        path = tmp_path / "dump.bin"
+        save_position_logits(make_logits(np.zeros((1, 2)), [0], side=side), path)
+        assert load_position_logits(path, side=side).side == side
+        with pytest.raises(ValidationError) as info:
+            load_position_logits(path, side=other)
+        assert str(info.value) == f"{path}: dump side is {side!r}"
 
     def test_realized_id_range_validated(self):
         with pytest.raises(ValidationError):

@@ -636,6 +636,29 @@ class TestStepConfigSemantics:
         rc, err = self.grad_run(fx, tmp_path, capsys, with_out=False)
         assert rc == 1 and err == "error: --grad needs --out to anchor the gradient files\n"
 
+    @pytest.mark.parametrize("grad", [[], ["--grad"]], ids=["report", "grad"])
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["plain", "trailing-slash"])
+    def test_out_naming_a_directory_rejected_before_any_file(self, step_fixture, tmp_path,
+                                                             capsys, grad, slash):
+        fx = step_fixture(modes=("pkl", "gold"))
+        out = tmp_path / "reports"
+        out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["--config", str(fx["config"]), "loss", *grad, "--out", str(out) + slash])
+        assert rc == 1 and capsys.readouterr().err == (
+            f"error: --out {str(out) + slash!r} is a directory; it must name the report file\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("dump, other", [("student.bin", "teacher"),
+                                             ("teacher0.bin", "student")])
+    def test_wrong_side_dump_named_by_its_file(self, step_fixture, capsys, dump, other):
+        fx = step_fixture(modes=("pkl",))
+        path = fx["dir"] / dump
+        sidecar = fx["dir"] / (dump + ".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "side": other}))
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: dump side is {other!r}\n"
+
     def test_grad_file_names_follow_teacher_names(self, step_fixture, tmp_path, capsys):
         fx = step_fixture(modes=("pkl", "gold"))
         edit_config(fx, lambda c: c["teachers"][1].update(name="t.b"))
@@ -682,6 +705,8 @@ PINNED_LOSS_CHUNK_STATS = {
     "odd": {"chunks": 72, "combinations": 9, "gaps": 41, "loss_chunks": 31,
             "matches": 22, "mismatches": 0, "score": 61.09999999999997},
 }
+PINNED_LOSS_FILES = 1962
+PINNED_LOSS_BYTES = "399743d9a76527719fda5be06d5c0ccdb4aa222bafe68d8048168b7a5b54055d"
 
 
 @pytest.fixture
@@ -734,3 +759,48 @@ class TestOutputPins:
             [report] = json.loads(out.read_text())["teachers"]
             stats[label] = report["chunk_stats"]
         assert stats == PINNED_LOSS_CHUNK_STATS
+
+    def test_loss_output_bytes(self, pin_pair, monkeypatch):
+        """One digest over the report and every gradient file that `crosstok loss`
+        writes for five teachers (one per mode) under three schedule and policy
+        configurations, each run with and without --grad. Paths in the config
+        are relative, so the echoed config is the same in every directory."""
+        student, teacher = pin_pair["student"], pin_pair["teacher"]
+        monkeypatch.chdir(pin_pair["dir"])
+        text = " ".join(PIN_TEXTS)
+        rng = np.random.default_rng(13)
+        s_ids = [student.special_roles["bos"]] + Tokenizer(student).encode(text)
+        t_ids = Tokenizer(teacher).encode(text)
+        write_dump("s.bin", "student", 3 * rng.normal(size=(len(s_ids), len(student))),
+                   s_ids, student)
+        save_projection(build_projection(student, teacher, Tokenizer(teacher)), "w.jsonl")
+        teachers = []
+        for mode, weight in zip(("pkl", "hkl", "gold", "uld", "kl"), (0.1, 0.15, 0.2, 0.25, 0.3)):
+            vocab, ids, vocab_file = ((student, s_ids, "s.json") if mode == "kl"
+                                      else (teacher, t_ids, "t.json"))
+            write_dump(f"{mode}.bin", "teacher", 3 * rng.normal(size=(len(ids), len(vocab))),
+                       ids, vocab, seq_id=mode)
+            teachers.append({"name": mode, "mode": mode, "vocab": vocab_file,
+                             "logits": f"{mode}.bin", "weight": weight,
+                             **({"projection": "w.jsonl"} if mode in ("pkl", "hkl") else {})})
+        runs = {"t2-static": {"temperature": 2.0, "schedule": {"kind": "static"}},
+                "adaptive-ce": {"schedule": {"kind": "adaptive_ce"}},
+                "adaptive-entropy-fixed": {"schedule": {"kind": "adaptive_entropy"},
+                                           "policy": {"kind": "fixed", "lambda_kd": 0.7,
+                                                      "lambda_ce": 0.3}}}
+        out = Path("out")
+        for label, settings in runs.items():
+            config = Path(f"{label}.json")
+            config.write_text(json.dumps({"student": {"vocab": "s.json", "logits": "s.bin"},
+                                          "teachers": teachers, "top_k": 16, **settings}))
+            for grad in ([], ["--grad"]):
+                run_dir = out / (label + "".join(grad))
+                run_dir.mkdir(parents=True)
+                assert main(["--config", str(config), "loss", "--out",
+                             str(run_dir / "r.json"), *grad]) == 0
+        digest = hashlib.sha256()
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        for p in files:
+            digest.update(p.as_posix().encode() + b"\n" + hashlib.sha256(p.read_bytes()).digest())
+        assert len(files) == PINNED_LOSS_FILES
+        assert digest.hexdigest() == PINNED_LOSS_BYTES

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crosstok.training as training
 from crosstok.align import AlignmentCache, AlignScoring
@@ -24,7 +26,7 @@ from crosstok.training import (
     gradient_check,
     run_step,
 )
-from crosstok.vocab import Tokenizer, Vocabulary, vocabulary_hash
+from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer, vocabulary_hash
 
 
 def stats_from(prob_rows, realized):
@@ -192,6 +194,39 @@ class TestCrossEntropy:
         analytic = cross_entropy_grad(dump("student", logits, realized))
         numeric = central_difference(value, logits.ravel()).reshape(3, 4)
         assert max_relative_error(analytic, numeric) < 1e-6
+
+    @staticmethod
+    def reference(pl):
+        """The one-(P, V)-buffer cross-entropy that the row-block value path replaced."""
+        rows = np.arange(pl.positions)
+        logits = np.asarray(pl.logits, dtype=float)
+        buf = logits - logits.max(axis=1, keepdims=True)
+        picked = buf[rows, pl.realized_ids]
+        np.exp(buf, out=buf)
+        norm = buf.sum(axis=1)
+        value = float(np.mean(np.log(norm) - picked))
+        buf /= norm[:, None]
+        buf[rows, pl.realized_ids] -= 1.0
+        buf /= pl.positions
+        return value, buf
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3 * training._CE_BLOCK + 5), st.integers(1, 40),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 3.0, 60.0]),
+           st.integers(0, 2**32 - 1))
+    def test_row_blocks_match_the_whole_matrix_bit_for_bit(self, positions, width, dtype,
+                                                           scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = (scale * rng.normal(size=(positions, width))).astype(dtype)
+        pl = PositionLogits("s0", "student", logits, rng.integers(0, width, size=positions))
+        assert pl.logits is logits
+        before = logits.copy()
+        value, _ = training._cross_entropy(pl, False)
+        grad_value, grad = training._cross_entropy(pl, True)
+        ref_value, ref_grad = self.reference(pl)
+        assert value == grad_value == ref_value
+        assert grad.dtype == np.float64 and grad.tobytes() == ref_grad.tobytes()
+        assert logits.tobytes() == before.tobytes()
 
 
 def same_tokenizer_setup(rng, equal=True):
@@ -574,3 +609,55 @@ class TestGradientCheck:
         # space has truncation error above the tolerance on correct gradients
         worst = gradient_check(seed=seed)
         assert worst["pkl_entries"] < 1e-6
+
+
+FLOAT32_TEXT = "In 2019 the 42 cats saw 7 dogs and 123 birds on 04/05"
+
+
+class TestFloat32Dumps:
+    """A step over float32-held dumps equals the same step over the dumps
+    upcast to float64 first: every kernel upcasts what it reads, exactly."""
+
+    @staticmethod
+    def step_inputs(rng):
+        vs = make_toy_tokenizer("numeral_preserving").vocabulary
+        vt = make_toy_tokenizer("word_level", [FLOAT32_TEXT]).vocabulary
+        s_ids, t_ids = Tokenizer(vs).encode(FLOAT32_TEXT), Tokenizer(vt).encode(FLOAT32_TEXT)
+        w = build_projection(vs, vt, Tokenizer(vt))
+
+        def held(side, ids, vocab, seq_id):
+            logits = (3 * rng.normal(size=(len(ids), len(vocab)))).astype(np.float32)
+            return tuple(PositionLogits(seq_id, side, held_as, ids, vocabulary_hash(vocab))
+                         for held_as in (logits, logits.astype(float)))
+
+        student = held("student", s_ids, vs, "s")
+        teachers = ([], [])
+        for mode, weight in zip(("pkl", "hkl", "gold", "uld", "kl"), (0.1, 0.15, 0.2, 0.25, 0.3)):
+            vocab, ids = (vs, s_ids) if mode == "kl" else (vt, t_ids)
+            for held_alike, pl in zip(teachers, held("teacher", ids, vocab, mode)):
+                held_alike.append(TeacherConfig(mode, mode, vocab, pl,
+                                          w if mode in ("pkl", "hkl") else None, weight))
+        return vs, student, teachers
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(training.SCHEDULE_KINDS),
+           st.sampled_from(["dynamic", "fixed"]), st.sampled_from([1.0, 2.0, 0.7]),
+           st.booleans())
+    def test_float32_step_equals_float64_step(self, seed, schedule, policy, temperature,
+                                              grads):
+        vs, (s32, s64), (t32, t64) = self.step_inputs(np.random.default_rng(seed))
+        assert s32.logits.dtype == np.float32 and s64.logits.dtype == np.float64
+        kwargs = dict(policy=ScalingPolicy(policy), schedule=WeightSchedule(schedule),
+                      temperature=temperature, top_k=64, compute_grads=grads)
+        held32 = run_step(vs, s32, t32, **kwargs)
+        held64 = run_step(vs, s64, t64, **kwargs)
+        assert held32.to_json() == held64.to_json()
+        if grads:
+            assert np.array_equal(held32.ce_grad, held64.ce_grad)
+            for a, b in zip(held32.teachers, held64.teachers):
+                assert len(a.report.grad_chunk_logits) == len(b.report.grad_chunk_logits)
+                for ga, gb in zip(a.report.grad_chunk_logits, b.report.grad_chunk_logits):
+                    assert np.array_equal(ga, gb)
+                assert (a.report.grad_projection is None) == (b.report.grad_projection is None)
+                if a.report.grad_projection is not None:
+                    assert np.array_equal(a.report.grad_projection, b.report.grad_projection)

@@ -185,18 +185,26 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None,
             realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
         )
-    if side is not None and pl.side != side:
-        raise ValidationError(f"{path}: dump side is {pl.side!r}")
-    if expected_vocab is not None:
-        expected = vocabulary_hash(expected_vocab)
-        if pl.vocab_hash != expected:
-            raise ValidationError(
-                f"{path}: dump was produced for a different vocabulary "
-                f"(hash {pl.vocab_hash} != {expected})"
-            )
-        if pl.vocab_size != len(expected_vocab):
-            raise ValidationError(f"{path}: dump width {pl.vocab_size} != |V|={len(expected_vocab)}")
+    if expected_vocab is not None and pl.vocab_hash is None:
+        raise ValidationError(f"{path}: dump carries no vocabulary hash to check")
+    check_dump(pl, side, expected_vocab, f"{path}:")
     return pl
+
+
+def check_dump(pl: PositionLogits, side: str | None, vocab: Vocabulary | None,
+               who: str) -> None:
+    """Reject a dump from the other side, of another width or hashed from
+    another vocabulary (a dump without a hash passes that check); ``None``
+    skips the side or vocabulary checks, and each message starts with ``who``."""
+    if side is not None and pl.side != side:
+        raise ValidationError(f"{who} dump side is {pl.side!r}")
+    if vocab is None:
+        return
+    if pl.vocab_size != len(vocab):
+        raise ValidationError(f"{who} dump width {pl.vocab_size} != |V|={len(vocab)}")
+    if pl.vocab_hash is not None and pl.vocab_hash != vocabulary_hash(vocab):
+        raise ValidationError(f"{who} dump was produced for a different vocabulary "
+                              f"(hash {pl.vocab_hash} != {vocabulary_hash(vocab)})")
 
 
 def save_float_matrix(values: np.ndarray, path) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
-from .chunks import PositionLogits, chain_rule_merge, softmax, topk_support
+from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax, topk_support
 from .errors import ValidationError, located
 from .losses import (
     LOG_EPS,
@@ -38,7 +38,7 @@ from .losses import (
 )
 from .numdiff import central_difference, max_relative_error
 from .projection import ProjectionConfig, Provenance, SparseProjection
-from .vocab import Tokenizer, Vocabulary, vocabulary_hash
+from .vocab import Tokenizer, Vocabulary
 
 _KD_FLOOR = 1e-12
 SCHEDULE_KINDS = ("static", "adaptive_ce", "adaptive_entropy", "adaptive_maxprob")
@@ -220,35 +220,30 @@ def _chunk_stats(alignment) -> dict:
     }
 
 
-def _exp_shifted(logits: np.ndarray, realized: np.ndarray):
-    """exp(row - row max) of logit rows as a new float64 array, each row's
-    negative log-likelihood of its realized token, and each row's normalizer."""
-    buf = np.subtract(logits, logits.max(axis=1, keepdims=True), dtype=float)
-    picked = buf[np.arange(buf.shape[0]), realized]
-    np.exp(buf, out=buf)
-    norm = buf.sum(axis=1)
-    return buf, np.log(norm) - picked, norm
-
-
-_CE_BLOCK = 32  # rows upcast at a time by the value-only cross-entropy
+_CE_BLOCK = 32  # dump rows upcast to float64 at a time by the cross-entropy
 
 
 def _cross_entropy(pl: PositionLogits, grads: bool) -> tuple[float, np.ndarray | None]:
     """Mean negative log-likelihood of the realized tokens and, with ``grads``,
-    its gradient in the position logits. The gradient is built in one float64
-    copy of the (P, V) dump; the value alone upcasts ``_CE_BLOCK`` rows at a
-    time."""
-    if grads:
-        buf, nll, norm = _exp_shifted(pl.logits, pl.realized_ids)
-        buf /= norm[:, None]
-        buf[np.arange(pl.positions), pl.realized_ids] -= 1.0
-        buf /= pl.positions
-        return float(np.mean(nll)), buf
+    its gradient in the position logits. The dump is upcast ``_CE_BLOCK`` rows
+    at a time, straight into the float64 (P, V) gradient when there is one."""
+    grad = np.empty(pl.logits.shape) if grads else None
     nll = np.empty(pl.positions)
     for lo in range(0, pl.positions, _CE_BLOCK):
-        hi = lo + _CE_BLOCK
-        nll[lo:hi] = _exp_shifted(pl.logits[lo:hi], pl.realized_ids[lo:hi])[1]
-    return float(np.mean(nll)), None
+        block = slice(lo, lo + _CE_BLOCK)
+        rows, ids = pl.logits[block], pl.realized_ids[block]
+        realized = np.arange(len(ids)), ids
+        buf = np.subtract(rows, rows.max(axis=1, keepdims=True), dtype=float,
+                          out=None if grad is None else grad[block])
+        picked = buf[realized]
+        np.exp(buf, out=buf)
+        norm = buf.sum(axis=1)
+        nll[block] = np.log(norm) - picked
+        if grad is not None:
+            buf /= norm[:, None]
+            buf[realized] -= 1.0
+            buf /= pl.positions
+    return float(np.mean(nll)), grad
 
 
 def cross_entropy(pl: PositionLogits) -> float:
@@ -259,17 +254,6 @@ def cross_entropy(pl: PositionLogits) -> float:
 def cross_entropy_grad(pl: PositionLogits) -> np.ndarray:
     """Gradient of ``cross_entropy`` in the position logits, (P, V)."""
     return _cross_entropy(pl, True)[1]
-
-
-def _check_dump(pl: PositionLogits, side: str, vocab: Vocabulary, who: str) -> None:
-    """Reject a dump from the other side, of another width or hashed from
-    another vocabulary; each message starts with ``who``."""
-    if pl.side != side:
-        raise ValidationError(f"{who} dump side is {pl.side!r}")
-    if pl.vocab_size != len(vocab):
-        raise ValidationError(f"{who} dump width != vocabulary size")
-    if pl.vocab_hash is not None and pl.vocab_hash != vocabulary_hash(vocab):
-        raise ValidationError(f"{who} vocab hash mismatch")
 
 
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
@@ -287,11 +271,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     """One simulated training step over stored logits. Deterministic."""
     if not teachers:
         raise ValidationError("need at least one teacher")
-    _check_dump(student_logits, "student", student_vocab, "student")
+    check_dump(student_logits, "student", student_vocab, "student")
     kernels = []
     for teacher in teachers:
         who = f"teacher {teacher.name!r}"
-        _check_dump(teacher.logits, "teacher", teacher.vocab, who + ":")
+        check_dump(teacher.logits, "teacher", teacher.vocab, who + ":")
         with located(who):
             kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
                                        teacher.projection, top_k, hybrid, eps))

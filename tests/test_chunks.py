@@ -227,6 +227,14 @@ class TestLogitsDumpIO:
         with pytest.raises(ValidationError, match="different vocabulary"):
             load_position_logits(path, expected_vocab=other)
 
+    def test_dump_without_hash_rejected_against_a_vocabulary(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        save_position_logits(make_logits(np.zeros((1, 3)), [0]), path)
+        assert load_position_logits(path).vocab_hash is None
+        with pytest.raises(ValidationError) as info:
+            load_position_logits(path, expected_vocab=Vocabulary(["a", "b", "c"]))
+        assert str(info.value) == f"{path}: dump carries no vocabulary hash to check"
+
     def test_truncated_payload_detected(self, tmp_path):
         pl = make_logits(np.zeros((2, 3)), [0, 1])
         path = tmp_path / "dump.bin"

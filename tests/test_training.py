@@ -197,7 +197,7 @@ class TestCrossEntropy:
 
     @staticmethod
     def reference(pl):
-        """The one-(P, V)-buffer cross-entropy that the row-block value path replaced."""
+        """The one-(P, V)-buffer cross-entropy that the row-block loop replaced."""
         rows = np.arange(pl.positions)
         logits = np.asarray(pl.logits, dtype=float)
         buf = logits - logits.max(axis=1, keepdims=True)
@@ -517,17 +517,19 @@ DUMP_AND_MODE_MESSAGES = {
     "student side": (lambda s, t: (replace(s, side="teacher"), t),
                      "student dump side is 'teacher'"),
     "student width": (lambda s, t: (dump("student", np.zeros((1, 3)), [0]), t),
-                      "student dump width != vocabulary size"),
+                      "student dump width 3 != |V|=4"),
     "student hash": (lambda s, t: (replace(s, vocab_hash=vocabulary_hash(PIN_VT)), t),
-                     "student vocab hash mismatch"),
+                     "student dump was produced for a different vocabulary "
+                     f"(hash {vocabulary_hash(PIN_VT)} != {vocabulary_hash(PIN_VS)})"),
     "teacher side": (lambda s, t: (s, replace(t, logits=replace(t.logits, side="student"))),
                      "teacher 'x': dump side is 'student'"),
     "teacher width": (lambda s, t: (s, replace(t, logits=dump("teacher", np.zeros((1, 4)),
                                                                [0]))),
-                      "teacher 'x': dump width != vocabulary size"),
+                      "teacher 'x': dump width 4 != |V|=3"),
     "teacher hash": (lambda s, t: (s, replace(t, logits=replace(
                          t.logits, vocab_hash=vocabulary_hash(PIN_VS)))),
-                     "teacher 'x': vocab hash mismatch"),
+                     "teacher 'x': dump was produced for a different vocabulary "
+                     f"(hash {vocabulary_hash(PIN_VS)} != {vocabulary_hash(PIN_VT)})"),
     "unknown mode": (lambda s, t: (s, replace(t, mode="bogus")),
                      "teacher 'x': mode must be one of ('pkl', 'hkl', 'gold', 'uld', 'kl'), "
                      "got 'bogus'"),

@@ -66,7 +66,6 @@ from .training import (
     ScalingPolicy,
     StepReport,
     TeacherConfig,
-    TeacherStats,
     WeightSchedule,
     adaptive_weights,
     combine_kd_ce,

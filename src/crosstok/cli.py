@@ -215,6 +215,8 @@ def cmd_loss(args, config: dict) -> int:
         raise ValidationError("--grad needs --out to anchor the gradient files")
     if args.out is not None and os.path.isdir(args.out):
         raise ValidationError(f"--out {args.out!r} is a directory; it must name the report file")
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValidationError(f"--out {args.out!r}: its directory does not exist")
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
     student_vocab, student_logits, teachers = _load_step_inputs(config, args.config, args.grad)
@@ -227,7 +229,7 @@ def cmd_loss(args, config: dict) -> int:
 
     with located(args.config):
         report = run_step(student_vocab, student_logits, teachers, compute_grads=args.grad,
-                          config_echo=config, **sections, **step_kwargs)
+                          **sections, **step_kwargs)
 
     grad_files: dict[str, str] = {}
     if args.grad:
@@ -243,7 +245,8 @@ def cmd_loss(args, config: dict) -> int:
             if t.report.grad_projection is not None:
                 write(f"{t.name}/w_entries", f".{t.name}.w_entries.bin", t.report.grad_projection)
 
-    rendered = report.to_json(**({"gradient_files": grad_files} if args.grad else {}))
+    rendered = report.to_json(config_echo=config,
+                              **({"gradient_files": grad_files} if args.grad else {}))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(rendered)

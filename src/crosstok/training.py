@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -93,54 +93,6 @@ class WeightSchedule:
 
 
 @dataclass
-class TeacherStats:
-    """Per-position confidence inputs for one teacher on a (B, N) grid."""
-
-    probs: np.ndarray     # (B, N, V) next-token distributions
-    realized: np.ndarray  # (B, N) ground-truth next tokens under this teacher
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=float)
-        self.realized = np.asarray(self.realized, dtype=np.intp)
-        if self.probs.ndim != 3:
-            raise ValidationError("stats need a (batch, positions, vocab) tensor")
-        if self.realized.shape != self.probs.shape[:2]:
-            raise ValidationError("realized grid does not match the probs grid")
-
-
-def adaptive_weights(kind: str, teacher_stats: Sequence[TeacherStats]) -> np.ndarray:
-    """Softmax over per-teacher mean confidence scores.
-
-    Scores per token: ``adaptive_ce`` uses log p[y] (negated cross-entropy),
-    ``adaptive_entropy`` uses the negated entropy, ``adaptive_maxprob`` the
-    maximum probability; higher always means more confident. Teachers must
-    share the batch dimension; position counts may differ because each
-    teacher tokenizes the same text its own way.
-    """
-    if kind not in SCHEDULE_KINDS or kind == "static":
-        raise ValidationError(f"unknown adaptive kind {kind!r}")
-    if not teacher_stats:
-        raise ValidationError("need stats for at least one teacher")
-    batches = {s.probs.shape[0] for s in teacher_stats}
-    if len(batches) != 1:
-        raise ValidationError(f"mismatched stat grids: batch sizes {sorted(batches)}")
-
-    means = []
-    for stats in teacher_stats:
-        p = stats.probs
-        if kind == "adaptive_ce":
-            b_idx, n_idx = np.indices(stats.realized.shape)
-            scores = np.log(np.maximum(p[b_idx, n_idx, stats.realized], LOG_EPS))
-        elif kind == "adaptive_entropy":
-            scores = np.sum(np.where(p > 0, p * np.log(np.maximum(p, LOG_EPS)), 0.0), axis=-1)
-        else:
-            scores = p.max(axis=-1)
-        means.append(float(scores.mean()))
-
-    return softmax(np.asarray(means))
-
-
-@dataclass
 class TeacherConfig:
     """One teacher's loaded inputs and loss routing for a simulated step."""
 
@@ -178,7 +130,6 @@ class StepReport:
     alphas: tuple[float, ...]
     teachers: list[TeacherBreakdown]
     ce_grad: np.ndarray | None = None
-    config_echo: dict = field(default_factory=dict)
 
     def to_json(self, **extra) -> str:
         """Deterministic JSON, plus ``extra`` top-level fields (gradient tensors
@@ -201,7 +152,6 @@ class StepReport:
                 }
                 for t in self.teachers
             ],
-            "config_echo": self.config_echo,
             **extra,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -220,7 +170,40 @@ def _chunk_stats(alignment) -> dict:
     }
 
 
-_CE_BLOCK = 32  # dump rows upcast to float64 at a time by the cross-entropy
+_CE_BLOCK = 32  # dump rows upcast to float64 at a time by cross-entropy and adaptive weights
+
+
+def adaptive_weights(kind: str, dumps: Sequence[PositionLogits]) -> np.ndarray:
+    """Softmax over per-teacher mean confidence scores.
+
+    Scores per position: ``adaptive_ce`` uses log p[y] (negated cross-entropy),
+    ``adaptive_entropy`` uses the negated entropy, ``adaptive_maxprob`` the
+    maximum probability; higher always means more confident. Position counts
+    may differ because each teacher tokenizes the same text its own way. Each
+    dump is softmaxed ``_CE_BLOCK`` rows at a time.
+    """
+    if kind not in SCHEDULE_KINDS or kind == "static":
+        raise ValidationError(f"unknown adaptive kind {kind!r}")
+    if not dumps:
+        raise ValidationError("need a dump for at least one teacher")
+
+    means = []
+    for pl in dumps:
+        scores = np.empty(pl.positions)
+        for lo in range(0, pl.positions, _CE_BLOCK):
+            block = slice(lo, lo + _CE_BLOCK)
+            p = softmax(pl.logits[block])
+            if kind == "adaptive_ce":
+                picked = p[np.arange(len(p)), pl.realized_ids[block]]
+                scores[block] = np.log(np.maximum(picked, LOG_EPS))
+            elif kind == "adaptive_entropy":
+                scores[block] = np.sum(np.where(p > 0, p * np.log(np.maximum(p, LOG_EPS)), 0.0),
+                                       axis=-1)
+            else:
+                scores[block] = p.max(axis=-1)
+        means.append(float(scores.mean()))
+
+    return softmax(np.asarray(means))
 
 
 def _cross_entropy(pl: PositionLogits, grads: bool) -> tuple[float, np.ndarray | None]:
@@ -251,9 +234,9 @@ def cross_entropy(pl: PositionLogits) -> float:
     return _cross_entropy(pl, False)[0]
 
 
-def cross_entropy_grad(pl: PositionLogits) -> np.ndarray:
-    """Gradient of ``cross_entropy`` in the position logits, (P, V)."""
-    return _cross_entropy(pl, True)[1]
+def cross_entropy_grad(pl: PositionLogits) -> tuple[float, np.ndarray]:
+    """``cross_entropy`` and its gradient in the position logits, (P, V)."""
+    return _cross_entropy(pl, True)
 
 
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
@@ -266,8 +249,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              hybrid: HybridWeights = HybridWeights(),
              cache: AlignmentCache | None = None,
              compute_grads: bool = False,
-             eps: float | None = LOG_EPS,
-             config_echo: dict | None = None) -> StepReport:
+             eps: float | None = LOG_EPS) -> StepReport:
     """One simulated training step over stored logits. Deterministic."""
     if not teachers:
         raise ValidationError("need at least one teacher")
@@ -287,9 +269,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             raise ValidationError(f"static teacher weights sum to {total!r}, not 1: " + ", ".join(
                 f"{t.name!r} {t.weight!r}" for t in teachers))
     else:
-        alphas = adaptive_weights(schedule.kind, [
-            TeacherStats(softmax(t.logits.logits)[None], t.logits.realized_ids[None])
-            for t in teachers])
+        alphas = adaptive_weights(schedule.kind, [t.logits for t in teachers])
 
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()
@@ -323,7 +303,8 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
                                            _chunk_stats(alignment)))
 
     l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
-    l_ce, ce_grad = _cross_entropy(student_logits, compute_grads)
+    l_ce, ce_grad = (cross_entropy_grad(student_logits) if compute_grads
+                     else (cross_entropy(student_logits), None))
     if policy.kind == "dynamic" and abs(l_kd) <= _KD_FLOOR:
         # nothing to rescale when the distillation term vanishes
         total, multiplier = l_ce, 0.0
@@ -356,7 +337,6 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         alphas=tuple(float(a) for a in alphas),
         teachers=breakdowns,
         ce_grad=ce_grad,
-        config_echo=config_echo or {},
     )
 
 

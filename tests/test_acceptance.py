@@ -239,21 +239,20 @@ def test_criterion_09_audit_reproduction_at_toy_scale():
 
 
 def test_criterion_10_adaptive_weight_properties():
-    from crosstok.training import TeacherStats, adaptive_weights
+    from adaptive_reference import dump_of_probs
+    from crosstok.training import adaptive_weights
 
     rng = np.random.default_rng(1010)
     for kind in ("adaptive_ce", "adaptive_entropy", "adaptive_maxprob"):
         for _ in range(20):
-            stats = [
-                TeacherStats(rng.dirichlet(np.ones(5), size=(2, 3)),
-                             rng.integers(0, 5, size=(2, 3)))
+            dumps = [
+                dump_of_probs(rng.dirichlet(np.ones(5), size=6), rng.integers(0, 5, size=6))
                 for _ in range(3)
             ]
-            alphas = adaptive_weights(kind, stats)
+            alphas = adaptive_weights(kind, dumps)
             assert abs(float(alphas.sum()) - 1.0) < 1e-12
 
-        shared = TeacherStats(rng.dirichlet(np.ones(5), size=(2, 3)),
-                              rng.integers(0, 5, size=(2, 3)))
+        shared = dump_of_probs(rng.dirichlet(np.ones(5), size=6), rng.integers(0, 5, size=6))
         uniform = adaptive_weights(kind, [shared, shared, shared])
         np.testing.assert_allclose(uniform, 1.0 / 3.0, atol=1e-15)
 
@@ -262,14 +261,12 @@ def test_criterion_10_adaptive_weight_properties():
         p1, p2 = rng.uniform(0.2, 0.9), rng.uniform(0.2, 0.9)
         factor = rng.uniform(0.5, 0.99)
         base = adaptive_weights("adaptive_ce", [
-            TeacherStats(np.array([[[p1, 1 - p1]]]), np.zeros((1, 1), dtype=int)),
-            TeacherStats(np.array([[[p2, 1 - p2]]]), np.zeros((1, 1), dtype=int)),
+            dump_of_probs([[p1, 1 - p1]], [0]),
+            dump_of_probs([[p2, 1 - p2]], [0]),
         ])
         shifted = adaptive_weights("adaptive_ce", [
-            TeacherStats(np.array([[[p1 * factor, 1 - p1 * factor]]]),
-                         np.zeros((1, 1), dtype=int)),
-            TeacherStats(np.array([[[p2 * factor, 1 - p2 * factor]]]),
-                         np.zeros((1, 1), dtype=int)),
+            dump_of_probs([[p1 * factor, 1 - p1 * factor]], [0]),
+            dump_of_probs([[p2 * factor, 1 - p2 * factor]], [0]),
         ])
         np.testing.assert_allclose(shifted, base, atol=1e-12)
     ok(10, "adaptive weights sum to 1 (1e-12), uniform on ties, shift-invariant")

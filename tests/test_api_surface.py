@@ -2,14 +2,21 @@
 
 ``benchmarks/spans.py`` lists the public functions and methods that a
 ``--trace 1`` run wraps; a renamed or deleted one would make that run die
-with an ``AttributeError``. This reads the list without changing it.
+with an ``AttributeError``. This reads the list without changing it, and
+checks that a traced step attributes its cross-entropy to a span.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import crosstok.training as training
+from crosstok.chunks import PositionLogits
+from crosstok.training import TeacherConfig
+from crosstok.vocab import Vocabulary, vocabulary_hash
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -34,3 +41,25 @@ def test_traced_function_resolves(entry):
 def test_traced_method_resolves(entry):
     _, module, cls, method = entry[:4]
     assert callable(getattr(getattr(importlib.import_module(module), cls), method))
+
+
+@pytest.mark.parametrize("grads", [False, True], ids=["forward", "grad"])
+def test_step_records_one_ce_span_under_run_step(grads):
+    vocab = Vocabulary(["a", "b", "c"])
+    rng = np.random.default_rng(0)
+
+    def dump(side):
+        return PositionLogits("s0", side, rng.normal(size=(3, 3)), [0, 1, 2],
+                              vocabulary_hash(vocab))
+
+    tracer = SPAN_TABLE.Tracer()
+    tracer.install()
+    try:
+        teacher = TeacherConfig("t", "kl", vocab, dump("teacher"))
+        training.run_step(vocab, dump("student"), [teacher], compute_grads=grads)
+    finally:
+        tracer.uninstall()
+    names = [rec[SPAN_TABLE.NAME] for rec in tracer.spans]
+    assert names.count("training.ce") == 1
+    ce = tracer.spans[names.index("training.ce")]
+    assert ce[SPAN_TABLE.PARENT] == names.index("training.run_step")

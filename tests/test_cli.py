@@ -649,6 +649,19 @@ class TestStepConfigSemantics:
             f"error: --out {str(out) + slash!r} is a directory; it must name the report file\n")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("grad", [[], ["--grad"]], ids=["report", "grad"])
+    def test_out_in_a_missing_directory_rejected_before_any_file(self, step_fixture, tmp_path,
+                                                                 capsys, grad):
+        fx = step_fixture(modes=("pkl", "gold"))
+        # a missing input would fail with exit 2 if any input were read first
+        (fx["dir"] / "student_vocab.json").unlink()
+        out = tmp_path / "nodir" / "r.json"
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["--config", str(fx["config"]), "loss", *grad, "--out", str(out)])
+        assert rc == 1 and capsys.readouterr().err == (
+            f"error: --out {str(out)!r}: its directory does not exist\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("dump, other", [("student.bin", "teacher"),
                                              ("teacher0.bin", "student")])
     def test_wrong_side_dump_named_by_its_file(self, step_fixture, capsys, dump, other):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -17,7 +18,6 @@ from crosstok.projection import build_projection
 from crosstok.training import (
     ScalingPolicy,
     TeacherConfig,
-    TeacherStats,
     WeightSchedule,
     adaptive_weights,
     combine_kd_ce,
@@ -28,9 +28,7 @@ from crosstok.training import (
 )
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer, vocabulary_hash
 
-
-def stats_from(prob_rows, realized):
-    return TeacherStats(np.asarray(prob_rows)[None], np.asarray(realized)[None])
+from adaptive_reference import dump_of_probs, reference_adaptive_weights, stats_of
 
 
 def dump(side, logits, realized, vocab=None, seq_id="s0"):
@@ -74,47 +72,83 @@ class TestCombineKdCe:
 
 class TestAdaptiveWeights:
     def test_identical_stats_uniform(self):
-        s = stats_from([[0.7, 0.3]], [0])
+        s = dump_of_probs([[0.7, 0.3]], [0])
         for kind in ("adaptive_ce", "adaptive_entropy", "adaptive_maxprob"):
             alphas = adaptive_weights(kind, [s, s, s])
             np.testing.assert_allclose(alphas, 1.0 / 3.0, atol=1e-15)
             assert abs(alphas.sum() - 1.0) < 1e-12
 
     def test_maxprob_hand_softmax(self):
-        t1 = stats_from([[0.9, 0.1]], [0])
-        t2 = stats_from([[0.6, 0.4]], [0])
+        t1 = dump_of_probs([[0.9, 0.1]], [0])
+        t2 = dump_of_probs([[0.6, 0.4]], [0])
         alphas = adaptive_weights("adaptive_maxprob", [t1, t2])
         expected = math.exp(0.9) / (math.exp(0.9) + math.exp(0.6))
         assert alphas[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5744, abs=1e-4)
 
     def test_ce_perfect_versus_coin_flip(self):
-        t1 = stats_from([[1.0, 0.0]], [0])        # cross-entropy 0
-        t2 = stats_from([[0.5, 0.5]], [0])        # cross-entropy ln 2
+        t1 = dump_of_probs([[1.0, 0.0]], [0])        # cross-entropy 0
+        t2 = dump_of_probs([[0.5, 0.5]], [0])        # cross-entropy ln 2
         alphas = adaptive_weights("adaptive_ce", [t1, t2])
         np.testing.assert_allclose(alphas, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_score_shift_invariance(self):
         # scaling every p[y] by the same factor shifts all CE scores equally
-        t1 = stats_from([[0.5, 0.5]], [0])
-        t2 = stats_from([[0.25, 0.75]], [0])
+        t1 = dump_of_probs([[0.5, 0.5]], [0])
+        t2 = dump_of_probs([[0.25, 0.75]], [0])
         base = adaptive_weights("adaptive_ce", [t1, t2])
-        t1s = stats_from([[0.25, 0.75]], [0])
-        t2s = stats_from([[0.125, 0.875]], [0])
+        t1s = dump_of_probs([[0.25, 0.75]], [0])
+        t2s = dump_of_probs([[0.125, 0.875]], [0])
         shifted = adaptive_weights("adaptive_ce", [t1s, t2s])
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
-    def test_mismatched_batch_grids_rejected(self):
-        t1 = stats_from([[0.5, 0.5]], [0])
-        t2 = TeacherStats(np.full((2, 1, 2), 0.5), np.zeros((2, 1), dtype=int))
-        with pytest.raises(ValidationError, match="grid"):
-            adaptive_weights("adaptive_ce", [t1, t2])
-
     def test_entropy_prefers_confident_teacher(self):
-        sharp = stats_from([[0.99, 0.01]], [0])
-        flat = stats_from([[0.5, 0.5]], [0])
+        sharp = dump_of_probs([[0.99, 0.01]], [0])
+        flat = dump_of_probs([[0.5, 0.5]], [0])
         alphas = adaptive_weights("adaptive_entropy", [sharp, flat])
         assert alphas[0] > alphas[1]
+
+    def test_bad_kind_and_no_teacher_rejected(self):
+        t = dump_of_probs([[0.5, 0.5]], [0])
+        for kind in ("static", "adaptive"):
+            with pytest.raises(ValidationError, match="unknown adaptive kind"):
+                adaptive_weights(kind, [t])
+        with pytest.raises(ValidationError, match="at least one teacher"):
+            adaptive_weights("adaptive_ce", [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["adaptive_ce", "adaptive_entropy", "adaptive_maxprob"]),
+           st.lists(st.tuples(st.integers(1, 4 * training._CE_BLOCK + 11),
+                              st.integers(2, 300)), min_size=1, max_size=3),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 3.0, 400.0]),
+           st.integers(0, 2**32 - 1))
+    def test_row_blocks_match_the_whole_grid_bit_for_bit(self, kind, shapes, dtype, scale,
+                                                        seed):
+        # a scale of 400 underflows most probabilities to exactly 0
+        rng = np.random.default_rng(seed)
+        dumps = [PositionLogits(f"t{i}", "teacher",
+                                (scale * rng.normal(size=(positions, width))).astype(dtype),
+                                rng.integers(0, width, size=positions))
+                 for i, (positions, width) in enumerate(shapes)]
+        before = [d.logits.tobytes() for d in dumps]
+        alphas = adaptive_weights(kind, dumps)
+        reference = reference_adaptive_weights(kind, [stats_of(d) for d in dumps])
+        assert alphas.tobytes() == reference.tobytes()
+        assert [d.logits.tobytes() for d in dumps] == before
+
+    @pytest.mark.parametrize("kind", ["adaptive_ce", "adaptive_entropy", "adaptive_maxprob"])
+    def test_no_float64_copy_of_a_dump(self, kind):
+        rng = np.random.default_rng(3)
+        dumps = [PositionLogits(f"t{i}", "teacher",
+                                rng.normal(size=(256, 4000)).astype(np.float32),
+                                rng.integers(0, 4000, size=256)) for i in range(3)]
+        tracemalloc.start()
+        try:
+            adaptive_weights(kind, dumps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 4000 * 8
 
 
 def kl_teacher(vocab, logits, name="t", weight=1.0):
@@ -191,7 +225,8 @@ class TestCrossEntropy:
         def value(flat):
             return cross_entropy(dump("student", flat.reshape(3, 4), realized))
 
-        analytic = cross_entropy_grad(dump("student", logits, realized))
+        ce, analytic = cross_entropy_grad(dump("student", logits, realized))
+        assert ce == cross_entropy(dump("student", logits, realized))
         numeric = central_difference(value, logits.ravel()).reshape(3, 4)
         assert max_relative_error(analytic, numeric) < 1e-6
 

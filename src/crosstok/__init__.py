@@ -12,7 +12,6 @@ from .align import (
     AlignmentChunk,
     AlignScoring,
     ChunkKind,
-    brute_force_align,
     dp_align,
     trl_substring_align,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,9 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Numerically stable softmax along the last axis, as a new float64 array."""
     if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
-    z = np.divide(logits, temperature, dtype=float)
+    z = np.array(logits, dtype=float)
+    if temperature != 1:
+        z /= temperature
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -41,13 +43,14 @@ class PositionLogits:
     """Per-position logits over one side's vocabulary plus realized token ids.
 
     float32 logits stay float32 (kernels upcast the rows they read, exactly);
-    any other input becomes float64."""
+    any other input becomes float64. ``source`` names a loaded dump's file."""
 
     seq_id: str
     side: str
     logits: np.ndarray
     realized_ids: np.ndarray
     vocab_hash: str | None = None
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.side not in SIDES:
@@ -168,9 +171,9 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None,
     sidecar = _sidecar_path(path)
     meta = check_fields(parse_object(read_text(sidecar), sidecar), _SIDECAR_FIELDS, sidecar,
                         required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
-    for field in ("positions", "vocab_size"):
-        if meta[field] < 1:
-            raise ValidationError(f"{sidecar}: {field!r} must be positive, got {meta[field]}")
+    for key in ("positions", "vocab_size"):
+        if meta[key] < 1:
+            raise ValidationError(f"{sidecar}: {key!r} must be positive, got {meta[key]}")
     flat = np.fromfile(path, dtype="<f4")
     positions, vocab_size = meta["positions"], meta["vocab_size"]
     if flat.size != positions * vocab_size:
@@ -184,6 +187,7 @@ def load_position_logits(path, expected_vocab: Vocabulary | None = None,
             logits=flat.reshape(positions, vocab_size),
             realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
+            source=str(path),
         )
     if expected_vocab is not None and pl.vocab_hash is None:
         raise ValidationError(f"{path}: dump carries no vocabulary hash to check")

@@ -29,7 +29,7 @@ import numpy as np
 from .chunks import renormalize_on, softmax, topk_support
 from .errors import ValidationError
 from .projection import SparseProjection
-from .vocab import Vocabulary, exact_partners
+from .vocab import Vocabulary, exact_partners, vocabulary_hash
 
 LOG_EPS = 1e-12
 
@@ -113,7 +113,8 @@ def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
     if eps is not None and not eps >= 0:
         raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
     live = pt > 0
-    pt, q = pt[live], q[live]
+    if not live.all():
+        pt, q = pt[live], q[live]
     if not eps and np.any(q == 0):
         raise ValidationError(
             "student probability is zero where the teacher has mass (log of zero); "
@@ -123,25 +124,29 @@ def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
     return float(np.sum(pt * (np.log(np.maximum(pt, floor)) - np.log(np.maximum(q, floor)))))
 
 
-def _logit_grad(ps: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
-    """Chain a gradient in the chunk probabilities through the softmax."""
-    return ps * (grad_p - float(ps @ grad_p))
+def _logit_grad(ps: np.ndarray, grad_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Chain a gradient in the chunk probabilities through the softmax,
+    written into ``out`` when given (``out`` may be ``grad_p``)."""
+    out = np.subtract(grad_p, float(ps @ grad_p), out=out)
+    out *= ps
+    return out
 
 
 def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
-                grads: bool):
+                out: np.ndarray | None):
     """KL from the teacher to the student, both renormalized on ``support``.
 
     With a projection ``w`` the student is first pushed into teacher space.
-    The gradient differentiates through the product and the renormalization;
-    entries where the log floor is active are treated as flat.
+    Given a row ``out``, the logit gradient is written there: it
+    differentiates through the product and the renormalization; entries where
+    the log floor is active are treated as flat.
     """
     support = slice(None) if support is None else np.asarray(support, dtype=np.intp)
     q_raw = ps if w is None else w.product(ps)
     pt_sup, _ = renormalize_on(pt, support, "teacher")
     q_sup, mass = renormalize_on(q_raw, support, "student" if w is None else "projected student")
     value = _kl_sum(pt_sup, q_sup, eps)
-    if not grads:
+    if out is None:
         return value, None, None
 
     # dL/dq_raw on the support: -p_t/q_raw where unfloored, plus the
@@ -153,23 +158,25 @@ def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
     d_q = np.zeros(q_raw.size)
     d_q[support] = pt_sup[active].sum() / mass - ratio
     if w is None:
-        return value, _logit_grad(ps, d_q), None
-    return value, _logit_grad(ps, w.transpose_product(d_q)), w.entry_gradient(ps, d_q)
+        return value, _logit_grad(ps, d_q, out), None
+    grad_s, grad_w = w.pullback(ps, d_q)
+    return value, _logit_grad(ps, grad_s, out), grad_w
 
 
-def _common_kl(pt, ps, c: CommonSet, eps: float | None, grads: bool):
+def _common_kl(pt, ps, c: CommonSet, eps: float | None, out: np.ndarray | None):
     """Partial KL over the common pairs, with no renormalization on either side.
 
-    In the logits, every uncommon entry j gets p_s[j] times the teacher mass
-    on the common set, which is non-negative; common entries get the same
-    term minus their partner's teacher probability.
+    In the logits (written into ``out`` when given), every uncommon entry j
+    gets p_s[j] times the teacher mass on the common set, which is
+    non-negative; common entries get the same term minus their partner's
+    teacher probability.
     """
     pt_c = pt[c.teacher_ids]
     value = _kl_sum(pt_c, ps[c.student_ids], eps)
-    if not grads:
+    if out is None:
         return value, None
-    grad = ps * float(pt_c.sum())
-    grad[c.student_ids] -= pt_c
+    grad = np.multiply(ps, float(pt_c.sum()), out=out)
+    np.subtract.at(grad, c.student_ids, pt_c)  # ids are distinct: grad[ids] -= pt_c, faster
     return value, grad
 
 
@@ -219,21 +226,35 @@ def _rank_l1(pt, ps, u_s: np.ndarray, u_t: np.ndarray, grads: bool):
         top = topk_support(s_vals, m)
         ranked = top[_stable_order(-s_vals[top])]
         grad_p[u_s[ranked]] = np.sign(s_vals[ranked] - t_sorted[:m])
-    return value, _logit_grad(ps, grad_p)
+    return value, _logit_grad(ps, grad_p, grad_p)
 
 
 def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, eps: float | None,
-            grads: bool):
-    """Weighted common-KL plus weighted rank-sorted L1 (``uncommon`` from ``_uncommon``)."""
-    kl, kl_grad = _common_kl(pt, ps, c, eps, grads)
-    l1, l1_grad = _rank_l1(pt, ps, *uncommon, grads)
+            out: np.ndarray | None):
+    """Weighted common-KL plus weighted rank-sorted L1 (``uncommon`` from
+    ``_uncommon``); the logit gradient is assembled in ``out`` when given."""
+    kl, kl_grad = _common_kl(pt, ps, c, eps, out)
+    l1, l1_grad = _rank_l1(pt, ps, *uncommon, out is not None)
     value = hw.lambda_kl * kl + hw.lambda_uld * l1
-    if not grads:
+    if out is None:
         return value, None, None
-    return value, hw.lambda_kl * kl_grad + hw.lambda_uld * l1_grad, None
+    if hw.lambda_kl != 1:  # a weight of 1 multiplies exactly
+        kl_grad *= hw.lambda_kl
+    if hw.lambda_uld != 1:
+        l1_grad *= hw.lambda_uld
+    kl_grad += l1_grad
+    return value, kl_grad, None
 
 
 MODES = ("pkl", "hkl", "gold", "uld", "kl")
+
+
+def _bound_set(memo: dict, key, build, vs: Vocabulary, vt: Vocabulary):
+    """``(c, uncommon)`` for the common set ``build()`` returns, kept in ``memo``."""
+    if key not in memo:
+        c = build()
+        memo[key] = c, _uncommon(c, len(vs), len(vt))
+    return memo[key]
 
 
 def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection | None,
@@ -244,11 +265,14 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
     ``hkl`` need a projection shaped by both vocabularies. ``kl`` and ``pkl``
     compare on the teacher's top-k support, ``top_k`` at least 1; ``hkl``,
     ``gold`` and ``uld`` run the hybrid loss over the relaxed, exact and empty
-    common set (``uld`` at default weights). The result maps ``(p_t, p_s, grads)``, one chunk's
-    merged teacher and student probability vectors, to
-    ``(value, grad_z, grad_w)``: ``grad_z`` is in the chunk logits and
-    ``grad_w`` in the projection entries (``pkl`` only); both are None unless
-    ``grads``.
+    common set (``uld`` at default weights). The exact set is built once per
+    vocabulary pair (kept on the student vocabulary under the teacher's
+    ``vocabulary_hash``), the relaxed one once per projection.
+    The result maps ``(p_t, p_s, grads, out=None)``, one chunk's merged
+    teacher and student probability vectors, to ``(value, grad_z, grad_w)``:
+    ``grad_z`` is in the chunk logits, written into the float64 row ``out``
+    when one is given, and ``grad_w`` in the projection entries (``pkl``
+    only); both are None unless ``grads``.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -263,16 +287,21 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
         if not top_k >= 1:
             raise ValidationError(f"top_k must be at least 1, got {top_k}")
         proj = w if mode == "pkl" else None
-        return lambda pt, ps, grads: _support_kl(
-            pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, grads)
-    if mode == "hkl":
-        c = build_common_set_relaxed(w)
-    elif mode == "gold":
-        c = build_common_set_exact(vs, vt)
+        run = lambda pt, ps, out: _support_kl(
+            pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, out)
     else:
-        c, hw = CommonSet(()), HybridWeights()
-    uncommon = _uncommon(c, len(vs), len(vt))
-    return lambda pt, ps, grads: _hybrid(pt, ps, c, uncommon, hw, eps, grads)
+        if mode == "hkl":
+            c, uncommon = _bound_set(w._memo, "relaxed", lambda: build_common_set_relaxed(w),
+                                     vs, vt)
+        elif mode == "gold":
+            c, uncommon = _bound_set(vs._memo, ("exact", vocabulary_hash(vt)),
+                                     lambda: build_common_set_exact(vs, vt), vs, vt)
+        else:
+            c, hw = CommonSet(()), HybridWeights()
+            uncommon = _uncommon(c, len(vs), len(vt))
+        run = lambda pt, ps, out: _hybrid(pt, ps, c, uncommon, hw, eps, out)
+    return lambda pt, ps, grads, out=None: run(
+        pt, ps, (np.empty(ps.size) if out is None else out) if grads else None)
 
 
 def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
@@ -280,12 +309,12 @@ def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
 
     No renormalization happens on either side, so the value may be negative.
     """
-    return _common_kl(p_t, p_s, c, eps, False)[0]
+    return _common_kl(p_t, p_s, c, eps, None)[0]
 
 
 def common_kl_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
     """Analytic gradient of ``common_kl`` in the student chunk logits."""
-    return _common_kl(p_t, softmax(z_s), c, LOG_EPS, True)[1]
+    return _common_kl(p_t, softmax(z_s), c, LOG_EPS, np.empty(np.size(z_s)))[1]
 
 
 def uld(p_s, p_t, c: CommonSet) -> float:
@@ -302,13 +331,14 @@ def uld_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
 def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
          eps: float | None = LOG_EPS) -> float:
     """Hybrid loss: weighted common-KL plus weighted ULD."""
-    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, eps, False)[0]
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, eps, None)[0]
 
 
 def gold_grad(z_s, p_t, c: CommonSet, hw: HybridWeights = HybridWeights()) -> np.ndarray:
     """Subgradient of ``gold`` in the student chunk logits."""
     p_s = softmax(z_s)
-    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, LOG_EPS, True)[1]
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, LOG_EPS,
+                   np.empty(p_s.size))[1]
 
 
 def pkl(p_t, p_s, w: SparseProjection, support=None,
@@ -318,13 +348,13 @@ def pkl(p_t, p_s, w: SparseProjection, support=None,
     ``support`` restricts the comparison to pre-truncated teacher indices;
     both sides are renormalized over that support.
     """
-    return _support_kl(p_t, p_s, w, support, eps, False)[0]
+    return _support_kl(p_t, p_s, w, support, eps, None)[0]
 
 
 def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
               eps: float | None = LOG_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of ``pkl`` in the student chunk logits and W entries."""
-    return _support_kl(p_t, softmax(z_s), w, support, eps, True)[1:]
+    return _support_kl(p_t, softmax(z_s), w, support, eps, np.empty(np.size(z_s)))[1:]
 
 
 def hkl(p_t, p_s, w: SparseProjection, hw: HybridWeights = HybridWeights(),
@@ -339,12 +369,12 @@ def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
     ``support`` restricts both sides to the given indices and renormalizes
     them there.
     """
-    return _support_kl(p_t, p_s, None, support, eps, False)[0]
+    return _support_kl(p_t, p_s, None, support, eps, None)[0]
 
 
 def chunk_kl_grad(z_s, p_t, support=None, eps: float | None = LOG_EPS) -> np.ndarray:
     """Gradient of ``chunk_kl`` in the student chunk logits."""
-    return _support_kl(p_t, softmax(z_s), None, support, eps, True)[1]
+    return _support_kl(p_t, softmax(z_s), None, support, eps, np.empty(np.size(z_s)))[1]
 
 
 def kd_aggregate(per_chunk, temperature: float) -> float:

@@ -88,6 +88,7 @@ class SparseProjection:
         self.provenance: tuple[Provenance, ...] = tuple(Provenance(p) for p in provenance)
         self._kind = np.array([_KIND[p] for p in self.provenance], dtype=np.int8)
         self.config = config
+        self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
 
     def _flat_entries(self, rows, field: int, types: tuple, dtype, name: str,
@@ -158,16 +159,13 @@ class SparseProjection:
         return np.bincount(self._flat_t, weights=self._flat_w * p_s[self._flat_s],
                            minlength=self.n_teacher)
 
-    def transpose_product(self, d_q: np.ndarray) -> np.ndarray:
-        """``W d_q`` over the student vocabulary: pulls a teacher-space
-        gradient back through ``product``."""
-        return np.bincount(self._flat_s, weights=self._flat_w * d_q[self._flat_t],
-                           minlength=self.n_student)
-
-    def entry_gradient(self, p_s: np.ndarray, d_q: np.ndarray) -> np.ndarray:
-        """Gradient of ``d_q . product(p_s)`` in the stored entries, in
-        ``entries()`` order."""
-        return p_s[self._flat_s] * d_q[self._flat_t]
+    def pullback(self, p_s: np.ndarray, d_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A teacher-space gradient ``d_q`` pulled back through ``product(p_s)``:
+        ``W d_q`` over the student vocabulary, and the gradient in the stored
+        entries (``entries()`` order), from one gather of ``d_q``."""
+        d_e = d_q[self._flat_t]
+        return (np.bincount(self._flat_s, weights=self._flat_w * d_e, minlength=self.n_student),
+                p_s[self._flat_s] * d_e)
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
         """Stored entries as (student_id, teacher_id, weight), row-major."""
@@ -179,7 +177,7 @@ class SparseProjection:
         if flat.shape != self._flat_w.shape:
             raise ValidationError("weight vector does not match the stored entries")
         out = copy.copy(self)
-        out._flat_w = flat
+        out._flat_w, out._memo = flat, {}
         out._validate()
         return out
 
@@ -284,7 +282,7 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
 
     q_raw = w.product(p)
     mass = renormalize_on(q_raw, slice(None), "projected student")[1]
-    return w.entry_gradient(p, (u - float(u @ q_raw) / mass) / mass)
+    return w.pullback(p, (u - float(u @ q_raw) / mass) / mass)[1]
 
 
 def save_projection(w: SparseProjection, path) -> None:

@@ -2,15 +2,17 @@
 
 ``run_step`` executes the full per-step pipeline: align the realized student
 and teacher token sequences (cached), merge chunk distributions, evaluate each
-teacher's configured loss mode, aggregate with the temperature-squared mean,
-weight teachers statically or by confidence, and combine with the student's
-next-token cross-entropy under a fixed or dynamic scaling policy. No
+teacher's configured loss mode (all teachers' chunks in one pass in student
+order), aggregate with the temperature-squared mean, weight teachers
+statically or by confidence, and combine with the student's next-token
+cross-entropy under a fixed or dynamic scaling policy. No
 parameters are updated; gradients, when requested, are assembled for an
 external consumer with the dynamic ratio treated as a constant.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -170,6 +172,11 @@ def _chunk_stats(alignment) -> dict:
     }
 
 
+def _named(who: str, pl: PositionLogits) -> str:
+    """``who``, followed by the dump's file when it was loaded from one."""
+    return who if pl.source is None else f"{who} ({pl.source})"
+
+
 _CE_BLOCK = 32  # dump rows upcast to float64 at a time by cross-entropy and adaptive weights
 
 
@@ -274,33 +281,46 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()
     s_seq = student_logits.realized_ids.tolist()
-
-    breakdowns: list[TeacherBreakdown] = []
-    for alpha, teacher, kernel in zip(alphas, teachers, kernels):
-        tok_t = Tokenizer(teacher.vocab)
-        t_seq = teacher.logits.realized_ids.tolist()
-        alignment = cache.get_or_compute(s_seq, t_seq, scoring, tok_s, tok_t)
-
-        per_chunk: list[float] = []
-        grads_z: list[np.ndarray] = []
-        grad_w_total = None
-        for chunk in alignment.loss_chunks():
-            p_s = chain_rule_merge(student_logits, chunk, temperature)
-            p_t = chain_rule_merge(teacher.logits, chunk, temperature)
-            value, g_z, g_w = kernel(p_t, p_s, compute_grads)
-            per_chunk.append(value)
-            if compute_grads:
-                grads_z.append(g_z)
-            if g_w is not None:
-                grad_w_total = g_w if grad_w_total is None else grad_w_total + g_w
-        if not per_chunk:
+    alignments = [cache.get_or_compute(s_seq, t.logits.realized_ids.tolist(), scoring, tok_s,
+                                       Tokenizer(t.vocab)) for t in teachers]
+    chunks_of = [a.loss_chunks() for a in alignments]
+    for teacher, chunks in zip(teachers, chunks_of):
+        if not chunks:
             raise ValidationError(f"teacher {teacher.name!r} has no loss-bearing chunks")
 
-        report = LossReport(teacher.mode, temperature, tuple(per_chunk),
-                            grad_chunk_logits=tuple(grads_z) or None,
-                            grad_projection=grad_w_total)
-        breakdowns.append(TeacherBreakdown(teacher.name, teacher.mode, float(alpha), report,
-                                           _chunk_stats(alignment)))
+    # every teacher's chunks in student-span order (teacher order within a
+    # span): each distinct student span is merged once, and each chunk's
+    # gradient goes to row k of its teacher's (K, V) block
+    per_chunk: list[list[float]] = [[] for _ in teachers]
+    blocks = [np.empty((len(chunks), student_logits.vocab_size)) if compute_grads else None
+              for chunks in chunks_of]
+    grad_w: list[np.ndarray | None] = [None] * len(teachers)
+    s_where = _named("student", student_logits)
+    t_where = [_named(f"teacher {t.name!r}", t.logits) for t in teachers]
+    span = None
+    for i, chunk in heapq.merge(*([(i, c) for c in chunks] for i, chunks in enumerate(chunks_of)),
+                                key=lambda ic: ic[1].student_span):
+        if chunk.student_span != span:
+            with located(s_where):
+                p_s = chain_rule_merge(student_logits, chunk, temperature)
+            p_s.flags.writeable = False  # shared by every teacher with this span
+            span = chunk.student_span
+        values = per_chunk[i]
+        with located(t_where[i]):
+            p_t = chain_rule_merge(teachers[i].logits, chunk, temperature)
+            value, _, g_w = kernels[i](p_t, p_s, compute_grads,
+                                       None if blocks[i] is None else blocks[i][len(values)])
+        values.append(value)
+        if g_w is not None:
+            grad_w[i] = g_w if grad_w[i] is None else np.add(grad_w[i], g_w, out=grad_w[i])
+
+    breakdowns = [
+        TeacherBreakdown(t.name, t.mode, float(alpha), LossReport(
+            t.mode, temperature, tuple(values),
+            grad_chunk_logits=None if block is None else tuple(block), grad_projection=g_w),
+            _chunk_stats(alignment))
+        for alpha, t, values, block, g_w, alignment
+        in zip(alphas, teachers, per_chunk, blocks, grad_w, alignments)]
 
     l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
     l_ce, ce_grad = (cross_entropy_grad(student_logits) if compute_grads
@@ -318,13 +338,12 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     if compute_grads:
         if policy.kind == "fixed":
             ce_grad *= policy.lambda_ce
-        # scale the stored per-chunk and projection gradients into
+        # scale each teacher's chunk and projection gradients into
         # total-loss gradients in place, holding the dynamic multiplier constant
-        for breakdown in breakdowns:
+        for breakdown, block in zip(breakdowns, blocks):
             report = breakdown.report
             scale = multiplier * breakdown.alpha * temperature ** 2 / len(report.per_chunk)
-            for g in report.grad_chunk_logits:
-                g *= scale
+            block *= scale
             if report.grad_projection is not None:
                 report.grad_projection *= scale
 

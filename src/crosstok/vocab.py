@@ -76,8 +76,9 @@ class Vocabulary:
     ids that are control tokens; ``special_roles`` names them (e.g.
     ``{"bos": 3}``) so corresponding roles can be paired across vocabularies.
     Instances are immutable after construction, which lets
-    ``vocabulary_hash`` compute the content hash once and
-    ``max_token_length`` the longest token once.
+    ``vocabulary_hash`` compute the content hash once,
+    ``max_token_length`` the longest token once and ``_memo`` keep data
+    derived from this vocabulary and another one, keyed by the other's hash.
     """
 
     def __init__(
@@ -90,6 +91,7 @@ class Vocabulary:
         self.specials: frozenset[int] = frozenset(specials)
         self.special_roles: Mapping[str, int] = MappingProxyType(dict(special_roles or {}))
         self._hash: str | None = None
+        self._memo: dict = {}
 
         self.id_of: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):

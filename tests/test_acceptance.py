@@ -13,7 +13,6 @@ import numpy as np
 from crosstok.align import (
     AlignScoring,
     ChunkKind,
-    brute_force_align,
     dp_align,
     trl_substring_align,
 )
@@ -41,6 +40,7 @@ from crosstok.projection import (
 from crosstok.training import ScalingPolicy, TeacherConfig, combine_kd_ce, run_step
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
+from brute_force_reference import brute_force_align
 from test_losses import random_bijective_common_set, random_projection
 
 

@@ -11,7 +11,6 @@ from crosstok.align import (
     AlignmentCache,
     AlignScoring,
     ChunkKind,
-    brute_force_align,
     chunk_records,
     dp_align,
     read_alignment_dump,
@@ -21,6 +20,7 @@ from crosstok.align import (
 from crosstok.errors import ValidationError
 from crosstok.vocab import Tokenizer, Vocabulary
 
+from brute_force_reference import brute_force_align
 from dp_reference import reference_dp_align
 
 SCORING = AlignScoring()

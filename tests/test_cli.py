@@ -321,6 +321,7 @@ class TestLoss:
         assert main(["--config", str(config), "loss"]) == 1
         err = capsys.readouterr().err
         assert "no mass" in err and "Traceback" not in err
+        assert f"step.json: student ({tmp_path / 's.bin'}): student chunk [0, 2)" in err
 
     def test_projection_entry_float_id_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))

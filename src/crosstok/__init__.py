@@ -59,7 +59,6 @@ from .projection import (
     load_projection,
     project,
     save_projection,
-    top1,
 )
 from .training import (
     ScalingPolicy,

@@ -52,7 +52,9 @@ class Provenance(str, Enum):
     EMPTY = "empty"
 
 
+# A member hashes and compares as its value, so ``_KIND`` maps both to the code.
 _KIND = {p: code for code, p in enumerate(Provenance)}
+_MEMBERS = tuple(Provenance)
 _EXACT, _MULTI, _EMPTY = (_KIND[p] for p in Provenance)
 
 
@@ -78,24 +80,48 @@ class SparseProjection:
                  config: ProjectionConfig) -> None:
         if len(rows) != n_student or len(provenance) != n_student:
             raise ValidationError("rows and provenance must cover every student id")
+        self._init_flat(n_student, n_teacher, [len(row) for row in rows],
+                        [entry[0] for row in rows for entry in row],
+                        [entry[1] for row in rows for entry in row], provenance, config)
+
+    @classmethod
+    def _from_flat(cls, *args) -> "SparseProjection":
+        """A projection built by ``_init_flat(*args)``, with no per-row input."""
+        w = cls.__new__(cls)
+        w._init_flat(*args)
+        return w
+
+    def _init_flat(self, n_student: int, n_teacher: int, counts: Sequence[int],
+                   teacher_ids: list, weights: list, provenance: Sequence,
+                   config: ProjectionConfig) -> None:
+        """The one construction path: each row's entry count, every entry's
+        teacher id and weight (row-major), and each row's provenance, a member
+        or its value."""
+        if n_student < 0 or n_teacher < 0:
+            raise ValidationError(f"n_student and n_teacher must be non-negative, got "
+                                  f"{n_student} and {n_teacher}")
         self.n_student, self.n_teacher = n_student, n_teacher
-        self._indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.intp)
+        self._indptr = np.zeros(n_student + 1, dtype=np.intp)
+        np.cumsum(counts, dtype=np.intp, out=self._indptr[1:])
         self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), np.diff(self._indptr))
-        self._flat_t = self._flat_entries(rows, 0, (int, np.integer), np.intp,
+        self._flat_t = self._flat_entries(teacher_ids, (int, np.integer), np.intp,
                                           "teacher id", "an integer")
-        self._flat_w = self._flat_entries(rows, 1, (int, float, np.integer, np.floating), float,
+        self._flat_w = self._flat_entries(weights, (int, float, np.integer, np.floating), float,
                                           "weight", "a number")
-        self.provenance: tuple[Provenance, ...] = tuple(Provenance(p) for p in provenance)
-        self._kind = np.array([_KIND[p] for p in self.provenance], dtype=np.int8)
+        try:
+            codes = [_KIND[p] for p in provenance]
+        except (KeyError, TypeError):
+            codes = [_KIND[Provenance(p)] for p in provenance]  # raises Provenance's own error
+        self.provenance: tuple[Provenance, ...] = tuple(map(_MEMBERS.__getitem__, codes))
+        self._kind = np.array(codes, dtype=np.int8)
         self.config = config
         self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
 
-    def _flat_entries(self, rows, field: int, types: tuple, dtype, name: str,
+    def _flat_entries(self, values: list, types: tuple, dtype, name: str,
                       expected: str) -> np.ndarray:
         """One field of every entry, row-major, after one type check over the
         flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
-        values = [entry[field] for row in rows for entry in row]
         bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
         if bad:
             at = next(i for i, v in enumerate(values) if type(v) in bad)
@@ -137,12 +163,9 @@ class SparseProjection:
     @property
     def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """``rows[s]`` is a tuple of ``(teacher_id, weight)`` pairs; built on each access."""
-        return tuple(map(tuple, self._row_entries()))
-
-    def _row_entries(self) -> Iterator[list[tuple[int, float]]]:
-        pairs = list(zip(self._flat_t.tolist(), self._flat_w.tolist()))
+        pairs = tuple(zip(self._flat_t.tolist(), self._flat_w.tolist()))
         bounds = self._indptr.tolist()
-        return (pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     def _first_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Student id, teacher id, weight and exactness of each nonempty row's head."""
@@ -258,14 +281,6 @@ def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     return renormalize_on(q, slice(None), "projected student")[0] if renormalize else q
 
 
-def top1(w: SparseProjection, student_id: int) -> tuple[int, float] | None:
-    """Highest-weight teacher partner of a student token, or None for empty rows."""
-    if not 0 <= student_id < w.n_student:
-        raise ValidationError(f"student id {student_id} out of range")
-    at = w._indptr[student_id]
-    return (int(w._flat_t[at]), float(w._flat_w[at])) if at < w._indptr[student_id + 1] else None
-
-
 def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
     """Gradient of ``upstream . project(w, p_s)`` in the stored entries.
 
@@ -285,27 +300,55 @@ def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
     return w.pullback(p, (u - float(u @ q_raw) / mass) / mass)[1]
 
 
+_ROW_BLOCK = 8192  # rows that save_projection formats, hashes and encodes at a time
+
+
 def save_projection(w: SparseProjection, path) -> None:
     """Header record plus one JSON line per nonempty row; hash-protected.
 
     Each row record is written in sorted key order (``entries``,
-    ``provenance``, ``s``) from one encoding of its entries list.
+    ``provenance``, ``s``), formatted straight from the flat arrays as
+    ``json`` writes it (``int`` and ``float.__repr__``), one block of
+    ``_ROW_BLOCK`` rows at a time.
     """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    prov_json = {p: encode(p.value) for p in Provenance}
-    lines = [f'{{"entries":{encode(row)},"provenance":{prov_json[prov]},"s":{s}}}'
-             for s, (row, prov) in enumerate(zip(w._row_entries(), w.provenance)) if row]
+    prov_json = [json.dumps(p.value) for p in Provenance]
+    digest, blocks = hashlib.sha256(), []
+    for lo in range(0, w.n_student, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, w.n_student)
+        bounds = w._indptr[lo:hi + 1].tolist()
+        first, last = bounds[0], bounds[-1]
+        entries = [f"[{t},{x!r}]" for t, x in zip(w._flat_t[first:last].tolist(),
+                                                  w._flat_w[first:last].tolist())]
+        lines = [f'{{"entries":[{",".join(entries[a - first:b - first])}],'
+                 f'"provenance":{prov_json[k]},"s":{s}}}'
+                 for s, k, a, b in zip(range(lo, hi), w._kind[lo:hi].tolist(), bounds, bounds[1:])
+                 if b > a]
+        if lines:
+            block = "\n".join(lines).encode("utf-8")
+            if blocks:
+                digest.update(b"\n")
+            digest.update(block)
+            blocks.append(block)
     header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
-              "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+              "content_hash": digest.hexdigest()}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+        for block in blocks:
+            fh.write(block)
+            fh.write(b"\n")
 
 
 _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
 
 
 def load_projection(path) -> SparseProjection:
+    """Read a projection file; its row records may come in any order.
+
+    Each row line is parsed as ``parse_object`` parses it: ``raw_decode``
+    takes a line that is one JSON object and nothing else, and
+    ``parse_object`` any other line (it words a line's error). The fields go
+    straight into flat lists, with no per-row containers.
+    """
     lines = read_text(path).split("\n")
     kept = [line for line in lines if line.strip()]
     if not kept:
@@ -319,29 +362,44 @@ def load_projection(path) -> SparseProjection:
         config = ProjectionConfig(**constants)
     if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
+    del kept
 
     n_student, n_teacher = header["n_student"], header["n_teacher"]
     bad_count = ValidationError(f"{path}: header.n_student must be a row count in [0, "
                                 f"{sys.maxsize}] that fits in memory, got {n_student}")
     if not 0 <= n_student <= sys.maxsize:
         raise bad_count
+    if not 0 <= n_teacher <= sys.maxsize:
+        raise ValidationError(f"{path}: header.n_teacher must be a count in [0, "
+                              f"{sys.maxsize}], got {n_teacher}")
     try:
-        rows: list[Sequence[tuple[int, float]]] = [()] * n_student
         provenance = [Provenance.EMPTY] * n_student
     except MemoryError:
         raise bad_count from None
+    raw_decode = json.JSONDecoder().raw_decode
     seen: set[int] = set()
+    row_s, counts, teacher_ids, weights = [], [], [], []
     for lineno, line in enumerate(lines[first:], start=first + 1):
         if not line.strip():
             continue
-        rec = parse_object(line, path, lineno)
+        try:
+            rec, end = raw_decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(rec) is not dict:
+            rec = parse_object(line, path, lineno)  # whitespace around the object, or an error
         field = "s"
         try:
             s = rec[field]
             field = "entries"
-            row = [(t, w) for t, w in rec[field]]
+            n = len(weights)
+            for t, x in rec[field]:
+                teacher_ids.append(t)
+                weights.append(x)
             field = "provenance"
-            prov = Provenance(rec[field])
+            prov = rec[field]
+            if type(prov) is not str or prov not in _KIND:
+                prov = Provenance(prov)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
                                   f"({type(exc).__name__}: {exc})") from None
@@ -349,7 +407,17 @@ def load_projection(path) -> SparseProjection:
             raise ValidationError(f"{path}: row field 's' = {s!r} is not a new student id "
                                   f"in [0, {n_student})")
         seen.add(s)
-        rows[s] = row
+        row_s.append(s)
+        counts.append(len(weights) - n)
         provenance[s] = prov
+    del lines, seen
+
+    per_row = np.zeros(n_student, dtype=np.intp)
+    per_row[row_s] = counts
+    if row_s != sorted(row_s):  # records out of student order: put their entries in it
+        order = np.argsort(np.repeat(np.array(row_s, dtype=np.intp), counts), kind="stable")
+        teacher_ids = [teacher_ids[i] for i in order.tolist()]
+        weights = [weights[i] for i in order.tolist()]
     with located(path):
-        return SparseProjection(n_student, n_teacher, rows, provenance, config)
+        return SparseProjection._from_flat(n_student, n_teacher, per_row, teacher_ids, weights,
+                                           provenance, config)

@@ -20,53 +20,63 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
                      located, parse_object, read_text)
 
-# Glyphs that tokenizer families use to mark a leading space, as UTF-8 bytes:
-# U+0120 (GPT-2 style), U+2581 (SentencePiece), U+2423 (visible space).
-_SPACE_MARKERS = (b"\xc4\xa0", b"\xe2\x96\x81", b"\xe2\x90\xa3")
-_NEWLINE_MARKER = b"\xc4\x8a"  # U+010A, GPT-2 style newline
-_ESCAPED_NEWLINE = b"\\n"
-_BYTE_FALLBACK = re.compile(rb"<0x([0-9A-Fa-f]{2})>\Z")
-_ASCII_PUNCT = frozenset(string.punctuation.encode("ascii"))
+# Glyphs that tokenizer families use to mark a leading space: U+0120 (GPT-2
+# style), U+2581 (SentencePiece), U+2423 (visible space).
+_SPACE_MARKERS = "\u0120\u2581\u2423"
+_NEWLINE_MARKER = "\u010a"  # GPT-2 style newline
+_ESCAPED_NEWLINE = "\\n"
+_BYTE_FALLBACK = re.compile(r"<0x([0-9A-Fa-f]{2})>\Z")
+_ASCII_PUNCT = frozenset(string.punctuation)
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
-def canonicalize_bytes(raw: bytes) -> bytes:
-    """Canonicalize a token given as bytes. Idempotent.
+def _canonical(raw: str, errors: str = "strict") -> bytes:
+    """The canonicalization rules, applied to text and encoded with ``errors``.
 
-    Rules, in order: leading space-marker glyphs become literal spaces;
-    newline markers (and the escaped form ``\\n``) become literal newlines;
-    a whole-token byte-fallback form ``<0xHH>`` becomes that raw byte; a
-    two-character leading-space-plus-ASCII-punctuation token drops the space.
+    Rules, in order: the leading run of space-marker glyphs becomes as many
+    literal spaces; newline markers (and the escaped form ``\\n``) become
+    literal newlines; a whole-token byte-fallback form ``<0xHH>`` becomes that
+    raw byte; a two-character leading-space-plus-ASCII-punctuation token drops
+    the space.
     """
-    out = b""
-    rest = raw
-    while True:
-        for marker in _SPACE_MARKERS:
-            if rest.startswith(marker):
-                out += b" "
-                rest = rest[len(marker):]
-                break
-        else:
-            break
-    rest = rest.replace(_NEWLINE_MARKER, b"\n").replace(_ESCAPED_NEWLINE, b"\n")
-    rest = out + rest
-
-    if rest.startswith(b"<0x") and rest.endswith(b">"):
+    rest = raw.lstrip(_SPACE_MARKERS)
+    if len(rest) < len(raw):
+        rest = " " * (len(raw) - len(rest)) + rest
+    if _NEWLINE_MARKER in rest:
+        rest = rest.replace(_NEWLINE_MARKER, "\n")
+    if _ESCAPED_NEWLINE in rest:
+        rest = rest.replace(_ESCAPED_NEWLINE, "\n")
+    if rest.startswith("<0x") and rest.endswith(">"):
         m = _BYTE_FALLBACK.match(rest)
         if m is None:
-            raise MalformedTokenError(
-                f"malformed byte-fallback token {rest!r}: payload is not two hex digits"
-            )
-        rest = bytes([int(m.group(1), 16)])
+            token = rest.encode("utf-8", errors)
+            raise MalformedTokenError(f"malformed byte-fallback token {token!r}: payload is not "
+                                      "two hex digits")
+        return bytes([int(m.group(1), 16)])
+    if len(rest) == 2 and rest[0] == " " and rest[1] in _ASCII_PUNCT:
+        rest = rest[1]
+    return rest.encode("utf-8", errors)
 
-    if len(rest) == 2 and rest[0] == 0x20 and rest[1] in _ASCII_PUNCT:
-        rest = rest[1:]
-    return rest
+
+def canonicalize_bytes(raw: bytes) -> bytes:
+    """Canonicalize a token given as bytes (any bytes, UTF-8 or not). Idempotent.
+
+    The bytes are decoded with ``surrogateescape``, so a byte that is not
+    UTF-8 passes through the rules of ``_canonical`` as itself.
+    """
+    return _canonical(raw.decode("utf-8", "surrogateescape"), "surrogateescape")
 
 
 def canonicalize(raw: str) -> bytes:
-    """Canonical form of a raw token string."""
-    return canonicalize_bytes(raw.encode("utf-8"))
+    """Canonical form of a raw token string.
+
+    A lone surrogate raises the ``UnicodeEncodeError`` of ``raw.encode("utf-8")``.
+    """
+    try:
+        return _canonical(raw)
+    except UnicodeEncodeError:
+        raw.encode("utf-8")
+        raise
 
 
 class Vocabulary:
@@ -113,10 +123,10 @@ class Vocabulary:
             self._roles_of[rid] = self._roles_of.get(rid, frozenset()) | {role}
         # Specials pass through canonicalization untouched; they pair only by role.
         try:
-            self._canon: tuple[bytes, ...] = tuple(
-                tok.encode("utf-8") if i in self.specials else canonicalize(tok)
+            self._canon: tuple[bytes, ...] = tuple([
+                tok.encode("utf-8") if i in self.specials else _canonical(tok)
                 for i, tok in enumerate(self.tokens)
-            )
+            ])
         except UnicodeEncodeError:
             i = next(i for i, tok in enumerate(self.tokens) if _SURROGATE.search(tok))
             raise ValidationError(f"token {i} {self.tokens[i]!r} holds a lone surrogate, which "

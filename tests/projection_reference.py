@@ -3,7 +3,10 @@
 The tuple-of-tuples storage and the row-by-row validation loop that the CSR
 arrays replaced, kept as the slow reference they are property-tested
 against, together with the summary, ``top1``, relaxed common set and saved
-file derived from those rows. Checks run in the order of the loop: entry
+file derived from those rows. ``top1(w, s)`` reads the same answer from a
+``SparseProjection``'s CSR arrays. ``save_projection`` and ``load_projection``
+are the per-row writer and reader that the flat ones in
+``crosstok.projection`` replaced. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
 weight, then the exact, empty and row-sum rules; the first failing check
 names its row.
@@ -13,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import asdict
 
 import numpy as np
 
-from crosstok.errors import ValidationError
-from crosstok.projection import Provenance
+from crosstok.errors import ValidationError, check_fields, located, parse_object, read_text
+from crosstok.projection import ProjectionConfig, Provenance, SparseProjection
 
 
 class ReferenceProjection:
@@ -111,3 +116,82 @@ class ReferenceProjection:
         return "".join(line + "\n" for line in
                        [json.dumps(header, sort_keys=True, separators=(",", ":"))] + lines
                        ).encode("utf-8")
+
+
+def top1(w, s: int):
+    """Highest-weight teacher partner ``(teacher_id, weight)`` of student id
+    ``s`` in a ``SparseProjection``, read from its CSR arrays, or None for an
+    empty row."""
+    if not 0 <= s < w.n_student:
+        raise ValidationError(f"student id {s} out of range")
+    at = w._indptr[s]
+    return (int(w._flat_t[at]), float(w._flat_w[at])) if at < w._indptr[s + 1] else None
+
+
+def save_projection(w, path) -> None:
+    """One ``JSONEncoder`` call per row's ``(teacher_id, weight)`` tuples."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    prov_json = {p: encode(p.value) for p in Provenance}
+    lines = [f'{{"entries":{encode(row)},"provenance":{prov_json[prov]},"s":{s}}}'
+             for s, (row, prov) in enumerate(zip(w.rows, w.provenance)) if row]
+    header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
+              "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+_HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
+
+
+def load_projection(path):
+    """Rows as lists of ``(teacher_id, weight)`` tuples, one ``Provenance``
+    per row, then the rows form of ``SparseProjection``; ``header.n_teacher``
+    is not range-checked."""
+    lines = read_text(path).split("\n")
+    kept = [line for line in lines if line.strip()]
+    if not kept:
+        raise ValidationError(f"{path}: missing projection header")
+    first = lines.index(kept[0]) + 1
+    header = check_fields(parse_object(kept[0], path, first), _HEADER_FIELDS, path, "header.",
+                          required=_HEADER_FIELDS)
+    constants = check_fields(header["config"], typing.get_type_hints(ProjectionConfig), path,
+                             "header.config.")
+    with located(f"{path}: header.config"):
+        config = ProjectionConfig(**constants)
+    if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
+        raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
+
+    n_student, n_teacher = header["n_student"], header["n_teacher"]
+    bad_count = ValidationError(f"{path}: header.n_student must be a row count in [0, "
+                                f"{sys.maxsize}] that fits in memory, got {n_student}")
+    if not 0 <= n_student <= sys.maxsize:
+        raise bad_count
+    try:
+        rows = [()] * n_student
+        provenance = [Provenance.EMPTY] * n_student
+    except MemoryError:
+        raise bad_count from None
+    seen: set[int] = set()
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
+        rec = parse_object(line, path, lineno)
+        field = "s"
+        try:
+            s = rec[field]
+            field = "entries"
+            row = [(t, w) for t, w in rec[field]]
+            field = "provenance"
+            prov = Provenance(rec[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
+                                  f"({type(exc).__name__}: {exc})") from None
+        if type(s) is not int or not 0 <= s < n_student or s in seen:
+            raise ValidationError(f"{path}: row field 's' = {s!r} is not a new student id "
+                                  f"in [0, {n_student})")
+        seen.add(s)
+        rows[s] = row
+        provenance[s] = prov
+    with located(path):
+        return SparseProjection(n_student, n_teacher, rows, provenance, config)

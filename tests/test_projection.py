@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosstok import projection
@@ -23,11 +24,12 @@ from crosstok.projection import (
     load_projection,
     project,
     save_projection,
-    top1,
 )
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
-from projection_reference import ReferenceProjection
+import projection_reference
+from projection_reference import ReferenceProjection, top1
+from test_fuzz_readers import mutated, resealed
 
 
 @pytest.fixture(scope="module")
@@ -462,10 +464,38 @@ class TestProjectionFileFields:
                                                            "entries": [[0, float("nan")]]}])
         self.rejects(saved, "row 3", "non-positive weight nan")
 
+    def test_first_bad_entry_named_in_student_order(self, saved):
+        """Rows out of file order: the entry checks still name the first bad
+        entry in student order, as the per-row reader does."""
+        def edit(recs):
+            recs = [dict(r) for r in reversed(recs)]
+            recs[0]["entries"], recs[2]["entries"] = [["x", 0.5]], [[True, 1.0]]
+            return recs
+
+        rewrite_records(saved, edit)
+        with pytest.raises(ValidationError) as info:
+            load_projection(saved)
+        with pytest.raises(ValidationError) as ref:
+            projection_reference.load_projection(saved)
+        assert str(info.value) == str(ref.value)
+        assert str(info.value).endswith("row 1: teacher id True in 'entries' is not an integer")
+
     def test_int_weight_loads_as_float(self, saved):
         rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [[0, 1]]}])
         [(t, w)] = load_projection(saved).rows[-1]
         assert (t, w) == (0, 1.0) and type(w) is float
+
+
+class TestCounts:
+    @pytest.mark.parametrize("n_student, n_teacher", [(-1, 2), (0, -1), (1, -5)])
+    def test_negative_count_rejected(self, n_student, n_teacher):
+        rows, prov = [[]] * max(n_student, 0), [Provenance.EMPTY] * max(n_student, 0)
+        with pytest.raises(ValidationError):
+            SparseProjection(n_student, n_teacher, rows, prov, ProjectionConfig())
+
+    def test_negative_teacher_count_named(self):
+        with pytest.raises(ValidationError, match="n_teacher must be non-negative, got 0 and -1"):
+            SparseProjection(0, -1, [], [], ProjectionConfig())
 
 
 class TestNonFiniteWeights:
@@ -549,3 +579,163 @@ def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     scaled = [[(t, wt * scale) for t, wt in row] for row in rows]
     flat = np.array([wt for _, _, wt in w.entries()]) * scale
     assert_same_outcome(n_s, n_t, scaled, provenance, config, lambda: w.with_weights(flat))
+
+
+# weights whose ``repr`` is long or unusual
+LONG_WEIGHTS = (0.1 + 0.2, 1 / 3, 2 / 3, 0.1, 1e-300, 5e-324, 1e-5, 0.7 / 3)
+
+
+@st.composite
+def valid_projections(draw):
+    """Projections that every rule accepts: exact, empty and multi-token rows,
+    weights with long ``repr``s, and teacher ids up to 2**62."""
+    n_teacher = draw(st.sampled_from([1, 3, 100, 2**40, 2**62]))
+    top_k = draw(st.integers(1, 4))
+    rows, provenance = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        prov = draw(st.sampled_from(Provenance))
+        if prov is Provenance.EXACT:
+            row = [(draw(st.integers(0, n_teacher - 1)), 1.0)]
+        elif prov is Provenance.EMPTY:
+            row = []
+        else:
+            ids = draw(st.lists(st.integers(0, n_teacher - 1), unique=True, min_size=1,
+                                max_size=top_k))
+            cap = 1 / len(ids)
+            weight = (st.floats(min_value=5e-324, max_value=cap)
+                      | st.sampled_from([x for x in LONG_WEIGHTS if x <= cap]))
+            row = [(t, draw(weight)) for t in ids]
+        rows.append(row)
+        provenance.append(prov)
+    return SparseProjection(len(rows), n_teacher, rows, provenance, ProjectionConfig(top_k=top_k))
+
+
+def same_arrays(got: SparseProjection, ref: SparseProjection) -> bool:
+    return ((got.n_student, got.n_teacher, got.provenance, got.config)
+            == (ref.n_student, ref.n_teacher, ref.provenance, ref.config)
+            and all(np.array_equal(getattr(got, a), getattr(ref, a)) and
+                    getattr(got, a).dtype == getattr(ref, a).dtype
+                    for a in ("_indptr", "_flat_s", "_flat_t", "_flat_w", "_kind")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_projections(), st.integers(1, 5))
+def test_save_matches_row_writer(tmp_path_factory, w, block):
+    """The flat writer, in blocks of any size, writes the per-row writer's bytes."""
+    d = tmp_path_factory.mktemp("save")
+    projection_reference.save_projection(w, d / "ref.jsonl")
+    with mock.patch.object(projection, "_ROW_BLOCK", block):
+        save_projection(w, d / "w.jsonl")
+    assert (d / "w.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
+    save_projection(w, d / "w.jsonl")
+    assert (d / "w.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
+    ref = ReferenceProjection(w.n_student, w.n_teacher, w.rows, w.provenance, w.config)
+    assert (d / "w.jsonl").read_bytes() == ref.saved_bytes()
+
+
+# values that a row field must not hold (none of them raises in ``json.dumps``)
+BAD_FIELDS = {
+    "s": [-1, 10**6, "0", True, None, 1.0],
+    "entries": [5, "ab", None, [[0]], [[0, 0.5, 1]], [[True, 0.5]], [["x", 0.5]], [[0.5, 0.5]],
+                [[0, "0.5"]], [[0, None]], [[0, False]], [[10**30, 0.5]], [[0, 10**400]],
+                [[0, 0.5], [0, 0.5]], [[-1, 0.5]], [[0, 0.0]], [[0, 2.0]], {"ab": 1}],
+    "provenance": ["guess", "EXACT", None, [], {}, 0],
+}
+
+
+EDITS = ([("repeat", None)] + [("drop", field) for field in BAD_FIELDS]
+         + [(field, value) for field, values in BAD_FIELDS.items() for value in values])
+
+
+@st.composite
+def edited(draw, records: list) -> list:
+    """``records`` with one record repeated, or one field of one record dropped
+    or given a value from ``BAD_FIELDS``."""
+    if not records:
+        return records
+    records = list(records)
+    at = draw(st.integers(0, len(records) - 1))
+    kind, value = draw(st.sampled_from(EDITS))
+    if kind == "repeat":
+        records.insert(draw(st.integers(0, len(records))), records[at])
+    elif kind == "drop":
+        records[at] = {k: v for k, v in records[at].items() if k != value}
+    else:
+        records[at] = {**records[at], kind: value}
+    return records
+
+
+def relaid(data: bytes, draw, edit: bool, strict: bool) -> bytes:
+    """The records, ``edited`` if ``edit``, re-laid: keys reordered, spaces
+    inside and around them, CRLF line ends, blank lines and rows out of
+    order, each drawn or not (unless ``strict``, perhaps one line ends in a
+    form feed, which is not JSON whitespace); the content hash is recomputed
+    as the loader computes it."""
+    header, *records = [json.loads(line) for line in data.decode().splitlines()]
+    if edit:
+        records = draw(edited(records))
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    spaced = draw(st.booleans())
+    lines = [json.dumps(dict(reversed(rec.items())) if draw(st.booleans()) else rec,
+                        separators=(", ", ": ") if spaced else (",", ":"))
+             for rec in records]
+    pads = st.sampled_from(["", " ", "\t", " \t"])
+    lines = [draw(pads) + line + draw(pads) for line in lines]
+    if lines and not strict and draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] += "\x0c"
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    body = "\n".join(line for line in lines if line.strip())
+    header["content_hash"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    end = "\r\n" if draw(st.booleans()) else "\n"  # text mode reads CRLF as LF
+    return end.join([json.dumps(header)] + lines + [""]).encode("utf-8")
+
+
+def load_outcome(load, path):
+    try:
+        return load(path), None
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_projections(), st.sampled_from(["relaid", "edited", "fuzzed"]), st.data())
+def test_load_matches_row_reader(tmp_path_factory, w, layout, data):
+    """On re-laid files, on files with one bad row record and on fuzz
+    mutations, the flat reader returns the per-row reader's arrays or fails
+    with its message; only an out-of-range ``header.n_teacher`` is new, and
+    named."""
+    path = tmp_path_factory.mktemp("load") / "w.jsonl"
+    save_projection(w, path)
+    out = relaid(path.read_bytes(), data.draw, layout == "edited", layout == "fuzzed")
+    if layout == "fuzzed":
+        out = data.draw(mutated(out, json_lines=True))
+        if data.draw(st.booleans()):
+            out = resealed(out)
+    path.write_bytes(out)
+    got, err = load_outcome(load_projection, path)
+    ref, ref_err = load_outcome(projection_reference.load_projection, path)
+    if err and "header.n_teacher must be a count in [0, " in err[1]:
+        assert err[1].startswith(f"{path}: header.n_teacher")
+        assert ref_err or not 0 <= ref.n_teacher <= sys.maxsize
+    elif err or ref_err:
+        assert err == ref_err
+    else:
+        assert same_arrays(got, ref)
+
+
+def test_load_reads_crlf_blank_lines_and_rows_out_of_order(tmp_path):
+    rows = [[(2, 0.6), (0, 0.30000000000000004)], [], [(1, 1.0)], [(0, 0.5)]]
+    prov = [Provenance.MULTI_TOKEN, Provenance.EMPTY, Provenance.EXACT, Provenance.MULTI_TOKEN]
+    w = SparseProjection(4, 3, rows, prov, ProjectionConfig())
+    path = tmp_path / "w.jsonl"
+    save_projection(w, path)
+    header, *lines = path.read_text().splitlines()
+    lines = [lines[2], lines[0], lines[1]]
+    head = json.loads(header)
+    head["content_hash"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    # text mode reads CRLF as LF; blank lines are outside the content hash
+    path.write_bytes("\r\n".join([json.dumps(head), "", lines[0], " ", *lines[1:], ""]).encode())
+    loaded = load_projection(path)
+    assert loaded.rows == w.rows and loaded.provenance == w.provenance

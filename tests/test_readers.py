@@ -4,6 +4,7 @@ ValidationError (CLI: exit 1, ``error: <path>: ...``) that starts with the path,
 and with ``line N`` in a JSON Lines file."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -119,3 +120,16 @@ def test_read_text_names_an_unencodable_path():
     with pytest.raises(ValidationError) as info:
         read_text("dir/\ud800.json")
     assert str(info.value).startswith("'dir/\\ud800.json': not an encodable file path (")
+
+
+@pytest.mark.parametrize("n_teacher", [-1, 10**30], ids=["negative", "1e30"])
+def test_projection_teacher_count_named(tmp_path, n_teacher):
+    """An impossible ``header.n_teacher`` fails at load, by name, not later
+    inside ``product``."""
+    path = projection_file(tmp_path)[0]
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), "n_teacher": n_teacher}) + "\n" + rest)
+    with pytest.raises(ValidationError) as info:
+        load_projection(path)
+    assert str(info.value) == (f"{path}: header.n_teacher must be a count in [0, "
+                               f"{sys.maxsize}], got {n_teacher}")

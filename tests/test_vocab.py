@@ -18,6 +18,8 @@ from crosstok.vocab import (
     vocabulary_hash,
 )
 
+import canonical_reference
+
 
 class TestCanonicalize:
     def test_space_prefix_unification(self):
@@ -286,3 +288,86 @@ class TestToyTokenizers:
     def test_roundtrip_word_level(self, text):
         tok = make_toy_tokenizer("word_level", ["the cat ran"])
         assert tok.decode(tok.encode(text)) == text
+
+
+# Pieces that hit every rule: the three space markers, the newline marker and
+# both newline forms, whole and broken byte-fallback forms, space plus ASCII
+# punctuation, and non-ASCII text.
+PIECES = ["\u0120", "\u2581", "\u2423", "\u010a", "\\n", "\n", "\\", "n", " ", ",", ".", "'",
+          "a", "Z", "0", "x", "\u00e9", "\u4e2d", "\U0001f642", "<0x", ">", "<", "<0x41>",
+          "<0xe4>", "<0xC3>", "<0xZZ>", "<0x4>", "<0x4G>", "<0x\u00e9>", "41", "fF"]
+# Bytes that are not UTF-8 on their own: markers cut short, lone continuation
+# bytes, 0xff, and the UTF-8 form of a surrogate.
+RAW_PIECES = [b"\xc4", b"\xa0", b"\x8a", b"\xe2\x96", b"\x81", b"\xff", b"\xed\xb2\x80", b"\x80"]
+SURROGATES = st.integers(0xD800, 0xDFFF).map(chr) | st.sampled_from(["\ud800", "\udc80", "\udcff"])
+
+text_tokens = st.lists(st.sampled_from(PIECES) | st.text(max_size=2), max_size=6).map("".join)
+byte_tokens = st.lists(st.sampled_from([p.encode() for p in PIECES]) | st.sampled_from(RAW_PIECES)
+                       | st.binary(max_size=3), max_size=6).map(b"".join)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (MalformedTokenError, UnicodeEncodeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestCanonicalAgainstByteLoop:
+    """``canonicalize_bytes``, ``canonicalize`` and ``Vocabulary._canon`` against
+    the byte loop in ``canonical_reference``: the same bytes or the same error."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(byte_tokens)
+    def test_bytes(self, raw):
+        got = outcome(canonicalize_bytes, raw)
+        assert got == outcome(canonical_reference.canonicalize_bytes, raw)
+        if got[0] is not None:
+            assert canonicalize_bytes(got[0]) == got[0]
+
+    @settings(max_examples=800, deadline=None)
+    @given(text_tokens | st.tuples(text_tokens, SURROGATES, text_tokens).map("".join))
+    def test_text(self, raw):
+        expected = outcome(lambda: canonical_reference.canonicalize_bytes(raw.encode("utf-8")))
+        assert outcome(canonicalize, raw) == expected
+        if expected[0] is not None:
+            assert canonicalize_bytes(expected[0]) == expected[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(text_tokens | st.tuples(text_tokens, SURROGATES).map("".join), unique=True,
+                    max_size=8).flatmap(
+        lambda tokens: st.tuples(st.just(tokens), st.sets(st.integers(0, max(len(tokens) - 1, 0)),
+                                                          max_size=len(tokens)))))
+    def test_vocabulary(self, args):
+        tokens, specials = args
+        expected = outcome(canonical_reference.vocabulary_canon, tokens, specials)
+        if expected[1] is None or expected[1][0] is MalformedTokenError:
+            assert outcome(lambda: Vocabulary(tokens, specials)._canon) == expected
+        else:  # the byte loop met a lone surrogate first
+            i = next(i for i, tok in enumerate(tokens)
+                     if any(0xD800 <= ord(c) <= 0xDFFF for c in tok))
+            with pytest.raises(ValidationError) as info:
+                Vocabulary(tokens, specials)
+            assert str(info.value).startswith(f"token {i} {tokens[i]!r} holds a lone surrogate")
+
+    @pytest.mark.parametrize("raw", ["<0xZZ>", "<0x4>", "<0x\u00e9>", "<0x4\u010a>", "<0x\\n>"])
+    def test_malformed_message(self, raw):
+        with pytest.raises(MalformedTokenError) as info:
+            canonicalize(raw)
+        with pytest.raises(MalformedTokenError) as ref:
+            canonical_reference.canonicalize_bytes(raw.encode("utf-8"))
+        assert str(info.value) == str(ref.value)
+        assert str(info.value).startswith("malformed byte-fallback token b'")
+
+    @pytest.mark.parametrize("raw", [b"<0x\xe9>", b"<0x\xff\xfe>", b"<0x4\xc4\x8a>", b"<0x\xc3>"])
+    def test_malformed_bytes_message(self, raw):
+        with pytest.raises(MalformedTokenError) as info:
+            canonicalize_bytes(raw)
+        assert str(info.value) == outcome(canonical_reference.canonicalize_bytes, raw)[1][1]
+
+    @pytest.mark.parametrize("code", [0xD800, 0xDB7F, 0xDC80, 0xDCFF, 0xDFFF])
+    def test_surrogate_names_first_token(self, code):
+        tokens = ["a", "<0xZZ>" + chr(code), "<0xZZ>", "b" + chr(code)]
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(tokens)
+        assert str(info.value).startswith(f"token 1 {tokens[1]!r} holds a lone surrogate")

@@ -12,6 +12,7 @@ import json
 import re
 import string
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ValidationError
@@ -44,7 +45,7 @@ def default_rules() -> tuple[CategoryRule, ...]:
         CategoryRule("1-digit", lambda s: len(s) == 1 and s.isdigit() and s.isascii()),
         CategoryRule("2-digit", lambda s: len(s) == 2 and s.isdigit() and s.isascii()),
         CategoryRule("3-digit", lambda s: len(s) == 3 and s.isdigit() and s.isascii()),
-        CategoryRule("ascii-punct", lambda s: bool(s) and all(c in _PUNCT for c in s)),
+        CategoryRule("ascii-punct", lambda s: bool(s) and _PUNCT.issuperset(s)),
         CategoryRule("alphabetic", lambda s: bool(_ALPHA.match(s))),
         CategoryRule("non-ascii", lambda s: not s.isascii()),
     )
@@ -73,13 +74,12 @@ class CoverageRow:
 def audit_coverage(vs: Vocabulary, c: CommonSet,
                    rules: Sequence[CategoryRule] = ()) -> list[CoverageRow]:
     """Count, per category, the student tokens that survive into the common set."""
-    common_students = set(c.student_ids.tolist())
-    texts = [_decode(vs.canonical(sid)) for sid in range(len(vs))]
+    flags = list(map(set(c.student_ids.tolist()).__contains__, range(len(vs))))
+    texts = list(map(_decode, vs._canon))
     rows = []
     for rule in tuple(rules) or default_rules():
-        members = [sid for sid, text in enumerate(texts) if rule.predicate(text)]
-        rows.append(CoverageRow(rule.name, len(common_students.intersection(members)),
-                                len(members)))
+        members = list(compress(flags, map(rule.predicate, texts)))  # each member's common flag
+        rows.append(CoverageRow(rule.name, sum(members), len(members)))
     return rows
 
 
@@ -88,14 +88,16 @@ def recommend_mode(coverage: Sequence[CoverageRow],
                    threshold: float = 1.0) -> str:
     """Pick the projection loss when any critical category falls below the
     threshold, the relaxed hybrid loss otherwise. Empty critical categories
-    are skipped."""
+    are skipped. Every critical name must be a category, and the threshold
+    a fraction in [0, 1]; both are checked before anything is decided."""
+    if not 0 <= threshold <= 1:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
     by_name = {row.category: row for row in coverage}
-    for name in critical:
-        if name not in by_name:
-            raise ValidationError(f"unknown critical category {name!r}")
-        row = by_name[name]
-        if row.size > 0 and row.fraction < threshold:
-            return PKL_MODE
+    unknown = [name for name in critical if name not in by_name]
+    if unknown:
+        raise ValidationError(f"unknown critical category {unknown[0]!r}")
+    if any(by_name[name].size > 0 and by_name[name].fraction < threshold for name in critical):
+        return PKL_MODE
     return HKL_MODE
 
 

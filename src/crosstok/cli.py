@@ -60,7 +60,17 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _check_out(out: str, what: str) -> None:
+    """Reject an ``--out`` that cannot name the file ``what`` before any input
+    is read: a directory, or a file in a directory that does not exist."""
+    if os.path.isdir(out):
+        raise ValidationError(f"--out {out!r} is a directory; it must name {what}")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValidationError(f"--out {out!r}: its directory does not exist")
+
+
 def cmd_build_w(args, config: dict) -> int:
+    _check_out(args.out, "the projection file")
     vs = load_vocabulary(args.student_vocab)
     vt = load_vocabulary(args.teacher_vocab)
     cfg = ProjectionConfig(**_flags_over_config(args, config,
@@ -79,6 +89,7 @@ def cmd_build_w(args, config: dict) -> int:
 
 
 def cmd_align(args, config: dict) -> int:
+    _check_out(args.out, "the chunk dump")
     tok_s = Tokenizer(load_vocabulary(args.student_vocab))
     tok_t = Tokenizer(load_vocabulary(args.teacher_vocab))
     scoring = AlignScoring(**_flags_over_config(args, config, typing.get_type_hints(AlignScoring)))
@@ -213,10 +224,8 @@ def cmd_loss(args, config: dict) -> int:
 
     if args.grad and args.out is None:
         raise ValidationError("--grad needs --out to anchor the gradient files")
-    if args.out is not None and os.path.isdir(args.out):
-        raise ValidationError(f"--out {args.out!r} is a directory; it must name the report file")
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ValidationError(f"--out {args.out!r}: its directory does not exist")
+    if args.out is not None:
+        _check_out(args.out, "the report file")
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
     student_vocab, student_logits, teachers = _load_step_inputs(config, args.config, args.grad)

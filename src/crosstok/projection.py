@@ -122,6 +122,8 @@ class SparseProjection:
                       expected: str) -> np.ndarray:
         """One field of every entry, row-major, after one type check over the
         flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
+        if isinstance(values, np.ndarray) and values.dtype == dtype:
+            return values  # holds nothing of another type
         bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
         if bad:
             at = next(i for i, v in enumerate(values) if type(v) in bad)
@@ -224,37 +226,50 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     The exact pass gives every student token with an ``exact_partners``
     partner a single entry of weight 1. Specials without one are never
     re-tokenized; they and every other unmappable row stay empty and are
-    flagged.
+    flagged. Only the re-tokenized rows run Python code per row; their
+    entries are merged (repeated teacher ids summed in span order), ranked
+    and truncated in flat arrays.
     """
     if len(vs) == 0 or len(vt) == 0:
         raise ValidationError("both vocabularies must be nonempty")
     if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
         raise ValidationError("teacher tokenizer does not carry the teacher vocabulary")
 
+    n_s, n_t = len(vs), len(vt)
+    partners = exact_partners(vs, vt)
+    exact_s = np.array([s for s, t in enumerate(partners) if t is not None], dtype=np.intp)
+    exact_t = np.array([t for t in partners if t is not None], dtype=np.intp)
     span_weights = functools.cache(lambda n: decay_weights(n, config.beta, config.gamma).tolist())
-    rows: list[list[tuple[int, float]]] = []
-    provenance: list[Provenance] = []
-    for s, exact in enumerate(exact_partners(vs, vt)):
-        sub_ids: list[int] = []
-        if exact is None and not vs.is_special(s):
-            try:
-                sub_ids = tok_t.encode(vs.canonical(s).decode("utf-8"))
-            except (UnicodeDecodeError, UnencodableTextError):
-                pass
-        if exact is not None:
-            row, prov = [(exact, 1.0)], Provenance.EXACT
-        elif not sub_ids or len(sub_ids) > config.max_span:
-            row, prov = [], Provenance.EMPTY
-        else:
-            accum: dict[int, float] = {}
-            for tid, w in zip(sub_ids, span_weights(len(sub_ids))):
-                accum[tid] = accum.get(tid, 0.0) + w
-            row = sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k]
-            prov = Provenance.MULTI_TOKEN
-        rows.append(row)
-        provenance.append(prov)
+    multi_s, sub_s, sub_t, sub_w = [], [], [], []
+    for s in [s for s, t in enumerate(partners) if t is None and s not in vs.specials]:
+        try:
+            ids = tok_t.encode(vs.canonical(s).decode("utf-8"))
+        except (UnicodeDecodeError, UnencodableTextError):
+            continue
+        if ids and len(ids) <= config.max_span:
+            multi_s.append(s)
+            sub_s += [s] * len(ids)
+            sub_t += ids
+            sub_w += span_weights(len(ids))
 
-    return SparseProjection(len(vs), len(vt), rows, provenance, config)
+    # one entry per (s, t): bincount adds each key's weights in span order
+    keys, inverse = np.unique(np.array(sub_s, dtype=np.int64) * n_t
+                              + np.array(sub_t, dtype=np.int64), return_inverse=True)
+    merged_w = np.bincount(inverse, weights=sub_w, minlength=keys.size)
+    merged_s, merged_t = np.divmod(keys, n_t)
+    order = np.lexsort((merged_t, -merged_w, merged_s))  # per row: weight down, then id up
+    rank = np.arange(order.size) - np.searchsorted(merged_s[order], merged_s[order])
+    kept = order[rank < config.top_k]
+
+    flat_s = np.concatenate([exact_s, merged_s[kept]]).astype(np.intp, copy=False)
+    flat_t = np.concatenate([exact_t, merged_t[kept]]).astype(np.intp, copy=False)
+    flat_w = np.concatenate([np.ones(exact_s.size), merged_w[kept]])
+    row_major = np.argsort(flat_s, kind="stable")
+    codes = np.full(n_s, _EMPTY, dtype=np.int8)
+    codes[exact_s], codes[multi_s] = _EXACT, _MULTI
+    return SparseProjection._from_flat(n_s, n_t, np.bincount(flat_s, minlength=n_s),
+                                       flat_t[row_major], flat_w[row_major],
+                                       list(map(_MEMBERS.__getitem__, codes.tolist())), config)
 
 
 def _student_distribution(w: SparseProjection, p_s) -> np.ndarray:

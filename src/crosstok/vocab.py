@@ -70,13 +70,14 @@ def canonicalize_bytes(raw: bytes) -> bytes:
 def canonicalize(raw: str) -> bytes:
     """Canonical form of a raw token string.
 
-    A lone surrogate raises the ``UnicodeEncodeError`` of ``raw.encode("utf-8")``.
+    A lone surrogate raises a ValidationError naming the first one and its position.
     """
     try:
         return _canonical(raw)
     except UnicodeEncodeError:
-        raw.encode("utf-8")
-        raise
+        m = _SURROGATE.search(raw)
+        raise ValidationError(f"lone surrogate {m.group()!r} at position {m.start()}, which "
+                              "UTF-8 cannot encode") from None
 
 
 class Vocabulary:
@@ -87,8 +88,9 @@ class Vocabulary:
     ``{"bos": 3}``) so corresponding roles can be paired across vocabularies.
     Instances are immutable after construction, which lets
     ``vocabulary_hash`` compute the content hash once,
-    ``max_token_length`` the longest token once and ``_memo`` keep data
-    derived from this vocabulary and another one, keyed by the other's hash.
+    ``longest_by_first`` the longest token per first character once and
+    ``_memo`` keep data derived from this vocabulary and another one, keyed
+    by the other's hash.
     """
 
     def __init__(
@@ -103,13 +105,12 @@ class Vocabulary:
         self._hash: str | None = None
         self._memo: dict = {}
 
-        self.id_of: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
-            if tok in self.id_of:
-                raise ValidationError(
-                    f"duplicate token string {tok!r} at ids {self.id_of[tok]} and {i}"
-                )
-            self.id_of[tok] = i
+        self.id_of: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self.id_of) < len(self.tokens):  # name the first repeat and its first id
+            first: dict[str, int] = {}
+            i = next(i for i, tok in enumerate(self.tokens) if first.setdefault(tok, i) != i)
+            raise ValidationError(f"duplicate token string {self.tokens[i]!r} at ids "
+                                  f"{first[self.tokens[i]]} and {i}")
         for sid in self.specials:
             if not 0 <= sid < len(self.tokens):
                 raise ValidationError(f"special id {sid} outside vocabulary of size {len(self.tokens)}")
@@ -159,9 +160,11 @@ class Vocabulary:
         return self._roles_of.get(token_id, frozenset())
 
     @cached_property
-    def max_token_length(self) -> int:
-        """Length of the longest token string (0 if empty), computed on first use."""
-        return max((len(t) for t in self.tokens), default=0)
+    def longest_by_first(self) -> dict[str, int]:
+        """Each first character of a token, mapped to the length of the longest
+        token that starts with it; computed on first use."""
+        tokens = sorted(filter(None, self.tokens), key=len)
+        return dict(zip([t[0] for t in tokens], map(len, tokens)))  # the last one is longest
 
 
 def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
@@ -170,17 +173,17 @@ def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
     Specials pair only through a shared role and ordinary tokens only through
     equal canonical bytes; in both cases the smallest teacher id wins.
     """
-    by_canon: dict[bytes, int] = {}
-    for t, canon in enumerate(vt._canon):
-        if t not in vt.specials:
-            by_canon.setdefault(canon, t)
-    partners: list[int | None] = []
-    for s, canon in enumerate(vs._canon):
-        if s in vs.specials:
-            shared = [vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles]
-            partners.append(min(shared, default=None))
-        else:
-            partners.append(by_canon.get(canon))
+    ordinary: Sequence[int] = range(len(vt))
+    canon: Sequence[bytes] = vt._canon
+    if vt.specials:  # specials pair only by role, so they leave the index
+        ordinary = [t for t in ordinary if t not in vt.specials]
+        canon = [canon[t] for t in ordinary]
+    # built from the back, so a repeated canonical form keeps its smallest id
+    by_canon = dict(zip(reversed(canon), reversed(ordinary)))
+    partners: list[int | None] = list(map(by_canon.get, vs._canon))
+    for s in vs.specials:
+        shared = [vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles]
+        partners[s] = min(shared, default=None)
     return tuple(partners)
 
 
@@ -266,11 +269,11 @@ class Tokenizer:
     def encode(self, text: str) -> list[int]:
         ids: list[int] = []
         lookup = self.vocabulary.id_of
-        max_len = self.vocabulary.max_token_length
+        longest = self.vocabulary.longest_by_first.get
         i = 0
         n = len(text)
         while i < n:
-            for width in range(min(max_len, n - i), 0, -1):
+            for width in range(min(longest(text[i], 0), n - i), 0, -1):
                 tid = lookup.get(text[i : i + width])
                 if tid is not None:
                     ids.append(tid)

@@ -4,9 +4,9 @@ The tuple-of-tuples storage and the row-by-row validation loop that the CSR
 arrays replaced, kept as the slow reference they are property-tested
 against, together with the summary, ``top1``, relaxed common set and saved
 file derived from those rows. ``top1(w, s)`` reads the same answer from a
-``SparseProjection``'s CSR arrays. ``save_projection`` and ``load_projection``
-are the per-row writer and reader that the flat ones in
-``crosstok.projection`` replaced. Checks run in the order of the loop: entry
+``SparseProjection``'s CSR arrays. ``build_projection``, ``save_projection``
+and ``load_projection`` are the per-row builder, writer and reader that the
+flat ones in ``crosstok.projection`` replaced. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
 weight, then the exact, empty and row-sum rules; the first failing check
 names its row.
@@ -14,6 +14,7 @@ names its row.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -22,8 +23,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from crosstok.errors import ValidationError, check_fields, located, parse_object, read_text
-from crosstok.projection import ProjectionConfig, Provenance, SparseProjection
+import vocab_reference
+from crosstok.errors import (UnencodableTextError, ValidationError, check_fields, located,
+                             parse_object, read_text)
+from crosstok.projection import ProjectionConfig, Provenance, SparseProjection, decay_weights
 
 
 class ReferenceProjection:
@@ -126,6 +129,42 @@ def top1(w, s: int):
         raise ValidationError(f"student id {s} out of range")
     at = w._indptr[s]
     return (int(w._flat_t[at]), float(w._flat_w[at])) if at < w._indptr[s + 1] else None
+
+
+def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
+    """One loop iteration and one list of ``(teacher_id, weight)`` tuples per
+    student row, repeated teacher ids summed in a dict, each row sorted and
+    cut to ``top_k``, then the rows form of ``SparseProjection``; partners
+    and sub-tokens come from ``vocab_reference``."""
+    if len(vs) == 0 or len(vt) == 0:
+        raise ValidationError("both vocabularies must be nonempty")
+    if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
+        raise ValidationError("teacher tokenizer does not carry the teacher vocabulary")
+
+    span_weights = functools.cache(lambda n: decay_weights(n, config.beta, config.gamma).tolist())
+    rows = []
+    provenance = []
+    for s, exact in enumerate(vocab_reference.exact_partners(vs, vt)):
+        sub_ids = []
+        if exact is None and not vs.is_special(s):
+            try:
+                sub_ids = vocab_reference.encode(vt, vs.canonical(s).decode("utf-8"))
+            except (UnicodeDecodeError, UnencodableTextError):
+                pass
+        if exact is not None:
+            row, prov = [(exact, 1.0)], Provenance.EXACT
+        elif not sub_ids or len(sub_ids) > config.max_span:
+            row, prov = [], Provenance.EMPTY
+        else:
+            accum = {}
+            for tid, w in zip(sub_ids, span_weights(len(sub_ids))):
+                accum[tid] = accum.get(tid, 0.0) + w
+            row = sorted(accum.items(), key=lambda tw: (-tw[1], tw[0]))[: config.top_k]
+            prov = Provenance.MULTI_TOKEN
+        rows.append(row)
+        provenance.append(prov)
+
+    return SparseProjection(len(vs), len(vt), rows, provenance, config)
 
 
 def save_projection(w, path) -> None:

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosstok.audit import (
     CategoryRule,
@@ -12,6 +16,13 @@ from crosstok.audit import (
 from crosstok.errors import ValidationError
 from crosstok.losses import CommonSet, build_common_set_exact
 from crosstok.vocab import Vocabulary, make_toy_tokenizer
+
+
+# digits, punctuation, letters with and without a space marker, non-ASCII
+# text, and whole byte-fallback tokens (0xE9 alone is not UTF-8)
+AUDIT_PIECES = ("1", "22", ".", ",", "a", "Z", " ", "\u0120", "\u2581", "\u00e9", "\n", "\u010a")
+AUDIT_TOKENS = (st.lists(st.sampled_from(AUDIT_PIECES), max_size=4).map("".join)
+                | st.sampled_from(["<0xE9>", "<0x41>", "<0x37>"]))
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +73,23 @@ class TestAuditCoverage:
             assert row.size == len(members)
             assert row.matched == sum(1 for sid in members if sid in common)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(AUDIT_TOKENS, unique=True, min_size=1, max_size=30), st.data())
+    def test_counts_match_per_rule_loop(self, tokens, data):
+        """Against the per-rule list comprehension and set intersection, with
+        a rule whose predicate returns truthy values that are not bools."""
+        student = Vocabulary(tokens)
+        chosen = data.draw(st.lists(st.integers(0, len(tokens) - 1), unique=True))
+        c = CommonSet(tuple((sid, k) for k, sid in enumerate(chosen)))
+        rules = (*default_rules(), CategoryRule("first-char", lambda s: s[:1]))
+        texts = [student.canonical(sid).decode("latin-1") for sid in range(len(student))]
+        expected = []
+        for rule in rules:
+            members = [sid for sid, text in enumerate(texts) if rule.predicate(text)]
+            expected.append(CoverageRow(rule.name, len(set(chosen).intersection(members)),
+                                        len(members)))
+        assert audit_coverage(student, c, rules) == expected
+
     def test_default_rules_mutually_exclusive(self, packed_student):
         rules = default_rules()
         for sid in range(len(packed_student)):
@@ -96,6 +124,20 @@ class TestRecommendMode:
         rows = coverage_for(packed_student, "digit_splitting")
         with pytest.raises(ValidationError, match="unknown"):
             recommend_mode(rows, critical=("4-digit",))
+
+    @pytest.mark.parametrize("critical", [("2-digit", "bogus"), ("bogus", "2-digit")])
+    def test_every_critical_name_checked_before_deciding(self, packed_student, critical):
+        rows = coverage_for(packed_student, "digit_splitting")  # "2-digit" alone picks pkl
+        with pytest.raises(ValidationError, match="unknown critical category 'bogus'"):
+            recommend_mode(rows, critical=critical)
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-12, 1 + 1e-12, 2.0, math.inf, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, packed_student, threshold):
+        for teacher in ("digit_splitting", "numeral_preserving"):
+            rows = coverage_for(packed_student, teacher)
+            with pytest.raises(ValidationError) as info:
+                recommend_mode(rows, threshold=threshold)
+            assert str(info.value) == f"threshold must be in [0, 1], got {threshold}"
 
     def test_monotone_in_fractions(self):
         high = [CoverageRow("2-digit", 90, 100), CoverageRow("3-digit", 1000, 1000)]

@@ -60,6 +60,29 @@ class TestBuildW:
         assert rc == 1
 
 
+class TestOutCheckedFirst:
+    """``build-w`` and ``align`` reject an ``--out`` that cannot name a file
+    before any input is read: the vocabulary paths here do not exist, which
+    would exit 2."""
+
+    @pytest.mark.parametrize("command, what", [
+        (["build-w"], "the projection file"),
+        (["align", "--texts", "missing.txt"], "the chunk dump")])
+    def test_bad_out_rejected_before_any_vocabulary(self, tmp_path, capsys, command, what):
+        (tmp_path / "outdir").mkdir()
+        directory, missing = str(tmp_path / "outdir"), str(tmp_path / "nodir" / "w.jsonl")
+        cases = [(out, f"--out {out!r} is a directory; it must name {what}")
+                 for out in (directory, directory + "/")]
+        cases.append((missing, f"--out {missing!r}: its directory does not exist"))
+        before = sorted(tmp_path.rglob("*"))
+        for out, message in cases:
+            rc = main([command[0], "--student-vocab", str(tmp_path / "nope_s.json"),
+                       "--teacher-vocab", str(tmp_path / "nope_t.json"), *command[1:],
+                       "--out", out])
+            assert rc == 1 and capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestAlign:
     def test_default_engine_gap_plus_matches(self, bos_fixture, tmp_path, capsys):
         out = tmp_path / "dp.jsonl"
@@ -151,6 +174,25 @@ class TestAudit:
         assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vs)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vs}: token 0 ") and "surrogate" in err
+
+    @pytest.mark.parametrize("critical", ["2-digit,bogus", "bogus,2-digit"])
+    def test_unknown_critical_name_exits_1_in_any_order(self, tmp_path, capsys, critical):
+        vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
+        vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
+        assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vt),
+                     "--critical", critical]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown critical category 'bogus'\n"
+
+    @pytest.mark.parametrize("threshold", ["-1", "2"])
+    def test_threshold_outside_unit_interval_exits_1(self, tmp_path, capsys, threshold):
+        vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
+        vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
+        assert main(["audit", "--student-vocab", str(vs), "--teacher-vocab", str(vt),
+                     "--threshold", threshold]) == 1
+        assert capsys.readouterr().err == (f"error: threshold must be in [0, 1], "
+                                           f"got {float(threshold)}\n")
 
     def test_zero_threshold_always_hybrid(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")

@@ -20,6 +20,8 @@ from crosstok.losses import build_common_set_exact, build_common_set_relaxed
 from crosstok.projection import ProjectionConfig, Provenance, build_projection, save_projection
 from crosstok.vocab import Tokenizer, Vocabulary, exact_partners
 
+import vocab_reference
+
 # space markers, newline spellings and byte-fallback forms that collide after
 # canonicalization (e.g. "Ġa", "▁a" and " a"; "Ċ", "\\n" and "<0x0A>")
 PREFIXES = ("", " ", "Ġ", "▁", "␣")
@@ -49,9 +51,9 @@ def brute_force_partners(vs, vt):
     return tuple(next((t for t in range(len(vt)) if same(s, t)), None) for s in range(len(vs)))
 
 
-def side(draw):
+def side(draw, special_pool=SPECIALS):
     ordinary = draw(st.lists(st.sampled_from(ORDINARY), unique=True, max_size=14))
-    specials = draw(st.lists(st.sampled_from(SPECIALS), unique=True, max_size=4))
+    specials = draw(st.lists(st.sampled_from(special_pool), unique=True, max_size=4))
     roles = draw(st.dictionaries(st.sampled_from(ROLES), st.integers(0, 3)))
     return make_vocab(ordinary, specials, roles)
 
@@ -61,6 +63,16 @@ def side(draw):
 def test_exact_partners_matches_brute_force(data):
     vs, vt = side(data.draw), side(data.draw)
     assert exact_partners(vs, vt) == brute_force_partners(vs, vt)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_exact_partners_matches_dict_loop(data):
+    """Against the per-id dict loop; specials " a", "ab" and "\n" hold the
+    canonical bytes of ordinary tokens such as "Ġa", " ab" or "Ċ"."""
+    pool = SPECIALS + (" a", "ab", "\n")
+    vs, vt = side(data.draw, pool), side(data.draw, pool)
+    assert exact_partners(vs, vt) == vocab_reference.exact_partners(vs, vt)
 
 
 def test_exact_partners_cases():

@@ -739,3 +739,73 @@ def test_load_reads_crlf_blank_lines_and_rows_out_of_order(tmp_path):
     path.write_bytes("\r\n".join([json.dumps(head), "", lines[0], " ", *lines[1:], ""]).encode())
     loaded = load_projection(path)
     assert loaded.rows == w.rows and loaded.provenance == w.provenance
+
+
+# Teacher pieces: single characters (a left-out one makes text unencodable)
+# and longer pieces that greedy matching prefers. "Ġa" canonicalizes to the
+# bytes of the teacher special " a". Student tokens join teacher pieces (so
+# sub-tokens repeat), or are whole forms: "z" no teacher token holds, "<0xE9>"
+# is not UTF-8, "<0x61>" is "a", and "<s>" is a teacher special's string.
+BUILD_CHARS = ("a", "b", "c", "1", ".", " ", "\n", "é")
+BUILD_PIECES = ("ab", "ba", "abc", "aa", "11", "Ġa", ".\n")
+BUILD_WHOLE = ("z", "az", "<0xE9>", "<0x61>", "<s>", "▁ab")
+BUILD_SPECIALS = ("<s>", "</s>", "<pad>", " a")
+BUILD_ROLES = ("bos", "eos", "pad")
+GOLDEN = (5 ** 0.5 - 1) / 2  # beta=1, gamma=GOLDEN: "a b b" gives a and b equal weights
+DECAYS = ((0.9, 0.1), (1.0, GOLDEN), (0.9, GOLDEN), (1.0, 0.5), (0.5, 0.4999))
+
+
+def build_side(draw, ordinary):
+    specials = [t for t in draw(st.lists(st.sampled_from(BUILD_SPECIALS), unique=True,
+                                         max_size=3)) if t not in ordinary]
+    tokens = draw(st.permutations(ordinary + specials))  # ids in any order
+    special_ids = sorted(tokens.index(t) for t in specials)
+    roles = draw(st.dictionaries(st.sampled_from(BUILD_ROLES), st.integers(0, 2)))
+    return Vocabulary(tokens, special_ids,
+                      {r: special_ids[i] for r, i in roles.items() if i < len(special_ids)})
+
+
+@st.composite
+def build_inputs(draw):
+    dropped = draw(st.lists(st.sampled_from(BUILD_CHARS), max_size=2))
+    teacher = [c for c in BUILD_CHARS if c not in dropped] + draw(
+        st.lists(st.sampled_from(BUILD_PIECES), unique=True))
+    student = draw(st.lists(st.lists(st.sampled_from(BUILD_CHARS + BUILD_PIECES), min_size=1,
+                                     max_size=6).map("".join) | st.sampled_from(BUILD_WHOLE),
+                            unique=True, max_size=14))
+    beta, gamma = draw(st.sampled_from(DECAYS))
+    config = ProjectionConfig(beta=beta, gamma=gamma, top_k=draw(st.integers(1, 5)),
+                              max_span=draw(st.integers(1, 7)))
+    return build_side(draw, student), build_side(draw, teacher), config
+
+
+def assert_same_build(vs, vt, config, tmp_path):
+    got, err = outcome(lambda: build_projection(vs, vt, Tokenizer(vt), config))
+    ref, ref_err = outcome(lambda: projection_reference.build_projection(vs, vt, Tokenizer(vt),
+                                                                         config))
+    assert err == ref_err
+    if got is None:
+        return None
+    assert same_arrays(got, ref) and got._flat_w.tobytes() == ref._flat_w.tobytes()
+    save_projection(got, tmp_path / "got.jsonl")
+    save_projection(ref, tmp_path / "ref.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    return got
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(build_inputs())
+def test_build_matches_row_builder(tmp_path_factory, args):
+    """The flat build gives the per-row builder's CSR arrays, provenance and
+    file bytes, or its error."""
+    assert_same_build(*args, tmp_path_factory.mktemp("build"))
+
+
+def test_build_tie_keeps_smaller_teacher_id(tmp_path):
+    vt = Vocabulary(["b", "a"])
+    vs = Vocabulary(["abb", "bab"])
+    config = ProjectionConfig(beta=1.0, gamma=GOLDEN, top_k=1)
+    w = assert_same_build(vs, vt, config, tmp_path)
+    tie = decay_weights(3, 1.0, GOLDEN).tolist()
+    assert tie[0] == tie[1] + tie[2]  # "a" and "b" weigh the same in "abb"
+    assert w.rows == (((0, tie[1] + tie[2]),), ((0, tie[0] + tie[2]),))

@@ -19,6 +19,7 @@ from crosstok.vocab import (
 )
 
 import canonical_reference
+import vocab_reference
 
 
 class TestCanonicalize:
@@ -81,6 +82,11 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match="duplicate token"):
             Vocabulary(["a", "b", "a"])
 
+    def test_first_repeat_named_with_its_first_id(self):
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(["a", "b", "c", "b", "a", "c"])
+        assert str(info.value) == "duplicate token string 'b' at ids 1 and 3"
+
     def test_special_out_of_range(self):
         with pytest.raises(ValidationError):
             Vocabulary(["a"], specials=[3])
@@ -106,13 +112,13 @@ class TestVocabulary:
         assert vocabulary_hash(fresh) == first
         assert first == "643feb0358439627d348b9595b2bb73ef56e966345ebef40caaa726417cc4f06"
 
-    def test_max_token_length_computed_once(self, monkeypatch):
-        v = Vocabulary(["a", "Ġbc", "<bos>", "ab"], specials=[2], special_roles={"bos": 2})
-        assert v.max_token_length == max(len(t) for t in v.tokens) == 5
+    def test_longest_by_first_computed_once(self, monkeypatch):
+        v = Vocabulary(["a", "Ġbc", "<bos>", "ab", ""], specials=[2], special_roles={"bos": 2})
+        assert v.longest_by_first == {"a": 2, "Ġ": 3, "<": 5}
         monkeypatch.setattr(v, "tokens", None)  # a second scan would fail
-        assert v.max_token_length == 5
+        assert v.longest_by_first == {"a": 2, "Ġ": 3, "<": 5}
         assert Tokenizer(v).encode("aab") == [0, 3]
-        assert Vocabulary(()).max_token_length == 0
+        assert Vocabulary(()).longest_by_first == {}
 
     @pytest.mark.parametrize("tokens, specials, roles, named", [
         (["a", "b\ud800"], [], {}, "token 1 'b\\ud800' holds a lone surrogate"),
@@ -290,6 +296,30 @@ class TestToyTokenizers:
         assert tok.decode(tok.encode(text)) == text
 
 
+# Token and text pieces: several tokens share a first character and differ in
+# length; "c" and "z" start no token unless a drawn token holds them.
+ENCODE_PIECES = ("a", "b", "ab", "abc", "ba", "aab", "\u00e9", "\U0001f642", "\n", " ")
+
+
+def encode_outcome(encode, *args):
+    try:
+        return encode(*args), None
+    except UnencodableTextError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(ENCODE_PIECES + ("c",)), max_size=4).map("".join),
+                unique=True, max_size=10),
+       st.lists(st.sampled_from(ENCODE_PIECES + ("c", "z")), max_size=12).map("".join))
+def test_encode_matches_uncapped_width_loop(tokens, text):
+    """Widths capped by ``longest_by_first`` give the ids, or the error text,
+    of the loop that tries every width up to the longest token."""
+    v = Vocabulary(tokens, specials=[i for i, t in enumerate(tokens) if t.startswith("b")])
+    assert (encode_outcome(Tokenizer(v).encode, text)
+            == encode_outcome(vocab_reference.encode, v, text))
+
+
 # Pieces that hit every rule: the three space markers, the newline marker and
 # both newline forms, whole and broken byte-fallback forms, space plus ASCII
 # punctuation, and non-ASCII text.
@@ -329,6 +359,14 @@ class TestCanonicalAgainstByteLoop:
     @given(text_tokens | st.tuples(text_tokens, SURROGATES, text_tokens).map("".join))
     def test_text(self, raw):
         expected = outcome(lambda: canonical_reference.canonicalize_bytes(raw.encode("utf-8")))
+        if expected[1] is not None and expected[1][0] is UnicodeEncodeError:
+            at, char = next((i, c) for i, c in enumerate(raw) if 0xD800 <= ord(c) <= 0xDFFF)
+            with pytest.raises(ValidationError) as info:
+                canonicalize(raw)
+            assert type(info.value) is ValidationError
+            assert str(info.value) == (f"lone surrogate {char!r} at position {at}, which UTF-8 "
+                                       "cannot encode")
+            return
         assert outcome(canonicalize, raw) == expected
         if expected[0] is not None:
             assert canonicalize_bytes(expected[0]) == expected[0]

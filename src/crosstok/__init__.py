@@ -53,7 +53,6 @@ from .projection import (
     ProjectionConfig,
     Provenance,
     SparseProjection,
-    apply_w_gradient,
     build_projection,
     decay_weights,
     load_projection,

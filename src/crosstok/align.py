@@ -88,9 +88,8 @@ class Alignment:
 
 
 class _CanonTable:
-    """Per-position canonical forms, special flags and roles, and the match
-    predicates that the slow reference aligners evaluate one transition at a
-    time."""
+    """Per-position canonical forms, special flags and roles of two token
+    sequences."""
 
     def __init__(self, student: Sequence[int], teacher: Sequence[int],
                  tok_s: Tokenizer, tok_t: Tokenizer) -> None:
@@ -101,24 +100,6 @@ class _CanonTable:
         self.t_canon = [vt.canonical(j) for j in teacher]
         self.s_roles = [vs.roles_of(i) for i in student]
         self.t_roles = [vt.roles_of(j) for j in teacher]
-
-    def diag_matches(self, i: int, j: int) -> bool:
-        """1-to-1 equality of the i-th student and j-th teacher token."""
-        if self.s_special[i] or self.t_special[j]:
-            # specials pair only through shared roles, never through text
-            return bool(self.s_roles[i] & self.t_roles[j])
-        return self.s_canon[i] == self.t_canon[j]
-
-    def one_to_many(self, i: int, j_lo: int, j_hi: int) -> bool:
-        """Student token i decodes to the concatenation of teacher span [j_lo, j_hi)."""
-        if self.s_special[i] or any(self.t_special[j] for j in range(j_lo, j_hi)):
-            return False
-        return self.s_canon[i] == b"".join(self.t_canon[j_lo:j_hi])
-
-    def many_to_one(self, i_lo: int, i_hi: int, j: int) -> bool:
-        if self.t_special[j] or any(self.s_special[i] for i in range(i_lo, i_hi)):
-            return False
-        return self.t_canon[j] == b"".join(self.s_canon[i_lo:i_hi])
 
 
 def _diagonal_matches(table: _CanonTable) -> np.ndarray:

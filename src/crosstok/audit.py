@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .losses import CommonSet
 from .vocab import Vocabulary
@@ -73,8 +75,16 @@ class CoverageRow:
 
 def audit_coverage(vs: Vocabulary, c: CommonSet,
                    rules: Sequence[CategoryRule] = ()) -> list[CoverageRow]:
-    """Count, per category, the student tokens that survive into the common set."""
-    flags = list(map(set(c.student_ids.tolist()).__contains__, range(len(vs))))
+    """Count, per category, the student tokens that survive into the common set.
+
+    Every common-set student id must be an id of ``vs``.
+    """
+    if c.student_ids.max(initial=-1) >= len(vs):
+        raise ValidationError(f"common-set student id {c.student_ids.max()} is outside the "
+                              f"student vocabulary of size {len(vs)}")
+    common = np.zeros(len(vs), dtype=bool)
+    common[c.student_ids] = True
+    flags = common.tolist()
     texts = list(map(_decode, vs._canon))
     rows = []
     for rule in tuple(rules) or default_rules():

@@ -22,7 +22,6 @@ NaNs on truncated supports without touching any returned distribution; pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,37 +33,40 @@ from .vocab import Vocabulary, exact_partners, vocabulary_hash
 LOG_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommonSet:
-    """Student/teacher token pairs treated as equivalent."""
+    """Student/teacher token pairs treated as equivalent: ``student_ids[i]``
+    pairs with ``teacher_ids[i]``.
 
-    pairs: tuple[tuple[int, int], ...]
+    Both fields become read-only ``intp`` arrays in the order given; the ids
+    must be non-negative integers in two 1-D sequences of equal length, each
+    without repeats.
+    """
+
+    student_ids: np.ndarray = ()
+    teacher_ids: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        student_ids = [s for s, _ in self.pairs]
-        if len(set(student_ids)) != len(student_ids):
-            raise ValidationError("a student id appears in more than one pair")
-        teacher_ids = [t for _, t in self.pairs]
-        if len(set(teacher_ids)) != len(teacher_ids):
-            raise ValidationError("bijective common set reuses a teacher id")
-
-    @cached_property
-    def student_ids(self) -> np.ndarray:
-        return np.asarray([s for s, _ in self.pairs], dtype=np.intp)
-
-    @cached_property
-    def teacher_ids(self) -> np.ndarray:
-        return np.asarray([t for _, t in self.pairs], dtype=np.intp)
-
-    def uncommon_student(self, n_student: int) -> np.ndarray:
-        mask = np.ones(n_student, dtype=bool)
-        mask[self.student_ids] = False
-        return np.flatnonzero(mask)
-
-    def uncommon_teacher(self, n_teacher: int) -> np.ndarray:
-        mask = np.ones(n_teacher, dtype=bool)
-        mask[self.teacher_ids] = False
-        return np.flatnonzero(mask)
+        for name, repeated in (("student_ids", "a student id appears in more than one pair"),
+                               ("teacher_ids", "bijective common set reuses a teacher id")):
+            try:
+                ids = np.asarray(getattr(self, name))
+            except ValueError:  # ragged
+                ids = np.empty((0, 0))
+            if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+                raise ValidationError(f"common-set {name} must be a 1-D sequence of integers")
+            ids = ids.astype(np.intp)
+            ordered = np.sort(ids)  # np.unique took about 25x longer on 92k ids (numpy 2.4)
+            if (ordered[:1] < 0).any():
+                raise ValidationError(f"common-set {name} holds an id outside [0, "
+                                      f"{np.iinfo(np.intp).max}]")
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValidationError(repeated)
+            ids.flags.writeable = False
+            object.__setattr__(self, name, ids)
+        if self.student_ids.size != self.teacher_ids.size:
+            raise ValidationError(f"common set has {self.student_ids.size} student ids and "
+                                  f"{self.teacher_ids.size} teacher ids")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def _first_per_teacher(s: np.ndarray, t: np.ndarray) -> CommonSet:
     pair ``(s[i], t[i])`` (student ids distinct); later ones stay uncommon."""
     first = np.unique(t, return_index=True)[1]
     keep = first[np.argsort(s[first])]
-    return CommonSet(tuple(zip(s[keep].tolist(), t[keep].tolist())))
+    return CommonSet(s[keep], t[keep])
 
 
 def build_common_set_exact(vs: Vocabulary, vt: Vocabulary) -> CommonSet:
@@ -91,7 +93,7 @@ def build_common_set_exact(vs: Vocabulary, vt: Vocabulary) -> CommonSet:
 
     A teacher id claimed by several student ids keeps the smallest one.
     """
-    partner = np.array([-1 if p is None else p for p in exact_partners(vs, vt)], dtype=np.intp)
+    partner = exact_partners(vs, vt)
     s = np.flatnonzero(partner >= 0)
     return _first_per_teacher(s, partner[s])
 
@@ -181,7 +183,10 @@ def _common_kl(pt, ps, c: CommonSet, eps: float | None, out: np.ndarray | None):
 
 
 def _uncommon(c: CommonSet, n_student: int, n_teacher: int) -> tuple[np.ndarray, np.ndarray]:
-    return c.uncommon_student(n_student), c.uncommon_teacher(n_teacher)
+    """The student and the teacher ids outside the common set."""
+    s_mask, t_mask = np.ones(n_student, dtype=bool), np.ones(n_teacher, dtype=bool)
+    s_mask[c.student_ids] = t_mask[c.teacher_ids] = False
+    return np.flatnonzero(s_mask), np.flatnonzero(t_mask)
 
 
 def _stable_order(v: np.ndarray) -> np.ndarray:
@@ -297,7 +302,7 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
             c, uncommon = _bound_set(vs._memo, ("exact", vocabulary_hash(vt)),
                                      lambda: build_common_set_exact(vs, vt), vs, vt)
         else:
-            c, hw = CommonSet(()), HybridWeights()
+            c, hw = CommonSet(), HybridWeights()
             uncommon = _uncommon(c, len(vs), len(vt))
         run = lambda pt, ps, out: _hybrid(pt, ps, c, uncommon, hw, eps, out)
     return lambda pt, ps, grads, out=None: run(

@@ -2,9 +2,10 @@
 
 Rows are built in two passes: tokens with an exact partner
 (``vocab.exact_partners``) get a single entry of weight 1; every other
-ordinary student token is re-tokenized with the teacher tokenizer and its
-sub-tokens receive exponentially decaying weights, which are row-normalized
-and then truncated to the top-k entries. Truncation can leave a multi-token
+ordinary student token is re-tokenized with the teacher tokenizer and,
+unless a sub-token is a teacher special, its sub-tokens receive
+exponentially decaying weights, which are row-normalized and then truncated
+to the top-k entries. Truncation can leave a multi-token
 row summing to slightly less than 1, so ``project`` renormalizes its output
 by default.
 """
@@ -71,7 +72,8 @@ class SparseProjection:
 
     Row ``s`` owns the entries ``indptr[s]:indptr[s + 1]`` of the flat
     teacher-id and weight arrays, sorted by descending weight (ties toward
-    the smaller teacher id). ``rows`` is a derived tuple-of-tuples view.
+    the smaller teacher id), and each row's provenance as a ``_kind`` code.
+    ``rows`` and ``provenance`` are tuple views derived on each access.
     """
 
     def __init__(self, n_student: int, n_teacher: int,
@@ -80,9 +82,14 @@ class SparseProjection:
                  config: ProjectionConfig) -> None:
         if len(rows) != n_student or len(provenance) != n_student:
             raise ValidationError("rows and provenance must cover every student id")
+        try:
+            codes = [_KIND[p] for p in provenance]
+        except (KeyError, TypeError):
+            codes = [_KIND[Provenance(p)] for p in provenance]  # raises Provenance's own error
         self._init_flat(n_student, n_teacher, [len(row) for row in rows],
                         [entry[0] for row in rows for entry in row],
-                        [entry[1] for row in rows for entry in row], provenance, config)
+                        [entry[1] for row in rows for entry in row],
+                        np.array(codes, dtype=np.int8), config)
 
     @classmethod
     def _from_flat(cls, *args) -> "SparseProjection":
@@ -92,11 +99,11 @@ class SparseProjection:
         return w
 
     def _init_flat(self, n_student: int, n_teacher: int, counts: Sequence[int],
-                   teacher_ids: list, weights: list, provenance: Sequence,
+                   teacher_ids: list, weights: list, kind: np.ndarray,
                    config: ProjectionConfig) -> None:
         """The one construction path: each row's entry count, every entry's
-        teacher id and weight (row-major), and each row's provenance, a member
-        or its value."""
+        teacher id and weight (row-major), and each row's provenance code
+        (``int8``, indexing ``Provenance``)."""
         if n_student < 0 or n_teacher < 0:
             raise ValidationError(f"n_student and n_teacher must be non-negative, got "
                                   f"{n_student} and {n_teacher}")
@@ -108,12 +115,7 @@ class SparseProjection:
                                           "teacher id", "an integer")
         self._flat_w = self._flat_entries(weights, (int, float, np.integer, np.floating), float,
                                           "weight", "a number")
-        try:
-            codes = [_KIND[p] for p in provenance]
-        except (KeyError, TypeError):
-            codes = [_KIND[Provenance(p)] for p in provenance]  # raises Provenance's own error
-        self.provenance: tuple[Provenance, ...] = tuple(map(_MEMBERS.__getitem__, codes))
-        self._kind = np.array(codes, dtype=np.int8)
+        self._kind = kind
         self.config = config
         self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
@@ -168,6 +170,11 @@ class SparseProjection:
         pairs = tuple(zip(self._flat_t.tolist(), self._flat_w.tolist()))
         bounds = self._indptr.tolist()
         return tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    @property
+    def provenance(self) -> tuple[Provenance, ...]:
+        """``provenance[s]`` is row ``s``'s ``Provenance``; built on each access."""
+        return tuple(map(_MEMBERS.__getitem__, self._kind.tolist()))
 
     def _first_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Student id, teacher id, weight and exactness of each nonempty row's head."""
@@ -225,10 +232,11 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
 
     The exact pass gives every student token with an ``exact_partners``
     partner a single entry of weight 1. Specials without one are never
-    re-tokenized; they and every other unmappable row stay empty and are
-    flagged. Only the re-tokenized rows run Python code per row; their
-    entries are merged (repeated teacher ids summed in span order), ranked
-    and truncated in flat arrays.
+    re-tokenized, and a re-tokenized row that lands on a teacher special is
+    dropped, since specials pair only by role; these and every other
+    unmappable row stay empty and are flagged. Only the re-tokenized rows
+    run Python code per row; their entries are merged (repeated teacher ids
+    summed in span order), ranked and truncated in flat arrays.
     """
     if len(vs) == 0 or len(vt) == 0:
         raise ValidationError("both vocabularies must be nonempty")
@@ -237,16 +245,18 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
 
     n_s, n_t = len(vs), len(vt)
     partners = exact_partners(vs, vt)
-    exact_s = np.array([s for s, t in enumerate(partners) if t is not None], dtype=np.intp)
-    exact_t = np.array([t for t in partners if t is not None], dtype=np.intp)
+    exact_s = np.flatnonzero(partners >= 0)
+    exact_t = partners[exact_s]
+    retokenized = partners < 0
+    retokenized[list(vs.specials)] = False
     span_weights = functools.cache(lambda n: decay_weights(n, config.beta, config.gamma).tolist())
     multi_s, sub_s, sub_t, sub_w = [], [], [], []
-    for s in [s for s, t in enumerate(partners) if t is None and s not in vs.specials]:
+    for s in np.flatnonzero(retokenized).tolist():
         try:
             ids = tok_t.encode(vs.canonical(s).decode("utf-8"))
         except (UnicodeDecodeError, UnencodableTextError):
             continue
-        if ids and len(ids) <= config.max_span:
+        if ids and len(ids) <= config.max_span and vt.specials.isdisjoint(ids):
             multi_s.append(s)
             sub_s += [s] * len(ids)
             sub_t += ids
@@ -268,8 +278,7 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     codes = np.full(n_s, _EMPTY, dtype=np.int8)
     codes[exact_s], codes[multi_s] = _EXACT, _MULTI
     return SparseProjection._from_flat(n_s, n_t, np.bincount(flat_s, minlength=n_s),
-                                       flat_t[row_major], flat_w[row_major],
-                                       list(map(_MEMBERS.__getitem__, codes.tolist())), config)
+                                       flat_t[row_major], flat_w[row_major], codes, config)
 
 
 def _student_distribution(w: SparseProjection, p_s) -> np.ndarray:
@@ -294,25 +303,6 @@ def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     """
     q = w.product(_student_distribution(w, p_s))
     return renormalize_on(q, slice(None), "projected student")[0] if renormalize else q
-
-
-def apply_w_gradient(w: SparseProjection, p_s, upstream) -> np.ndarray:
-    """Gradient of ``upstream . project(w, p_s)`` in the stored entries.
-
-    Differentiates through the output renormalization, so a refinement step
-    sees exactly the function the loss sees. Returns one value per stored
-    entry, in ``entries()`` order. Takes the same inputs as ``project`` and
-    raises the same errors, including for no projected mass.
-    """
-    p = _student_distribution(w, p_s)
-    u = np.asarray(upstream, dtype=float)
-    if u.shape != (w.n_teacher,):
-        raise ValidationError(f"expected an upstream vector of length {w.n_teacher}, "
-                              f"got shape {u.shape}")
-
-    q_raw = w.product(p)
-    mass = renormalize_on(q_raw, slice(None), "projected student")[1]
-    return w.pullback(p, (u - float(u @ q_raw) / mass) / mass)[1]
 
 
 _ROW_BLOCK = 8192  # rows that save_projection formats, hashes and encodes at a time
@@ -388,12 +378,12 @@ def load_projection(path) -> SparseProjection:
         raise ValidationError(f"{path}: header.n_teacher must be a count in [0, "
                               f"{sys.maxsize}], got {n_teacher}")
     try:
-        provenance = [Provenance.EMPTY] * n_student
+        kind = np.full(n_student, _EMPTY, dtype=np.int8)
     except MemoryError:
         raise bad_count from None
     raw_decode = json.JSONDecoder().raw_decode
     seen: set[int] = set()
-    row_s, counts, teacher_ids, weights = [], [], [], []
+    row_s, row_kind, counts, teacher_ids, weights = [], [], [], [], []
     for lineno, line in enumerate(lines[first:], start=first + 1):
         if not line.strip():
             continue
@@ -413,8 +403,9 @@ def load_projection(path) -> SparseProjection:
                 weights.append(x)
             field = "provenance"
             prov = rec[field]
-            if type(prov) is not str or prov not in _KIND:
-                prov = Provenance(prov)
+            code = _KIND.get(prov) if type(prov) is str else None
+            if code is None:
+                code = _KIND[Provenance(prov)]  # raises Provenance's own error
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
                                   f"({type(exc).__name__}: {exc})") from None
@@ -423,10 +414,11 @@ def load_projection(path) -> SparseProjection:
                                   f"in [0, {n_student})")
         seen.add(s)
         row_s.append(s)
+        row_kind.append(code)
         counts.append(len(weights) - n)
-        provenance[s] = prov
     del lines, seen
 
+    kind[row_s] = row_kind
     per_row = np.zeros(n_student, dtype=np.intp)
     per_row[row_s] = counts
     if row_s != sorted(row_s):  # records out of student order: put their entries in it
@@ -435,4 +427,4 @@ def load_projection(path) -> SparseProjection:
         weights = [weights[i] for i in order.tolist()]
     with located(path):
         return SparseProjection._from_flat(n_student, n_teacher, per_row, teacher_ids, weights,
-                                           provenance, config)
+                                           kind, config)

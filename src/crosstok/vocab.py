@@ -14,8 +14,11 @@ import json
 import re
 import string
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
                      located, parse_object, read_text)
@@ -167,8 +170,8 @@ class Vocabulary:
         return dict(zip([t[0] for t in tokens], map(len, tokens)))  # the last one is longest
 
 
-def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
-    """Per student id, the teacher id of the same token, or None.
+def exact_partners(vs: Vocabulary, vt: Vocabulary) -> np.ndarray:
+    """Per student id, the teacher id of the same token, or -1: an ``intp`` array.
 
     Specials pair only through a shared role and ordinary tokens only through
     equal canonical bytes; in both cases the smallest teacher id wins.
@@ -180,11 +183,12 @@ def exact_partners(vs: Vocabulary, vt: Vocabulary) -> tuple[int | None, ...]:
         canon = [canon[t] for t in ordinary]
     # built from the back, so a repeated canonical form keeps its smallest id
     by_canon = dict(zip(reversed(canon), reversed(ordinary)))
-    partners: list[int | None] = list(map(by_canon.get, vs._canon))
+    partners = np.fromiter(map(by_canon.get, vs._canon, repeat(-1)), dtype=np.intp,
+                           count=len(vs))
     for s in vs.specials:
         shared = [vt.special_roles[r] for r in vs.roles_of(s) if r in vt.special_roles]
-        partners[s] = min(shared, default=None)
-    return tuple(partners)
+        partners[s] = min(shared, default=-1)
+    return partners
 
 
 def _payload(vocab: Vocabulary) -> dict:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from crosstok.align import Alignment, AlignmentChunk, AlignScoring, ChunkKind, _CanonTable
+from crosstok.align import Alignment, AlignmentChunk, AlignScoring, ChunkKind
 from crosstok.errors import ValidationError
 from crosstok.vocab import Tokenizer
+from dp_reference import ScalarTable
 
 _BRUTE_FORCE_LIMIT = 12
 
@@ -27,7 +28,7 @@ def brute_force_align(student: Sequence[int], teacher: Sequence[int], scoring: A
         raise ValidationError(
             f"brute-force alignment limited to n+m <= {_BRUTE_FORCE_LIMIT}, got {n + m}"
         )
-    table = _CanonTable(student, teacher, tok_s, tok_t)
+    table = ScalarTable(student, teacher, tok_s, tok_t)
     a_ex, a_cb, a_gap, span = scoring.alpha_exact, scoring.alpha_comb, scoring.alpha_gap, scoring.max_span
 
     best_score = -math.inf

@@ -14,6 +14,30 @@ from typing import Sequence
 from crosstok.align import Alignment, AlignmentChunk, AlignScoring, ChunkKind, _CanonTable
 from crosstok.vocab import Tokenizer
 
+
+class ScalarTable(_CanonTable):
+    """``_CanonTable`` plus the match predicates that the slow reference
+    aligners evaluate one transition at a time."""
+
+    def diag_matches(self, i: int, j: int) -> bool:
+        """1-to-1 equality of the i-th student and j-th teacher token."""
+        if self.s_special[i] or self.t_special[j]:
+            # specials pair only through shared roles, never through text
+            return bool(self.s_roles[i] & self.t_roles[j])
+        return self.s_canon[i] == self.t_canon[j]
+
+    def one_to_many(self, i: int, j_lo: int, j_hi: int) -> bool:
+        """Student token i decodes to the concatenation of teacher span [j_lo, j_hi)."""
+        if self.s_special[i] or any(self.t_special[j] for j in range(j_lo, j_hi)):
+            return False
+        return self.s_canon[i] == b"".join(self.t_canon[j_lo:j_hi])
+
+    def many_to_one(self, i_lo: int, i_hi: int, j: int) -> bool:
+        if self.t_special[j] or any(self.s_special[i] for i in range(i_lo, i_hi)):
+            return False
+        return self.t_canon[j] == b"".join(self.s_canon[i_lo:i_hi])
+
+
 _MATCH = (1, 1, ChunkKind.MATCH)
 _MISMATCH = (1, 1, ChunkKind.MISMATCH)
 _GAP_T = (1, 0, ChunkKind.GAP_TEACHER_SIDE)
@@ -23,7 +47,7 @@ _GAP_S = (0, 1, ChunkKind.GAP_STUDENT_SIDE)
 def reference_dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScoring,
                        tok_s: Tokenizer, tok_t: Tokenizer) -> Alignment:
     n, m = len(student), len(teacher)
-    table = _CanonTable(student, teacher, tok_s, tok_t)
+    table = ScalarTable(student, teacher, tok_s, tok_t)
     a_ex, a_cb, a_gap, span = scoring.alpha_exact, scoring.alpha_comb, scoring.alpha_gap, scoring.max_span
 
     # each cell stores its winning move (di, dj, kind): the chunk that ends

@@ -4,7 +4,8 @@ The tuple-of-tuples storage and the row-by-row validation loop that the CSR
 arrays replaced, kept as the slow reference they are property-tested
 against, together with the summary, ``top1``, relaxed common set and saved
 file derived from those rows. ``top1(w, s)`` reads the same answer from a
-``SparseProjection``'s CSR arrays. ``build_projection``, ``save_projection``
+``SparseProjection``'s CSR arrays, and ``apply_w_gradient`` differentiates
+``project`` in its stored entries, one entry at a time. ``build_projection``, ``save_projection``
 and ``load_projection`` are the per-row builder, writer and reader that the
 flat ones in ``crosstok.projection`` replaced. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
@@ -24,6 +25,8 @@ from dataclasses import asdict
 import numpy as np
 
 import vocab_reference
+from crosstok import projection
+from crosstok.chunks import renormalize_on
 from crosstok.errors import (UnencodableTextError, ValidationError, check_fields, located,
                              parse_object, read_text)
 from crosstok.projection import ProjectionConfig, Provenance, SparseProjection, decay_weights
@@ -131,11 +134,37 @@ def top1(w, s: int):
     return (int(w._flat_t[at]), float(w._flat_w[at])) if at < w._indptr[s + 1] else None
 
 
+def apply_w_gradient(w, p_s, upstream) -> np.ndarray:
+    """Gradient of ``upstream . project(w, p_s)`` in the stored entries, one
+    value per entry in ``entries()`` order.
+
+    The chain rule through the product and the output renormalization,
+    written out per entry: entry ``(s, t)`` gets
+    ``p_s[s] * (upstream[t] - upstream . q) / mass``, where ``q`` is the
+    renormalized projection and ``mass`` the projected mass. Takes the same
+    inputs as ``project`` and raises the same errors, including for no
+    projected mass.
+    """
+    p = projection._student_distribution(w, p_s)
+    u = np.asarray(upstream, dtype=float)
+    if u.shape != (w.n_teacher,):
+        raise ValidationError(f"expected an upstream vector of length {w.n_teacher}, "
+                              f"got shape {u.shape}")
+    entries = list(w.entries())
+    q_raw = np.zeros(w.n_teacher)
+    for s, t, weight in entries:
+        q_raw[t] += weight * p[s]
+    mass = renormalize_on(q_raw, slice(None), "projected student")[1]
+    shift = float(u @ q_raw) / mass
+    return np.array([p[s] * (u[t] - shift) / mass for s, t, _ in entries])
+
+
 def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
     """One loop iteration and one list of ``(teacher_id, weight)`` tuples per
     student row, repeated teacher ids summed in a dict, each row sorted and
     cut to ``top_k``, then the rows form of ``SparseProjection``; partners
-    and sub-tokens come from ``vocab_reference``."""
+    and sub-tokens come from ``vocab_reference``. A row whose sub-tokens
+    hold a teacher special stays empty."""
     if len(vs) == 0 or len(vt) == 0:
         raise ValidationError("both vocabularies must be nonempty")
     if tok_t.vocabulary is not vt and tok_t.vocabulary != vt:
@@ -153,7 +182,8 @@ def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
                 pass
         if exact is not None:
             row, prov = [(exact, 1.0)], Provenance.EXACT
-        elif not sub_ids or len(sub_ids) > config.max_span:
+        elif (not sub_ids or len(sub_ids) > config.max_span
+              or any(vt.is_special(t) for t in sub_ids)):
             row, prov = [], Provenance.EMPTY
         else:
             accum = {}

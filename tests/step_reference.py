@@ -153,8 +153,9 @@ def loss_kernel(mode, vs, vt, w, top_k, hw, eps):
     elif mode == "gold":
         c = build_common_set_exact(vs, vt)
     else:
-        c, hw = CommonSet(()), HybridWeights()
-    uncommon = c.uncommon_student(len(vs)), c.uncommon_teacher(len(vt))
+        c, hw = CommonSet(), HybridWeights()
+    uncommon = (np.setdiff1d(np.arange(len(vs)), c.student_ids),
+                np.setdiff1d(np.arange(len(vt)), c.teacher_ids))
     return lambda pt, ps, grads: _hybrid(pt, ps, c, uncommon, hw, eps, grads)
 
 

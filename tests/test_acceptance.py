@@ -102,8 +102,8 @@ def test_criterion_03_suppressive_gradient_identity_on_200_instances():
         grad = common_kl_grad(z, pt, c)
 
         ps = softmax(z)
-        mass = float(pt[c.teacher_ids].sum()) if len(c.pairs) else 0.0
-        uncommon = c.uncommon_student(n_s)
+        mass = float(pt[c.teacher_ids].sum())
+        uncommon = np.setdiff1d(np.arange(n_s), c.student_ids)
         assert np.all(np.abs(grad[uncommon] - ps[uncommon] * mass) < 1e-10)
         assert np.all(grad[uncommon] >= 0.0)
         numeric = central_difference(lambda zz: common_kl(pt, softmax(zz), c), z)

@@ -64,7 +64,7 @@ class TestAuditCoverage:
         teacher = Vocabulary(["a", "7", ","])
         c = build_common_set_exact(student, teacher)
         rows = audit_coverage(student, c)
-        common = {s for s, _ in c.pairs}
+        common = set(c.student_ids.tolist())
         for rule, row in zip(default_rules(), rows):
             members = [
                 sid for sid in range(len(student))
@@ -80,7 +80,7 @@ class TestAuditCoverage:
         a rule whose predicate returns truthy values that are not bools."""
         student = Vocabulary(tokens)
         chosen = data.draw(st.lists(st.integers(0, len(tokens) - 1), unique=True))
-        c = CommonSet(tuple((sid, k) for k, sid in enumerate(chosen)))
+        c = CommonSet(chosen, range(len(chosen)))
         rules = (*default_rules(), CategoryRule("first-char", lambda s: s[:1]))
         texts = [student.canonical(sid).decode("latin-1") for sid in range(len(student))]
         expected = []
@@ -98,9 +98,16 @@ class TestAuditCoverage:
 
     def test_custom_rule(self):
         student = Vocabulary(["aa", "ab", "ba"])
-        c = CommonSet(((0, 0),))
+        c = CommonSet([0], [0])
         rows = audit_coverage(student, c, [CategoryRule("starts-a", lambda s: s.startswith("a"))])
         assert rows[0].size == 2 and rows[0].matched == 1
+
+    def test_student_id_outside_vocabulary_rejected(self):
+        """A common set built for another student vocabulary is an error, not
+        a table that silently leaves its ids out."""
+        with pytest.raises(ValidationError, match="student id 5 is outside the student "
+                                                  "vocabulary of size 2"):
+            audit_coverage(Vocabulary(["a", "b"]), CommonSet([5], [0]))
 
     def test_row_validation(self):
         with pytest.raises(ValidationError):

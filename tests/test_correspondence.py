@@ -6,6 +6,9 @@ the pins hold digests of the projection's rows and of both common sets on
 fixed-seed vocabulary pairs, recorded from the separate implementations
 that the rule replaced, and of the saved projection file and its summary,
 recorded from the tuple-of-tuples storage that the CSR arrays replaced.
+Seeds 0 and 7 were re-recorded when a re-tokenized row that lands on a
+teacher special became empty: there the student's ordinary token "<s>"
+re-tokenizes to the teacher special "<s>", and that row alone changed.
 """
 
 import hashlib
@@ -51,6 +54,17 @@ def brute_force_partners(vs, vt):
     return tuple(next((t for t in range(len(vt)) if same(s, t)), None) for s in range(len(vs)))
 
 
+def assert_partners(got, expected):
+    """``got`` is the ``intp`` array of ``expected``'s partners, None as -1."""
+    assert got.dtype == np.intp and got.shape == (len(expected),)
+    assert got.tolist() == [-1 if t is None else t for t in expected]
+
+
+def pairs(c):
+    """A common set as a list of ``[student_id, teacher_id]`` pairs."""
+    return [list(p) for p in zip(c.student_ids.tolist(), c.teacher_ids.tolist())]
+
+
 def side(draw, special_pool=SPECIALS):
     ordinary = draw(st.lists(st.sampled_from(ORDINARY), unique=True, max_size=14))
     specials = draw(st.lists(st.sampled_from(special_pool), unique=True, max_size=4))
@@ -62,7 +76,7 @@ def side(draw, special_pool=SPECIALS):
 @given(st.data())
 def test_exact_partners_matches_brute_force(data):
     vs, vt = side(data.draw), side(data.draw)
-    assert exact_partners(vs, vt) == brute_force_partners(vs, vt)
+    assert_partners(exact_partners(vs, vt), brute_force_partners(vs, vt))
 
 
 @settings(max_examples=400, deadline=None)
@@ -72,7 +86,7 @@ def test_exact_partners_matches_dict_loop(data):
     canonical bytes of ordinary tokens such as "Ġa", " ab" or "Ċ"."""
     pool = SPECIALS + (" a", "ab", "\n")
     vs, vt = side(data.draw, pool), side(data.draw, pool)
-    assert exact_partners(vs, vt) == vocab_reference.exact_partners(vs, vt)
+    assert_partners(exact_partners(vs, vt), vocab_reference.exact_partners(vs, vt))
 
 
 def test_exact_partners_cases():
@@ -83,7 +97,7 @@ def test_exact_partners_cases():
     # " a" collides with "Ġa" on both sides; "<0x61>" is the byte "a";
     # "<s>" holds roles bos and eos, so it pairs with the smaller of ids 0
     # and 3; "<x>" has no partner role and its string does not pair it.
-    assert exact_partners(vs, vt) == (2, 2, 1, 0, None, None)
+    assert_partners(exact_partners(vs, vt), (2, 2, 1, 0, None, None))
 
 
 def random_pair(seed):
@@ -109,14 +123,14 @@ def digest(value):
 
 # seed -> (projection rows and provenance, exact common set, relaxed common set)
 PINNED = {
-    0: ("4e29d64210398de5", "4fb24b43c126abcf", "cd514ad8406d3e67"),
+    0: ("0c6b9dfdb45b4a91", "4fb24b43c126abcf", "36f1c00a7562649a"),
     1: ("e5c46436bc9672e5", "b89e434446d5aaea", "41ffc1650dd56971"),
     2: ("8d50b1fb7e2a182b", "7fdb60c0fc518308", "7fdb60c0fc518308"),
     3: ("fd36cb998c9c6db0", "ebc237ca528f13a0", "3d14be6a835aa773"),
     4: ("f9a356aeaf2a04bc", "a6c9877f2ec0477f", "6256633edefbdd07"),
     5: ("939a8df5f5141345", "ec50dbf692d4ef19", "ec50dbf692d4ef19"),
     6: ("2c97e21e45a9783b", "0d2fc2411aa91ff4", "0b43336798bcaa26"),
-    7: ("2331b928b5742829", "c2426564ef2076bb", "c5950c01a8d735cf"),
+    7: ("a03ea214d160d98d", "c2426564ef2076bb", "c2426564ef2076bb"),
 }
 
 
@@ -125,13 +139,13 @@ def test_pinned_projection_and_common_sets(seed):
     vs, vt = random_pair(seed)
     w = build_projection(vs, vt, Tokenizer(vt))
     got = (digest([[list(r) for r in w.rows], [p.value for p in w.provenance]]),
-           digest(build_common_set_exact(vs, vt).pairs),
-           digest(build_common_set_relaxed(w).pairs))
+           digest(pairs(build_common_set_exact(vs, vt))),
+           digest(pairs(build_common_set_relaxed(w))))
     assert got == PINNED[seed]
     partners = exact_partners(vs, vt)
-    for s, t in enumerate(partners):
-        assert (w.provenance[s] is Provenance.EXACT) == (t is not None)
-        if t is not None:
+    for s, t in enumerate(partners.tolist()):
+        assert (w.provenance[s] is Provenance.EXACT) == (t >= 0)
+        if t >= 0:
             assert w.rows[s] == ((t, 1.0),)
         elif vs.is_special(s):
             assert w.provenance[s] is Provenance.EMPTY
@@ -140,14 +154,14 @@ def test_pinned_projection_and_common_sets(seed):
 # seed -> (file sha256, summary) at the default config, then at top_k=2,
 # where truncation drops mass from the three- and four-token rows
 PINNED_FILES = {
-    0: ("04f1532d49b6c0b2", "b6ad26e04ee6d391", "33ef363d7fa09bd6", "49e787b593e3a279"),
+    0: ("0ba385cbf7a40099", "5ea6aef819295b4e", "e9420cf335801d25", "4f561487bc98bb98"),
     1: ("fca8d7a76c8a5125", "cf90aa4b45f0e570", "d8149e9498c9426f", "09d36093d0557737"),
     2: ("063cf2839dae5e20", "5ea6aef819295b4e", "48cbdc51804d3483", "4f561487bc98bb98"),
     3: ("3a9218d9536610d9", "c69562e5ffc12460", "beed7e6ffdcb851e", "2b196088689855d1"),
     4: ("d7db466581db2900", "3106e94d1fad8c35", "36901346ccf91b47", "6695ef10c3bb6d68"),
     5: ("256f0727dda2fd60", "a14163c920879913", "c1f8c1e8d6adc0d3", "a14163c920879913"),
     6: ("7330e32320e85402", "843b8f122fb3f449", "5bad69bf75612e3f", "c1d769b3c6296ee1"),
-    7: ("b7842550f330803b", "7e1eda4ced4e8c8d", "307271d57a94e485", "2fe37b82392bc1eb"),
+    7: ("87f18cb055f16486", "6f614fa8d07a4b6b", "51a60c2a71a693a2", "c9f596a356b39a60"),
 }
 
 

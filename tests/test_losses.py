@@ -36,7 +36,20 @@ from uld_reference import reference_rank_l1
 
 PT3 = np.array([0.5, 0.3, 0.2])
 PS3 = np.array([0.2, 0.3, 0.5])
-C01 = CommonSet(((0, 0), (1, 1)))
+C01 = CommonSet([0, 1], [0, 1])
+
+
+def assert_common(c, student_ids, teacher_ids):
+    """``c`` pairs ``student_ids[i]`` with ``teacher_ids[i]``, in that order."""
+    for got, want in ((c.student_ids, student_ids), (c.teacher_ids, teacher_ids)):
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.asarray(want, dtype=np.intp))
+
+
+def partner_of(c, s):
+    """The teacher id paired with student id ``s``, or None."""
+    hit = c.teacher_ids[c.student_ids == s]
+    return int(hit[0]) if hit.size else None
 
 
 def random_projection(rng, n_student, n_teacher):
@@ -72,33 +85,34 @@ def random_bijective_common_set(rng, n_student, n_teacher):
     width = int(rng.integers(0, min(n_student, n_teacher) + 1))
     s_ids = rng.choice(n_student, size=width, replace=False)
     t_ids = rng.choice(n_teacher, size=width, replace=False)
-    return CommonSet(tuple(sorted(zip(s_ids.tolist(), t_ids.tolist()))))
+    order = np.argsort(s_ids)
+    return CommonSet(s_ids[order], t_ids[order])
 
 
 class TestCommonSet:
     def test_rejects_duplicate_student(self):
-        with pytest.raises(ValidationError):
-            CommonSet(((0, 0), (0, 1)))
+        with pytest.raises(ValidationError, match="student id appears in more than one pair"):
+            CommonSet([0, 0], [0, 1])
 
     def test_rejects_duplicate_teacher_when_bijective(self):
-        with pytest.raises(ValidationError):
-            CommonSet(((0, 0), (1, 0)))
+        with pytest.raises(ValidationError, match="reuses a teacher id"):
+            CommonSet([0, 1], [0, 0])
 
     def test_exact_identical_vocabularies_cover_everything(self):
         v = Vocabulary(["a", "b", "ab"])
         c = build_common_set_exact(v, v)
-        assert c.pairs == ((0, 0), (1, 1), (2, 2))
-        assert c.uncommon_student(3).size == 0
+        assert_common(c, [0, 1, 2], [0, 1, 2])
+        assert losses._uncommon(c, 3, 3)[0].size == 0
 
     def test_exact_disjoint_vocabularies(self):
         c = build_common_set_exact(Vocabulary(["a"]), Vocabulary(["b"]))
-        assert c.pairs == ()
+        assert_common(c, [], [])
 
     def test_exact_digit_regimes(self):
         packed = make_toy_tokenizer("numeral_preserving").vocabulary
         split = make_toy_tokenizer("digit_splitting").vocabulary
         c = build_common_set_exact(packed, split)
-        assert (packed.id_of["2"], split.id_of["2"]) in c.pairs
+        assert partner_of(c, packed.id_of["2"]) == split.id_of["2"]
         assert packed.id_of["23"] not in set(c.student_ids.tolist())
 
     def test_exact_collision_keeps_smallest_pair(self):
@@ -106,21 +120,63 @@ class TestCommonSet:
         vs = Vocabulary(["Ġthe", " the", "x"])
         vt = Vocabulary([" the", "y"])
         c = build_common_set_exact(vs, vt)
-        assert c.pairs == ((0, 0),)
+        assert_common(c, [0], [0])
 
     def test_exact_specials_pair_by_role(self):
         vs = Vocabulary(["a", "<bos>"], specials=[1], special_roles={"bos": 1})
         vt = Vocabulary(["a", "<s>"], specials=[1], special_roles={"bos": 1})
-        assert build_common_set_exact(vs, vt).pairs == ((0, 0), (1, 1))
+        assert_common(build_common_set_exact(vs, vt), [0, 1], [0, 1])
         vt_bare = Vocabulary(["a", "<bos>"], specials=[1])
-        assert build_common_set_exact(vs, vt_bare).pairs == ((0, 0),)
+        assert_common(build_common_set_exact(vs, vt_bare), [0], [0])
+
+    def test_keeps_the_order_given(self):
+        c = CommonSet((4, 0, 2), np.array([1, 5, 0], dtype=np.uint8))
+        assert_common(c, [4, 0, 2], [1, 5, 0])
+        assert_common(CommonSet(), [], [])
+
+
+ID_LISTS = st.lists(st.integers(-3, 6), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ID_LISTS, ID_LISTS, st.sampled_from(["list", "int8", "uint64", "float64", "bool"]))
+def test_common_set_checks_its_ids(student_ids, teacher_ids, form):
+    """Non-integer, negative or repeated ids and unequal lengths are rejected
+    with a ValidationError; anything else becomes two read-only ``intp``
+    arrays holding the ids in the order given."""
+    make = list if form == "list" else lambda x: np.array(x, dtype=form)
+    if form == "uint64":
+        student_ids, teacher_ids = [abs(x) for x in student_ids], [abs(x) for x in teacher_ids]
+    ids = (student_ids, teacher_ids)
+    valid = (len(student_ids) == len(teacher_ids)
+             and all(min(x, default=0) >= 0 and len(set(x)) == len(x) for x in ids)
+             and (form not in ("float64", "bool") or not student_ids))
+    if not valid:
+        with pytest.raises(ValidationError):
+            CommonSet(make(student_ids), make(teacher_ids))
+        return
+    c = CommonSet(make(student_ids), make(teacher_ids))
+    assert_common(c, student_ids, teacher_ids)
+    for a in (c.student_ids, c.teacher_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("student_ids, teacher_ids", [
+    ([-1], [0]), ([0.5], [0]), ([0], [2**63]), ([[0, 1]], [[0, 1]]), ([[0], [1, 2]], [0, 1]),
+    ([0, 1], [0])],
+    ids=["negative", "non_integer", "past_intp", "2d", "ragged", "unequal_lengths"])
+def test_common_set_rejects_bad_ids(student_ids, teacher_ids):
+    with pytest.raises(ValidationError):
+        CommonSet(student_ids, teacher_ids)
 
 
 class TestRelaxedCommonSet:
     def test_exact_only_matches_exact_builder(self):
         tok = make_toy_tokenizer("char_level")
         w = build_projection(tok.vocabulary, tok.vocabulary, tok)
-        assert build_common_set_relaxed(w) == build_common_set_exact(tok.vocabulary, tok.vocabulary)
+        exact = build_common_set_exact(tok.vocabulary, tok.vocabulary)
+        assert_common(build_common_set_relaxed(w), exact.student_ids, exact.teacher_ids)
 
     def test_multi_token_pair_admitted(self):
         student = make_toy_tokenizer("word_level", ["Hundreds"])
@@ -129,7 +185,7 @@ class TestRelaxedCommonSet:
         c = build_common_set_relaxed(w)
         s = student.vocabulary.id_of["Hundreds"]
         t = teacher.vocabulary.id_of["Hund"]
-        assert (s, t) in c.pairs
+        assert partner_of(c, s) == t
         exact = build_common_set_exact(student.vocabulary, teacher.vocabulary)
         assert s not in set(exact.student_ids.tolist())
 
@@ -140,30 +196,30 @@ class TestRelaxedCommonSet:
                              [[(0, 1.0)], [(0, 0.9), (1, 0.09)], [(0, 0.5), (1, 0.4)]],
                              [Provenance.EXACT, Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
                              cfg)
-        assert build_common_set_relaxed(w).pairs == ((0, 0),)
+        assert_common(build_common_set_relaxed(w), [0], [0])
         # equal weight 1: the exact row wins over a smaller student id
         w = SparseProjection(2, 1, [[(0, 1.0)], [(0, 1.0)]],
                              [Provenance.MULTI_TOKEN, Provenance.EXACT], cfg)
-        assert build_common_set_relaxed(w).pairs == ((1, 0),)
+        assert_common(build_common_set_relaxed(w), [1], [0])
         # no exact row: highest weight wins
         w = SparseProjection(2, 2,
                              [[(0, 0.5), (1, 0.4)], [(0, 0.9), (1, 0.09)]],
                              [Provenance.MULTI_TOKEN] * 2, cfg)
-        assert build_common_set_relaxed(w).pairs == ((1, 0),)
+        assert_common(build_common_set_relaxed(w), [1], [0])
         # equal weight: smaller student id wins
         w = SparseProjection(2, 2,
                              [[(0, 0.9)], [(0, 0.9)]],
                              [Provenance.MULTI_TOKEN] * 2, cfg)
-        assert build_common_set_relaxed(w).pairs == ((0, 0),)
+        assert_common(build_common_set_relaxed(w), [0], [0])
 
 
 class TestCommonKl:
     def test_identical_distributions_zero(self):
-        c = CommonSet(((0, 0), (1, 1), (2, 2)))
+        c = CommonSet([0, 1, 2], [0, 1, 2])
         assert common_kl(PT3, PT3, c) == 0.0
 
     def test_empty_set_zero(self):
-        assert common_kl(PT3, PS3, CommonSet(())) == 0.0
+        assert common_kl(PT3, PS3, CommonSet()) == 0.0
 
     def test_hand_arithmetic(self):
         expected = 0.5 * math.log(0.5 / 0.2) + 0.3 * math.log(0.3 / 0.3)
@@ -188,7 +244,7 @@ class TestCommonKlGrad:
         # teacher mass entirely on uncommon tokens
         pt = np.array([0.0, 0.0, 1.0])
         z = np.array([0.1, -0.2, 0.3, 0.0])
-        c = CommonSet(((0, 0), (1, 1)))
+        c = CommonSet([0, 1], [0, 1])
         grad = common_kl_grad(z, pt, c)
         np.testing.assert_array_equal(grad[[2, 3]], 0.0)
 
@@ -196,7 +252,7 @@ class TestCommonKlGrad:
         # p_s uniform over 4, common teacher mass 0.5: uncommon grad 0.125
         z = np.zeros(4)
         pt = np.array([0.3, 0.2, 0.25, 0.25])
-        c = CommonSet(((0, 0), (1, 1)))
+        c = CommonSet([0, 1], [0, 1])
         grad = common_kl_grad(z, pt, c)
         assert grad[2] == pytest.approx(0.125, abs=1e-12)
         assert grad[3] == pytest.approx(0.125, abs=1e-12)
@@ -205,7 +261,7 @@ class TestCommonKlGrad:
 
     def test_stationary_at_full_coverage_optimum(self):
         pt = np.array([0.4, 0.35, 0.25])
-        c = CommonSet(((0, 0), (1, 1), (2, 2)))
+        c = CommonSet([0, 1, 2], [0, 1, 2])
         grad = common_kl_grad(np.log(pt), pt, c)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
@@ -220,8 +276,8 @@ class TestCommonKlGrad:
             grad = common_kl_grad(z, pt, c)
 
             ps = softmax(z)
-            mass = pt[c.teacher_ids].sum() if len(c.pairs) else 0.0
-            for j in c.uncommon_student(n_s):
+            mass = pt[c.teacher_ids].sum()
+            for j in np.setdiff1d(np.arange(n_s), c.student_ids):
                 assert abs(grad[j] - ps[j] * mass) < 1e-10
                 assert grad[j] >= 0
                 if ps[j] > 0 and mass > 0:
@@ -233,16 +289,16 @@ class TestCommonKlGrad:
 
 class TestUld:
     def test_identical_fully_uncommon(self):
-        c = CommonSet(())
+        c = CommonSet()
         assert uld(PT3, PT3, c) == 0.0
 
     def test_hand_arithmetic_with_padding(self):
         ps = np.array([0.2, 0.5, 0.3])  # sorts to (0.5, 0.3, 0.2)
         pt = np.array([0.4, 0.6])       # sorts to (0.6, 0.4), padded with 0
-        assert uld(ps, pt, CommonSet(())) == pytest.approx(0.4, abs=1e-15)
+        assert uld(ps, pt, CommonSet()) == pytest.approx(0.4, abs=1e-15)
 
     def test_empty_uncommon_sets(self):
-        c = CommonSet(((0, 0), (1, 1), (2, 2)))
+        c = CommonSet([0, 1, 2], [0, 1, 2])
         assert uld(PS3, PT3, c) == 0.0
 
     def test_permutation_invariance(self):
@@ -250,7 +306,7 @@ class TestUld:
         for _ in range(20):
             ps = rng.dirichlet(np.ones(6))
             pt = rng.dirichlet(np.ones(5))
-            c = CommonSet(((0, 0),))
+            c = CommonSet([0], [0])
             base = uld(ps, pt, c)
             perm_s = np.concatenate([ps[:1], rng.permutation(ps[1:])])
             perm_t = np.concatenate([pt[:1], rng.permutation(pt[1:])])
@@ -296,7 +352,7 @@ class TestGold:
         assert expected == pytest.approx(0.7581, abs=1e-4)
 
     def test_kl_only_at_optimum(self):
-        c = CommonSet(((0, 0), (1, 1), (2, 2)))
+        c = CommonSet([0, 1, 2], [0, 1, 2])
         assert gold(PT3, PT3, c, HybridWeights(lambda_uld=0.0)) == 0.0
 
     def test_weights_must_be_nonnegative(self):
@@ -438,7 +494,7 @@ class TestHkl:
 
         exact = build_common_set_exact(student.vocabulary, teacher.vocabulary)
         relaxed = build_common_set_relaxed(w)
-        assert (s, t) in relaxed.pairs
+        assert partner_of(relaxed, s) == t
         # the pair moves most of both masses into the common-KL term
         assert hkl(pt, ps, w) != gold(pt, ps, exact)
 
@@ -517,7 +573,8 @@ def draw_common_set(rng, n_s: int, n_t: int, k_s: int) -> CommonSet:
     width = min(n_s - k_s, n_t)
     s_ids = rng.choice(n_s, size=width, replace=False)
     t_ids = rng.choice(n_t, size=width, replace=False)
-    return CommonSet(tuple(sorted(zip(s_ids.tolist(), t_ids.tolist()))))
+    order = np.argsort(s_ids)
+    return CommonSet(s_ids[order], t_ids[order])
 
 
 def assert_rank_l1_matches_reference(pt, ps, u_s, u_t):

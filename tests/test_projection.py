@@ -7,18 +7,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crosstok import projection
+from crosstok.chunks import softmax
 from crosstok.errors import DegenerateDistributionError, ValidationError
-from crosstok.losses import build_common_set_relaxed
+from crosstok.losses import LOG_EPS, build_common_set_relaxed, pkl_grads
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import (
     ProjectionConfig,
     Provenance,
     SparseProjection,
-    apply_w_gradient,
     build_projection,
     decay_weights,
     load_projection,
@@ -28,8 +28,9 @@ from crosstok.projection import (
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
 import projection_reference
-from projection_reference import ReferenceProjection, top1
+from projection_reference import ReferenceProjection, apply_w_gradient, top1
 from test_fuzz_readers import mutated, resealed
+from test_losses import random_projection
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,17 @@ class TestBuildProjection:
         w = build_projection(vs, vt_without, Tokenizer(vt_without))
         assert w.rows[1] == ()
         assert w.provenance[1] is Provenance.EMPTY
+
+    def test_row_on_teacher_special_stays_empty(self):
+        """The ordinary student token "<s>x" re-tokenizes to the teacher's BOS
+        special and "x"; specials pair only by role, so its row stays empty."""
+        vs = Vocabulary(["a", "x", "<s>x", "<s>"], specials=[3], special_roles={"bos": 3})
+        vt = Vocabulary(["a", "x", "<s>"], specials=[2], special_roles={"bos": 2})
+        assert Tokenizer(vt).encode("<s>x") == [2, 1]
+        w = build_projection(vs, vt, Tokenizer(vt))
+        assert w.rows == (((0, 1.0),), ((1, 1.0),), (), ((2, 1.0),))
+        assert w.provenance == (Provenance.EXACT, Provenance.EXACT, Provenance.EMPTY,
+                                Provenance.EXACT)
 
     def test_identical_vocabularies_all_exact(self):
         tok = make_toy_tokenizer("char_level")
@@ -290,6 +302,24 @@ class TestWGradient:
 
         numeric = central_difference(value, np.array([wt for _, _, wt in w.entries()]))
         assert max_relative_error(analytic, numeric) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+def test_pkl_entry_gradient_is_the_projection_chain_rule(seed, n_s, n_t):
+    """With no support, the ``pkl`` kernel's gradient in the projection
+    entries is the reference chain rule of ``project`` with upstream
+    ``-p_t / q``, wherever the log floor is inactive."""
+    assume(4 * n_s >= n_t)
+    rng = np.random.default_rng(seed)
+    w = random_projection(rng, n_s, n_t)
+    z = rng.normal(size=n_s) * 2
+    pt = rng.dirichlet(np.ones(n_t))
+    ps = softmax(z)
+    q = project(w, ps)
+    assume(np.all(q > LOG_EPS))
+    np.testing.assert_allclose(pkl_grads(z, pt, w)[1], apply_w_gradient(w, ps, -pt / q),
+                               rtol=1e-12, atol=1e-15)
 
 
 class TestProjectionFiles:
@@ -571,7 +601,9 @@ def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     if w is None:
         return
     assert [top1(w, s) for s in range(n_s)] == [ref.top1(s) for s in range(n_s)]
-    assert build_common_set_relaxed(w).pairs == ref.common_set_relaxed()
+    relaxed = build_common_set_relaxed(w)
+    assert (tuple(zip(relaxed.student_ids.tolist(), relaxed.teacher_ids.tolist()))
+            == ref.common_set_relaxed())
     path = tmp_path_factory.mktemp("csr") / "w.jsonl"
     save_projection(w, path)
     assert path.read_bytes() == ref.saved_bytes()

@@ -128,8 +128,10 @@ def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
 
 def _logit_grad(ps: np.ndarray, grad_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Chain a gradient in the chunk probabilities through the softmax,
-    written into ``out`` when given (``out`` may be ``grad_p``)."""
-    out = np.subtract(grad_p, float(ps @ grad_p), out=out)
+    written into ``out`` when given (``out`` may be ``grad_p``). The dot
+    product is an ``einsum``, not BLAS, so its bits do not depend on the
+    BLAS thread count."""
+    out = np.subtract(grad_p, float(np.einsum("i,i->", ps, grad_p)), out=out)
     out *= ps
     return out
 

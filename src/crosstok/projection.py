@@ -305,60 +305,47 @@ def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
     return renormalize_on(q, slice(None), "projected student")[0] if renormalize else q
 
 
-_ROW_BLOCK = 8192  # rows that save_projection formats, hashes and encodes at a time
+_BODY_FIELDS = {"counts": list, "provenance": list, "teacher_ids": list, "weights": list}
 
 
 def save_projection(w: SparseProjection, path) -> None:
-    """Header record plus one JSON line per nonempty row; hash-protected.
+    """Header record plus one body record holding the CSR arrays; hash-protected.
 
-    Each row record is written in sorted key order (``entries``,
-    ``provenance``, ``s``), formatted straight from the flat arrays as
-    ``json`` writes it (``int`` and ``float.__repr__``), one block of
-    ``_ROW_BLOCK`` rows at a time.
+    The body's fields, in sorted key order, are each row's entry count and
+    provenance value, and every entry's teacher id and weight (row-major),
+    as ``json`` writes them (``int`` and ``float.__repr__``). One field is
+    formatted, hashed and encoded at a time.
     """
-    prov_json = [json.dumps(p.value) for p in Provenance]
-    digest, blocks = hashlib.sha256(), []
-    for lo in range(0, w.n_student, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, w.n_student)
-        bounds = w._indptr[lo:hi + 1].tolist()
-        first, last = bounds[0], bounds[-1]
-        entries = [f"[{t},{x!r}]" for t, x in zip(w._flat_t[first:last].tolist(),
-                                                  w._flat_w[first:last].tolist())]
-        lines = [f'{{"entries":[{",".join(entries[a - first:b - first])}],'
-                 f'"provenance":{prov_json[k]},"s":{s}}}'
-                 for s, k, a, b in zip(range(lo, hi), w._kind[lo:hi].tolist(), bounds, bounds[1:])
-                 if b > a]
-        if lines:
-            block = "\n".join(lines).encode("utf-8")
-            if blocks:
-                digest.update(b"\n")
-            digest.update(block)
-            blocks.append(block)
+    fields = {"counts": np.diff(w._indptr).tolist, "provenance": lambda: w.provenance,
+              "teacher_ids": w._flat_t.tolist, "weights": w._flat_w.tolist}
+    digest, pieces = hashlib.sha256(), []
+    for sep, (key, values) in zip("{,,,", fields.items()):
+        pieces.append(f'{sep}"{key}":{json.dumps(values(), separators=(",", ":"))}'.encode("utf-8"))
+        digest.update(pieces[-1])
+    digest.update(b"}")
+    pieces.append(b"}\n")
     header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
               "content_hash": digest.hexdigest()}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
-        for block in blocks:
-            fh.write(block)
-            fh.write(b"\n")
+        fh.writelines(pieces)
 
 
 _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
 
 
 def load_projection(path) -> SparseProjection:
-    """Read a projection file; its row records may come in any order.
+    """Read a projection file: a header record, then one body record.
 
-    Each row line is parsed as ``parse_object`` parses it: ``raw_decode``
-    takes a line that is one JSON object and nothing else, and
-    ``parse_object`` any other line (it words a line's error). The fields go
-    straight into flat lists, with no per-row containers.
+    The body's lists go to ``SparseProjection._from_flat`` after the checks
+    that it needs (their lengths, and the counts' type, sign and sum); its
+    ``_validate`` holds every row rule.
     """
     lines = read_text(path).split("\n")
     kept = [line for line in lines if line.strip()]
     if not kept:
         raise ValidationError(f"{path}: missing projection header")
-    first = lines.index(kept[0]) + 1  # the header's file line; rows are named by file line
+    first = lines.index(kept[0]) + 1  # the header's file line
     header = check_fields(parse_object(kept[0], path, first), _HEADER_FIELDS, path, "header.",
                           required=_HEADER_FIELDS)
     constants = check_fields(header["config"], typing.get_type_hints(ProjectionConfig), path,
@@ -367,64 +354,36 @@ def load_projection(path) -> SparseProjection:
         config = ProjectionConfig(**constants)
     if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
-    del kept
-
+    if len(kept) != 2:
+        raise ValidationError(f"{path}: {len(kept) - 1} lines follow the header, not one body "
+                              f"record (a file of the old row-per-line layout?); rebuild the "
+                              f"projection with `crosstok build-w`")
     n_student, n_teacher = header["n_student"], header["n_teacher"]
-    bad_count = ValidationError(f"{path}: header.n_student must be a row count in [0, "
-                                f"{sys.maxsize}] that fits in memory, got {n_student}")
-    if not 0 <= n_student <= sys.maxsize:
-        raise bad_count
     if not 0 <= n_teacher <= sys.maxsize:
         raise ValidationError(f"{path}: header.n_teacher must be a count in [0, "
                               f"{sys.maxsize}], got {n_teacher}")
+    body = check_fields(parse_object(kept[1], path, lines.index(kept[1], first) + 1),
+                        _BODY_FIELDS, path, "body.", required=_BODY_FIELDS)
+    del lines, kept
+    counts, provenance, teacher_ids, weights = (body[key] for key in _BODY_FIELDS)
+    for key in ("counts", "provenance"):
+        if len(body[key]) != n_student:
+            raise ValidationError(f"{path}: body.{key} holds {len(body[key])} rows, "
+                                  f"header.n_student is {n_student}")
+    if set(map(type, counts)) - {int} or min(counts, default=0) < 0:
+        bad = next(c for c in counts if type(c) is not int or c < 0)
+        raise ValidationError(f"{path}: body.counts holds {bad!r:.80}, not an entry count")
+    total = sum(counts)
+    for key in ("teacher_ids", "weights"):
+        if len(body[key]) != total:
+            raise ValidationError(f"{path}: body.{key} holds {len(body[key])} entries, "
+                                  f"body.counts sums to {total}")
     try:
-        kind = np.full(n_student, _EMPTY, dtype=np.int8)
-    except MemoryError:
-        raise bad_count from None
-    raw_decode = json.JSONDecoder().raw_decode
-    seen: set[int] = set()
-    row_s, row_kind, counts, teacher_ids, weights = [], [], [], [], []
-    for lineno, line in enumerate(lines[first:], start=first + 1):
-        if not line.strip():
-            continue
-        try:
-            rec, end = raw_decode(line)
-        except (ValueError, RecursionError):
-            end = -1
-        if end != len(line) or type(rec) is not dict:
-            rec = parse_object(line, path, lineno)  # whitespace around the object, or an error
-        field = "s"
-        try:
-            s = rec[field]
-            field = "entries"
-            n = len(weights)
-            for t, x in rec[field]:
-                teacher_ids.append(t)
-                weights.append(x)
-            field = "provenance"
-            prov = rec[field]
-            code = _KIND.get(prov) if type(prov) is str else None
-            if code is None:
-                code = _KIND[Provenance(prov)]  # raises Provenance's own error
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
-                                  f"({type(exc).__name__}: {exc})") from None
-        if type(s) is not int or not 0 <= s < n_student or s in seen:
-            raise ValidationError(f"{path}: row field 's' = {s!r} is not a new student id "
-                                  f"in [0, {n_student})")
-        seen.add(s)
-        row_s.append(s)
-        row_kind.append(code)
-        counts.append(len(weights) - n)
-    del lines, seen
-
-    kind[row_s] = row_kind
-    per_row = np.zeros(n_student, dtype=np.intp)
-    per_row[row_s] = counts
-    if row_s != sorted(row_s):  # records out of student order: put their entries in it
-        order = np.argsort(np.repeat(np.array(row_s, dtype=np.intp), counts), kind="stable")
-        teacher_ids = [teacher_ids[i] for i in order.tolist()]
-        weights = [weights[i] for i in order.tolist()]
+        kind = np.array([_KIND[p] for p in provenance], dtype=np.int8)
+    except (KeyError, TypeError):
+        bad = next(p for p in provenance if type(p) is not str or p not in _KIND)
+        raise ValidationError(f"{path}: body.provenance holds {bad!r:.80}, not one of "
+                              f"{[p.value for p in Provenance]}") from None
     with located(path):
-        return SparseProjection._from_flat(n_student, n_teacher, per_row, teacher_ids, weights,
+        return SparseProjection._from_flat(n_student, n_teacher, counts, teacher_ids, weights,
                                            kind, config)

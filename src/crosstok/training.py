@@ -258,6 +258,10 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              compute_grads: bool = False,
              eps: float | None = LOG_EPS) -> StepReport:
     """One simulated training step over stored logits. Deterministic."""
+    if not temperature > 0:  # NaN is not positive
+        raise ValidationError(f"temperature must be positive, got {temperature}")
+    if eps is not None and not eps >= 0:
+        raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
     if not teachers:
         raise ValidationError("need at least one teacher")
     check_dump(student_logits, "student", student_vocab, "student")

@@ -3,11 +3,11 @@
 The tuple-of-tuples storage and the row-by-row validation loop that the CSR
 arrays replaced, kept as the slow reference they are property-tested
 against, together with the summary, ``top1``, relaxed common set and saved
-file derived from those rows. ``top1(w, s)`` reads the same answer from a
-``SparseProjection``'s CSR arrays, and ``apply_w_gradient`` differentiates
-``project`` in its stored entries, one entry at a time. ``build_projection``, ``save_projection``
-and ``load_projection`` are the per-row builder, writer and reader that the
-flat ones in ``crosstok.projection`` replaced. Checks run in the order of the loop: entry
+file bytes derived from those rows. ``top1(w, s)`` reads the same answer
+from a ``SparseProjection``'s CSR arrays, and ``apply_w_gradient``
+differentiates ``project`` in its stored entries, one entry at a time.
+``build_projection`` is the per-row builder that the flat one in
+``crosstok.projection`` replaced. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
 weight, then the exact, empty and row-sum rules; the first failing check
 names its row.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import sys
-import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -27,8 +25,7 @@ import numpy as np
 import vocab_reference
 from crosstok import projection
 from crosstok.chunks import renormalize_on
-from crosstok.errors import (UnencodableTextError, ValidationError, check_fields, located,
-                             parse_object, read_text)
+from crosstok.errors import UnencodableTextError, ValidationError
 from crosstok.projection import ProjectionConfig, Provenance, SparseProjection, decay_weights
 
 
@@ -107,21 +104,21 @@ class ReferenceProjection:
         return tuple(sorted((s, t) for t, s in chosen.items()))
 
     def saved_bytes(self) -> bytes:
-        lines = [
-            json.dumps({"s": s, "entries": [[t, w] for t, w in row], "provenance": prov.value},
-                       sort_keys=True, separators=(",", ":"))
-            for s, (row, prov) in enumerate(zip(self.rows, self.provenance))
-            if row
-        ]
+        """The header line, then one body record of the rows' lists, each
+        line written by ``json.dumps`` in sorted key order."""
+        body = json.dumps({"counts": [len(row) for row in self.rows],
+                           "provenance": [prov.value for prov in self.provenance],
+                           "teacher_ids": [t for row in self.rows for t, _ in row],
+                           "weights": [w for row in self.rows for _, w in row]},
+                          sort_keys=True, separators=(",", ":"))
         header = {
             "n_student": self.n_student,
             "n_teacher": self.n_teacher,
             "config": asdict(self.config),
-            "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest(),
+            "content_hash": hashlib.sha256(body.encode("utf-8")).hexdigest(),
         }
-        return "".join(line + "\n" for line in
-                       [json.dumps(header, sort_keys=True, separators=(",", ":"))] + lines
-                       ).encode("utf-8")
+        return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + body
+                + "\n").encode("utf-8")
 
 
 def top1(w, s: int):
@@ -195,72 +192,3 @@ def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
         provenance.append(prov)
 
     return SparseProjection(len(vs), len(vt), rows, provenance, config)
-
-
-def save_projection(w, path) -> None:
-    """One ``JSONEncoder`` call per row's ``(teacher_id, weight)`` tuples."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    prov_json = {p: encode(p.value) for p in Provenance}
-    lines = [f'{{"entries":{encode(row)},"provenance":{prov_json[prov]},"s":{s}}}'
-             for s, (row, prov) in enumerate(zip(w.rows, w.provenance)) if row]
-    header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
-              "content_hash": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.writelines(line + "\n" for line in lines)
-
-
-_HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_hash": str}
-
-
-def load_projection(path):
-    """Rows as lists of ``(teacher_id, weight)`` tuples, one ``Provenance``
-    per row, then the rows form of ``SparseProjection``; ``header.n_teacher``
-    is not range-checked."""
-    lines = read_text(path).split("\n")
-    kept = [line for line in lines if line.strip()]
-    if not kept:
-        raise ValidationError(f"{path}: missing projection header")
-    first = lines.index(kept[0]) + 1
-    header = check_fields(parse_object(kept[0], path, first), _HEADER_FIELDS, path, "header.",
-                          required=_HEADER_FIELDS)
-    constants = check_fields(header["config"], typing.get_type_hints(ProjectionConfig), path,
-                             "header.config.")
-    with located(f"{path}: header.config"):
-        config = ProjectionConfig(**constants)
-    if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
-        raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
-
-    n_student, n_teacher = header["n_student"], header["n_teacher"]
-    bad_count = ValidationError(f"{path}: header.n_student must be a row count in [0, "
-                                f"{sys.maxsize}] that fits in memory, got {n_student}")
-    if not 0 <= n_student <= sys.maxsize:
-        raise bad_count
-    try:
-        rows = [()] * n_student
-        provenance = [Provenance.EMPTY] * n_student
-    except MemoryError:
-        raise bad_count from None
-    seen: set[int] = set()
-    for lineno, line in enumerate(lines[first:], start=first + 1):
-        if not line.strip():
-            continue
-        rec = parse_object(line, path, lineno)
-        field = "s"
-        try:
-            s = rec[field]
-            field = "entries"
-            row = [(t, w) for t, w in rec[field]]
-            field = "provenance"
-            prov = Provenance(rec[field])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: cannot read row field {field!r} "
-                                  f"({type(exc).__name__}: {exc})") from None
-        if type(s) is not int or not 0 <= s < n_student or s in seen:
-            raise ValidationError(f"{path}: row field 's' = {s!r} is not a new student id "
-                                  f"in [0, {n_student})")
-        seen.add(s)
-        rows[s] = row
-        provenance[s] = prov
-    with located(path):
-        return SparseProjection(n_student, n_teacher, rows, provenance, config)

@@ -79,7 +79,7 @@ def _kl_sum(pt, q, eps):
 
 
 def _logit_grad(ps, grad_p):
-    return ps * (grad_p - float(ps @ grad_p))
+    return ps * (grad_p - float(np.einsum("i,i->", ps, grad_p)))
 
 
 def _support_kl(pt, ps, w, support, eps, grads):

@@ -16,6 +16,7 @@ from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tok
                             save_vocabulary)
 
 from conftest import write_dump
+from test_projection import rewrite_body
 
 
 def write_toy_vocab(path, kind):
@@ -324,13 +325,12 @@ class TestLoss:
 
     def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
-        lines = fx["projection"].read_text().splitlines()
-        header = json.loads(lines[0])
-        body = [line.replace('"s":3', '"s":4') for line in lines[1:]]
-        header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-        fx["projection"].write_text("\n".join([json.dumps(header)] + body) + "\n")
+        rewrite_body(fx["projection"], lambda b: {
+            "counts": b["counts"] + [0], "provenance": b["provenance"] + ["empty"],
+            "teacher_ids": b["teacher_ids"], "weights": b["weights"]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
-        assert "projection.jsonl" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {fx['projection']}: body.counts holds 5 "
+                                           "rows, header.n_student is 4\n")
 
     def test_negative_kd_exits_1(self, tmp_path, capsys):
         vs, vt = Vocabulary(["a", "b"]), Vocabulary(["a", "c"])
@@ -367,15 +367,11 @@ class TestLoss:
 
     def test_projection_entry_float_id_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
-        lines = fx["projection"].read_text().splitlines()
-        header, recs = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
-        recs[-1]["entries"] = [[2.7, 0.9]]
-        body = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in recs]
-        header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-        fx["projection"].write_text("\n".join([json.dumps(header)] + body) + "\n")
+        rewrite_body(fx["projection"], lambda b: {
+            **b, "teacher_ids": b["teacher_ids"][:-1] + [2.7]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
-        err = capsys.readouterr().err
-        assert "projection.jsonl" in err and "entries" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (f"error: {fx['projection']}: row 3: teacher id 2.7 "
+                                           "in 'entries' is not an integer\n")
 
     def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
@@ -612,6 +608,8 @@ class TestStepConfigSemantics:
     IDS = ["temperature", "top_k", "policy-kind", "policy-weights", "schedule-kind",
            "alpha_gap", "max_span", "hybrid", "eps", "no-teacher", "weight", "weight-sum",
            "mode", "no-projection", "kl-vocabulary"]
+    # the step's own constants: named with nothing between the config and the message
+    WHOLE_LINE = (SEMANTIC[IDS.index("temperature")][1], SEMANTIC[IDS.index("eps")][1])
 
     @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
     def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):
@@ -621,6 +619,8 @@ class TestStepConfigSemantics:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fx['config']}: ") and message in err, err
         assert err.count(str(fx["config"])) == 1
+        if message in self.WHOLE_LINE:
+            assert err == f"error: {fx['config']}: {message}\n"
 
     def test_unencodable_file_path_named(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
@@ -762,7 +762,7 @@ PINNED_LOSS_CHUNK_STATS = {
             "matches": 22, "mismatches": 0, "score": 61.09999999999997},
 }
 PINNED_LOSS_FILES = 1962
-PINNED_LOSS_BYTES = "399743d9a76527719fda5be06d5c0ccdb4aa222bafe68d8048168b7a5b54055d"
+PINNED_LOSS_BYTES = "8967c5e8e64ff6325640105b54739b277cdcd365bbe01e47086cd2a525f0dfcd"
 
 
 @pytest.fixture

@@ -154,14 +154,14 @@ def test_pinned_projection_and_common_sets(seed):
 # seed -> (file sha256, summary) at the default config, then at top_k=2,
 # where truncation drops mass from the three- and four-token rows
 PINNED_FILES = {
-    0: ("0ba385cbf7a40099", "5ea6aef819295b4e", "e9420cf335801d25", "4f561487bc98bb98"),
-    1: ("fca8d7a76c8a5125", "cf90aa4b45f0e570", "d8149e9498c9426f", "09d36093d0557737"),
-    2: ("063cf2839dae5e20", "5ea6aef819295b4e", "48cbdc51804d3483", "4f561487bc98bb98"),
-    3: ("3a9218d9536610d9", "c69562e5ffc12460", "beed7e6ffdcb851e", "2b196088689855d1"),
-    4: ("d7db466581db2900", "3106e94d1fad8c35", "36901346ccf91b47", "6695ef10c3bb6d68"),
-    5: ("256f0727dda2fd60", "a14163c920879913", "c1f8c1e8d6adc0d3", "a14163c920879913"),
-    6: ("7330e32320e85402", "843b8f122fb3f449", "5bad69bf75612e3f", "c1d769b3c6296ee1"),
-    7: ("87f18cb055f16486", "6f614fa8d07a4b6b", "51a60c2a71a693a2", "c9f596a356b39a60"),
+    0: ("0a7bf080a5399260", "5ea6aef819295b4e", "f295b6c8ac23d5c6", "4f561487bc98bb98"),
+    1: ("57202405719531dd", "cf90aa4b45f0e570", "e8c690f815bf9e09", "09d36093d0557737"),
+    2: ("76317f96e27bd7e9", "5ea6aef819295b4e", "ff13803923445f9c", "4f561487bc98bb98"),
+    3: ("88f9be0b1b975eb3", "c69562e5ffc12460", "01859399f5f564d4", "2b196088689855d1"),
+    4: ("aa5d79822fc5517a", "3106e94d1fad8c35", "f3ad49251a316794", "6695ef10c3bb6d68"),
+    5: ("37c218c9b13c8a18", "a14163c920879913", "f371b232ab4f5ded", "a14163c920879913"),
+    6: ("da3f5456c377d37e", "843b8f122fb3f449", "78263fa1bb414567", "c1d769b3c6296ee1"),
+    7: ("d73d0552cddeea8b", "6f614fa8d07a4b6b", "6c86819c4c3627c1", "c9f596a356b39a60"),
 }
 
 

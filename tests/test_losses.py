@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -626,3 +629,23 @@ def test_rank_l1_set_sizes_match_reference(k_s, k_t):
     rng = np.random.default_rng(k_s * 100 + k_t)
     ps, pt = tie_vector(rng, 100, TIE_VALUES), tie_vector(rng, 100, TIE_VALUES)
     assert_rank_l1_matches_reference(pt, ps, draw_ids(rng, 100, k_s), draw_ids(rng, 100, k_t))
+
+
+def test_logit_gradient_bytes_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a long dot product across its threads, which changes
+    its rounding; a 32k-entry kernel gradient must come out with the same
+    bytes under one BLAS thread and under two."""
+    script = ("import hashlib\n"
+              "import numpy as np\n"
+              "from crosstok.losses import chunk_kl_grad\n"
+              "rng = np.random.default_rng(0)\n"
+              "z, pt = rng.normal(size=32768) * 3, rng.dirichlet(np.ones(32768))\n"
+              "print(hashlib.sha256(chunk_kl_grad(z, pt).tobytes()).hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests

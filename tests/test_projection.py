@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
 import projection_reference
 from projection_reference import ReferenceProjection, apply_w_gradient, top1
-from test_fuzz_readers import mutated, resealed
 from test_losses import random_projection
 
 
@@ -349,18 +347,36 @@ class TestProjectionFiles:
             ProjectionConfig(top_k=0)
 
 
-def rewrite_records(path, edit):
-    """Replace the row records of a saved projection and re-seal its hash."""
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    body = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
-            for rec in edit([json.loads(line) for line in lines[1:]])]
-    header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-    path.write_text("\n".join([json.dumps(header)] + body) + "\n")
+def rewrite_body(path, edit):
+    """Replace the body record of a saved projection by ``edit(body)`` and
+    re-seal its hash."""
+    header, body = [json.loads(line) for line in path.read_text().splitlines()]
+    body = json.dumps(edit(body), separators=(",", ":"))
+    header["content_hash"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text("\n".join([json.dumps(header), body]) + "\n")
+
+
+def reseal_lines(path, lines):
+    """Write ``lines`` after the header, with the content hash over them."""
+    header = json.loads(path.read_text().splitlines()[0])
+    header["content_hash"] = hashlib.sha256(
+        "\n".join(line for line in lines if line.strip()).encode("utf-8")).hexdigest()
+    path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+
+
+def last_row_holds(entry):
+    """A body edit: the last row holds the one ``(teacher_id, weight)`` ``entry``."""
+    def edit(body):
+        drop = body["counts"][-1]
+        return {**body, "counts": body["counts"][:-1] + [1],
+                "teacher_ids": body["teacher_ids"][:-drop] + [entry[0]],
+                "weights": body["weights"][:-drop] + [entry[1]]}
+    return edit
 
 
 @pytest.fixture
 def saved(tmp_path):
+    """Rows 0-2 exact, row 3 a three-entry multi-token row."""
     vs = Vocabulary(["2", "0", "1", "201"])
     vt = Vocabulary(["2", "0", "1"])
     path = tmp_path / "digits.jsonl"
@@ -368,30 +384,52 @@ def saved(tmp_path):
     return path
 
 
-class TestProjectionIndexValidation:
-    def rejects(self, path, field):
-        with pytest.raises(ValidationError) as info:
-            load_projection(path)
-        assert path.name in str(info.value) and f"'{field}'" in str(info.value)
+def rejects(path, *words):
+    with pytest.raises(ValidationError) as info:
+        load_projection(path)
+    assert str(info.value).startswith(f"{path}: ")
+    for word in words:
+        assert word in str(info.value)
 
-    @pytest.mark.parametrize("bad_s", [-1, 4, "0"], ids=["negative", "past_end", "not_int"])
-    def test_bad_row_index(self, saved, bad_s):
-        rewrite_records(saved, lambda recs: [{**r, "s": bad_s} if r["s"] == 0 else r
-                                             for r in recs])
-        self.rejects(saved, "s")
+
+class TestProjectionIndexValidation:
+    """``counts`` is the body's row index: row ``s`` owns the next
+    ``counts[s]`` teacher ids and weights."""
+
+    @pytest.mark.parametrize("bad, words", [
+        ((0, -1), "body.counts holds -1, not an entry count"),
+        ((3, 4), "body.teacher_ids holds 6 entries, body.counts sums to 7"),
+        ((0, "1"), "body.counts holds '1', not an entry count"),
+        ((0, True), "body.counts holds True, not an entry count"),
+        ((0, 1.0), "body.counts holds 1.0, not an entry count"),
+    ], ids=["negative", "past_end", "not_int", "bool", "float"])
+    def test_bad_row_index(self, saved, bad, words):
+        at, count = bad
+        rewrite_body(saved, lambda b: {**b, "counts": [count if s == at else c
+                                                      for s, c in enumerate(b["counts"])]})
+        rejects(saved, words)
 
     def test_duplicate_row_index(self, saved):
-        rewrite_records(saved, lambda recs: recs + [recs[0]])
-        self.rejects(saved, "s")
+        """Row 3 given twice: one row more than ``header.n_student``."""
+        rewrite_body(saved, lambda b: {"counts": b["counts"] + [3],
+                                       "provenance": b["provenance"] + ["multi_token"],
+                                       "teacher_ids": b["teacher_ids"] + b["teacher_ids"][3:],
+                                       "weights": b["weights"] + b["weights"][3:]})
+        rejects(saved, "body.counts holds 5 rows, header.n_student is 4")
+
+    @pytest.mark.parametrize("field, words", [
+        ("counts", "body.counts holds 3 rows, header.n_student is 4"),
+        ("provenance", "body.provenance holds 3 rows, header.n_student is 4"),
+        ("teacher_ids", "body.teacher_ids holds 5 entries, body.counts sums to 6"),
+        ("weights", "body.weights holds 5 entries, body.counts sums to 6"),
+    ])
+    def test_list_one_short(self, saved, field, words):
+        rewrite_body(saved, lambda b: {**b, field: b[field][:-1]})
+        rejects(saved, words)
 
     def test_teacher_id_repeated_within_a_row(self, saved):
-        def repeat(recs):
-            row = next(r for r in recs if r["provenance"] == "multi_token")
-            row["entries"] = [row["entries"][0], [row["entries"][0][0], 0.05]]
-            return recs
-
-        rewrite_records(saved, repeat)
-        self.rejects(saved, "entries")
+        rewrite_body(saved, lambda b: {**b, "teacher_ids": b["teacher_ids"][:4] + [0, 2]})
+        rejects(saved, "row 3: a teacher id repeats in its 'entries'")
 
     def test_constructor_rejects_repeated_teacher_id(self):
         with pytest.raises(ValidationError, match="teacher id repeats"):
@@ -405,32 +443,26 @@ class TestProjectionFileFields:
         lines[0] = json.dumps(edit(json.loads(lines[0])))
         path.write_text("\n".join(lines) + "\n")
 
-    def rejects(self, path, *words):
-        with pytest.raises(ValidationError) as info:
-            load_projection(path)
-        for word in (path.name, *words):
-            assert word in str(info.value)
-
     def test_header_without_config(self, saved):
         self.rewrite_header(saved, lambda h: {k: v for k, v in h.items() if k != "config"})
-        self.rejects(saved, "config")
+        rejects(saved, "config")
 
     def test_unknown_config_key(self, saved):
         self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "bogus": 1}})
-        self.rejects(saved, "config.bogus")
+        rejects(saved, "config.bogus")
 
     def test_mistyped_header_field(self, saved):
         self.rewrite_header(saved, lambda h: {**h, "n_student": "2"})
-        self.rejects(saved, "n_student")
+        rejects(saved, "n_student")
 
     @pytest.mark.parametrize("n_student", [10**30, 2**63, -1], ids=["1e30", "2**63", "-1"])
     def test_impossible_student_count_named(self, saved, n_student):
         self.rewrite_header(saved, lambda h: {**h, "n_student": n_student})
-        self.rejects(saved, "header.n_student")
+        rejects(saved, f"body.counts holds 4 rows, header.n_student is {n_student}")
 
     def test_student_count_beyond_memory_named(self, saved):
-        """A row count that no allocation can hold fails by name, not as a bare
-        MemoryError (run under a 2 GB address-space limit)."""
+        """A row count that no allocation can hold fails by name, and before
+        anything is allocated from it (run under a 2 GB address-space limit)."""
         self.rewrite_header(saved, lambda h: {**h, "n_student": 2**40})
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -445,14 +477,14 @@ class TestProjectionFileFields:
         proc = subprocess.run([sys.executable, "-c", script, str(saved)], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith(f"{saved}: header.n_student must be a row count "), proc.stdout
+        assert proc.stdout == (f"{saved}: body.counts holds 4 rows, header.n_student is "
+                               f"{2**40}\n"), proc.stdout
 
     def test_rows_numbered_by_file_line(self, saved):
-        rewrite_records(saved, lambda recs: [{**recs[0], "provenance": "guess"}] + recs[1:])
-        lines = saved.read_text().split("\n")
-        # blank lines are outside the content hash; the bad row moves to file line 7
-        saved.write_text("\n".join(lines[:1] + ["", " ", "", "\t", ""] + lines[1:]))
-        self.rejects(saved, "line 7: cannot read row field 'provenance'")
+        """The body record is named by its file line; blank lines are outside
+        the content hash."""
+        reseal_lines(saved, ["", " ", "", "\t", "", '{"counts": [1,'])
+        rejects(saved, "line 7: not a JSON object")
 
     def test_bad_config_constants_named(self, saved):
         self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "beta": 0.05}})
@@ -462,58 +494,66 @@ class TestProjectionFileFields:
 
     def test_header_not_an_object(self, saved):
         self.rewrite_header(saved, lambda h: [1, 2])
-        self.rejects(saved, "object")
+        rejects(saved, "object")
 
     def test_row_without_entries(self, saved):
-        rewrite_records(saved, lambda recs: [{k: v for k, v in recs[0].items()
-                                              if k != "entries"}] + recs[1:])
-        self.rejects(saved, "line 2", "entries")
+        rewrite_body(saved, lambda b: {k: v for k, v in b.items() if k != "teacher_ids"})
+        rejects(saved, "body.teacher_ids is missing")
+
+    @pytest.mark.parametrize("body, words", [
+        ({"counts": 5}, "body.counts must be list, got 5"),
+        ({"rows": []}, "body.rows is not a known field"),
+    ], ids=["not_a_list", "unknown"])
+    def test_mistyped_or_unknown_body_field(self, saved, body, words):
+        rewrite_body(saved, lambda b: {**b, **body})
+        rejects(saved, words)
 
     def test_malformed_entry_and_unknown_provenance(self, saved):
-        rewrite_records(saved, lambda recs: recs[:1] + [{**recs[1], "entries": [[0]]}]
-                        + recs[2:])
-        self.rejects(saved, "line 3", "entries")
-        rewrite_records(saved, lambda recs: [{**recs[0], "provenance": "guess"}] + recs[1:])
-        self.rejects(saved, "line 2", "provenance")
-        for garbled in ('{"s": 0,', "[0]"):
-            lines = saved.read_text().splitlines()
-            header, body = json.loads(lines[0]), [garbled] + lines[2:]
-            header["content_hash"] = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-            saved.write_text("\n".join([json.dumps(header)] + body) + "\n")
-            self.rejects(saved, "line 2", "not a JSON object")
+        rewrite_body(saved, lambda b: {**b, "weights": b["weights"][1:]})
+        rejects(saved, "body.weights holds 5 entries, body.counts sums to 6")
+        rewrite_body(saved, lambda b: {**b, "weights": b["weights"] + [0.5],
+                                       "provenance": ["guess"] + b["provenance"][1:]})
+        rejects(saved, "body.provenance holds 'guess', not one of ['exact', "
+                       "'multi_token', 'empty']")
+        for garbled in ('{"counts": 0,', "[0]"):
+            reseal_lines(saved, [garbled])
+            rejects(saved, "line 2: not a JSON object")
 
     @pytest.mark.parametrize("entry", [[2.7, 0.9], [True, 0.9], ["x", 0.9], [None, 0.9],
                                        [0, "0.9"], [0, None], [0, False], [10**30, 0.9],
                                        [0, 10**400]])
     def test_mistyped_entry_named(self, saved, entry):
-        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [entry]}])
-        self.rejects(saved, "entries")
+        rewrite_body(saved, last_row_holds(entry))
+        rejects(saved, "entries")
 
     def test_nan_weight_named(self, saved):
-        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1],
-                                                           "entries": [[0, float("nan")]]}])
-        self.rejects(saved, "row 3", "non-positive weight nan")
+        rewrite_body(saved, last_row_holds([0, float("nan")]))
+        rejects(saved, "row 3: non-positive weight nan")
 
     def test_first_bad_entry_named_in_student_order(self, saved):
-        """Rows out of file order: the entry checks still name the first bad
-        entry in student order, as the per-row reader does."""
-        def edit(recs):
-            recs = [dict(r) for r in reversed(recs)]
-            recs[0]["entries"], recs[2]["entries"] = [["x", 0.5]], [[True, 1.0]]
-            return recs
-
-        rewrite_records(saved, edit)
+        """With bad entries in rows 1 and 3, the type check names row 1's."""
+        rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        with pytest.raises(ValidationError) as ref:
-            projection_reference.load_projection(saved)
-        assert str(info.value) == str(ref.value)
-        assert str(info.value).endswith("row 1: teacher id True in 'entries' is not an integer")
+        assert str(info.value) == (f"{saved}: row 1: teacher id True in 'entries' is not an "
+                                   "integer")
 
     def test_int_weight_loads_as_float(self, saved):
-        rewrite_records(saved, lambda recs: recs[:-1] + [{**recs[-1], "entries": [[0, 1]]}])
+        rewrite_body(saved, last_row_holds([0, 1]))
         [(t, w)] = load_projection(saved).rows[-1]
         assert (t, w) == (0, 1.0) and type(w) is float
+
+    @pytest.mark.parametrize("lines", [
+        ['{"entries":[[0,1.0]],"provenance":"exact","s":0}',
+         '{"entries":[[1,1.0]],"provenance":"exact","s":1}'],
+        [],
+    ], ids=["row_records", "no_body"])
+    def test_old_layout_named_for_rebuild(self, saved, lines):
+        """A file with one JSON record per row, or none, fails with a pointer
+        to ``crosstok build-w``."""
+        reseal_lines(saved, lines)
+        rejects(saved, f"{len(lines)} lines follow the header, not one body record",
+                "rebuild the projection with `crosstok build-w`")
 
 
 class TestCounts:
@@ -650,125 +690,42 @@ def same_arrays(got: SparseProjection, ref: SparseProjection) -> bool:
                     for a in ("_indptr", "_flat_s", "_flat_t", "_flat_w", "_kind")))
 
 
+def one_ulp_up_on_multi_token_rows(w: SparseProjection) -> SparseProjection:
+    """``w.with_weights``: every multi-token entry's weight one ulp larger."""
+    multi = np.repeat(w._kind == projection._MULTI, np.diff(w._indptr))
+    return w.with_weights(np.where(multi, np.nextafter(w._flat_w, 1.0), w._flat_w))
+
+
 @settings(max_examples=300, deadline=None)
-@given(valid_projections(), st.integers(1, 5))
-def test_save_matches_row_writer(tmp_path_factory, w, block):
-    """The flat writer, in blocks of any size, writes the per-row writer's bytes."""
-    d = tmp_path_factory.mktemp("save")
-    projection_reference.save_projection(w, d / "ref.jsonl")
-    with mock.patch.object(projection, "_ROW_BLOCK", block):
-        save_projection(w, d / "w.jsonl")
-    assert (d / "w.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
-    save_projection(w, d / "w.jsonl")
-    assert (d / "w.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
-    ref = ReferenceProjection(w.n_student, w.n_teacher, w.rows, w.provenance, w.config)
-    assert (d / "w.jsonl").read_bytes() == ref.saved_bytes()
-
-
-# values that a row field must not hold (none of them raises in ``json.dumps``)
-BAD_FIELDS = {
-    "s": [-1, 10**6, "0", True, None, 1.0],
-    "entries": [5, "ab", None, [[0]], [[0, 0.5, 1]], [[True, 0.5]], [["x", 0.5]], [[0.5, 0.5]],
-                [[0, "0.5"]], [[0, None]], [[0, False]], [[10**30, 0.5]], [[0, 10**400]],
-                [[0, 0.5], [0, 0.5]], [[-1, 0.5]], [[0, 0.0]], [[0, 2.0]], {"ab": 1}],
-    "provenance": ["guess", "EXACT", None, [], {}, 0],
-}
-
-
-EDITS = ([("repeat", None)] + [("drop", field) for field in BAD_FIELDS]
-         + [(field, value) for field, values in BAD_FIELDS.items() for value in values])
-
-
-@st.composite
-def edited(draw, records: list) -> list:
-    """``records`` with one record repeated, or one field of one record dropped
-    or given a value from ``BAD_FIELDS``."""
-    if not records:
-        return records
-    records = list(records)
-    at = draw(st.integers(0, len(records) - 1))
-    kind, value = draw(st.sampled_from(EDITS))
-    if kind == "repeat":
-        records.insert(draw(st.integers(0, len(records))), records[at])
-    elif kind == "drop":
-        records[at] = {k: v for k, v in records[at].items() if k != value}
-    else:
-        records[at] = {**records[at], kind: value}
-    return records
-
-
-def relaid(data: bytes, draw, edit: bool, strict: bool) -> bytes:
-    """The records, ``edited`` if ``edit``, re-laid: keys reordered, spaces
-    inside and around them, CRLF line ends, blank lines and rows out of
-    order, each drawn or not (unless ``strict``, perhaps one line ends in a
-    form feed, which is not JSON whitespace); the content hash is recomputed
-    as the loader computes it."""
-    header, *records = [json.loads(line) for line in data.decode().splitlines()]
-    if edit:
-        records = draw(edited(records))
-    if draw(st.booleans()):
-        records = draw(st.permutations(records))
-    spaced = draw(st.booleans())
-    lines = [json.dumps(dict(reversed(rec.items())) if draw(st.booleans()) else rec,
-                        separators=(", ", ": ") if spaced else (",", ":"))
-             for rec in records]
-    pads = st.sampled_from(["", " ", "\t", " \t"])
-    lines = [draw(pads) + line + draw(pads) for line in lines]
-    if lines and not strict and draw(st.booleans()):
-        lines[draw(st.integers(0, len(lines) - 1))] += "\x0c"
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
-    body = "\n".join(line for line in lines if line.strip())
-    header["content_hash"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    end = "\r\n" if draw(st.booleans()) else "\n"  # text mode reads CRLF as LF
-    return end.join([json.dumps(header)] + lines + [""]).encode("utf-8")
-
-
-def load_outcome(load, path):
-    try:
-        return load(path), None
-    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
-        return None, (type(exc), str(exc))
-
-
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(valid_projections(), st.sampled_from(["relaid", "edited", "fuzzed"]), st.data())
-def test_load_matches_row_reader(tmp_path_factory, w, layout, data):
-    """On re-laid files, on files with one bad row record and on fuzz
-    mutations, the flat reader returns the per-row reader's arrays or fails
-    with its message; only an out-of-range ``header.n_teacher`` is new, and
-    named."""
-    path = tmp_path_factory.mktemp("load") / "w.jsonl"
+@given(valid_projections(), st.booleans())
+def test_save_load_round_trip_is_bit_identical(tmp_path_factory, w, reweighted):
+    """Empty rows, ``n_student = 0``, weights with long ``repr``s down to
+    ``5e-324``, and a ``with_weights`` result all load back bit for bit."""
+    if reweighted:
+        w = one_ulp_up_on_multi_token_rows(w)
+    path = tmp_path_factory.mktemp("round") / "w.jsonl"
     save_projection(w, path)
-    out = relaid(path.read_bytes(), data.draw, layout == "edited", layout == "fuzzed")
-    if layout == "fuzzed":
-        out = data.draw(mutated(out, json_lines=True))
-        if data.draw(st.booleans()):
-            out = resealed(out)
-    path.write_bytes(out)
-    got, err = load_outcome(load_projection, path)
-    ref, ref_err = load_outcome(projection_reference.load_projection, path)
-    if err and "header.n_teacher must be a count in [0, " in err[1]:
-        assert err[1].startswith(f"{path}: header.n_teacher")
-        assert ref_err or not 0 <= ref.n_teacher <= sys.maxsize
-    elif err or ref_err:
-        assert err == ref_err
-    else:
-        assert same_arrays(got, ref)
+    got = load_projection(path)
+    assert same_arrays(got, w) and got._flat_w.tobytes() == w._flat_w.tobytes()
 
 
-def test_load_reads_crlf_blank_lines_and_rows_out_of_order(tmp_path):
+def test_round_trip_of_no_rows(tmp_path):
+    w = SparseProjection(0, 3, [], [], ProjectionConfig())
+    save_projection(w, tmp_path / "w.jsonl")
+    assert (tmp_path / "w.jsonl").read_text().splitlines()[1] == (
+        '{"counts":[],"provenance":[],"teacher_ids":[],"weights":[]}')
+    assert same_arrays(load_projection(tmp_path / "w.jsonl"), w)
+
+
+def test_load_reads_crlf_and_blank_lines(tmp_path):
     rows = [[(2, 0.6), (0, 0.30000000000000004)], [], [(1, 1.0)], [(0, 0.5)]]
     prov = [Provenance.MULTI_TOKEN, Provenance.EMPTY, Provenance.EXACT, Provenance.MULTI_TOKEN]
     w = SparseProjection(4, 3, rows, prov, ProjectionConfig())
     path = tmp_path / "w.jsonl"
     save_projection(w, path)
-    header, *lines = path.read_text().splitlines()
-    lines = [lines[2], lines[0], lines[1]]
-    head = json.loads(header)
-    head["content_hash"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    header, body = path.read_text().splitlines()
     # text mode reads CRLF as LF; blank lines are outside the content hash
-    path.write_bytes("\r\n".join([json.dumps(head), "", lines[0], " ", *lines[1:], ""]).encode())
+    path.write_bytes("\r\n".join(["", header, "", " ", body, "\t", ""]).encode())
     loaded = load_projection(path)
     assert loaded.rows == w.rows and loaded.provenance == w.provenance
 

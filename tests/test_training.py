@@ -608,6 +608,24 @@ class TestStepInputMessages:
         assert len(cache) == 0
 
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"temperature": 0}, "temperature must be positive, got 0"),
+        ({"temperature": math.nan}, "temperature must be positive, got nan"),
+        ({"eps": -1.0}, "log floor eps must be None or non-negative, got -1.0"),
+        ({"eps": math.nan}, "log floor eps must be None or non-negative, got nan"),
+    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan"])
+    def test_step_constant_checked_before_dumps_and_alignment(self, setting, message):
+        """A bad temperature or log floor is named alone, not blamed on a dump,
+        even when a dump is broken too, and no teacher is aligned."""
+        student, teacher = valid_pkl_step_inputs()
+        cache = AlignmentCache()
+        with pytest.raises(ValidationError) as info:
+            run_step(PIN_VS, replace(student, side="teacher"), [teacher], cache=cache,
+                     **setting)
+        assert str(info.value) == message
+        assert len(cache) == 0
+
+
 class TestGradientCheck:
     def test_every_family_checked_on_every_instance(self, monkeypatch):
         # seed 13 draws no instance with n_s == n_t, and some draws leave a

@@ -53,6 +53,37 @@ def default_rules() -> tuple[CategoryRule, ...]:
     )
 
 
+# Byte classes, one bit each; a token's classes are the OR over its bytes.
+_DIGIT, _LETTER, _PUNCT_CLASS, _SPACE, _HIGH, _OTHER = 1, 2, 4, 8, 16, 32
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(string.digits.encode(), np.uint8)] = _DIGIT
+_BYTE_CLASS[np.frombuffer(string.ascii_letters.encode(), np.uint8)] = _LETTER
+_BYTE_CLASS[np.frombuffer(string.punctuation.encode(), np.uint8)] = _PUNCT_CLASS
+_BYTE_CLASS[ord(" ")] = _SPACE
+_BYTE_CLASS[0x80:] = _HIGH
+
+
+def _default_members(canon: Sequence[bytes]) -> list[np.ndarray]:
+    """Per ``default_rules()`` category, in order, the mask of its members
+    among ``canon``, counted from the byte classes of the joined bytes."""
+    lengths = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
+    filled = np.flatnonzero(lengths)
+    starts = (lengths.cumsum() - lengths)[filled]
+    classes = _BYTE_CLASS[np.frombuffer(b"".join(canon), dtype=np.uint8)]
+    # for each nonempty token: all its classes, its first byte's, and those after it
+    every, first, after = (np.zeros(len(canon), dtype=np.uint8) for _ in range(3))
+    every[filled] = np.bitwise_or.reduceat(classes, starts)
+    first[filled] = classes[starts]
+    classes[starts] = 0
+    after[filled] = np.bitwise_or.reduceat(classes, starts)
+    del classes
+    digits = every == _DIGIT
+    return [digits & (lengths == 1), digits & (lengths == 2), digits & (lengths == 3),
+            every == _PUNCT_CLASS,
+            (every == _LETTER) | ((first == _SPACE) & (after == _LETTER)),
+            (every & _HIGH) != 0]
+
+
 @dataclass(frozen=True)
 class CoverageRow:
     category: str
@@ -77,17 +108,23 @@ def audit_coverage(vs: Vocabulary, c: CommonSet,
                    rules: Sequence[CategoryRule] = ()) -> list[CoverageRow]:
     """Count, per category, the student tokens that survive into the common set.
 
-    Every common-set student id must be an id of ``vs``.
+    Without ``rules`` the ``default_rules()`` categories are counted from the
+    byte-class table; given rules run their predicates per token. Every
+    common-set student id must be an id of ``vs``.
     """
     if c.student_ids.max(initial=-1) >= len(vs):
         raise ValidationError(f"common-set student id {c.student_ids.max()} is outside the "
                               f"student vocabulary of size {len(vs)}")
     common = np.zeros(len(vs), dtype=bool)
     common[c.student_ids] = True
+    if not rules:
+        return [CoverageRow(rule.name, int(np.count_nonzero(members & common)),
+                            int(np.count_nonzero(members)))
+                for rule, members in zip(default_rules(), _default_members(vs._canon))]
     flags = common.tolist()
     texts = list(map(_decode, vs._canon))
     rows = []
-    for rule in tuple(rules) or default_rules():
+    for rule in rules:
         members = list(compress(flags, map(rule.predicate, texts)))  # each member's common flag
         rows.append(CoverageRow(rule.name, sum(members), len(members)))
     return rows

@@ -21,6 +21,7 @@ NaNs on truncated supports without touching any returned distribution; pass
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,14 +385,27 @@ def chunk_kl_grad(z_s, p_t, support=None, eps: float | None = LOG_EPS) -> np.nda
     return _support_kl(p_t, softmax(z_s), None, support, eps, np.empty(np.size(z_s)))[1]
 
 
+def temperature_squared(temperature: float) -> float:
+    """T², the scale of every KD term, for a positive T whose square is a
+    positive finite float (T = 1e160 overflows it, T = 1e-300 rounds it to 0)."""
+    if not temperature > 0:  # NaN is not positive
+        raise ValidationError(f"temperature must be positive, got {temperature}")
+    try:
+        square = float(temperature) ** 2
+    except OverflowError:
+        square = math.inf
+    if not 0 < square < math.inf:
+        raise ValidationError(f"temperature must have a positive finite square, got "
+                              f"{temperature}")
+    return square
+
+
 def kd_aggregate(per_chunk, temperature: float) -> float:
     """Temperature-squared mean of the per-chunk losses."""
     values = np.asarray(list(per_chunk), dtype=float)
     if values.size == 0:
         raise ValidationError("no loss-bearing chunks to aggregate")
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    return float(temperature ** 2 * values.mean())
+    return float(temperature_squared(temperature) * values.mean())
 
 
 @dataclass

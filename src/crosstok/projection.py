@@ -354,17 +354,19 @@ def load_projection(path) -> SparseProjection:
         config = ProjectionConfig(**constants)
     if hashlib.sha256("\n".join(kept[1:]).encode("utf-8")).hexdigest() != header["content_hash"]:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
-    if len(kept) != 2:
-        raise ValidationError(f"{path}: {len(kept) - 1} lines follow the header, not one body "
-                              f"record (a file of the old row-per-line layout?); rebuild the "
-                              f"projection with `crosstok build-w`")
+    body = parse_object(kept[1], path, lines.index(kept[1], first) + 1) if len(kept) == 2 else {}
+    if len(kept) != 2 or "s" in body or "entries" in body:  # a row record has both
+        found = (f"{len(kept) - 1} lines follow the header" if len(kept) != 2 else
+                 "the line after the header is a row record")
+        raise ValidationError(f"{path}: {found}, not one body record (a file of the old "
+                              f"row-per-line layout?); rebuild the projection with "
+                              f"`crosstok build-w`")
+    del lines, kept
     n_student, n_teacher = header["n_student"], header["n_teacher"]
     if not 0 <= n_teacher <= sys.maxsize:
         raise ValidationError(f"{path}: header.n_teacher must be a count in [0, "
                               f"{sys.maxsize}], got {n_teacher}")
-    body = check_fields(parse_object(kept[1], path, lines.index(kept[1], first) + 1),
-                        _BODY_FIELDS, path, "body.", required=_BODY_FIELDS)
-    del lines, kept
+    check_fields(body, _BODY_FIELDS, path, "body.", required=_BODY_FIELDS)
     counts, provenance, teacher_ids, weights = (body[key] for key in _BODY_FIELDS)
     for key in ("counts", "provenance"):
         if len(body[key]) != n_student:

@@ -35,6 +35,7 @@ from .losses import (
     loss_kernel,
     pkl,
     pkl_grads,
+    temperature_squared,
     uld,
     uld_grad,
 )
@@ -258,8 +259,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              compute_grads: bool = False,
              eps: float | None = LOG_EPS) -> StepReport:
     """One simulated training step over stored logits. Deterministic."""
-    if not temperature > 0:  # NaN is not positive
-        raise ValidationError(f"temperature must be positive, got {temperature}")
+    t_squared = temperature_squared(temperature)
     if eps is not None and not eps >= 0:
         raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
     if not teachers:
@@ -346,7 +346,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         # total-loss gradients in place, holding the dynamic multiplier constant
         for breakdown, block in zip(breakdowns, blocks):
             report = breakdown.report
-            scale = multiplier * breakdown.alpha * temperature ** 2 / len(report.per_chunk)
+            scale = multiplier * breakdown.alpha * t_squared / len(report.per_chunk)
             block *= scale
             if report.grad_projection is not None:
                 report.grad_projection *= scale

@@ -61,6 +61,46 @@ def _canonical(raw: str, errors: str = "strict") -> bytes:
     return rest.encode("utf-8", errors)
 
 
+_PLACEHOLDER = "\x01"  # a leading-run marker, already counted but not yet a space
+
+
+def _canonical_all(tokens: Sequence[str], specials: frozenset[int]) -> list[bytes]:
+    """``_canonical`` of every token, with each special's raw UTF-8 in its place.
+
+    The leading-run and newline rules run on the ``"\\0"``-joined list at
+    once, and ``_canonical`` reruns only on the tokens whose form that pass
+    cannot decide: 3 characters or fewer, or ending in ``>``. It reruns on
+    every token when one holds ``"\\0"``, the placeholder or a lone
+    surrogate, so the first bad token in id order raises as ``_canonical``
+    raises it.
+    """
+    text = "\0" + "\0".join(tokens)  # every token, the first too, follows a "\0"
+    canon: list[bytes] = [b""] * len(tokens)
+    redo: Iterable[int] = range(len(tokens))
+    if text.count("\0") == len(tokens) and _PLACEHOLDER not in text:
+        lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+        ends = lengths.cumsum() + np.arange(len(tokens))  # last characters, or an empty one's "\0"
+        try:
+            last = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)[ends]
+        except UnicodeEncodeError:  # a lone surrogate
+            pass
+        else:
+            for marker in _SPACE_MARKERS:
+                text = text.replace("\0" + marker, "\0" + _PLACEHOLDER)
+            while any(_PLACEHOLDER + marker in text for marker in _SPACE_MARKERS):
+                for marker in _SPACE_MARKERS:  # one more marker of each leading run
+                    text = text.replace(_PLACEHOLDER + marker, _PLACEHOLDER * 2)
+            text = text.replace(_PLACEHOLDER, " ").replace(_NEWLINE_MARKER, "\n")
+            canon = text.replace(_ESCAPED_NEWLINE, "\n").encode("utf-8")[1:].split(b"\0")
+            undecided = (lengths <= 3) | (last == ord(">"))
+            undecided[list(specials)] = True
+            redo = np.flatnonzero(undecided).tolist()
+    del text
+    for i in redo:
+        canon[i] = tokens[i].encode("utf-8") if i in specials else _canonical(tokens[i])
+    return canon
+
+
 def canonicalize_bytes(raw: bytes) -> bytes:
     """Canonicalize a token given as bytes (any bytes, UTF-8 or not). Idempotent.
 
@@ -127,10 +167,7 @@ class Vocabulary:
             self._roles_of[rid] = self._roles_of.get(rid, frozenset()) | {role}
         # Specials pass through canonicalization untouched; they pair only by role.
         try:
-            self._canon: tuple[bytes, ...] = tuple([
-                tok.encode("utf-8") if i in self.specials else _canonical(tok)
-                for i, tok in enumerate(self.tokens)
-            ])
+            self._canon: tuple[bytes, ...] = tuple(_canonical_all(self.tokens, self.specials))
         except UnicodeEncodeError:
             i = next(i for i, tok in enumerate(self.tokens) if _SURROGATE.search(tok))
             raise ValidationError(f"token {i} {self.tokens[i]!r} holds a lone surrogate, which "

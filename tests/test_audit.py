@@ -1,4 +1,5 @@
 import math
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from crosstok.audit import (
     CategoryRule,
     CoverageRow,
+    _default_members,
     audit_coverage,
     coverage_json,
     coverage_table,
@@ -23,6 +25,19 @@ from crosstok.vocab import Vocabulary, make_toy_tokenizer
 AUDIT_PIECES = ("1", "22", ".", ",", "a", "Z", " ", "\u0120", "\u2581", "\u00e9", "\n", "\u010a")
 AUDIT_TOKENS = (st.lists(st.sampled_from(AUDIT_PIECES), max_size=4).map("".join)
                 | st.sampled_from(["<0xE9>", "<0x41>", "<0x37>"]))
+
+
+# Canonical bytes for the byte-class table: NUL, lone and leading spaces,
+# bytes 0x80-0xFF, empty tokens, space plus letters, digit runs of 1-4 and
+# mixed punctuation, alone and run together.
+CANON_PIECES = (st.sampled_from([b"", b"\x00", b" ", b"  ", b"\n", b"\x7f", b"a", b"Z", b"\xe9"])
+                | st.integers(0x80, 0xFF).map(lambda b: bytes([b]))
+                | st.text(string.ascii_letters, min_size=1, max_size=3).map(
+                    lambda s: (" " + s).encode())
+                | st.text(string.digits, min_size=1, max_size=4).map(str.encode)
+                | st.text(string.punctuation, min_size=1, max_size=3).map(str.encode)
+                | st.binary(max_size=3))
+CANON_TOKENS = st.lists(CANON_PIECES, max_size=3).map(b"".join)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +104,25 @@ class TestAuditCoverage:
             expected.append(CoverageRow(rule.name, len(set(chosen).intersection(members)),
                                         len(members)))
         assert audit_coverage(student, c, rules) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(CANON_TOKENS, max_size=25))
+    def test_byte_class_table_matches_default_predicates(self, canon):
+        """The table path's members are the tokens each default predicate
+        takes, over arbitrary canonical bytes."""
+        texts = [b.decode("latin-1") for b in canon]
+        assert [members.tolist() for members in _default_members(canon)] == [
+            [bool(rule.predicate(text)) for text in texts] for rule in default_rules()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CANON_TOKENS.filter(lambda b: not b.startswith(b"<0x")), unique=True,
+                    max_size=25), st.data())
+    def test_default_table_equals_predicate_loop(self, canon, data):
+        student = Vocabulary(b.decode("latin-1") for b in canon)
+        chosen = data.draw(st.lists(st.integers(0, max(len(canon) - 1, 0)), unique=True,
+                                    max_size=len(canon)))
+        c = CommonSet(chosen, range(len(chosen)))
+        assert audit_coverage(student, c) == audit_coverage(student, c, default_rules())
 
     def test_default_rules_mutually_exclusive(self, packed_student):
         rules = default_rules()

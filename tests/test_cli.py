@@ -583,6 +583,10 @@ class TestStepConfigSemantics:
 
     SEMANTIC = [
         (lambda c: c.update(temperature=0), "temperature must be positive, got 0"),
+        (lambda c: c.update(temperature=1e160),
+         "temperature must have a positive finite square, got 1e+160"),
+        (lambda c: c.update(temperature=1e-300),
+         "temperature must have a positive finite square, got 1e-300"),
         (lambda c: c.update(top_k=0), "teacher 't0_pkl': top_k must be at least 1, got 0"),
         (lambda c: c.update(policy={"kind": "adaptive"}),
          "policy kind must be 'dynamic' or 'fixed', got 'adaptive'"),
@@ -605,11 +609,13 @@ class TestStepConfigSemantics:
         (lambda c: c["teachers"][0].update(mode="kl"),
          "teacher 't0_pkl': KL mode requires the student's vocabulary"),
     ]
-    IDS = ["temperature", "top_k", "policy-kind", "policy-weights", "schedule-kind",
-           "alpha_gap", "max_span", "hybrid", "eps", "no-teacher", "weight", "weight-sum",
-           "mode", "no-projection", "kl-vocabulary"]
+    IDS = ["temperature", "temperature-square-overflows", "temperature-square-underflows",
+           "top_k", "policy-kind", "policy-weights", "schedule-kind", "alpha_gap", "max_span",
+           "hybrid", "eps", "no-teacher", "weight", "weight-sum", "mode", "no-projection",
+           "kl-vocabulary"]
     # the step's own constants: named with nothing between the config and the message
-    WHOLE_LINE = (SEMANTIC[IDS.index("temperature")][1], SEMANTIC[IDS.index("eps")][1])
+    WHOLE_LINE = tuple(message for (_, message), name in zip(SEMANTIC, IDS)
+                       if name.startswith("temperature") or name == "eps")
 
     @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
     def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):

@@ -527,6 +527,22 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             kd_aggregate([], 1.0)
 
+    @pytest.mark.parametrize("temperature, message", [
+        (0, "temperature must be positive, got 0"),
+        (math.nan, "temperature must be positive, got nan"),
+        (1e160, "temperature must have a positive finite square, got 1e+160"),
+        (10**200, f"temperature must have a positive finite square, got {10**200}"),
+        (math.inf, "temperature must have a positive finite square, got inf"),
+        (1e-300, "temperature must have a positive finite square, got 1e-300"),
+    ], ids=["zero", "nan", "square-overflows", "int-square-overflows", "inf",
+            "square-underflows"])
+    def test_temperature_without_a_positive_finite_square_rejected(self, temperature, message):
+        """T² scales the KD term: overflowing it raised ``OverflowError`` and
+        rounding it to 0 made the term silently zero."""
+        with pytest.raises(ValidationError) as info:
+            kd_aggregate([1.0], temperature)
+        assert str(info.value) == message
+
     def test_report_invariant(self):
         report = LossReport("kl", 2.0, (1.0, 3.0))
         assert report.aggregate == pytest.approx(8.0)

@@ -543,17 +543,22 @@ class TestProjectionFileFields:
         [(t, w)] = load_projection(saved).rows[-1]
         assert (t, w) == (0, 1.0) and type(w) is float
 
-    @pytest.mark.parametrize("lines", [
-        ['{"entries":[[0,1.0]],"provenance":"exact","s":0}',
-         '{"entries":[[1,1.0]],"provenance":"exact","s":1}'],
-        [],
-    ], ids=["row_records", "no_body"])
-    def test_old_layout_named_for_rebuild(self, saved, lines):
-        """A file with one JSON record per row, or none, fails with a pointer
-        to ``crosstok build-w``."""
+    @pytest.mark.parametrize("lines, found", [
+        (['{"entries":[[0,1.0]],"provenance":"exact","s":0}',
+          '{"entries":[[1,1.0]],"provenance":"exact","s":1}'], "2 lines follow the header"),
+        (['{"entries":[[0,1.0]],"provenance":"exact","s":0}'],
+         "the line after the header is a row record"),
+        ([], "0 lines follow the header"),
+    ], ids=["row_records", "one_row_record", "no_body"])
+    def test_old_layout_named_for_rebuild(self, saved, lines, found):
+        """A file with one JSON record per row, one of them or none, fails
+        with a pointer to ``crosstok build-w``, its content hash valid."""
         reseal_lines(saved, lines)
-        rejects(saved, f"{len(lines)} lines follow the header, not one body record",
-                "rebuild the projection with `crosstok build-w`")
+        with pytest.raises(ValidationError) as info:
+            load_projection(saved)
+        assert str(info.value) == (f"{saved}: {found}, not one body record (a file of the old "
+                                   "row-per-line layout?); rebuild the projection with "
+                                   "`crosstok build-w`")
 
 
 class TestCounts:

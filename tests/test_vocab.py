@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from crosstok.errors import MalformedTokenError, UnencodableTextError, Validatio
 from crosstok.vocab import (
     Tokenizer,
     Vocabulary,
+    _canonical,
     canonicalize,
     canonicalize_bytes,
     load_vocabulary,
@@ -409,3 +411,83 @@ class TestCanonicalAgainstByteLoop:
         with pytest.raises(ValidationError) as info:
             Vocabulary(tokens)
         assert str(info.value).startswith(f"token 1 {tokens[1]!r} holds a lone surrogate")
+
+
+# Whole-vocabulary pieces: runs of the three space markers, the newline marker
+# and a literal newline; whole and malformed byte-fallback forms; short
+# space-plus-punctuation tokens; and text around them.
+MARKER_RUNS = st.lists(st.sampled_from(["\u0120", "\u2581", "\u2423", "\u010a", "\n"]),
+                       min_size=1, max_size=5).map("".join)
+LIST_PIECES = ["<0x41>", "<0xe4>", "<0xZZ>", "<0x4>", "<0x", ">", "\\n", "\\", "a", "Z",
+               "\u00e9", "\U0001f642", " ", ",", "<s>"]
+SHORT_PUNCT = st.tuples(st.sampled_from(["", " ", "\u0120", "\u2581", "\u2423"]),
+                        st.text(string.punctuation, min_size=1, max_size=2)).map("".join)
+list_tokens = (st.lists(MARKER_RUNS | st.sampled_from(LIST_PIECES), max_size=4).map("".join)
+               | SHORT_PUNCT | st.just(""))
+# tokens that send the whole list through the per-token rules
+odd_tokens = st.tuples(list_tokens, st.sampled_from(["\0", "\x01"]) | SURROGATES,
+                       list_tokens).map("".join)
+
+
+def per_token_canon(tokens, specials):
+    """``Vocabulary._canon`` as one ``_canonical`` call per token computes it."""
+    return tuple(tok.encode("utf-8") if i in specials else _canonical(tok)
+                 for i, tok in enumerate(tokens))
+
+
+def vocab_outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (MalformedTokenError, UnicodeEncodeError, ValidationError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestWholeListCanonical:
+    """``Vocabulary._canon`` from the joined-list pass against per-token
+    ``_canonical`` and the byte loop in ``canonical_reference``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(list_tokens, unique=True, max_size=12), st.lists(odd_tokens, max_size=1),
+           st.data())
+    def test_equals_per_token_rules(self, tokens, odd, data):
+        tokens = [tok for tok in tokens if tok not in odd]
+        at = data.draw(st.integers(0, len(tokens)))
+        tokens = tokens[:at] + odd + tokens[at:]  # the odd token at any id
+        specials = data.draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)),
+                                     max_size=len(tokens)))
+        got = vocab_outcome(lambda: Vocabulary(tokens, specials)._canon)
+        expected = vocab_outcome(per_token_canon, tokens, specials)
+        reference = vocab_outcome(canonical_reference.vocabulary_canon, tokens, specials)
+        if expected[1] is not None and expected[1][0] is UnicodeEncodeError:
+            i = next(i for i, tok in enumerate(tokens)
+                     if any(0xD800 <= ord(c) <= 0xDFFF for c in tok))
+            assert got[1][0] is ValidationError
+            assert got[1][1].startswith(f"token {i} {tokens[i]!r} holds a lone surrogate")
+        else:
+            assert got == expected
+        assert reference[0] == expected[0]
+        assert (reference[1] is None) == (expected[1] is None)
+        if reference[1] is not None:
+            assert reference[1][0] is expected[1][0]
+
+    @pytest.mark.parametrize("tokens, error, message", [
+        (["a", "<0xZZ>", "b\ud800"], MalformedTokenError,
+         "malformed byte-fallback token b'<0xZZ>': payload is not two hex digits"),
+        (["a", "b\ud800", "<0xZZ>"], ValidationError,
+         "token 1 'b\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+        (["\u0120<0x4>", "<0x4>", "\udcff"], MalformedTokenError,
+         "malformed byte-fallback token b'<0x4>': payload is not two hex digits"),
+        (["\udcff", "\u0120\u0120<0xZZ>", "<0xZZ>"], ValidationError,
+         "token 0 '\\udcff' holds a lone surrogate, which UTF-8 cannot encode"),
+    ], ids=["malformed-first", "surrogate-first", "malformed-first-marker",
+            "surrogate-first-marker"])
+    def test_first_bad_token_raises_as_before(self, tokens, error, message):
+        with pytest.raises(error) as info:
+            Vocabulary(tokens)
+        assert type(info.value) is error and str(info.value) == message
+        assert vocab_outcome(per_token_canon, tokens, ())[1][0] in (error, UnicodeEncodeError)
+
+    @pytest.mark.parametrize("tokens", [[], [""], ["", "a"], ["a", ""], ["\0"], ["a\0b", "c"],
+                                        ["\x01", "\u0120"], ["\u0120\u0120\u2581x\u0120"]])
+    def test_edge_lists(self, tokens):
+        assert Vocabulary(tokens)._canon == per_token_canon(tokens, ())

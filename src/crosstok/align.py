@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -154,8 +155,14 @@ def dp_align(student: Sequence[int], teacher: Sequence[int], scoring: AlignScori
     gap, a side longer than 1 a combination, and 1x1 a match or mismatch.
     """
     n, m = len(student), len(teacher)
-    table = _CanonTable(student, teacher, tok_s, tok_t)
     a_ex, a_cb, a_gap, span = scoring.alpha_exact, scoring.alpha_comb, scoring.alpha_gap, scoring.max_span
+    # a chunk over k tokens gains at most k * max(...) in size, so no partial
+    # score exceeds (n + m) times it; the factor 2 leaves room for rounding
+    if not math.isfinite(2.0 * (n + m) * max(a_ex, a_cb, -a_gap)):
+        raise ValidationError(f"alpha_exact={a_ex}, alpha_comb={a_cb} and alpha_gap={a_gap} "
+                              f"could take an alignment score over {n} + {m} tokens past the "
+                              "float range")
+    table = _CanonTable(student, teacher, tok_s, tok_t)
     match = _diagonal_matches(table).ravel()
     w = m + 1  # row stride of the (n + 1, m + 1) tables, which are indexed flat
 

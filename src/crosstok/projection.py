@@ -142,14 +142,18 @@ class SparseProjection:
         check, in this order: entry count, repeated teacher id, entry id
         range or weight, exact rule, empty rule, row sum."""
         n, at, s, t, w = self.n_student, self._indptr, self._flat_s, self._flat_t, self._flat_w
-        counts, top_k, order = np.diff(at), self.config.top_k, np.lexsort((t, s))
+        counts, top_k = np.diff(at), self.config.top_k
+        # one sortable key per entry: its row, then its teacher id's rank among
+        # the distinct ids (a rank, so any id, negative or huge, fits)
+        ranks, dense = np.unique(t, return_inverse=True)
+        keys = np.sort(s * ranks.size + dense)
         bad_t = (t < 0) | (t >= self.n_teacher)
         first = np.flatnonzero(bad_t | ~(w > 0))[:1]  # the first bad entry; NaN is not positive
         sums = np.bincount(s, weights=w, minlength=n)  # in row order, like a running total
         where = np.flatnonzero
         checks = [
             (where(counts > top_k), lambda r: f"row {r} has {counts[r]} entries, top_k={top_k}"),
-            (s[order][1:][(np.diff(s[order]) == 0) & (np.diff(t[order]) == 0)],
+            (keys[1:][np.diff(keys) == 0] // ranks.size,
              lambda r: f"row {r}: a teacher id repeats in its 'entries'"),
             (s[first[bad_t[first]]], lambda r: f"row {r}: teacher id {t[first[0]]} out of range"),
             (s[first[~bad_t[first]]], lambda r: f"row {r}: non-positive weight {w[first[0]]}"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,13 +72,18 @@ def combine_kd_ce(l_kd: float, l_ce: float, policy: ScalingPolicy) -> tuple[floa
     grad(l_ce) + multiplier * grad(l_kd).
     """
     if policy.kind == "fixed":
-        return policy.lambda_kd * l_kd + policy.lambda_ce * l_ce, policy.lambda_kd
-    if l_kd <= _KD_FLOOR:
+        total, multiplier = policy.lambda_kd * l_kd + policy.lambda_ce * l_ce, policy.lambda_kd
+    elif l_kd <= _KD_FLOOR:
         raise ValidationError(
             f"dynamic scaling undefined for KD loss {l_kd} (ratio would diverge)"
         )
-    multiplier = l_ce / l_kd
-    return multiplier * l_kd + l_ce, multiplier
+    else:
+        multiplier = l_ce / l_kd
+        total = multiplier * l_kd + l_ce
+    if not math.isfinite(total):  # the report must stay valid JSON
+        raise ValidationError(f"report field total is {total}: KD loss {l_kd!r} and CE "
+                              f"{l_ce!r} under {policy!r}")
+    return total, multiplier
 
 
 @dataclass(frozen=True)
@@ -330,6 +336,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     l_ce, ce_grad = (cross_entropy_grad(student_logits) if compute_grads
                      else (cross_entropy(student_logits), None))
     if policy.kind == "dynamic" and abs(l_kd) <= _KD_FLOOR:
+        unscaled = float(sum(b.alpha * np.mean(b.report.per_chunk) for b in breakdowns))
+        if abs(unscaled) > _KD_FLOOR:  # T² alone pushed it under the floor
+            raise ValidationError(f"temperature {temperature!r} scales the KD loss {unscaled!r} "
+                                  f"to {l_kd!r}, under the dynamic policy's floor {_KD_FLOOR}, "
+                                  "which would drop it")
         # nothing to rescale when the distillation term vanishes
         total, multiplier = l_ce, 0.0
     else:

@@ -130,10 +130,10 @@ class Vocabulary:
     ids that are control tokens; ``special_roles`` names them (e.g.
     ``{"bos": 3}``) so corresponding roles can be paired across vocabularies.
     Instances are immutable after construction, which lets
-    ``vocabulary_hash`` compute the content hash once,
-    ``longest_by_first`` the longest token per first character once and
-    ``_memo`` keep data derived from this vocabulary and another one, keyed
-    by the other's hash.
+    ``vocabulary_hash`` compute the content hash once, ``id_of`` (the
+    token-to-id map) and ``longest_by_first`` (the longest token per first
+    character) be built once on first use, and ``_memo`` keep data derived
+    from this vocabulary and another one, keyed by the other's hash.
     """
 
     def __init__(
@@ -148,8 +148,7 @@ class Vocabulary:
         self._hash: str | None = None
         self._memo: dict = {}
 
-        self.id_of: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
-        if len(self.id_of) < len(self.tokens):  # name the first repeat and its first id
+        if len(set(self.tokens)) < len(self.tokens):  # name the first repeat and its first id
             first: dict[str, int] = {}
             i = next(i for i, tok in enumerate(self.tokens) if first.setdefault(tok, i) != i)
             raise ValidationError(f"duplicate token string {self.tokens[i]!r} at ids "
@@ -200,11 +199,19 @@ class Vocabulary:
         return self._roles_of.get(token_id, frozenset())
 
     @cached_property
+    def id_of(self) -> dict[str, int]:
+        """Each token mapped to its id; built on first use, by ``Tokenizer.encode``."""
+        return dict(zip(self.tokens, range(len(self.tokens))))
+
+    @cached_property
     def longest_by_first(self) -> dict[str, int]:
         """Each first character of a token, mapped to the length of the longest
         token that starts with it; computed on first use."""
-        tokens = sorted(filter(None, self.tokens), key=len)
-        return dict(zip([t[0] for t in tokens], map(len, tokens)))  # the last one is longest
+        longest: dict[str, int] = {}
+        for token in filter(None, self.tokens):
+            if len(token) > longest.get(token[0], 0):
+                longest[token[0]] = len(token)
+        return longest
 
 
 def exact_partners(vs: Vocabulary, vt: Vocabulary) -> np.ndarray:

@@ -7,7 +7,9 @@ file bytes derived from those rows. ``top1(w, s)`` reads the same answer
 from a ``SparseProjection``'s CSR arrays, and ``apply_w_gradient``
 differentiates ``project`` in its stored entries, one entry at a time.
 ``build_projection`` is the per-row builder that the flat one in
-``crosstok.projection`` replaced. Checks run in the order of the loop: entry
+``crosstok.projection`` replaced, and ``lexsort_validate`` the
+``SparseProjection._validate`` that found repeated teacher ids with
+``np.lexsort``. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
 weight, then the exact, empty and row-sum rules; the first failing check
 names its row.
@@ -119,6 +121,34 @@ class ReferenceProjection:
         }
         return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + body
                 + "\n").encode("utf-8")
+
+
+def lexsort_validate(self) -> None:
+    """``SparseProjection._validate`` as it was before its one-key sort: a
+    repeated teacher id is found with ``np.lexsort`` by row, then id."""
+    n, at, s, t, w = self.n_student, self._indptr, self._flat_s, self._flat_t, self._flat_w
+    counts, top_k, order = np.diff(at), self.config.top_k, np.lexsort((t, s))
+    bad_t = (t < 0) | (t >= self.n_teacher)
+    first = np.flatnonzero(bad_t | ~(w > 0))[:1]
+    sums = np.bincount(s, weights=w, minlength=n)
+    where = np.flatnonzero
+    kind, exact, multi, empty = self._kind, projection._EXACT, projection._MULTI, projection._EMPTY
+    checks = [
+        (where(counts > top_k), lambda r: f"row {r} has {counts[r]} entries, top_k={top_k}"),
+        (s[order][1:][(np.diff(s[order]) == 0) & (np.diff(t[order]) == 0)],
+         lambda r: f"row {r}: a teacher id repeats in its 'entries'"),
+        (s[first[bad_t[first]]], lambda r: f"row {r}: teacher id {t[first[0]]} out of range"),
+        (s[first[~bad_t[first]]], lambda r: f"row {r}: non-positive weight {w[first[0]]}"),
+        (where((kind == exact) & ((counts != 1) | (np.append(w, 0.0)[at[:-1]] != 1.0))),
+         lambda r: f"row {r}: exact rows hold a single entry of weight 1"),
+        (where((kind == empty) & (counts > 0)),
+         lambda r: f"row {r}: empty provenance with entries"),
+        (where((kind == multi) & (sums > 1 + 1e-9)),
+         lambda r: f"row {r}: weights sum to {float(sums[r])} > 1"),
+    ]
+    firsts = [int(np.min(rows, initial=n)) for rows, _ in checks]
+    if min(firsts) < n:
+        raise ValidationError(checks[firsts.index(min(firsts))][1](min(firsts)))
 
 
 def top1(w, s: int):

@@ -101,6 +101,19 @@ class TestDpAlign:
         assert not out.chunks[0].in_loss
         assert out.score == pytest.approx(-SCORING.alpha_exact)
 
+    @pytest.mark.filterwarnings("error")
+    def test_scores_past_the_float_range_rejected_by_name(self):
+        """Constants that could overflow a score fail by name before numpy
+        warns; constants that cannot, however large, still align."""
+        tok_s, tok_t = toks("201"), toks("2", "0", "1")
+        with pytest.raises(ValidationError) as info:
+            dp_align([0], [0, 1, 2], AlignScoring(1e308, 1e308, -1e308), tok_s, tok_t)
+        assert str(info.value) == ("alpha_exact=1e+308, alpha_comb=1e+308 and alpha_gap=-1e+308 "
+                                   "could take an alignment score over 1 + 3 tokens past the "
+                                   "float range")
+        out = dp_align([0], [0, 1, 2], AlignScoring(1e300, 1e300, -1e300), tok_s, tok_t)
+        assert out.score == pytest.approx(3e300)
+
     def test_empty_sequences(self):
         out = dp_align([], [], SCORING, COMBO, COMBO)
         assert out.chunks == ()

@@ -628,6 +628,29 @@ class TestStepConfigSemantics:
         if message in self.WHOLE_LINE:
             assert err == f"error: {fx['config']}: {message}\n"
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(temperature=1e-10), "temperature 1e-10 scales the KD loss "),
+        (lambda c: c.update(policy={"kind": "fixed", "lambda_kd": 1e308, "lambda_ce": 1e308}),
+         "report field total is inf: "),
+        (lambda c: c.update(scoring={"alpha_exact": 1e308, "alpha_comb": 1e308,
+                                     "alpha_gap": -1e308}),
+         "alpha_exact=1e+308, alpha_comb=1e+308 and alpha_gap=-1e+308 could take "),
+    ], ids=["kd-under-floor", "total-inf", "score-inf"])
+    def test_dropped_or_non_finite_number_fails_in_one_line(self, step_fixture, tmp_path,
+                                                            capsys, edit, message):
+        """A KD term that T² alone would drop, or a total or alignment score
+        past the float range, exits 1 with one ``error:`` line and no report."""
+        # seed 1: the teacher's top token is not the student's, so the KD term
+        # stays above the floor at any T, and CE + KD exceeds 1.8
+        fx = step_fixture(modes=("kl",), seed=1)
+        edit_config(fx, edit)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(fx["config"]), "loss", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fx['config']}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unencodable_file_path_named(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
         edit_config(fx, lambda c: c["teachers"][0].update(vocab="\ud800"))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -656,6 +657,40 @@ def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     scaled = [[(t, wt * scale) for t, wt in row] for row in rows]
     flat = np.array([wt for _, _, wt in w.entries()]) * scale
     assert_same_outcome(n_s, n_t, scaled, provenance, config, lambda: w.with_weights(flat))
+
+
+# teacher ids that repeat within a row, fall out of range on either side, or
+# sit at the ends of int64
+FLAT_IDS = st.integers(-2, 5) | st.sampled_from([-2**63, 2**62 - 1, 2**62, 2**63 - 1])
+
+
+@st.composite
+def flat_projection_inputs(draw):
+    """``_from_flat`` arguments that reach every row rule, the repeated-id one
+    most of all: rows up to two entries over ``top_k``, ids from ``FLAT_IDS``,
+    and mostly multi-token rows of small weights mixed with ``WEIGHTS``."""
+    n_teacher = draw(st.sampled_from([1, 4, 2**62]))
+    top_k = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, top_k) | st.integers(0, top_k + 2), max_size=10))
+    n = sum(counts)
+    teacher_ids = draw(st.lists(FLAT_IDS, min_size=n, max_size=n))
+    weights = draw(st.lists(st.just(0.1) | st.sampled_from(WEIGHTS), min_size=n, max_size=n))
+    kinds = st.just(projection._MULTI) | st.sampled_from(range(len(Provenance)))
+    kind = np.array(draw(st.lists(kinds, min_size=len(counts), max_size=len(counts))),
+                    dtype=np.int8)
+    return len(counts), n_teacher, counts, teacher_ids, weights, kind, ProjectionConfig(top_k=top_k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(flat_projection_inputs())
+def test_one_key_validate_matches_lexsort_reference(args):
+    """The one-key sort of ``_validate`` accepts what the ``np.lexsort``
+    version accepts, and otherwise raises its message."""
+    with mock.patch.object(SparseProjection, "_validate", projection_reference.lexsort_validate):
+        ref, ref_err = outcome(lambda: SparseProjection._from_flat(*args))
+    w, err = outcome(lambda: SparseProjection._from_flat(*args))
+    assert err == ref_err
+    assert (w is None) == (ref is None)
 
 
 # weights whose ``repr`` is long or unusual

@@ -284,6 +284,33 @@ class TestRunStep:
         assert report.total == pytest.approx(report.ce)
         assert report.kd_multiplier == 0.0
 
+    @pytest.mark.parametrize("temperature", [1e-10, 1e-100])
+    def test_tiny_temperature_fails_instead_of_dropping_kd(self, temperature):
+        """T² alone pushing the KD term under the dynamic floor fails by name;
+        a KD term that vanishes by itself (teacher equals student) still
+        leaves the CE alone."""
+        rng = np.random.default_rng(2)
+        vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
+        with pytest.raises(ValidationError) as info:
+            run_step(vocab, student, [teacher], temperature=temperature)
+        assert str(info.value).startswith(f"temperature {temperature!r} scales the KD loss ")
+        assert str(info.value).endswith(", under the dynamic policy's floor 1e-12, which would "
+                                        "drop it")
+        vocab, student, teacher = same_tokenizer_setup(rng, equal=True)
+        report = run_step(vocab, student, [teacher], temperature=temperature)
+        assert report.kd_multiplier == 0.0 and report.total == report.ce
+
+    def test_non_finite_total_fails_by_name(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        # each realized token is the least likely one: CE is about 5.7, and
+        # 1e308 times it overflows
+        student = dump("student", 5.0 - 5.0 * np.eye(3), [0, 1, 2], vocab)
+        teacher = kl_teacher(vocab, np.eye(3))
+        with pytest.raises(ValidationError) as info:
+            run_step(vocab, student, [teacher], policy=ScalingPolicy("fixed", 1e308, 1e308))
+        assert str(info.value).startswith("report field total is inf: KD loss ")
+        assert "ScalingPolicy(kind='fixed', lambda_kd=1e+308, lambda_ce=1e+308)" in str(info.value)
+
     def test_pkl_toy_composition(self):
         rng = np.random.default_rng(3)
         vs = Vocabulary(["2", "0", "1", "201"])

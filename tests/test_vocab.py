@@ -3,17 +3,24 @@ import json
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosstok.align import AlignScoring, dp_align
+from crosstok.audit import audit_coverage
+from crosstok.chunks import PositionLogits
 from crosstok.errors import MalformedTokenError, UnencodableTextError, ValidationError
+from crosstok.losses import build_common_set_exact
+from crosstok.training import TeacherConfig, run_step
 from crosstok.vocab import (
     Tokenizer,
     Vocabulary,
     _canonical,
     canonicalize,
     canonicalize_bytes,
+    exact_partners,
     load_vocabulary,
     make_toy_tokenizer,
     save_vocabulary,
@@ -117,10 +124,27 @@ class TestVocabulary:
     def test_longest_by_first_computed_once(self, monkeypatch):
         v = Vocabulary(["a", "Ġbc", "<bos>", "ab", ""], specials=[2], special_roles={"bos": 2})
         assert v.longest_by_first == {"a": 2, "Ġ": 3, "<": 5}
+        v.id_of  # built on first use too, so before the tokens are blanked
         monkeypatch.setattr(v, "tokens", None)  # a second scan would fail
         assert v.longest_by_first == {"a": 2, "Ġ": 3, "<": 5}
         assert Tokenizer(v).encode("aab") == [0, 3]
         assert Vocabulary(()).longest_by_first == {}
+
+    def test_token_map_built_by_the_first_encode_only(self):
+        """Construction, the exact pairing, the audit, ``dp_align`` and a forward
+        step leave both token maps unbuilt; the first ``encode`` builds one."""
+        vs, vt = Vocabulary(["a", "b", "c", "ab"]), Vocabulary(["a", "b", "c"])
+        exact_partners(vs, vt)
+        audit_coverage(vs, build_common_set_exact(vs, vt))
+        dp_align([3, 2], [0, 1, 2], AlignScoring(), Tokenizer(vs), Tokenizer(vt))
+        rng = np.random.default_rng(0)
+        student, teacher = (PositionLogits(side, side, rng.normal(size=(2, 4)), np.array([3, 2]),
+                                           vocabulary_hash(vs)) for side in ("student", "teacher"))
+        run_step(vs, student, [TeacherConfig("t", "kl", vs, teacher)])
+        assert "id_of" not in vars(vs) and "id_of" not in vars(vt)
+        assert Tokenizer(vt).encode("ab") == [0, 1]
+        assert vars(vt)["id_of"] == dict(zip(vt.tokens, range(len(vt))))
+        assert "id_of" not in vars(vs)
 
     @pytest.mark.parametrize("tokens, specials, roles, named", [
         (["a", "b\ud800"], [], {}, "token 1 'b\\ud800' holds a lone surrogate"),
@@ -320,6 +344,15 @@ def test_encode_matches_uncapped_width_loop(tokens, text):
     v = Vocabulary(tokens, specials=[i for i, t in enumerate(tokens) if t.startswith("b")])
     assert (encode_outcome(Tokenizer(v).encode, text)
             == encode_outcome(vocab_reference.encode, v, text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(ENCODE_PIECES + ("c",)), max_size=4).map("".join),
+                unique=True, max_size=12))
+def test_longest_by_first_matches_length_sort(tokens):
+    """The one pass over the tokens, the empty token among them, gives the
+    map that sorting them by length gives."""
+    assert Vocabulary(tokens).longest_by_first == vocab_reference.longest_by_first(tokens)
 
 
 # Pieces that hit every rule: the three space markers, the newline marker and

@@ -1,7 +1,8 @@
 """The per-id loops that ``crosstok.vocab`` replaced, kept as the references
 they are property-tested against: ``exact_partners`` as one dict loop over
-each vocabulary, and ``encode`` as greedy longest match that tries every
-width up to the longest token in the vocabulary at each position."""
+each vocabulary, ``encode`` as greedy longest match that tries every
+width up to the longest token in the vocabulary at each position, and
+``longest_by_first`` as a sort of the tokens by length."""
 
 from crosstok.errors import UnencodableTextError
 
@@ -39,3 +40,8 @@ def encode(vocabulary, text):
                 f"no token matches text at position {i}: {text[i:i+8]!r}"
             )
     return ids
+
+
+def longest_by_first(tokens):
+    ordered = sorted(filter(None, tokens), key=len)
+    return dict(zip([t[0] for t in ordered], map(len, ordered)))  # the last one is longest

@@ -11,7 +11,6 @@ super-group.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, parse_object, read_text
+from .errors import ValidationError, json_line, parse_object, read_text, write_text
 from .vocab import Tokenizer, vocabulary_hash
 
 
@@ -316,11 +315,8 @@ def chunk_records(seq_id, alignment: Alignment) -> list[dict]:
 
 def write_alignment_dump(path, items: Iterable[tuple[object, Alignment]]) -> None:
     """Write alignments as JSON Lines, one record per chunk."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for seq_id, alignment in items:
-            for rec in chunk_records(seq_id, alignment):
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+    write_text(path, "".join(json_line(rec) for seq_id, alignment in items
+                             for rec in chunk_records(seq_id, alignment)))
 
 
 def read_alignment_dump(path) -> list[dict]:

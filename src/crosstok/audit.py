@@ -8,7 +8,6 @@ containing a non-ASCII byte.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_line
 from .losses import CommonSet
 from .vocab import Vocabulary
 
@@ -168,4 +167,4 @@ def coverage_json(coverage: Sequence[CoverageRow], recommendation: str | None = 
     }
     if recommendation is not None:
         payload["recommendation"] = recommendation
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json_line(payload)

@@ -10,16 +10,14 @@ renormalizes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .align import AlignmentChunk
-from .errors import (DegenerateDistributionError, ValidationError, check_fields, located,
-                     parse_object, read_text)
+from .errors import (DegenerateDistributionError, ValidationError, check_fields, json_line,
+                     located, parse_object, read_text, write_text)
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -140,51 +138,72 @@ def renormalize_on(probs: np.ndarray, support, side: str) -> tuple[np.ndarray, f
     return restricted / mass, mass
 
 
-def _sidecar_path(path) -> Path:
-    return Path(str(path) + ".json")
+def as_float32(values, what) -> np.ndarray:
+    """``values`` as a little-endian float32 array; a value too large for
+    float32 raises a ValidationError naming ``what`` instead of becoming inf."""
+    try:
+        with np.errstate(over="raise"):
+            return np.asarray(values, dtype="<f4")
+    except FloatingPointError:
+        raise ValidationError(f"{what}: a value is too large for float32") from None
+
+
+def _save_matrix(values, path, sidecar: dict | None = None) -> None:
+    """The one float32 writer: ``as_float32(values)`` row-major, and ``sidecar``
+    (by default the matrix's ``shape``) as one JSON line in ``<path>.json``."""
+    arr = as_float32(values, path)
+    arr.tofile(path)
+    write_text(f"{path}.json", json_line(sidecar or {"shape": list(arr.shape)}))
+
+
+def _load_matrix(path, fields: dict, required, shape_of) -> tuple[dict, np.ndarray]:
+    """The one float32 reader: the sidecar's fields, checked against ``fields``,
+    and the stored values in the shape ``shape_of(fields)`` reads from them."""
+    sidecar = f"{path}.json"
+    meta = check_fields(parse_object(read_text(sidecar), sidecar), fields, sidecar,
+                        required=required)
+    with located(sidecar):
+        shape = shape_of(meta)
+    flat = np.fromfile(path, dtype="<f4")
+    if flat.size != math.prod(shape):
+        raise ValidationError(
+            f"{path}: shape {shape} needs {math.prod(shape)} float32 values, found {flat.size}")
+    try:
+        return meta, flat.reshape(shape)
+    except ValueError as exc:  # a size or a rank numpy cannot hold
+        raise ValidationError(f"{sidecar}: 'shape' {shape} is not a numpy shape ({exc})") from None
 
 
 def save_position_logits(pl: PositionLogits, path) -> None:
     """Write the little-endian float32 matrix and its JSON sidecar."""
-    pl.logits.astype("<f4").tofile(path)
-    sidecar = {
-        "seq_id": pl.seq_id,
-        "side": pl.side,
-        "vocab_hash": pl.vocab_hash,
-        "realized_ids": [int(i) for i in pl.realized_ids],
-        "positions": pl.positions,
-        "vocab_size": pl.vocab_size,
-    }
-    with open(_sidecar_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _save_matrix(pl.logits, path, {"seq_id": pl.seq_id, "side": pl.side,
+                                   "vocab_hash": pl.vocab_hash,
+                                   "realized_ids": [int(i) for i in pl.realized_ids],
+                                   "positions": pl.positions, "vocab_size": pl.vocab_size})
 
 
 _SIDECAR_FIELDS = {"seq_id": str, "side": str, "vocab_hash": str | None,
                    "realized_ids": list[int], "positions": int, "vocab_size": int}
 
 
+def _dump_shape(meta: dict) -> list[int]:
+    for key in ("positions", "vocab_size"):
+        if meta[key] < 1:
+            raise ValidationError(f"{key!r} must be positive, got {meta[key]}")
+    return [meta["positions"], meta["vocab_size"]]
+
+
 def load_position_logits(path, expected_vocab: Vocabulary | None = None,
                          side: str | None = None) -> PositionLogits:
     """Read a ``save_position_logits`` dump (float32 logits), optionally
     checked against a side and a vocabulary; errors name the file."""
-    sidecar = _sidecar_path(path)
-    meta = check_fields(parse_object(read_text(sidecar), sidecar), _SIDECAR_FIELDS, sidecar,
-                        required=[k for k in _SIDECAR_FIELDS if k != "vocab_hash"])
-    for key in ("positions", "vocab_size"):
-        if meta[key] < 1:
-            raise ValidationError(f"{sidecar}: {key!r} must be positive, got {meta[key]}")
-    flat = np.fromfile(path, dtype="<f4")
-    positions, vocab_size = meta["positions"], meta["vocab_size"]
-    if flat.size != positions * vocab_size:
-        raise ValidationError(
-            f"{path}: expected {positions}x{vocab_size} float32 values, found {flat.size}"
-        )
+    meta, logits = _load_matrix(path, _SIDECAR_FIELDS,
+                                [k for k in _SIDECAR_FIELDS if k != "vocab_hash"], _dump_shape)
     with located(path):
         pl = PositionLogits(
             seq_id=meta["seq_id"],
             side=meta["side"],
-            logits=flat.reshape(positions, vocab_size),
+            logits=logits,
             realized_ids=meta["realized_ids"],
             vocab_hash=meta.get("vocab_hash"),
             source=str(path),
@@ -211,28 +230,19 @@ def check_dump(pl: PositionLogits, side: str | None, vocab: Vocabulary | None,
                               f"(hash {pl.vocab_hash} != {vocabulary_hash(vocab)})")
 
 
-def save_float_matrix(values: np.ndarray, path) -> None:
-    """Gradient tensors reuse the dump encoding: little-endian float32 + shape sidecar."""
-    arr = np.asarray(values, dtype=float)
-    arr.astype("<f4").tofile(path)
-    with open(_sidecar_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"shape": list(arr.shape)}, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+def save_float_matrix(values, path) -> None:
+    """Gradient tensors reuse the dump encoding: little-endian float32 + shape
+    sidecar; a value too large for float32 raises a ValidationError."""
+    _save_matrix(values, path)
+
+
+def _matrix_shape(meta: dict) -> list[int]:
+    if min(meta["shape"], default=0) < 0:
+        raise ValidationError(f"'shape' must hold non-negative sizes, got {meta['shape']}")
+    return meta["shape"]
 
 
 def load_float_matrix(path) -> np.ndarray:
     """Read a ``save_float_matrix`` file; its sidecar's ``shape`` must list
     non-negative sizes whose product is the number of stored values."""
-    sidecar = _sidecar_path(path)
-    shape = check_fields(parse_object(read_text(sidecar), sidecar), {"shape": list[int]},
-                         sidecar, required=["shape"])["shape"]
-    if any(n < 0 for n in shape):
-        raise ValidationError(f"{sidecar}: 'shape' must hold non-negative sizes, got {shape}")
-    flat = np.fromfile(path, dtype="<f4")
-    if flat.size != math.prod(shape):
-        raise ValidationError(
-            f"{path}: shape {shape} needs {math.prod(shape)} float32 values, found {flat.size}")
-    try:
-        return flat.reshape(shape).astype(float)
-    except ValueError as exc:  # a size or a rank numpy cannot hold
-        raise ValidationError(f"{sidecar}: 'shape' {shape} is not a numpy shape ({exc})") from None
+    return _load_matrix(path, {"shape": list[int]}, ["shape"], _matrix_shape)[1].astype(float)

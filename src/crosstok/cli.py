@@ -8,7 +8,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import typing
@@ -16,8 +15,9 @@ from pathlib import Path
 
 from .align import AlignScoring, ChunkKind, dp_align, trl_substring_align, write_alignment_dump
 from .audit import DEFAULT_CRITICAL, audit_coverage, coverage_json, coverage_table, recommend_mode
-from .chunks import load_position_logits, save_float_matrix
-from .errors import ValidationError, check_fields, located, parse_object, read_text
+from .chunks import as_float32, load_position_logits, save_float_matrix
+from .errors import (ValidationError, check_fields, json_line, located, parse_object, read_text,
+                     write_text)
 from .losses import HybridWeights, build_common_set_exact
 from .projection import ProjectionConfig, build_projection, load_projection, save_projection
 from .training import (
@@ -54,10 +54,7 @@ def _section(config: dict, path, name: str, cls):
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
+    sys.stdout.write(json_line(payload) if args.format == "json" else text + "\n")
 
 
 def _check_out(out: str, what: str) -> None:
@@ -242,23 +239,22 @@ def cmd_loss(args, config: dict) -> int:
 
     grad_files: dict[str, str] = {}
     if args.grad:
-        def write(key: str, suffix: str, values) -> None:
-            path = Path(args.out).with_suffix(suffix)
+        # (report key, file stem, values); row k of a teacher's chunk_logits is chunk k
+        grads = [("ce", "ce_grad", report.ce_grad)] + [
+            (f"{t.name}/{part}", f"{t.name}.{part}", values) for t in report.teachers
+            for part, values in (("chunk_logits", t.report.grad_chunk_logits),
+                                 ("w_entries", t.report.grad_projection)) if values is not None]
+        for key, _, values in grads:  # cast once to check, so a failure writes no file
+            as_float32(values, f"gradient {key}")
+        for key, stem, values in grads:
+            path = Path(args.out).with_suffix(f".{stem}.bin")
             save_float_matrix(values, path)
             grad_files[key] = path.name
-
-        write("ce", ".ce_grad.bin", report.ce_grad)
-        for t in report.teachers:
-            for k, grad in enumerate(t.report.grad_chunk_logits):
-                write(f"{t.name}/chunk{k}", f".{t.name}.chunk{k:04d}.bin", grad)
-            if t.report.grad_projection is not None:
-                write(f"{t.name}/w_entries", f".{t.name}.w_entries.bin", t.report.grad_projection)
 
     rendered = report.to_json(config_echo=config,
                               **({"gradient_files": grad_files} if args.grad else {}))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rendered)
+        write_text(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     return 0

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader of input files,
-the field check that turns a malformed JSON object into a ValidationError, and
-``located``, which names where a ValidationError's input came from."""
+"""Exception types shared across the package, the one reader and writer of text
+files, ``json_line``, the field check that turns a malformed JSON object into a
+ValidationError, and ``located``, which names where that error's input came from."""
 
 import contextlib
 import json
@@ -44,6 +44,17 @@ def read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     except UnicodeEncodeError as exc:
         raise ValidationError(f"{str(path)!r}: not an encodable file path ({exc})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, replacing the file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def json_line(value) -> str:
+    """``value`` as one canonical JSON line: sorted keys, no spaces, a trailing newline."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse_object(text: str, path, line: int | None = None) -> dict:

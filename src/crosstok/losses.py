@@ -113,8 +113,8 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
 
 def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
     """Log-floored KL sum over the entries where the teacher has mass."""
-    if eps is not None and not eps >= 0:
-        raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
+    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every term
+        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
     live = pt > 0
     if not live.all():
         pt, q = pt[live], q[live]
@@ -244,13 +244,20 @@ def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, eps: float | None
     kl, kl_grad = _common_kl(pt, ps, c, eps, out)
     l1, l1_grad = _rank_l1(pt, ps, *uncommon, out is not None)
     value = hw.lambda_kl * kl + hw.lambda_uld * l1
-    if out is None:
-        return value, None, None
-    if hw.lambda_kl != 1:  # a weight of 1 multiplies exactly
-        kl_grad *= hw.lambda_kl
-    if hw.lambda_uld != 1:
-        l1_grad *= hw.lambda_uld
-    kl_grad += l1_grad
+    try:
+        if not math.isfinite(value):
+            raise FloatingPointError
+        if out is not None:
+            with np.errstate(over="raise"):
+                if hw.lambda_kl != 1:  # a weight of 1 multiplies exactly
+                    kl_grad *= hw.lambda_kl
+                if hw.lambda_uld != 1:
+                    l1_grad *= hw.lambda_uld
+                kl_grad += l1_grad
+    except FloatingPointError:
+        raise ValidationError(f"hybrid chunk loss or gradient is not finite: lambda_kl="
+                              f"{hw.lambda_kl!r} x KL {kl!r} + lambda_uld={hw.lambda_uld!r} x "
+                              f"L1 {l1!r}") from None
     return value, kl_grad, None
 
 
@@ -405,7 +412,15 @@ def kd_aggregate(per_chunk, temperature: float) -> float:
     values = np.asarray(list(per_chunk), dtype=float)
     if values.size == 0:
         raise ValidationError("no loss-bearing chunks to aggregate")
-    return float(temperature_squared(temperature) * values.mean())
+    t_squared = temperature_squared(temperature)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        aggregate = float(t_squared * values.mean())
+    if not math.isfinite(aggregate):
+        raise ValidationError(f"KD aggregate {aggregate} is not finite: temperature "
+                              f"{temperature!r} squared x the mean of {values.size} chunk losses "
+                              f"up to {values.max()!r} (hybrid chunk losses scale with lambda_kl "
+                              "and lambda_uld)")
+    return aggregate
 
 
 @dataclass

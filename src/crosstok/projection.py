@@ -25,8 +25,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chunks import renormalize_on
-from .errors import (UnencodableTextError, ValidationError, check_fields, located, parse_object,
-                     read_text)
+from .errors import (UnencodableTextError, ValidationError, check_fields, json_line, located,
+                     parse_object, read_text)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -92,18 +92,19 @@ class SparseProjection:
                         np.array(codes, dtype=np.int8), config)
 
     @classmethod
-    def _from_flat(cls, *args) -> "SparseProjection":
-        """A projection built by ``_init_flat(*args)``, with no per-row input."""
+    def _from_flat(cls, *args, **kwargs) -> "SparseProjection":
+        """A projection built by ``_init_flat(*args, **kwargs)``, with no per-row input."""
         w = cls.__new__(cls)
-        w._init_flat(*args)
+        w._init_flat(*args, **kwargs)
         return w
 
     def _init_flat(self, n_student: int, n_teacher: int, counts: Sequence[int],
                    teacher_ids: list, weights: list, kind: np.ndarray,
-                   config: ProjectionConfig) -> None:
+                   config: ProjectionConfig, body: bool = False) -> None:
         """The one construction path: each row's entry count, every entry's
         teacher id and weight (row-major), and each row's provenance code
-        (``int8``, indexing ``Provenance``)."""
+        (``int8``, indexing ``Provenance``). With ``body``, a mistyped entry
+        is named by the projection file's field."""
         if n_student < 0 or n_teacher < 0:
             raise ValidationError(f"n_student and n_teacher must be non-negative, got "
                                   f"{n_student} and {n_teacher}")
@@ -111,17 +112,18 @@ class SparseProjection:
         self._indptr = np.zeros(n_student + 1, dtype=np.intp)
         np.cumsum(counts, dtype=np.intp, out=self._indptr[1:])
         self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), np.diff(self._indptr))
-        self._flat_t = self._flat_entries(teacher_ids, (int, np.integer), np.intp,
-                                          "teacher id", "an integer")
+        t_in, w_in = (" in body.teacher_ids", " in body.weights") if body else ("", "")
+        self._flat_t = self._flat_entries(teacher_ids, (int, np.integer), np.intp, "teacher id",
+                                          "an integer", t_in)
         self._flat_w = self._flat_entries(weights, (int, float, np.integer, np.floating), float,
-                                          "weight", "a number")
+                                          "weight", "a number", w_in)
         self._kind = kind
         self.config = config
         self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
 
-    def _flat_entries(self, values: list, types: tuple, dtype, name: str,
-                      expected: str) -> np.ndarray:
+    def _flat_entries(self, values: list, types: tuple, dtype, name: str, expected: str,
+                      where: str) -> np.ndarray:
         """One field of every entry, row-major, after one type check over the
         flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
         if isinstance(values, np.ndarray) and values.dtype == dtype:
@@ -129,12 +131,12 @@ class SparseProjection:
         bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
         if bad:
             at = next(i for i, v in enumerate(values) if type(v) in bad)
-            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in 'entries' "
+            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r}{where} "
                                   f"is not {expected}")
         try:
             return np.asarray(values, dtype=dtype)
         except OverflowError:
-            raise ValidationError(f"a {name} in 'entries' is out of range") from None
+            raise ValidationError(f"a {name}{where} is out of range") from None
 
     def _validate(self) -> None:
         """Each check lists rows it rejects (the entry checks: the first bad
@@ -154,7 +156,7 @@ class SparseProjection:
         checks = [
             (where(counts > top_k), lambda r: f"row {r} has {counts[r]} entries, top_k={top_k}"),
             (keys[1:][np.diff(keys) == 0] // ranks.size,
-             lambda r: f"row {r}: a teacher id repeats in its 'entries'"),
+             lambda r: f"row {r}: a teacher id repeats in its entries"),
             (s[first[bad_t[first]]], lambda r: f"row {r}: teacher id {t[first[0]]} out of range"),
             (s[first[~bad_t[first]]], lambda r: f"row {r}: non-positive weight {w[first[0]]}"),
             (where((self._kind == _EXACT) & ((counts != 1) | (np.append(w, 0.0)[at[:-1]] != 1.0))),
@@ -331,7 +333,7 @@ def save_projection(w: SparseProjection, path) -> None:
     header = {"n_student": w.n_student, "n_teacher": w.n_teacher, "config": asdict(w.config),
               "content_hash": digest.hexdigest()}
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+        fh.write(json_line(header).encode("utf-8"))
         fh.writelines(pieces)
 
 
@@ -392,4 +394,4 @@ def load_projection(path) -> SparseProjection:
                               f"{[p.value for p in Provenance]}") from None
     with located(path):
         return SparseProjection._from_flat(n_student, n_teacher, counts, teacher_ids, weights,
-                                           kind, config)
+                                           kind, config, body=True)

@@ -13,7 +13,6 @@ external consumer with the dynamic ratio treated as a constant.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax, topk_support
-from .errors import ValidationError, located
+from .errors import ValidationError, json_line, located
 from .losses import (
     LOG_EPS,
     CommonSet,
@@ -163,7 +162,7 @@ class StepReport:
             ],
             **extra,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return json_line(payload)
 
 
 def _chunk_stats(alignment) -> dict:
@@ -266,8 +265,8 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              eps: float | None = LOG_EPS) -> StepReport:
     """One simulated training step over stored logits. Deterministic."""
     t_squared = temperature_squared(temperature)
-    if eps is not None and not eps >= 0:
-        raise ValidationError(f"log floor eps must be None or non-negative, got {eps}")
+    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every KL term
+        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
     if not teachers:
         raise ValidationError("need at least one teacher")
     check_dump(student_logits, "student", student_vocab, "student")
@@ -358,9 +357,19 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         for breakdown, block in zip(breakdowns, blocks):
             report = breakdown.report
             scale = multiplier * breakdown.alpha * t_squared / len(report.per_chunk)
-            block *= scale
-            if report.grad_projection is not None:
-                report.grad_projection *= scale
+            try:
+                if not math.isfinite(scale):
+                    raise FloatingPointError
+                with np.errstate(over="raise"):  # the multiply flags an overflow: no extra pass
+                    block *= scale
+                    if report.grad_projection is not None:
+                        report.grad_projection *= scale
+            except FloatingPointError:
+                raise ValidationError(
+                    f"teacher {breakdown.name!r}: gradients scaled by {scale!r} are not finite "
+                    f"(KD multiplier {multiplier!r}, which is lambda_kd under a fixed policy, x "
+                    f"alpha {breakdown.alpha!r} x temperature {temperature!r} squared / "
+                    f"{len(report.per_chunk)} loss chunks)") from None
 
     return StepReport(
         temperature=temperature,

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
-                     located, parse_object, read_text)
+                     located, parse_object, read_text, write_text)
 
 # Glyphs that tokenizer families use to mark a leading space: U+0120 (GPT-2
 # style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -256,9 +256,7 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_payload(vocab), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_text(path, json.dumps(_payload(vocab), ensure_ascii=False, indent=1) + "\n")
 
 
 _SPECIAL_FIELDS = {"specials": list[int], "special_roles": dict[str, int]}

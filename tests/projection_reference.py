@@ -52,12 +52,11 @@ class ReferenceProjection:
         bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
         if bad:
             at = next(i for i, v in enumerate(values) if type(v) in bad)
-            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in 'entries' "
-                                  f"is not {expected}")
+            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} is not {expected}")
         try:
             return np.asarray(values, dtype=dtype)
         except OverflowError:
-            raise ValidationError(f"a {name} in 'entries' is out of range") from None
+            raise ValidationError(f"a {name} is out of range") from None
 
     def _validate(self) -> None:
         for s, (row, prov) in enumerate(zip(self.rows, self.provenance)):
@@ -65,7 +64,7 @@ class ReferenceProjection:
                 raise ValidationError(f"row {s} has {len(row)} entries, top_k={self.config.top_k}")
             total = 0.0
             if len(row) > 1 and len({t for t, _ in row}) != len(row):
-                raise ValidationError(f"row {s}: a teacher id repeats in its 'entries'")
+                raise ValidationError(f"row {s}: a teacher id repeats in its entries")
             for t, w in row:
                 if not 0 <= t < self.n_teacher:
                     raise ValidationError(f"row {s}: teacher id {t} out of range")
@@ -136,7 +135,7 @@ def lexsort_validate(self) -> None:
     checks = [
         (where(counts > top_k), lambda r: f"row {r} has {counts[r]} entries, top_k={top_k}"),
         (s[order][1:][(np.diff(s[order]) == 0) & (np.diff(t[order]) == 0)],
-         lambda r: f"row {r}: a teacher id repeats in its 'entries'"),
+         lambda r: f"row {r}: a teacher id repeats in its entries"),
         (s[first[bad_t[first]]], lambda r: f"row {r}: teacher id {t[first[0]]} out of range"),
         (s[first[~bad_t[first]]], lambda r: f"row {r}: non-positive weight {w[first[0]]}"),
         (where((kind == exact) & ((counts != 1) | (np.append(w, 0.0)[at[:-1]] != 1.0))),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,19 @@ class TestLogitsDumpIO:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValidationError, match="float32"):
             load_position_logits(path)
+
+    @pytest.mark.parametrize("save", [
+        lambda values, path: save_position_logits(make_logits(values, [0, 1]), path),
+        save_float_matrix], ids=["dump", "matrix"])
+    def test_value_past_float32_rejected_before_writing(self, tmp_path, save):
+        """A finite float64 past float32's range fails instead of storing inf."""
+        path = tmp_path / "big.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                save(np.array([[0.0, 1e39], [0.0, 0.0]]), path)
+        assert str(info.value) == f"{path}: a value is too large for float32"
+        assert list(tmp_path.iterdir()) == []
 
     def test_float_matrix_roundtrip(self, tmp_path):
         values = np.array([[1.5, -2.25], [0.0, 4.0]])

@@ -1,17 +1,22 @@
+import functools
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crosstok.cli as cli
 from crosstok.align import read_alignment_dump
+from crosstok.chunks import load_float_matrix
 from crosstok.cli import main
 from crosstok.projection import (build_projection, decay_weights, load_projection,
                                  save_projection)
+from crosstok.training import run_step
 from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tokenizer,
                             save_vocabulary)
 
@@ -242,6 +247,37 @@ class TestLoss:
         for name in files.values():
             assert (tmp_path / name).exists()
 
+    def test_grad_writes_one_chunk_matrix_per_teacher(self, step_fixture, tmp_path,
+                                                      monkeypatch):
+        """Row k of ``<out>.<name>.chunk_logits.bin`` is chunk k's gradient, as
+        float32; ``pkl`` teachers add ``w_entries`` and the student ``ce``."""
+        fx = step_fixture(modes=("pkl", "gold", "kl"), weights=[0.2, 0.3, 0.5])
+        reports = []
+
+        @functools.wraps(run_step)  # the CLI reads run_step's type hints
+        def recorded(*args, **kwargs):
+            reports.append(run_step(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_step", recorded)
+        out = tmp_path / "r.json"
+        assert main(["--config", str(fx["config"]), "loss", "--out", str(out), "--grad"]) == 0
+        [report] = reports
+        files = json.loads(out.read_text())["gradient_files"]
+        assert sorted(files) == ["ce", "t0_pkl/chunk_logits", "t0_pkl/w_entries",
+                                 "t1_gold/chunk_logits", "t2_kl/chunk_logits"]
+        for t in report.teachers:
+            rows = t.report.grad_chunk_logits
+            path = tmp_path / files[f"{t.name}/chunk_logits"]
+            assert path.name == f"r.{t.name}.chunk_logits.bin"
+            sidecar = json.loads(path.with_name(path.name + ".json").read_text())
+            assert sidecar == {"shape": [len(rows), rows[0].size]}
+            matrix = load_float_matrix(path)
+            for k, row in enumerate(rows):
+                assert np.array_equal(matrix[k], row.astype(np.float32))
+        assert np.array_equal(load_float_matrix(tmp_path / files["ce"]),
+                              report.ce_grad.astype(np.float32))
+
     def test_fixed_policy(self, step_fixture, tmp_path):
         fx = step_fixture(modes=("pkl",), policy={"kind": "fixed", "lambda_kd": 1.0,
                                                   "lambda_ce": 0.1})
@@ -371,7 +407,7 @@ class TestLoss:
             **b, "teacher_ids": b["teacher_ids"][:-1] + [2.7]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         assert capsys.readouterr().err == (f"error: {fx['projection']}: row 3: teacher id 2.7 "
-                                           "in 'entries' is not an integer\n")
+                                           "in body.teacher_ids is not an integer\n")
 
     def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
@@ -576,6 +612,53 @@ class TestConfigFields:
         assert rc == 1 and f"error: {config}: alpha_gap must be a finite float" in err
 
 
+def near_copy_kl_config(tmp_path, lambda_kd):
+    """The 3-token ``kl`` step with a near-copy teacher under a fixed policy
+    with ``lambda_ce = 0`` and T = 2."""
+    vocab = Vocabulary(["a", "b", "c"])
+    save_vocabulary(vocab, tmp_path / "v.json")
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(3, 3))
+    write_dump(tmp_path / "s.bin", "student", z, [0, 1, 2], vocab)
+    write_dump(tmp_path / "t.bin", "teacher", z + 0.01 * rng.normal(size=z.shape), [0, 1, 2],
+               vocab)
+    config = tmp_path / "step.json"
+    config.write_text(json.dumps({
+        "student": {"vocab": str(tmp_path / "v.json"), "logits": str(tmp_path / "s.bin")},
+        "teachers": [{"name": "t", "mode": "kl", "vocab": str(tmp_path / "v.json"),
+                      "logits": str(tmp_path / "t.bin")}],
+        "policy": {"kind": "fixed", "lambda_kd": lambda_kd, "lambda_ce": 0.0},
+        "temperature": 2.0}))
+    return config
+
+
+class TestGradientOverflow:
+    """A gradient that float64 (``lambda_kd = 1e308``) or float32 (``1e100``)
+    cannot hold fails ``loss --grad`` with one error line, no file and no
+    numpy warning."""
+
+    @pytest.mark.parametrize("lambda_kd, words", [
+        (1e308, ["lambda_kd", "temperature", "not finite"]),
+        (1e100, ["gradient t/chunk_logits: a value is too large for float32"]),
+    ], ids=["float64", "float32"])
+    def test_exits_1_before_any_file(self, tmp_path, capsys, lambda_kd, words):
+        config = near_copy_kl_config(tmp_path, lambda_kd)
+        out = tmp_path / "grads"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--config", str(config), "loss", "--grad", "--out", str(out / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words)
+        assert list(out.iterdir()) == []
+
+    def test_finite_float64_gradient_reported_without_grad(self, tmp_path, capsys):
+        config = near_copy_kl_config(tmp_path, 1e100)
+        assert main(["--config", str(config), "loss"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["total"])
+
+
 class TestStepConfigSemantics:
     """A well-typed step config value that the step cannot use fails as
     ``error: <config>: ...``, naming the config once; ``--grad`` checks its
@@ -597,7 +680,8 @@ class TestStepConfigSemantics:
         (lambda c: c.update(scoring={"max_span": 1}), "max_span must be at least 2"),
         (lambda c: c.update(hybrid={"lambda_kl": -1.0}), "hybrid loss weights must be "
                                                           "non-negative"),
-        (lambda c: c.update(eps=-1.0), "log floor eps must be None or non-negative, got -1.0"),
+        (lambda c: c.update(eps=-1.0), "log floor eps must be None or in [0, 1), got -1.0"),
+        (lambda c: c.update(eps=1e308), "log floor eps must be None or in [0, 1), got 1e+308"),
         (lambda c: c.update(teachers=[]), "need at least one teacher"),
         (lambda c: c["teachers"][0].update(weight=-1.0),
          "teacher 't0_pkl': weight must be non-negative, got -1.0"),
@@ -611,11 +695,11 @@ class TestStepConfigSemantics:
     ]
     IDS = ["temperature", "temperature-square-overflows", "temperature-square-underflows",
            "top_k", "policy-kind", "policy-weights", "schedule-kind", "alpha_gap", "max_span",
-           "hybrid", "eps", "no-teacher", "weight", "weight-sum", "mode", "no-projection",
+           "hybrid", "eps", "eps-over-1", "no-teacher", "weight", "weight-sum", "mode", "no-projection",
            "kl-vocabulary"]
     # the step's own constants: named with nothing between the config and the message
     WHOLE_LINE = tuple(message for (_, message), name in zip(SEMANTIC, IDS)
-                       if name.startswith("temperature") or name == "eps")
+                       if name.startswith(("temperature", "eps")))
 
     @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
     def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):
@@ -750,8 +834,8 @@ class TestStepConfigSemantics:
         assert self.grad_run(fx, tmp_path, capsys)[0] == 0
         report = json.loads((tmp_path / "grads" / "r.json").read_text())
         assert sorted(report["gradient_files"].items()) == [
-            ("ce", "r.ce_grad.bin"), ("t.b/chunk0", "r.t.b.chunk0000.bin"),
-            ("t0_pkl/chunk0", "r.t0_pkl.chunk0000.bin"),
+            ("ce", "r.ce_grad.bin"), ("t.b/chunk_logits", "r.t.b.chunk_logits.bin"),
+            ("t0_pkl/chunk_logits", "r.t0_pkl.chunk_logits.bin"),
             ("t0_pkl/w_entries", "r.t0_pkl.w_entries.bin")]
 
 
@@ -790,8 +874,11 @@ PINNED_LOSS_CHUNK_STATS = {
     "odd": {"chunks": 72, "combinations": 9, "gaps": 41, "loss_chunks": 31,
             "matches": 22, "mismatches": 0, "score": 61.09999999999997},
 }
-PINNED_LOSS_FILES = 1962
-PINNED_LOSS_BYTES = "8967c5e8e64ff6325640105b54739b277cdcd365bbe01e47086cd2a525f0dfcd"
+# re-recorded when --grad went from one file pair per chunk (1,962 files) to
+# one chunk matrix per teacher: every other file kept its bytes, and each
+# matrix holds that teacher's former chunk files in chunk order
+PINNED_LOSS_FILES = 48
+PINNED_LOSS_BYTES = "7557ec2cca633ded19d2377a174f4bc8ac629000dec4595418e1250bfa8c63a7"
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from crosstok.losses import (
     _stable_order,
     build_common_set_exact,
     build_common_set_relaxed,
+    chunk_kl,
     common_kl,
     common_kl_grad,
     gold,
@@ -240,6 +241,15 @@ class TestCommonKl:
         ps = np.array([0.0, 0.5, 0.5])
         with pytest.raises(ValidationError, match="log"):
             common_kl(PT3, ps, C01, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e308])
+    def test_floor_of_one_or_more_rejected(self, eps):
+        """A floor at or above every probability would make every KL term 0."""
+        for view in (lambda: common_kl(PT3, PS3, C01, eps=eps),
+                     lambda: chunk_kl(PT3, PS3, eps=eps)):
+            with pytest.raises(ValidationError) as info:
+                view()
+            assert str(info.value) == f"log floor eps must be None or in [0, 1), got {eps}"
 
 
 class TestCommonKlGrad:

@@ -430,7 +430,7 @@ class TestProjectionIndexValidation:
 
     def test_teacher_id_repeated_within_a_row(self, saved):
         rewrite_body(saved, lambda b: {**b, "teacher_ids": b["teacher_ids"][:4] + [0, 2]})
-        rejects(saved, "row 3: a teacher id repeats in its 'entries'")
+        rejects(saved, "row 3: a teacher id repeats in its entries")
 
     def test_constructor_rejects_repeated_teacher_id(self):
         with pytest.raises(ValidationError, match="teacher id repeats"):
@@ -525,7 +525,7 @@ class TestProjectionFileFields:
                                        [0, 10**400]])
     def test_mistyped_entry_named(self, saved, entry):
         rewrite_body(saved, last_row_holds(entry))
-        rejects(saved, "entries")
+        rejects(saved, f"in body.{'teacher_ids' if entry[1] == 0.9 else 'weights'} is")
 
     def test_nan_weight_named(self, saved):
         rewrite_body(saved, last_row_holds([0, float("nan")]))
@@ -536,8 +536,8 @@ class TestProjectionFileFields:
         rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        assert str(info.value) == (f"{saved}: row 1: teacher id True in 'entries' is not an "
-                                   "integer")
+        assert str(info.value) == (f"{saved}: row 1: teacher id True in body.teacher_ids is not "
+                                   "an integer")
 
     def test_int_weight_loads_as_float(self, saved):
         rewrite_body(saved, last_row_holds([0, 1]))

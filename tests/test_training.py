@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import crosstok.training as training
 from crosstok.align import AlignmentCache, AlignScoring
 from crosstok.chunks import PositionLogits, chain_rule_merge, softmax
 from crosstok.errors import DegenerateDistributionError, ValidationError
-from crosstok.losses import HybridWeights, pkl
+from crosstok.losses import MODES, HybridWeights, pkl
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import build_projection
 from crosstok.training import (
@@ -540,6 +541,54 @@ def test_nan_setting_rejected(name):
         NAN_SETTINGS[name]()
 
 
+def near_copy_kl_step(lambda_kd, grads=True):
+    """The 3-token ``kl`` step with a near-copy teacher, fixed policy,
+    ``lambda_ce = 0`` and T = 2."""
+    vocab = Vocabulary(["a", "b", "c"])
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(3, 3))
+    teacher = kl_teacher(vocab, z + 0.01 * rng.normal(size=z.shape))
+    return run_step(vocab, dump("student", z, [0, 1, 2], vocab), [teacher],
+                    policy=ScalingPolicy("fixed", lambda_kd=lambda_kd, lambda_ce=0.0),
+                    temperature=2.0, compute_grads=grads)
+
+
+class TestGradientScale:
+    def test_non_finite_scale_named(self):
+        """1e308 x T² / K overflows while the total (about 1.6e301) stays finite."""
+        assert math.isfinite(near_copy_kl_step(1e308, grads=False).total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                near_copy_kl_step(1e308)
+        assert "lambda_kd" in str(info.value) and "temperature 2.0" in str(info.value)
+
+    def test_overflowing_product_named(self):
+        """A finite scale (1e307) times a projection gradient entry of about 100."""
+        _, teacher = valid_pkl_step_inputs()
+        student = dump("student", [[-0.38, 4.62, -5.96, 1.45]], [3], PIN_VS)
+        teacher = replace(teacher, logits=dump(
+            "teacher", [[-1.23, -3.53, 0.59], [2.38, -3.65, 1.52], [0.69, -4.97, 6.21]],
+            [0, 1, 2], PIN_VT))
+        kwargs = dict(policy=ScalingPolicy("fixed", lambda_kd=1.0, lambda_ce=0.0),
+                      compute_grads=True)
+        assert np.abs(run_step(PIN_VS, student, [teacher], **kwargs)
+                      .teachers[0].report.grad_projection).max() > 18
+        kwargs["policy"] = ScalingPolicy("fixed", lambda_kd=1e307, lambda_ce=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                run_step(PIN_VS, student, [teacher], **kwargs)
+        assert str(info.value).startswith("teacher 'x': gradients scaled by 1e+307 are not "
+                                          "finite (KD multiplier 1e+307, which is lambda_kd")
+
+    def test_float32_overflow_left_to_the_writer(self):
+        """1e100 gives finite float64 gradients, which only a float32 file cannot hold."""
+        report = near_copy_kl_step(1e100)
+        block = np.stack(report.teachers[0].report.grad_chunk_logits)
+        assert np.isfinite(block).all() and np.abs(block).max() > np.finfo(np.float32).max
+
+
 class TestDynamicGradientContract:
     def test_assembled_gradient_matches_frozen_ratio_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -638,9 +687,11 @@ class TestStepInputMessages:
     @pytest.mark.parametrize("setting, message", [
         ({"temperature": 0}, "temperature must be positive, got 0"),
         ({"temperature": math.nan}, "temperature must be positive, got nan"),
-        ({"eps": -1.0}, "log floor eps must be None or non-negative, got -1.0"),
-        ({"eps": math.nan}, "log floor eps must be None or non-negative, got nan"),
-    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan"])
+        ({"eps": -1.0}, "log floor eps must be None or in [0, 1), got -1.0"),
+        ({"eps": math.nan}, "log floor eps must be None or in [0, 1), got nan"),
+        ({"eps": 1.0}, "log floor eps must be None or in [0, 1), got 1.0"),
+        ({"eps": 1e308}, "log floor eps must be None or in [0, 1), got 1e+308"),
+    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan", "eps-1", "eps-1e308"])
     def test_step_constant_checked_before_dumps_and_alignment(self, setting, message):
         """A bad temperature or log floor is named alone, not blamed on a dump,
         even when a dump is broken too, and no teacher is aligned."""
@@ -743,3 +794,58 @@ class TestFloat32Dumps:
                 assert (a.report.grad_projection is None) == (b.report.grad_projection is None)
                 if a.report.grad_projection is not None:
                     assert np.array_equal(a.report.grad_projection, b.report.grad_projection)
+
+
+# every float knob of a step, with the name its ValidationError must carry
+EXTREME_FLOATS = (1e308, -1e308, 5e-324, 1e-162, 1e154, 1.0)
+STEP_FLOAT_FIELDS = ("temperature", "eps", "lambda_kd", "lambda_ce", "lambda_kl", "lambda_uld",
+                     "alpha_exact", "alpha_comb", "alpha_gap", "weight")
+
+
+def extreme_step(field, value, kind):
+    """A 3-position step with one teacher per mode (the ``kl`` teacher is a
+    near copy of the student) and one float knob set to ``value``; the
+    teacher weights are ``(value, 1 - value, 0, 0, 0)`` for ``weight``."""
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(3, 4))
+    student = dump("student", z, [0, 1, 2], PIN_VS)
+    w = build_projection(PIN_VS, PIN_VT, Tokenizer(PIN_VT))
+    weights = (value, 1.0 - value, 0.0, 0.0, 0.0) if field == "weight" else (0.2,) * 5
+    teachers = []
+    for i, (mode, weight) in enumerate(zip(MODES, weights)):
+        if mode == "kl":
+            pl = dump("teacher", z + 0.01 * rng.normal(size=z.shape), [0, 1, 2], PIN_VS)
+        else:
+            pl = dump("teacher", rng.normal(size=(3, 3)), [0, 1, 2], PIN_VT)
+        teachers.append(TeacherConfig(f"t{i}", mode, PIN_VS if mode == "kl" else PIN_VT, pl,
+                                      w if mode in ("pkl", "hkl") else None, weight))
+    knob = {field: value}
+    sections = {"policy": (ScalingPolicy, ("lambda_kd", "lambda_ce")),
+                "hybrid": (HybridWeights, ("lambda_kl", "lambda_uld")),
+                "scoring": (AlignScoring, ("alpha_exact", "alpha_comb", "alpha_gap"))}
+    kwargs = {name: cls(**({"kind": kind} if name == "policy" else {}),
+                        **{k: v for k, v in knob.items() if k in keys})
+              for name, (cls, keys) in sections.items()}
+    kwargs.update({k: v for k, v in knob.items() if k in ("temperature", "eps")})
+    return run_step(PIN_VS, student, teachers, compute_grads=True, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(STEP_FLOAT_FIELDS), st.sampled_from(EXTREME_FLOATS),
+       st.sampled_from(["dynamic", "fixed"]))
+def test_extreme_float_knob_named_or_finite(field, value, kind):
+    """Every float knob of a step at an extreme finite value either fails with
+    a ValidationError naming it, or gives a finite total and finite gradients;
+    numpy never warns (warnings are errors here)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = extreme_step(field, value, kind)
+    except ValidationError as exc:
+        assert field in str(exc)
+        return
+    assert math.isfinite(report.total)
+    grads = [report.ce_grad] + [g for t in report.teachers for g in
+                                (*t.report.grad_chunk_logits, t.report.grad_projection)
+                                if g is not None]
+    assert all(np.isfinite(g).all() for g in grads)

@@ -42,7 +42,6 @@ from .losses import (
     common_kl_grad,
     gold,
     gold_grad,
-    hkl,
     kd_aggregate,
     pkl,
     pkl_grads,

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_line, parse_object, read_text, write_text
+from .errors import ValidationError, json_line, write_text
 from .vocab import Tokenizer, vocabulary_hash
 
 
@@ -318,7 +318,3 @@ def write_alignment_dump(path, items: Iterable[tuple[object, Alignment]]) -> Non
     write_text(path, "".join(json_line(rec) for seq_id, alignment in items
                              for rec in chunk_records(seq_id, alignment)))
 
-
-def read_alignment_dump(path) -> list[dict]:
-    lines = read_text(path).split("\n")
-    return [parse_object(line, path, n) for n, line in enumerate(lines, 1) if line.strip()]

@@ -61,14 +61,16 @@ class PositionLogits:
             raise ValidationError("realized id outside the vocabulary") from None
         if self.logits.ndim != 2:
             raise ValidationError("logits must be a positions-by-vocab matrix")
+        if 0 in self.logits.shape:
+            raise ValidationError(f"positions and vocab_size must be positive, got "
+                                  f"{self.positions} and {self.vocab_size}")
         if self.realized_ids.shape != (self.logits.shape[0],):
             raise ValidationError("need one realized id per position")
         if not np.isfinite(self.logits).all():
             raise ValidationError(
                 f"{self.side} logits of sequence {self.seq_id!r} hold non-finite values"
             )
-        if self.positions and (self.realized_ids.min() < 0
-                               or self.realized_ids.max() >= self.vocab_size):
+        if self.realized_ids.min() < 0 or self.realized_ids.max() >= self.vocab_size:
             raise ValidationError("realized id outside the vocabulary")
 
     @property
@@ -188,8 +190,8 @@ _SIDECAR_FIELDS = {"seq_id": str, "side": str, "vocab_hash": str | None,
 
 def _dump_shape(meta: dict) -> list[int]:
     for key in ("positions", "vocab_size"):
-        if meta[key] < 1:
-            raise ValidationError(f"{key!r} must be positive, got {meta[key]}")
+        if meta[key] < 0:
+            raise ValidationError(f"{key!r} must be non-negative, got {meta[key]}")
     return [meta["positions"], meta["vocab_size"]]
 
 

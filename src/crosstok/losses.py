@@ -372,12 +372,6 @@ def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
     return _support_kl(p_t, softmax(z_s), w, support, eps, np.empty(np.size(z_s)))[1:]
 
 
-def hkl(p_t, p_s, w: SparseProjection, hw: HybridWeights = HybridWeights(),
-        eps: float | None = LOG_EPS) -> float:
-    """Hybrid loss over the relaxed common set induced by the projection."""
-    return gold(p_t, p_s, build_common_set_relaxed(w), hw, eps)
-
-
 def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
     """Plain KL between two distributions over one shared vocabulary.
 
@@ -435,6 +429,4 @@ class LossReport:
     grad_projection: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         self.aggregate = kd_aggregate(self.per_chunk, self.temperature)

@@ -73,57 +73,66 @@ class SparseProjection:
     Row ``s`` owns the entries ``indptr[s]:indptr[s + 1]`` of the flat
     teacher-id and weight arrays, sorted by descending weight (ties toward
     the smaller teacher id), and each row's provenance as a ``_kind`` code.
-    ``rows`` and ``provenance`` are tuple views derived on each access.
+    ``rows`` and ``provenance`` are tuple views derived on each access;
+    ``from_rows`` builds one from such rows.
     """
 
-    def __init__(self, n_student: int, n_teacher: int,
-                 rows: Sequence[Sequence[tuple[int, float]]],
-                 provenance: Sequence[Provenance],
+    def __init__(self, n_student: int, n_teacher: int, counts: Sequence[int],
+                 teacher_ids: Sequence[int], weights: Sequence[float], provenance: Sequence,
                  config: ProjectionConfig) -> None:
-        if len(rows) != n_student or len(provenance) != n_student:
-            raise ValidationError("rows and provenance must cover every student id")
+        """The one construction path, holding every rule. The arguments are the
+        projection file's fields, checked before anything is allocated from
+        ``n_student``: ``counts`` holds Python ints or is an integer array, and
+        ``provenance`` holds ``Provenance`` members or their values, or is an
+        ``int8`` array of codes (indexes into ``Provenance``)."""
+        if not 0 <= n_teacher <= sys.maxsize:
+            raise ValidationError(f"n_teacher must be a count in [0, {sys.maxsize}], "
+                                  f"got {n_teacher}")
+        for key, values in (("counts", counts), ("provenance", provenance)):
+            if len(values) != n_student:  # a negative n_student never matches
+                raise ValidationError(f"{key} holds {len(values)} rows, n_student is {n_student}")
+        array = isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
+        if (counts.min(initial=0) < 0 if array else
+                set(map(type, counts)) - {int} or min(counts, default=0) < 0):
+            bad = next(c for c in (counts.tolist() if array else counts)
+                       if type(c) is not int or c < 0)
+            raise ValidationError(f"counts holds {bad!r:.80}, not an entry count")
+        total = int(counts.sum(dtype=object)) if array else sum(counts)  # exact, no list copy
+        for key, values in (("teacher_ids", teacher_ids), ("weights", weights)):
+            if len(values) != total:
+                raise ValidationError(f"{key} holds {len(values)} entries, counts sums to {total}")
+        codes = isinstance(provenance, np.ndarray) and provenance.dtype == np.int8
         try:
-            codes = [_KIND[p] for p in provenance]
+            kind = provenance if codes else np.array([_KIND[p] for p in provenance], dtype=np.int8)
         except (KeyError, TypeError):
-            codes = [_KIND[Provenance(p)] for p in provenance]  # raises Provenance's own error
-        self._init_flat(n_student, n_teacher, [len(row) for row in rows],
-                        [entry[0] for row in rows for entry in row],
-                        [entry[1] for row in rows for entry in row],
-                        np.array(codes, dtype=np.int8), config)
-
-    @classmethod
-    def _from_flat(cls, *args, **kwargs) -> "SparseProjection":
-        """A projection built by ``_init_flat(*args, **kwargs)``, with no per-row input."""
-        w = cls.__new__(cls)
-        w._init_flat(*args, **kwargs)
-        return w
-
-    def _init_flat(self, n_student: int, n_teacher: int, counts: Sequence[int],
-                   teacher_ids: list, weights: list, kind: np.ndarray,
-                   config: ProjectionConfig, body: bool = False) -> None:
-        """The one construction path: each row's entry count, every entry's
-        teacher id and weight (row-major), and each row's provenance code
-        (``int8``, indexing ``Provenance``). With ``body``, a mistyped entry
-        is named by the projection file's field."""
-        if n_student < 0 or n_teacher < 0:
-            raise ValidationError(f"n_student and n_teacher must be non-negative, got "
-                                  f"{n_student} and {n_teacher}")
+            bad = next(p for p in provenance if not isinstance(p, str) or p not in _KIND)
+            raise ValidationError(f"provenance holds {bad!r:.80}, not one of "
+                                  f"{[p.value for p in Provenance]}") from None
+        if (bad := kind[kind.view(np.uint8) >= len(_MEMBERS)]).size:  # a negative code too
+            raise ValidationError(f"provenance holds code {bad[0]}, not in [0, {len(_MEMBERS)})")
         self.n_student, self.n_teacher = n_student, n_teacher
         self._indptr = np.zeros(n_student + 1, dtype=np.intp)
         np.cumsum(counts, dtype=np.intp, out=self._indptr[1:])
         self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), np.diff(self._indptr))
-        t_in, w_in = (" in body.teacher_ids", " in body.weights") if body else ("", "")
         self._flat_t = self._flat_entries(teacher_ids, (int, np.integer), np.intp, "teacher id",
-                                          "an integer", t_in)
+                                          "an integer", "teacher_ids")
         self._flat_w = self._flat_entries(weights, (int, float, np.integer, np.floating), float,
-                                          "weight", "a number", w_in)
-        self._kind = kind
-        self.config = config
+                                          "weight", "a number", "weights")
+        self._kind, self.config = kind, config
         self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
 
+    @classmethod
+    def from_rows(cls, n_teacher: int, rows: Sequence[Sequence[tuple[int, float]]],
+                  provenance: Sequence, config: ProjectionConfig) -> "SparseProjection":
+        """The projection whose row ``s`` holds the ``(teacher_id, weight)``
+        pairs ``rows[s]`` in order; ``n_student`` is ``len(rows)``."""
+        return cls(len(rows), n_teacher, [len(row) for row in rows],
+                   [t for row in rows for t, _ in row], [w for row in rows for _, w in row],
+                   provenance, config)
+
     def _flat_entries(self, values: list, types: tuple, dtype, name: str, expected: str,
-                      where: str) -> np.ndarray:
+                      field: str) -> np.ndarray:
         """One field of every entry, row-major, after one type check over the
         flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
         if isinstance(values, np.ndarray) and values.dtype == dtype:
@@ -131,12 +140,12 @@ class SparseProjection:
         bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
         if bad:
             at = next(i for i, v in enumerate(values) if type(v) in bad)
-            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r}{where} "
+            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in {field} "
                                   f"is not {expected}")
         try:
             return np.asarray(values, dtype=dtype)
         except OverflowError:
-            raise ValidationError(f"a {name}{where} is out of range") from None
+            raise ValidationError(f"a {name} in {field} is out of range") from None
 
     def _validate(self) -> None:
         """Each check lists rows it rejects (the entry checks: the first bad
@@ -283,8 +292,8 @@ def build_projection(vs: Vocabulary, vt: Vocabulary, tok_t: Tokenizer,
     row_major = np.argsort(flat_s, kind="stable")
     codes = np.full(n_s, _EMPTY, dtype=np.int8)
     codes[exact_s], codes[multi_s] = _EXACT, _MULTI
-    return SparseProjection._from_flat(n_s, n_t, np.bincount(flat_s, minlength=n_s),
-                                       flat_t[row_major], flat_w[row_major], codes, config)
+    return SparseProjection(n_s, n_t, np.bincount(flat_s, minlength=n_s), flat_t[row_major],
+                            flat_w[row_major], codes, config)
 
 
 def _student_distribution(w: SparseProjection, p_s) -> np.ndarray:
@@ -343,9 +352,9 @@ _HEADER_FIELDS = {"n_student": int, "n_teacher": int, "config": dict, "content_h
 def load_projection(path) -> SparseProjection:
     """Read a projection file: a header record, then one body record.
 
-    The body's lists go to ``SparseProjection._from_flat`` after the checks
-    that it needs (their lengths, and the counts' type, sign and sum); its
-    ``_validate`` holds every row rule.
+    Only the header, its config, the content hash, the layout and the field
+    types are checked here; the body's lists are the constructor's arguments,
+    and every rule on them is ``SparseProjection``'s.
     """
     lines = read_text(path).split("\n")
     kept = [line for line in lines if line.strip()]
@@ -368,30 +377,6 @@ def load_projection(path) -> SparseProjection:
                               f"row-per-line layout?); rebuild the projection with "
                               f"`crosstok build-w`")
     del lines, kept
-    n_student, n_teacher = header["n_student"], header["n_teacher"]
-    if not 0 <= n_teacher <= sys.maxsize:
-        raise ValidationError(f"{path}: header.n_teacher must be a count in [0, "
-                              f"{sys.maxsize}], got {n_teacher}")
-    check_fields(body, _BODY_FIELDS, path, "body.", required=_BODY_FIELDS)
-    counts, provenance, teacher_ids, weights = (body[key] for key in _BODY_FIELDS)
-    for key in ("counts", "provenance"):
-        if len(body[key]) != n_student:
-            raise ValidationError(f"{path}: body.{key} holds {len(body[key])} rows, "
-                                  f"header.n_student is {n_student}")
-    if set(map(type, counts)) - {int} or min(counts, default=0) < 0:
-        bad = next(c for c in counts if type(c) is not int or c < 0)
-        raise ValidationError(f"{path}: body.counts holds {bad!r:.80}, not an entry count")
-    total = sum(counts)
-    for key in ("teacher_ids", "weights"):
-        if len(body[key]) != total:
-            raise ValidationError(f"{path}: body.{key} holds {len(body[key])} entries, "
-                                  f"body.counts sums to {total}")
-    try:
-        kind = np.array([_KIND[p] for p in provenance], dtype=np.int8)
-    except (KeyError, TypeError):
-        bad = next(p for p in provenance if type(p) is not str or p not in _KIND)
-        raise ValidationError(f"{path}: body.provenance holds {bad!r:.80}, not one of "
-                              f"{[p.value for p in Provenance]}") from None
+    check_fields(body, _BODY_FIELDS, path, required=_BODY_FIELDS)
     with located(path):
-        return SparseProjection._from_flat(n_student, n_teacher, counts, teacher_ids, weights,
-                                           kind, config, body=True)
+        return SparseProjection(header["n_student"], header["n_teacher"], config=config, **body)

@@ -68,14 +68,15 @@ def combine_kd_ce(l_kd: float, l_ce: float, policy: ScalingPolicy) -> tuple[floa
 
     The dynamic multiplier is the stop-gradient ratio l_ce / l_kd: downstream
     gradient assembly must treat it as data, so the assembled gradient is
-    grad(l_ce) + multiplier * grad(l_kd).
+    grad(l_ce) + multiplier * grad(l_kd). A KD loss within ``_KD_FLOOR`` of
+    zero has vanished: the total is the CE, and the multiplier 0.
     """
     if policy.kind == "fixed":
         total, multiplier = policy.lambda_kd * l_kd + policy.lambda_ce * l_ce, policy.lambda_kd
-    elif l_kd <= _KD_FLOOR:
-        raise ValidationError(
-            f"dynamic scaling undefined for KD loss {l_kd} (ratio would diverge)"
-        )
+    elif abs(l_kd) <= _KD_FLOOR:
+        total, multiplier = l_ce, 0.0
+    elif l_kd < 0:
+        raise ValidationError(f"dynamic scaling undefined for negative KD loss {l_kd}")
     else:
         multiplier = l_ce / l_kd
         total = multiplier * l_kd + l_ce
@@ -340,14 +341,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             raise ValidationError(f"temperature {temperature!r} scales the KD loss {unscaled!r} "
                                   f"to {l_kd!r}, under the dynamic policy's floor {_KD_FLOOR}, "
                                   "which would drop it")
-        # nothing to rescale when the distillation term vanishes
-        total, multiplier = l_ce, 0.0
-    else:
-        try:
-            total, multiplier = combine_kd_ce(l_kd, l_ce, policy)
-        except ValidationError as exc:
-            raise ValidationError(f"{exc}; teacher aggregates: " + ", ".join(
-                f"{b.name!r} ({b.mode}) {b.report.aggregate!r}" for b in breakdowns)) from None
+    try:
+        total, multiplier = combine_kd_ce(l_kd, l_ce, policy)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; teacher aggregates: " + ", ".join(
+            f"{b.name!r} ({b.mode}) {b.report.aggregate!r}" for b in breakdowns)) from None
 
     if compute_grads:
         if policy.kind == "fixed":
@@ -408,8 +406,8 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
                 rows.append(sorted(zip(ids.tolist(), weights.tolist()),
                                    key=lambda tw: (-tw[1], tw[0])))
                 covered.update(ids.tolist())
-        w = SparseProjection(n_s, n_t, rows, [Provenance.MULTI_TOKEN] * n_s,
-                             ProjectionConfig())
+        w = SparseProjection.from_rows(n_t, rows, [Provenance.MULTI_TOKEN] * n_s,
+                                       ProjectionConfig())
         z = rng.normal(size=n_s)
         pt = rng.dirichlet(np.ones(n_t))
 

@@ -148,6 +148,9 @@ class Vocabulary:
         self._hash: str | None = None
         self._memo: dict = {}
 
+        if set(map(type, self.tokens)) - {str}:
+            i, tok = next((i, t) for i, t in enumerate(self.tokens) if type(t) is not str)
+            raise ValidationError(f"tokens[{i}] must be a string, got {tok!r:.80}")
         if len(set(self.tokens)) < len(self.tokens):  # name the first repeat and its first id
             first: dict[str, int] = {}
             i = next(i for i, tok in enumerate(self.tokens) if first.setdefault(tok, i) != i)
@@ -278,9 +281,6 @@ def load_vocabulary(path) -> Vocabulary:
 
     raw_tokens = data.get("tokens", [])
     if isinstance(raw_tokens, list):
-        if set(map(type, raw_tokens)) - {str}:
-            i, tok = next((i, t) for i, t in enumerate(raw_tokens) if type(t) is not str)
-            raise ValidationError(f"{path}: tokens[{i}] must be a string, got {tok!r:.80}")
         tokens = raw_tokens
     elif isinstance(raw_tokens, dict):
         by_id: dict[int, str] = {}

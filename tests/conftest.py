@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from crosstok.chunks import PositionLogits, save_position_logits
+from crosstok.errors import parse_object, read_text
 from crosstok.projection import build_projection, save_projection
 from crosstok.vocab import Tokenizer, Vocabulary, save_vocabulary, vocabulary_hash
 
 DIGIT_STUDENT = ("2", "0", "1", "201")
 DIGIT_TEACHER = ("2", "0", "1")
+
+
+def read_alignment_dump(path) -> list[dict]:
+    """The records of a ``write_alignment_dump`` file, one JSON object per
+    nonblank line, each read by ``parse_object`` naming its file line."""
+    lines = read_text(path).split("\n")
+    return [parse_object(line, path, n) for n, line in enumerate(lines, 1) if line.strip()]
 
 
 def write_dump(path, side, logits, realized, vocab, seq_id="seq0"):

@@ -188,7 +188,7 @@ def apply_w_gradient(w, p_s, upstream) -> np.ndarray:
 def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
     """One loop iteration and one list of ``(teacher_id, weight)`` tuples per
     student row, repeated teacher ids summed in a dict, each row sorted and
-    cut to ``top_k``, then the rows form of ``SparseProjection``; partners
+    cut to ``top_k``, then ``SparseProjection.from_rows``; partners
     and sub-tokens come from ``vocab_reference``. A row whose sub-tokens
     hold a teacher special stays empty."""
     if len(vs) == 0 or len(vt) == 0:
@@ -220,4 +220,4 @@ def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
         rows.append(row)
         provenance.append(prov)
 
-    return SparseProjection(len(vs), len(vt), rows, provenance, config)
+    return SparseProjection.from_rows(len(vt), rows, provenance, config)

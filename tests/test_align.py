@@ -13,7 +13,6 @@ from crosstok.align import (
     ChunkKind,
     chunk_records,
     dp_align,
-    read_alignment_dump,
     trl_substring_align,
     write_alignment_dump,
 )
@@ -21,6 +20,7 @@ from crosstok.errors import ValidationError
 from crosstok.vocab import Tokenizer, Vocabulary
 
 from brute_force_reference import brute_force_align
+from conftest import read_alignment_dump
 from dp_reference import reference_dp_align
 
 SCORING = AlignScoring()

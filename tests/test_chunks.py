@@ -207,6 +207,14 @@ class TestTopkTruncate:
 
 
 class TestLogitsDumpIO:
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no_positions", "no_vocab"])
+    def test_empty_logits_rejected_by_constructor(self, shape):
+        """No position means no mean to take: CE and the adaptive scores would be NaN."""
+        with pytest.raises(ValidationError) as info:
+            PositionLogits("s0", "student", np.zeros(shape), [0] * shape[0])
+        assert str(info.value) == (f"positions and vocab_size must be positive, got "
+                                   f"{shape[0]} and {shape[1]}")
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         pl = make_logits(rng.normal(size=(4, 3)).astype(np.float32), [0, 2, 1, 1])
@@ -312,7 +320,7 @@ class TestLogitsDumpIO:
         path.write_bytes(b"")
         with pytest.raises(ValidationError) as info:
             load_position_logits(path)
-        assert "dump.bin.json" in str(info.value) and "'positions'" in str(info.value)
+        assert str(info.value) == f"{path}: positions and vocab_size must be positive, got 0 and 3"
 
     @pytest.mark.parametrize("big", [10**30, -10**30, 2**63], ids=["1e30", "-1e30", "2**63"])
     def test_oversized_realized_id_named(self, tmp_path, big):

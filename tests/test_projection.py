@@ -181,8 +181,8 @@ class TestProject:
             [(2, 1.0)],
             [(1, 0.5), (3, 0.4)],
         ]
-        w = SparseProjection(3, 4, rows, [Provenance.MULTI_TOKEN, Provenance.EXACT,
-                                          Provenance.MULTI_TOKEN], ProjectionConfig())
+        w = SparseProjection.from_rows(4, rows, [Provenance.MULTI_TOKEN, Provenance.EXACT,
+                                                 Provenance.MULTI_TOKEN], ProjectionConfig())
         p = np.full(3, 1.0 / 3.0)
         dense = dense_of(w).T @ p
         np.testing.assert_allclose(project(w, p), dense / dense.sum(), atol=1e-12)
@@ -282,9 +282,8 @@ class TestWGradient:
 
     def test_matches_finite_differences_dense_2x2(self):
         rows = [[(0, 0.8), (1, 0.2)], [(0, 0.4), (1, 0.6)]]
-        w = SparseProjection(2, 2, rows,
-                             [Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
-                             ProjectionConfig())
+        w = SparseProjection.from_rows(2, rows, [Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
+                                       ProjectionConfig())
         rng = np.random.default_rng(3)
         p = rng.dirichlet([1.0, 1.0])
         upstream = rng.normal(size=2)
@@ -398,11 +397,11 @@ class TestProjectionIndexValidation:
     ``counts[s]`` teacher ids and weights."""
 
     @pytest.mark.parametrize("bad, words", [
-        ((0, -1), "body.counts holds -1, not an entry count"),
-        ((3, 4), "body.teacher_ids holds 6 entries, body.counts sums to 7"),
-        ((0, "1"), "body.counts holds '1', not an entry count"),
-        ((0, True), "body.counts holds True, not an entry count"),
-        ((0, 1.0), "body.counts holds 1.0, not an entry count"),
+        ((0, -1), "counts holds -1, not an entry count"),
+        ((3, 4), "teacher_ids holds 6 entries, counts sums to 7"),
+        ((0, "1"), "counts holds '1', not an entry count"),
+        ((0, True), "counts holds True, not an entry count"),
+        ((0, 1.0), "counts holds 1.0, not an entry count"),
     ], ids=["negative", "past_end", "not_int", "bool", "float"])
     def test_bad_row_index(self, saved, bad, words):
         at, count = bad
@@ -416,13 +415,13 @@ class TestProjectionIndexValidation:
                                        "provenance": b["provenance"] + ["multi_token"],
                                        "teacher_ids": b["teacher_ids"] + b["teacher_ids"][3:],
                                        "weights": b["weights"] + b["weights"][3:]})
-        rejects(saved, "body.counts holds 5 rows, header.n_student is 4")
+        rejects(saved, "counts holds 5 rows, n_student is 4")
 
     @pytest.mark.parametrize("field, words", [
-        ("counts", "body.counts holds 3 rows, header.n_student is 4"),
-        ("provenance", "body.provenance holds 3 rows, header.n_student is 4"),
-        ("teacher_ids", "body.teacher_ids holds 5 entries, body.counts sums to 6"),
-        ("weights", "body.weights holds 5 entries, body.counts sums to 6"),
+        ("counts", "counts holds 3 rows, n_student is 4"),
+        ("provenance", "provenance holds 3 rows, n_student is 4"),
+        ("teacher_ids", "teacher_ids holds 5 entries, counts sums to 6"),
+        ("weights", "weights holds 5 entries, counts sums to 6"),
     ])
     def test_list_one_short(self, saved, field, words):
         rewrite_body(saved, lambda b: {**b, field: b[field][:-1]})
@@ -434,8 +433,8 @@ class TestProjectionIndexValidation:
 
     def test_constructor_rejects_repeated_teacher_id(self):
         with pytest.raises(ValidationError, match="teacher id repeats"):
-            SparseProjection(1, 2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN],
-                             ProjectionConfig())
+            SparseProjection.from_rows(2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN],
+                                       ProjectionConfig())
 
 
 class TestProjectionFileFields:
@@ -459,7 +458,7 @@ class TestProjectionFileFields:
     @pytest.mark.parametrize("n_student", [10**30, 2**63, -1], ids=["1e30", "2**63", "-1"])
     def test_impossible_student_count_named(self, saved, n_student):
         self.rewrite_header(saved, lambda h: {**h, "n_student": n_student})
-        rejects(saved, f"body.counts holds 4 rows, header.n_student is {n_student}")
+        rejects(saved, f"counts holds 4 rows, n_student is {n_student}")
 
     def test_student_count_beyond_memory_named(self, saved):
         """A row count that no allocation can hold fails by name, and before
@@ -478,7 +477,7 @@ class TestProjectionFileFields:
         proc = subprocess.run([sys.executable, "-c", script, str(saved)], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (f"{saved}: body.counts holds 4 rows, header.n_student is "
+        assert proc.stdout == (f"{saved}: counts holds 4 rows, n_student is "
                                f"{2**40}\n"), proc.stdout
 
     def test_rows_numbered_by_file_line(self, saved):
@@ -499,11 +498,11 @@ class TestProjectionFileFields:
 
     def test_row_without_entries(self, saved):
         rewrite_body(saved, lambda b: {k: v for k, v in b.items() if k != "teacher_ids"})
-        rejects(saved, "body.teacher_ids is missing")
+        rejects(saved, "teacher_ids is missing")
 
     @pytest.mark.parametrize("body, words", [
-        ({"counts": 5}, "body.counts must be list, got 5"),
-        ({"rows": []}, "body.rows is not a known field"),
+        ({"counts": 5}, "counts must be list, got 5"),
+        ({"rows": []}, "rows is not a known field"),
     ], ids=["not_a_list", "unknown"])
     def test_mistyped_or_unknown_body_field(self, saved, body, words):
         rewrite_body(saved, lambda b: {**b, **body})
@@ -511,10 +510,10 @@ class TestProjectionFileFields:
 
     def test_malformed_entry_and_unknown_provenance(self, saved):
         rewrite_body(saved, lambda b: {**b, "weights": b["weights"][1:]})
-        rejects(saved, "body.weights holds 5 entries, body.counts sums to 6")
+        rejects(saved, "weights holds 5 entries, counts sums to 6")
         rewrite_body(saved, lambda b: {**b, "weights": b["weights"] + [0.5],
                                        "provenance": ["guess"] + b["provenance"][1:]})
-        rejects(saved, "body.provenance holds 'guess', not one of ['exact', "
+        rejects(saved, "provenance holds 'guess', not one of ['exact', "
                        "'multi_token', 'empty']")
         for garbled in ('{"counts": 0,', "[0]"):
             reseal_lines(saved, [garbled])
@@ -525,7 +524,7 @@ class TestProjectionFileFields:
                                        [0, 10**400]])
     def test_mistyped_entry_named(self, saved, entry):
         rewrite_body(saved, last_row_holds(entry))
-        rejects(saved, f"in body.{'teacher_ids' if entry[1] == 0.9 else 'weights'} is")
+        rejects(saved, f"in {'teacher_ids' if entry[1] == 0.9 else 'weights'} is")
 
     def test_nan_weight_named(self, saved):
         rewrite_body(saved, last_row_holds([0, float("nan")]))
@@ -536,7 +535,7 @@ class TestProjectionFileFields:
         rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        assert str(info.value) == (f"{saved}: row 1: teacher id True in body.teacher_ids is not "
+        assert str(info.value) == (f"{saved}: row 1: teacher id True in teacher_ids is not "
                                    "an integer")
 
     def test_int_weight_loads_as_float(self, saved):
@@ -565,13 +564,14 @@ class TestProjectionFileFields:
 class TestCounts:
     @pytest.mark.parametrize("n_student, n_teacher", [(-1, 2), (0, -1), (1, -5)])
     def test_negative_count_rejected(self, n_student, n_teacher):
-        rows, prov = [[]] * max(n_student, 0), [Provenance.EMPTY] * max(n_student, 0)
+        counts, prov = [0] * max(n_student, 0), [Provenance.EMPTY] * max(n_student, 0)
         with pytest.raises(ValidationError):
-            SparseProjection(n_student, n_teacher, rows, prov, ProjectionConfig())
+            SparseProjection(n_student, n_teacher, counts, [], [], prov, ProjectionConfig())
 
     def test_negative_teacher_count_named(self):
-        with pytest.raises(ValidationError, match="n_teacher must be non-negative, got 0 and -1"):
-            SparseProjection(0, -1, [], [], ProjectionConfig())
+        with pytest.raises(ValidationError) as info:
+            SparseProjection.from_rows(-1, [], [], ProjectionConfig())
+        assert str(info.value) == f"n_teacher must be a count in [0, {sys.maxsize}], got -1"
 
 
 class TestNonFiniteWeights:
@@ -579,11 +579,11 @@ class TestNonFiniteWeights:
                              ids=["second_entry", "single_entry"])
     def test_nan_weight_rejected(self, row):
         with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
-            SparseProjection(1, 2, [row], [Provenance.MULTI_TOKEN], ProjectionConfig())
+            SparseProjection.from_rows(2, [row], [Provenance.MULTI_TOKEN], ProjectionConfig())
 
     def test_nan_weight_rejected_by_with_weights(self):
-        w = SparseProjection(1, 2, [[(0, 0.5), (1, 0.4)]], [Provenance.MULTI_TOKEN],
-                             ProjectionConfig())
+        w = SparseProjection.from_rows(2, [[(0, 0.5), (1, 0.4)]], [Provenance.MULTI_TOKEN],
+                                       ProjectionConfig())
         with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
             w.with_weights([0.5, float("nan")])
 
@@ -643,7 +643,7 @@ def assert_same_outcome(n_s, n_t, rows, provenance, config, make):
 @given(projection_inputs(), st.sampled_from([0.5, 1.0, 2.0]))
 def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     n_s, n_t, rows, provenance, config = args
-    w, ref = assert_same_outcome(*args, lambda: SparseProjection(*args))
+    w, ref = assert_same_outcome(*args, lambda: SparseProjection.from_rows(*args[1:]))
     if w is None:
         return
     assert [top1(w, s) for s in range(n_s)] == [ref.top1(s) for s in range(n_s)]
@@ -666,7 +666,7 @@ FLAT_IDS = st.integers(-2, 5) | st.sampled_from([-2**63, 2**62 - 1, 2**62, 2**63
 
 @st.composite
 def flat_projection_inputs(draw):
-    """``_from_flat`` arguments that reach every row rule, the repeated-id one
+    """Constructor arguments that reach every row rule, the repeated-id one
     most of all: rows up to two entries over ``top_k``, ids from ``FLAT_IDS``,
     and mostly multi-token rows of small weights mixed with ``WEIGHTS``."""
     n_teacher = draw(st.sampled_from([1, 4, 2**62]))
@@ -687,10 +687,74 @@ def test_one_key_validate_matches_lexsort_reference(args):
     """The one-key sort of ``_validate`` accepts what the ``np.lexsort``
     version accepts, and otherwise raises its message."""
     with mock.patch.object(SparseProjection, "_validate", projection_reference.lexsort_validate):
-        ref, ref_err = outcome(lambda: SparseProjection._from_flat(*args))
-    w, err = outcome(lambda: SparseProjection._from_flat(*args))
+        ref, ref_err = outcome(lambda: SparseProjection(*args))
+    w, err = outcome(lambda: SparseProjection(*args))
     assert err == ref_err
     assert (w is None) == (ref is None)
+
+
+def flat_args(n_student, n_teacher, rows, provenance, config):
+    """``projection_inputs`` as the constructor's arguments."""
+    return (n_student, n_teacher, [len(row) for row in rows], [t for row in rows for t, _ in row],
+            [w for row in rows for _, w in row], provenance, config)
+
+
+# teacher counts at both ends of [0, sys.maxsize] and past it, in place of the drawn one
+TEACHER_COUNTS = st.none() | st.sampled_from([0, sys.maxsize, 2**63, 10**30])
+
+
+@settings(max_examples=400, deadline=None)
+@given(projection_inputs().map(lambda args: flat_args(*args)) | flat_projection_inputs(),
+       TEACHER_COUNTS)
+def test_constructor_raises_only_validation_errors_and_round_trips(tmp_path_factory, args,
+                                                                   n_teacher):
+    """The constructor fails only with ``ValidationError`` (no plain
+    ``ValueError``, ``TypeError`` or ``OverflowError``), and every projection
+    it accepts loads back from its file with the same rows, provenance and config."""
+    if n_teacher is not None:
+        args = (args[0], n_teacher, *args[2:])
+    try:
+        w = SparseProjection(*args)
+    except ValidationError:
+        return
+    path = tmp_path_factory.mktemp("accepted") / "w.jsonl"
+    save_projection(w, path)
+    got = load_projection(path)
+    assert ((got.n_student, got.n_teacher, got.rows, got.provenance, got.config)
+            == (w.n_student, w.n_teacher, w.rows, w.provenance, w.config))
+
+
+class TestConstructorRules:
+    """Rules that only the file loader held before; every caller gets them now."""
+
+    @pytest.mark.parametrize("n_teacher", [10**30, 2**63], ids=["1e30", "2**63"])
+    def test_teacher_count_past_maxsize_named(self, n_teacher):
+        with pytest.raises(ValidationError) as info:
+            SparseProjection.from_rows(n_teacher, [[(0, 0.5)]], [Provenance.MULTI_TOKEN],
+                                       ProjectionConfig())
+        assert str(info.value) == (f"n_teacher must be a count in [0, {sys.maxsize}], "
+                                   f"got {n_teacher}")
+
+    @pytest.mark.parametrize("bad", ["bogus", None, []], ids=["bogus", "none", "list"])
+    def test_unknown_provenance_named(self, bad):
+        with pytest.raises(ValidationError) as info:
+            SparseProjection.from_rows(2, [[(0, 0.5)], []], [Provenance.MULTI_TOKEN, bad],
+                                       ProjectionConfig())
+        assert str(info.value) == (f"provenance holds {bad!r}, not one of "
+                                   "['exact', 'multi_token', 'empty']")
+
+    def test_negative_count_in_an_array_named(self):
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(2, 2, np.array([2, -1]), [0, 1], [0.5, 0.4],
+                             [Provenance.MULTI_TOKEN] * 2, ProjectionConfig())
+        assert str(info.value) == "counts holds -1, not an entry count"
+
+    @pytest.mark.parametrize("code", [7, -1])
+    def test_code_out_of_range_named(self, code):
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(2, 2, [1, 0], [0], [1.0], np.array([0, code], dtype=np.int8),
+                             ProjectionConfig())
+        assert str(info.value) == f"provenance holds code {code}, not in [0, 3)"
 
 
 # weights whose ``repr`` is long or unusual
@@ -719,7 +783,7 @@ def valid_projections(draw):
             row = [(t, draw(weight)) for t in ids]
         rows.append(row)
         provenance.append(prov)
-    return SparseProjection(len(rows), n_teacher, rows, provenance, ProjectionConfig(top_k=top_k))
+    return SparseProjection.from_rows(n_teacher, rows, provenance, ProjectionConfig(top_k=top_k))
 
 
 def same_arrays(got: SparseProjection, ref: SparseProjection) -> bool:
@@ -750,7 +814,7 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, w, reweighted):
 
 
 def test_round_trip_of_no_rows(tmp_path):
-    w = SparseProjection(0, 3, [], [], ProjectionConfig())
+    w = SparseProjection.from_rows(3, [], [], ProjectionConfig())
     save_projection(w, tmp_path / "w.jsonl")
     assert (tmp_path / "w.jsonl").read_text().splitlines()[1] == (
         '{"counts":[],"provenance":[],"teacher_ids":[],"weights":[]}')
@@ -760,7 +824,7 @@ def test_round_trip_of_no_rows(tmp_path):
 def test_load_reads_crlf_and_blank_lines(tmp_path):
     rows = [[(2, 0.6), (0, 0.30000000000000004)], [], [(1, 1.0)], [(0, 0.5)]]
     prov = [Provenance.MULTI_TOKEN, Provenance.EMPTY, Provenance.EXACT, Provenance.MULTI_TOKEN]
-    w = SparseProjection(4, 3, rows, prov, ProjectionConfig())
+    w = SparseProjection.from_rows(3, rows, prov, ProjectionConfig())
     path = tmp_path / "w.jsonl"
     save_projection(w, path)
     header, body = path.read_text().splitlines()

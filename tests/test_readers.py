@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from crosstok.align import AlignScoring, dp_align, read_alignment_dump, write_alignment_dump
+from crosstok.align import AlignScoring, dp_align, write_alignment_dump
 from crosstok.chunks import load_float_matrix, load_position_logits, save_float_matrix
 from crosstok.cli import main
 from crosstok.errors import ValidationError, parse_object, read_text
@@ -17,7 +17,7 @@ from crosstok.projection import build_projection, load_projection, save_projecti
 from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tokenizer,
                             save_vocabulary)
 
-from conftest import write_dump
+from conftest import read_alignment_dump, write_dump
 
 VOCAB = Vocabulary(["a", "b", "ab"])
 
@@ -124,12 +124,12 @@ def test_read_text_names_an_unencodable_path():
 
 @pytest.mark.parametrize("n_teacher", [-1, 10**30], ids=["negative", "1e30"])
 def test_projection_teacher_count_named(tmp_path, n_teacher):
-    """An impossible ``header.n_teacher`` fails at load, by name, not later
+    """An impossible ``n_teacher`` fails at load, by name, not later
     inside ``product``."""
     path = projection_file(tmp_path)[0]
     header, rest = path.read_text().split("\n", 1)
     path.write_text(json.dumps({**json.loads(header), "n_teacher": n_teacher}) + "\n" + rest)
     with pytest.raises(ValidationError) as info:
         load_projection(path)
-    assert str(info.value) == (f"{path}: header.n_teacher must be a count in [0, "
+    assert str(info.value) == (f"{path}: n_teacher must be a count in [0, "
                                f"{sys.maxsize}], got {n_teacher}")

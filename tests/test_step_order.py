@@ -192,7 +192,7 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
     pt, ps = rng.dirichlet(np.ones(len(vt))), rng.dirichlet(np.ones(len(vs)))
     hw = HybridWeights()
     loss_kernel("hkl", vs, vt, w, 8, hw, LOG_EPS)(pt, ps, True)  # binds and memoizes w's set
-    fresh = SparseProjection(len(vs), len(vt), reweighted.rows, reweighted.provenance, w.config)
+    fresh = SparseProjection.from_rows(len(vt), reweighted.rows, reweighted.provenance, w.config)
     got = loss_kernel("hkl", vs, vt, reweighted, 8, hw, LOG_EPS)(pt, ps, True)
     want = loss_kernel("hkl", vs, vt, fresh, 8, hw, LOG_EPS)(pt, ps, True)
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()

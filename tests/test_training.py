@@ -52,9 +52,15 @@ class TestCombineKdCe:
         total, mult = combine_kd_ce(2.0, 4.0, ScalingPolicy("fixed", 1.0, 0.1))
         assert total == pytest.approx(2.4) and mult == 1.0
 
-    def test_dynamic_rejects_vanished_kd(self):
-        with pytest.raises(ValidationError):
-            combine_kd_ce(0.0, 1.0, ScalingPolicy("dynamic"))
+    def test_dynamic_drops_vanished_kd(self):
+        """A KD loss within 1e-12 of zero leaves the CE as the total, multiplier 0."""
+        for l_kd in (0.0, 1e-12, -1e-12):
+            assert combine_kd_ce(l_kd, 2.0, ScalingPolicy("dynamic")) == (2.0, 0.0)
+
+    def test_dynamic_rejects_negative_kd_by_name(self):
+        with pytest.raises(ValidationError) as info:
+            combine_kd_ce(-1.0, 2.0, ScalingPolicy("dynamic"))
+        assert str(info.value) == "dynamic scaling undefined for negative KD loss -1.0"
 
     def test_value_identity_on_random_inputs(self):
         rng = np.random.default_rng(0)

@@ -96,6 +96,17 @@ class TestVocabulary:
             Vocabulary(["a", "b", "c", "b", "a", "c"])
         assert str(info.value) == "duplicate token string 'b' at ids 1 and 3"
 
+    @pytest.mark.parametrize("tokens, message", [
+        ([1, 2], "tokens[0] must be a string, got 1"),
+        (["a", None], "tokens[1] must be a string, got None"),
+        (["a", ["b"], ["b"]], "tokens[1] must be a string, got ['b']"),
+    ], ids=["ints", "none", "unhashable_repeat"])
+    def test_non_string_token_named(self, tokens, message):
+        """Checked ahead of the repeat check, which would hash each token."""
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(tokens)
+        assert str(info.value) == message
+
     def test_special_out_of_range(self):
         with pytest.raises(ValidationError):
             Vocabulary(["a"], specials=[3])
@@ -250,11 +261,13 @@ class TestVocabularyFiles:
         (["a", True], "tokens[1]"),
     ])
     def test_non_string_tokens_named(self, tmp_path, tokens, field):
+        """``Vocabulary``'s own message, with the file's path in front."""
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
         with pytest.raises(ValidationError) as exc:
             load_vocabulary(path)
-        assert "vocab.json" in str(exc.value) and field in str(exc.value)
+        bad = next(t for t in tokens if type(t) is not str)
+        assert str(exc.value) == f"{path}: {field} must be a string, got {bad!r}"
 
     def test_malformed_byte_token_keeps_its_type(self, tmp_path):
         path = tmp_path / "vocab.json"

@@ -62,7 +62,6 @@ from .training import (
     ScalingPolicy,
     StepReport,
     TeacherConfig,
-    WeightSchedule,
     adaptive_weights,
     combine_kd_ce,
     cross_entropy,

@@ -23,7 +23,6 @@ from .projection import ProjectionConfig, build_projection, load_projection, sav
 from .training import (
     ScalingPolicy,
     TeacherConfig,
-    WeightSchedule,
     gradient_check,
     run_step,
 )
@@ -230,12 +229,12 @@ def cmd_loss(args, config: dict) -> int:
     step_kwargs = _flags_over_config(args, config,
                                      {k: step_hints[k] for k in ("temperature", "top_k", "eps")})
     sections = {name: _section(config, args.config, name, cls) for name, cls in (
-        ("policy", ScalingPolicy), ("schedule", WeightSchedule), ("scoring", AlignScoring),
-        ("hybrid", HybridWeights))}
+        ("policy", ScalingPolicy), ("scoring", AlignScoring), ("hybrid", HybridWeights))}
+    schedule = check_fields(config.get("schedule", {}), {"kind": str}, args.config, "schedule.")
 
     with located(args.config):
         report = run_step(student_vocab, student_logits, teachers, compute_grads=args.grad,
-                          **sections, **step_kwargs)
+                          schedule=schedule.get("kind", "static"), **sections, **step_kwargs)
 
     grad_files: dict[str, str] = {}
     if args.grad:

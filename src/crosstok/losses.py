@@ -111,10 +111,15 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
     return _first_per_teacher(s[ranked], t[ranked])
 
 
+def check_eps(eps: float | None) -> None:
+    """Reject a log floor outside [0, 1)."""
+    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every KL term
+        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
+
+
 def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
     """Log-floored KL sum over the entries where the teacher has mass."""
-    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every term
-        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
+    check_eps(eps)
     live = pt > 0
     if not live.all():
         pt, q = pt[live], q[live]
@@ -181,7 +186,10 @@ def _common_kl(pt, ps, c: CommonSet, eps: float | None, out: np.ndarray | None):
     if out is None:
         return value, None
     grad = np.multiply(ps, float(pt_c.sum()), out=out)
-    np.subtract.at(grad, c.student_ids, pt_c)  # ids are distinct: grad[ids] -= pt_c, faster
+    # the ids are distinct, so this equals grad[ids] -= pt_c, which gathers,
+    # subtracts and scatters through a temporary: 39 against 82 us for 20k of
+    # 32k entries (numpy 2.4.6, 2-core x86-64)
+    np.subtract.at(grad, c.student_ids, pt_c)
     return value, grad
 
 
@@ -283,11 +291,11 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
     common set (``uld`` at default weights). The exact set is built once per
     vocabulary pair (kept on the student vocabulary under the teacher's
     ``vocabulary_hash``), the relaxed one once per projection.
-    The result maps ``(p_t, p_s, grads, out=None)``, one chunk's merged
-    teacher and student probability vectors, to ``(value, grad_z, grad_w)``:
-    ``grad_z`` is in the chunk logits, written into the float64 row ``out``
-    when one is given, and ``grad_w`` in the projection entries (``pkl``
-    only); both are None unless ``grads``.
+    The result is the kernel: it maps ``(p_t, p_s, out=None)``, one chunk's
+    merged teacher and student probability vectors, to ``(value, grad_z,
+    grad_w)``. Given a float64 row ``out``, ``grad_z`` is the gradient in the
+    chunk logits, written there, and ``grad_w`` the one in the projection
+    entries (``pkl`` only); without ``out`` both are None.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -302,21 +310,17 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
         if not top_k >= 1:
             raise ValidationError(f"top_k must be at least 1, got {top_k}")
         proj = w if mode == "pkl" else None
-        run = lambda pt, ps, out: _support_kl(
+        return lambda pt, ps, out=None: _support_kl(
             pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, out)
+    if mode == "hkl":
+        c, uncommon = _bound_set(w._memo, "relaxed", lambda: build_common_set_relaxed(w), vs, vt)
+    elif mode == "gold":
+        c, uncommon = _bound_set(vs._memo, ("exact", vocabulary_hash(vt)),
+                                 lambda: build_common_set_exact(vs, vt), vs, vt)
     else:
-        if mode == "hkl":
-            c, uncommon = _bound_set(w._memo, "relaxed", lambda: build_common_set_relaxed(w),
-                                     vs, vt)
-        elif mode == "gold":
-            c, uncommon = _bound_set(vs._memo, ("exact", vocabulary_hash(vt)),
-                                     lambda: build_common_set_exact(vs, vt), vs, vt)
-        else:
-            c, hw = CommonSet(), HybridWeights()
-            uncommon = _uncommon(c, len(vs), len(vt))
-        run = lambda pt, ps, out: _hybrid(pt, ps, c, uncommon, hw, eps, out)
-    return lambda pt, ps, grads, out=None: run(
-        pt, ps, (np.empty(ps.size) if out is None else out) if grads else None)
+        c, hw = CommonSet(), HybridWeights()
+        uncommon = _uncommon(c, len(vs), len(vt))
+    return lambda pt, ps, out=None: _hybrid(pt, ps, c, uncommon, hw, eps, out)
 
 
 def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
@@ -421,7 +425,6 @@ def kd_aggregate(per_chunk, temperature: float) -> float:
 class LossReport:
     """Per-chunk loss values for one teacher and their ``kd_aggregate``."""
 
-    mode: str
     temperature: float
     per_chunk: tuple[float, ...]
     aggregate: float = field(init=False)

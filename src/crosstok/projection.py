@@ -85,6 +85,9 @@ class SparseProjection:
         ``n_student``: ``counts`` holds Python ints or is an integer array, and
         ``provenance`` holds ``Provenance`` members or their values, or is an
         ``int8`` array of codes (indexes into ``Provenance``)."""
+        for key, count in (("n_student", n_student), ("n_teacher", n_teacher)):
+            if type(count) is not int:  # a bool or a float is not a count
+                raise ValidationError(f"{key} must be an int, got {count!r:.80}")
         if not 0 <= n_teacher <= sys.maxsize:
             raise ValidationError(f"n_teacher must be a count in [0, {sys.maxsize}], "
                                   f"got {n_teacher}")

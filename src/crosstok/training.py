@@ -30,6 +30,7 @@ from .losses import (
     LossReport,
     chunk_kl,
     chunk_kl_grad,
+    check_eps,
     common_kl,
     common_kl_grad,
     loss_kernel,
@@ -86,21 +87,6 @@ def combine_kd_ce(l_kd: float, l_ce: float, policy: ScalingPolicy) -> tuple[floa
     return total, multiplier
 
 
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Static or confidence-adaptive weighting across teachers.
-
-    ``static`` weights each teacher by its ``TeacherConfig.weight``, and those
-    weights must sum to 1; the adaptive kinds ignore them.
-    """
-
-    kind: str = "static"
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
-
-
 @dataclass
 class TeacherConfig:
     """One teacher's loaded inputs and loss routing for a simulated step."""
@@ -136,9 +122,12 @@ class StepReport:
     kd: float
     total: float
     kd_multiplier: float
-    alphas: tuple[float, ...]
     teachers: list[TeacherBreakdown]
     ce_grad: np.ndarray | None = None
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        return tuple(t.alpha for t in self.teachers)
 
     def to_json(self, **extra) -> str:
         """Deterministic JSON, plus ``extra`` top-level fields (gradient tensors
@@ -256,7 +245,7 @@ def cross_entropy_grad(pl: PositionLogits) -> tuple[float, np.ndarray]:
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              teachers: Sequence[TeacherConfig],
              policy: ScalingPolicy = ScalingPolicy(),
-             schedule: WeightSchedule = WeightSchedule(),
+             schedule: str = "static",
              temperature: float = 1.0,
              scoring: AlignScoring = AlignScoring(),
              top_k: int = 8192,
@@ -264,10 +253,12 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              cache: AlignmentCache | None = None,
              compute_grads: bool = False,
              eps: float | None = LOG_EPS) -> StepReport:
-    """One simulated training step over stored logits. Deterministic."""
+    """One simulated training step over stored logits, its teachers weighted
+    under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic."""
     t_squared = temperature_squared(temperature)
-    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every KL term
-        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
+    check_eps(eps)
+    if schedule not in SCHEDULE_KINDS:
+        raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
     if not teachers:
         raise ValidationError("need at least one teacher")
     check_dump(student_logits, "student", student_vocab, "student")
@@ -279,14 +270,14 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
                                        teacher.projection, top_k, hybrid, eps))
 
-    if schedule.kind == "static":
+    if schedule == "static":
         alphas = np.asarray([t.weight for t in teachers], dtype=float)
         total = sum(t.weight for t in teachers)
         if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"static teacher weights sum to {total!r}, not 1: " + ", ".join(
                 f"{t.name!r} {t.weight!r}" for t in teachers))
     else:
-        alphas = adaptive_weights(schedule.kind, [t.logits for t in teachers])
+        alphas = adaptive_weights(schedule, [t.logits for t in teachers])
 
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()
@@ -318,7 +309,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         values = per_chunk[i]
         with located(t_where[i]):
             p_t = chain_rule_merge(teachers[i].logits, chunk, temperature)
-            value, _, g_w = kernels[i](p_t, p_s, compute_grads,
+            value, _, g_w = kernels[i](p_t, p_s,
                                        None if blocks[i] is None else blocks[i][len(values)])
         values.append(value)
         if g_w is not None:
@@ -326,7 +317,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
 
     breakdowns = [
         TeacherBreakdown(t.name, t.mode, float(alpha), LossReport(
-            t.mode, temperature, tuple(values),
+            temperature, tuple(values),
             grad_chunk_logits=None if block is None else tuple(block), grad_projection=g_w),
             _chunk_stats(alignment))
         for alpha, t, values, block, g_w, alignment
@@ -375,7 +366,6 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         kd=l_kd,
         total=total,
         kd_multiplier=multiplier,
-        alphas=tuple(float(a) for a in alphas),
         teachers=breakdowns,
         ce_grad=ce_grad,
     )

@@ -30,7 +30,6 @@ from crosstok.training import (
     ScalingPolicy,
     StepReport,
     TeacherBreakdown,
-    WeightSchedule,
     _chunk_stats,
     adaptive_weights,
     combine_kd_ce,
@@ -160,7 +159,7 @@ def loss_kernel(mode, vs, vt, w, top_k, hw, eps):
 
 
 def reference_run_step(student_vocab, student_logits, teachers,
-                       policy=ScalingPolicy(), schedule=WeightSchedule(), temperature=1.0,
+                       policy=ScalingPolicy(), schedule="static", temperature=1.0,
                        scoring=AlignScoring(), top_k=8192, hybrid=HybridWeights(),
                        cache=None, compute_grads=False, eps=LOG_EPS) -> StepReport:
     """``run_step`` for valid inputs, teacher by teacher."""
@@ -169,10 +168,10 @@ def reference_run_step(student_vocab, student_logits, teachers,
         with located(f"teacher {teacher.name!r}"):
             kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
                                        teacher.projection, top_k, hybrid, eps))
-    if schedule.kind == "static":
+    if schedule == "static":
         alphas = np.asarray([t.weight for t in teachers], dtype=float)
     else:
-        alphas = adaptive_weights(schedule.kind, [t.logits for t in teachers])
+        alphas = adaptive_weights(schedule, [t.logits for t in teachers])
 
     tok_s = Tokenizer(student_vocab)
     cache = cache if cache is not None else AlignmentCache()
@@ -191,7 +190,7 @@ def reference_run_step(student_vocab, student_logits, teachers,
                 grads_z.append(g_z)
             if g_w is not None:
                 grad_w_total = g_w if grad_w_total is None else grad_w_total + g_w
-        report = LossReport(teacher.mode, temperature, tuple(per_chunk),
+        report = LossReport(temperature, tuple(per_chunk),
                             grad_chunk_logits=tuple(grads_z) or None,
                             grad_projection=grad_w_total)
         breakdowns.append(TeacherBreakdown(teacher.name, teacher.mode, float(alpha), report,
@@ -215,5 +214,4 @@ def reference_run_step(student_vocab, student_logits, teachers,
             if report.grad_projection is not None:
                 report.grad_projection *= scale
     return StepReport(temperature=temperature, ce=l_ce, kd=l_kd, total=total,
-                      kd_multiplier=multiplier, alphas=tuple(float(a) for a in alphas),
-                      teachers=breakdowns, ce_grad=ce_grad)
+                      kd_multiplier=multiplier, teachers=breakdowns, ce_grad=ce_grad)

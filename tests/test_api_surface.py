@@ -1,9 +1,12 @@
-"""Every library name the benchmark's tracer wraps must still resolve.
+"""Every library name the benchmark's tracer wraps must still resolve, and
+the benchmark's output check must read a step report.
 
 ``benchmarks/spans.py`` lists the public functions and methods that a
 ``--trace 1`` run wraps; a renamed or deleted one would make that run die
 with an ``AttributeError``. This reads the list without changing it, and
 checks that a traced step attributes its cross-entropy to a span.
+``benchmarks/workloads.py`` checks each step report it times; a report field
+it cannot read would show only as incorrect outputs in a benchmark run.
 """
 
 import importlib
@@ -15,20 +18,22 @@ import pytest
 
 import crosstok.training as training
 from crosstok.chunks import PositionLogits
+from crosstok.projection import build_projection
 from crosstok.training import TeacherConfig
-from crosstok.vocab import Vocabulary, vocabulary_hash
+from crosstok.vocab import Tokenizer, Vocabulary, vocabulary_hash
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def load_benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-SPAN_TABLE = load_spans()
+SPAN_TABLE = load_benchmark_module("spans")
+WORKLOADS = load_benchmark_module("workloads")
 
 
 @pytest.mark.parametrize("entry", SPAN_TABLE.FUNCTIONS, ids=lambda e: f"{e[1]}.{e[2]}")
@@ -63,3 +68,24 @@ def test_step_records_one_ce_span_under_run_step(grads):
     assert names.count("training.ce") == 1
     ce = tracer.spans[names.index("training.ce")]
     assert ce[SPAN_TABLE.PARENT] == names.index("training.run_step")
+
+
+@pytest.mark.parametrize("grads", [False, True], ids=["forward", "grad"])
+def test_benchmark_output_check_reads_a_step_report(grads):
+    """A ``pkl`` and a ``kl`` teacher: the check reads the projection gradient
+    of one and the absence of it on the other."""
+    vocab = Vocabulary(["a", "b", "c", "ab"])
+    rng = np.random.default_rng(1)
+
+    def dump(side):
+        return PositionLogits("s0", side, rng.normal(size=(3, 4)), [3, 2, 0],
+                              vocabulary_hash(vocab))
+
+    w = build_projection(vocab, vocab, Tokenizer(vocab))
+    student = dump("student")
+    teachers = [TeacherConfig("p", "pkl", vocab, dump("teacher"), w, weight=0.25),
+                TeacherConfig("k", "kl", vocab, dump("teacher"), weight=0.75)]
+    report = training.run_step(vocab, student, teachers, compute_grads=grads)
+    assert WORKLOADS.report_problems(report, student, teachers, grads) == []
+    assert set(WORKLOADS.loss_values(report)) == {"ce", "kd", "total", "p.aggregate",
+                                                  "k.aggregate"}

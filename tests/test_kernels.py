@@ -150,9 +150,9 @@ def test_kernel_gradients_match_finite_differences(seed, mode, truncate):
         assume(uld_far_from_ties(ps, pt, common))
 
     def value(proj, p_s):
-        return loss_kernel(mode, vs, vt, proj, top_k, hw, LOG_EPS)(pt, p_s, False)[0]
+        return loss_kernel(mode, vs, vt, proj, top_k, hw, LOG_EPS)(pt, p_s)[0]
 
-    got, grad_z, grad_w = loss_kernel(mode, vs, vt, w, top_k, hw, LOG_EPS)(pt, ps, True)
+    got, grad_z, grad_w = loss_kernel(mode, vs, vt, w, top_k, hw, LOG_EPS)(pt, ps, np.empty(n_s))
     assert got == value(w, ps)
     numeric_z = central_difference(lambda zz: value(w, softmax(zz)), z)
     assert max_relative_error(grad_z, numeric_z) < 1e-6

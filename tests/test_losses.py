@@ -554,11 +554,11 @@ class TestAggregate:
         assert str(info.value) == message
 
     def test_report_invariant(self):
-        report = LossReport("kl", 2.0, (1.0, 3.0))
+        report = LossReport(2.0, (1.0, 3.0))
         assert report.aggregate == pytest.approx(8.0)
         # the aggregate is derived from the chunks, never passed in
         with pytest.raises(TypeError):
-            LossReport("kl", 2.0, (1.0, 3.0), aggregate=7.0)
+            LossReport(2.0, (1.0, 3.0), aggregate=7.0)
 
 
 # The top-m rank order of the ULD subgradient against the full stable-argsort

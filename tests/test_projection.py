@@ -699,20 +699,22 @@ def flat_args(n_student, n_teacher, rows, provenance, config):
             [w for row in rows for _, w in row], provenance, config)
 
 
-# teacher counts at both ends of [0, sys.maxsize] and past it, in place of the drawn one
-TEACHER_COUNTS = st.none() | st.sampled_from([0, sys.maxsize, 2**63, 10**30])
+# teacher counts at both ends of [0, sys.maxsize] and past it, and counts that
+# are not ints, in place of the drawn one
+TEACHER_COUNTS = st.none() | st.sampled_from([0, sys.maxsize, 2**63, 10**30, 3.0, True])
 
 
 @settings(max_examples=400, deadline=None)
 @given(projection_inputs().map(lambda args: flat_args(*args)) | flat_projection_inputs(),
-       TEACHER_COUNTS)
+       TEACHER_COUNTS, st.sampled_from([int, float, bool]))
 def test_constructor_raises_only_validation_errors_and_round_trips(tmp_path_factory, args,
-                                                                   n_teacher):
+                                                                   n_teacher, student_count):
     """The constructor fails only with ``ValidationError`` (no plain
     ``ValueError``, ``TypeError`` or ``OverflowError``), and every projection
-    it accepts loads back from its file with the same rows, provenance and config."""
-    if n_teacher is not None:
-        args = (args[0], n_teacher, *args[2:])
+    it accepts loads back from its file with the same rows, provenance and
+    config. ``student_count`` recasts the drawn ``n_student``: a float or a
+    bool equal to the row count must be rejected too."""
+    args = (student_count(args[0]), args[1] if n_teacher is None else n_teacher, *args[2:])
     try:
         w = SparseProjection(*args)
     except ValidationError:
@@ -734,6 +736,17 @@ class TestConstructorRules:
                                        ProjectionConfig())
         assert str(info.value) == (f"n_teacher must be a count in [0, {sys.maxsize}], "
                                    f"got {n_teacher}")
+
+    @pytest.mark.parametrize("count", [3.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("key", ["n_student", "n_teacher"])
+    def test_count_that_is_not_an_int_named(self, key, count):
+        """Accepted before, a float or a bool count failed later with a
+        ``TypeError`` from numpy, or in ``project``."""
+        args = {"n_student": 1, "n_teacher": 3, **{key: count}}
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(args["n_student"], args["n_teacher"], [1], [0], [1.0], ["exact"],
+                             ProjectionConfig())
+        assert str(info.value) == f"{key} must be an int, got {count!r}"
 
     @pytest.mark.parametrize("bad", ["bogus", None, []], ids=["bogus", "none", "list"])
     def test_unknown_provenance_named(self, bad):

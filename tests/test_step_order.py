@@ -21,7 +21,7 @@ from crosstok.chunks import PositionLogits
 from crosstok.errors import DegenerateDistributionError, ValidationError
 from crosstok.losses import LOG_EPS, HybridWeights, build_common_set_relaxed, loss_kernel
 from crosstok.projection import SparseProjection, build_projection
-from crosstok.training import ScalingPolicy, TeacherConfig, WeightSchedule, run_step
+from crosstok.training import ScalingPolicy, TeacherConfig, run_step
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
 from step_reference import reference_run_step
@@ -94,7 +94,7 @@ def assert_same_bytes(got, want):
 def test_row_major_step_matches_teacher_major_reference(seed, text, specs, temperature, policy,
                                                         schedule, top_k, hybrid, grads, dtype):
     vs, student, teachers = step_inputs(np.random.default_rng(seed), text, specs, dtype)
-    kwargs = dict(policy=policy, schedule=WeightSchedule(schedule), temperature=temperature,
+    kwargs = dict(policy=policy, schedule=schedule, temperature=temperature,
                   top_k=top_k, hybrid=hybrid, compute_grads=grads)
     try:
         want = reference_run_step(vs, student, teachers, **kwargs)
@@ -191,10 +191,10 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
         pytest.fail("no reweighting changed the relaxed common set")
     pt, ps = rng.dirichlet(np.ones(len(vt))), rng.dirichlet(np.ones(len(vs)))
     hw = HybridWeights()
-    loss_kernel("hkl", vs, vt, w, 8, hw, LOG_EPS)(pt, ps, True)  # binds and memoizes w's set
+    loss_kernel("hkl", vs, vt, w, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))  # binds and memoizes w's set
     fresh = SparseProjection.from_rows(len(vt), reweighted.rows, reweighted.provenance, w.config)
-    got = loss_kernel("hkl", vs, vt, reweighted, 8, hw, LOG_EPS)(pt, ps, True)
-    want = loss_kernel("hkl", vs, vt, fresh, 8, hw, LOG_EPS)(pt, ps, True)
+    got = loss_kernel("hkl", vs, vt, reweighted, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))
+    want = loss_kernel("hkl", vs, vt, fresh, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 

@@ -19,7 +19,6 @@ from crosstok.projection import build_projection
 from crosstok.training import (
     ScalingPolicy,
     TeacherConfig,
-    WeightSchedule,
     adaptive_weights,
     combine_kd_ce,
     cross_entropy,
@@ -491,7 +490,7 @@ class TestRunStep:
         rng = np.random.default_rng(15)
         vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
         teachers = [replace(teacher, name="a", weight=0.9), replace(teacher, name="b", weight=0.1)]
-        for kwargs in ({}, {"schedule": WeightSchedule("static")}):
+        for kwargs in ({}, {"schedule": "static"}):
             assert run_step(vocab, student, teachers, **kwargs).alphas == (0.9, 0.1)
 
     def test_adaptive_schedule_ignores_teacher_weights(self):
@@ -499,7 +498,7 @@ class TestRunStep:
         vocab, student, teacher = same_tokenizer_setup(rng, equal=False)
         other = replace(teacher, name="b", logits=dump("teacher", rng.normal(size=(3, 3)),
                                                        [0, 1, 2], vocab))
-        schedule = WeightSchedule("adaptive_entropy")
+        schedule = "adaptive_entropy"
         a = run_step(vocab, student, [teacher, other], schedule=schedule)
         b = run_step(vocab, student, [replace(teacher, weight=0.0), replace(other, weight=7.0)],
                      schedule=schedule)
@@ -697,9 +696,12 @@ class TestStepInputMessages:
         ({"eps": math.nan}, "log floor eps must be None or in [0, 1), got nan"),
         ({"eps": 1.0}, "log floor eps must be None or in [0, 1), got 1.0"),
         ({"eps": 1e308}, "log floor eps must be None or in [0, 1), got 1e+308"),
-    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan", "eps-1", "eps-1e308"])
+        ({"schedule": "bogus"}, "schedule kind must be one of ('static', 'adaptive_ce', "
+                                "'adaptive_entropy', 'adaptive_maxprob')"),
+    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan", "eps-1", "eps-1e308",
+            "schedule-bogus"])
     def test_step_constant_checked_before_dumps_and_alignment(self, setting, message):
-        """A bad temperature or log floor is named alone, not blamed on a dump,
+        """A bad temperature, log floor or schedule kind is named alone, not blamed on a dump,
         even when a dump is broken too, and no teacher is aligned."""
         student, teacher = valid_pkl_step_inputs()
         cache = AlignmentCache()
@@ -786,7 +788,7 @@ class TestFloat32Dumps:
                                               grads):
         vs, (s32, s64), (t32, t64) = self.step_inputs(np.random.default_rng(seed))
         assert s32.logits.dtype == np.float32 and s64.logits.dtype == np.float64
-        kwargs = dict(policy=ScalingPolicy(policy), schedule=WeightSchedule(schedule),
+        kwargs = dict(policy=ScalingPolicy(policy), schedule=schedule,
                       temperature=temperature, top_k=64, compute_grads=grads)
         held32 = run_step(vs, s32, t32, **kwargs)
         held64 = run_step(vs, s64, t64, **kwargs)

@@ -37,16 +37,12 @@ from .losses import (
     build_common_set_exact,
     build_common_set_relaxed,
     chunk_kl,
-    chunk_kl_grad,
-    common_kl,
-    common_kl_grad,
     gold,
     gold_grad,
     kd_aggregate,
     pkl,
     pkl_grads,
     uld,
-    uld_grad,
 )
 from .projection import (
     ProjectionConfig,

@@ -11,8 +11,11 @@ student probabilities to ``(value, grad_z, grad_w)`` in one pass: a
 support-renormalized KL (``kl``, and ``pkl`` through the projection) and the
 hybrid loss (``gold``, ``hkl``, and ``uld`` as the hybrid over the empty
 common set). ``loss_kernel`` checks a teacher's mode against its inputs and
-binds it to its kernel; the public value and gradient functions are views of
-the same kernels.
+binds it to its kernel; ``training.run_step`` and ``training.gradient_check``
+(families ``pkl_logits``, ``pkl_entries``, ``hkl``, ``gold``, ``uld`` and ``kl``)
+reach the kernels only through it. The six value and gradient views (``pkl``,
+``pkl_grads``, ``gold``, ``gold_grad``, ``chunk_kl`` and ``uld``) stay for the
+benchmark's span tracer, which wraps them by name.
 
 Logs are floored at a configurable ``eps`` (log(max(x, eps))), which prevents
 NaNs on truncated supports without touching any returned distribution; pass
@@ -323,28 +326,9 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
     return lambda pt, ps, out=None: _hybrid(pt, ps, c, uncommon, hw, eps, out)
 
 
-def common_kl(p_t, p_s, c: CommonSet, eps: float | None = LOG_EPS) -> float:
-    """Partial KL over the common pairs of full-vocabulary distributions.
-
-    No renormalization happens on either side, so the value may be negative.
-    """
-    return _common_kl(p_t, p_s, c, eps, None)[0]
-
-
-def common_kl_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
-    """Analytic gradient of ``common_kl`` in the student chunk logits."""
-    return _common_kl(p_t, softmax(z_s), c, LOG_EPS, np.empty(np.size(z_s)))[1]
-
-
 def uld(p_s, p_t, c: CommonSet) -> float:
     """Rank-sorted L1 distance between the uncommon restrictions."""
     return _rank_l1(p_t, p_s, *_uncommon(c, p_s.size, p_t.size), False)[0]
-
-
-def uld_grad(z_s, p_t, c: CommonSet) -> np.ndarray:
-    """Subgradient of ``uld`` in the student chunk logits."""
-    p_s = softmax(z_s)
-    return _rank_l1(p_t, p_s, *_uncommon(c, p_s.size, p_t.size), True)[1]
 
 
 def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
@@ -383,11 +367,6 @@ def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
     them there.
     """
     return _support_kl(p_t, p_s, None, support, eps, None)[0]
-
-
-def chunk_kl_grad(z_s, p_t, support=None, eps: float | None = LOG_EPS) -> np.ndarray:
-    """Gradient of ``chunk_kl`` in the student chunk logits."""
-    return _support_kl(p_t, softmax(z_s), None, support, eps, np.empty(np.size(z_s)))[1]
 
 
 def temperature_squared(temperature: float) -> float:

@@ -6,8 +6,7 @@ ordinary student token is re-tokenized with the teacher tokenizer and,
 unless a sub-token is a teacher special, its sub-tokens receive
 exponentially decaying weights, which are row-normalized and then truncated
 to the top-k entries. Truncation can leave a multi-token
-row summing to slightly less than 1, so ``project`` renormalizes its output
-by default.
+row summing to slightly less than 1, so ``project`` renormalizes its output.
 """
 
 from __future__ import annotations
@@ -205,9 +204,14 @@ class SparseProjection:
         return int(self._flat_w.size)
 
     def product(self, p_s: np.ndarray) -> np.ndarray:
-        """Unnormalized projected vector ``W^T p_s`` over the teacher vocabulary."""
-        return np.bincount(self._flat_t, weights=self._flat_w * p_s[self._flat_s],
-                           minlength=self.n_teacher)
+        """Unnormalized projected vector ``W^T p_s`` over the teacher vocabulary;
+        an ``n_teacher`` too large to allocate it is a ValidationError."""
+        weights = self._flat_w * p_s[self._flat_s]
+        try:
+            return np.bincount(self._flat_t, weights=weights, minlength=self.n_teacher)
+        except (ValueError, MemoryError):  # numpy's "array is too big", or out of memory
+            raise ValidationError(f"a teacher-space vector of n_teacher {self.n_teacher} "
+                                  "entries cannot be allocated") from None
 
     def pullback(self, p_s: np.ndarray, d_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A teacher-space gradient ``d_q`` pulled back through ``product(p_s)``:
@@ -312,15 +316,16 @@ def _student_distribution(w: SparseProjection, p_s) -> np.ndarray:
     return p
 
 
-def project(w: SparseProjection, p_s, renormalize: bool = True) -> np.ndarray:
-    """Push a student distribution through the projection.
+def project(w: SparseProjection, p_s) -> np.ndarray:
+    """Push a student distribution through the projection and renormalize.
 
     Renormalization compensates mass dropped by row truncation and by empty
-    rows; the result is a probability vector over the teacher vocabulary.
-    Raises DegenerateDistributionError when the mass sits on empty rows only.
+    rows; the result is a probability vector over the teacher vocabulary
+    (``w.product`` is the vector before it). Raises
+    DegenerateDistributionError when the mass sits on empty rows only.
     """
-    q = w.product(_student_distribution(w, p_s))
-    return renormalize_on(q, slice(None), "projected student")[0] if renormalize else q
+    return renormalize_on(w.product(_student_distribution(w, p_s)), slice(None),
+                          "projected student")[0]
 
 
 _BODY_FIELDS = {"counts": list, "provenance": list, "teacher_ids": list, "weights": list}

@@ -21,25 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
-from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax, topk_support
+from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax
 from .errors import ValidationError, json_line, located
-from .losses import (
-    LOG_EPS,
-    CommonSet,
-    HybridWeights,
-    LossReport,
-    chunk_kl,
-    chunk_kl_grad,
-    check_eps,
-    common_kl,
-    common_kl_grad,
-    loss_kernel,
-    pkl,
-    pkl_grads,
-    temperature_squared,
-    uld,
-    uld_grad,
-)
+from .losses import (LOG_EPS, MODES, HybridWeights, LossReport, check_eps, loss_kernel,
+                     temperature_squared)
 from .numdiff import central_difference, max_relative_error
 from .projection import ProjectionConfig, Provenance, SparseProjection
 from .vocab import Tokenizer, Vocabulary
@@ -372,17 +357,21 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
 
 
 def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str, float]:
-    """Finite-difference verification of every analytic gradient path.
+    """Finite-difference check of every mode's kernel as ``loss_kernel`` binds it.
 
-    Returns the max relative error per gradient family over random toy
-    instances, every family checked on each of them; used by the CLI and
-    mirrored by the test suite.
+    On each random toy instance every mode in ``MODES`` is bound, and its
+    ``grad_z`` is compared with central differences of the bound value; for
+    ``pkl`` also its ``grad_w``, in the log-weights. ``hkl`` and ``gold`` run
+    at weights other than 1, so the weighted hybrid sum is checked. Returns
+    the max relative error per family over the instances: ``pkl_logits``,
+    ``pkl_entries``, ``hkl``, ``gold``, ``uld`` and ``kl``. Used by the CLI
+    and mirrored by the test suite.
     """
     if not instances >= 1:
         raise ValidationError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
-    worst = {"pkl_logits": 0.0, "pkl_entries": 0.0, "common_kl": 0.0,
-             "uld": 0.0, "chunk_kl": 0.0}
+    hw = HybridWeights(0.7, 1.3)  # fixed: a draw from ``rng`` would shift every later instance
+    worst = dict.fromkeys(("pkl_logits", "pkl_entries", "hkl", "gold", "uld", "kl"), 0.0)
     for _ in range(instances):
         n_s = int(rng.integers(3, 8))
         n_t = int(rng.integers(3, 8))
@@ -400,35 +389,32 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
                                        ProjectionConfig())
         z = rng.normal(size=n_s)
         pt = rng.dirichlet(np.ones(n_t))
-
-        g_z, g_w = pkl_grads(z, pt, w)
-        num_z = central_difference(lambda zz: pkl(pt, softmax(zz), w), z, h)
-        worst["pkl_logits"] = max(worst["pkl_logits"], max_relative_error(g_z, num_z))
-        base = np.array([wt for _, _, wt in w.entries()])
-        ps = softmax(z)
-        # differences in log-weight: every stencil point stays a valid
-        # projection, and the step shrinks with the weight it moves
-        num_w = central_difference(
-            lambda u: pkl(pt, ps, w.with_weights(base * np.exp(u))), np.zeros_like(base), h)
-        worst["pkl_entries"] = max(worst["pkl_entries"], max_relative_error(base * g_w, num_w))
-
         width = int(rng.integers(0, min(n_s, n_t) + 1))
         s_ids = rng.choice(n_s, size=width, replace=False)
         t_ids = rng.choice(n_t, size=width, replace=False)
-        order = np.argsort(s_ids)  # in student order
-        c = CommonSet(s_ids[order], t_ids[order])
-        g_c = common_kl_grad(z, pt, c)
-        num_c = central_difference(lambda zz: common_kl(pt, softmax(zz), c), z, h)
-        worst["common_kl"] = max(worst["common_kl"], max_relative_error(g_c, num_c))
+        # tokens s0.. and t0.., each drawn pair's teacher token named after its
+        # student token: the exact common set is the drawn pairs
+        teacher_tokens = [f"t{j}" for j in range(n_t)]
+        for s, t in zip(s_ids.tolist(), t_ids.tolist()):
+            teacher_tokens[t] = f"s{s}"
+        vs, vt = Vocabulary(f"s{i}" for i in range(n_s)), Vocabulary(teacher_tokens)
+        p = pt if n_s == n_t else rng.dirichlet(np.ones(n_s))  # kl's, over the student vocabulary
+        ps = softmax(z)
 
-        g_u = uld_grad(z, pt, c)
-        num_u = central_difference(lambda zz: uld(softmax(zz), pt, c), z, h)
-        worst["uld"] = max(worst["uld"], max_relative_error(g_u, num_u))
-
-        # chunk_kl compares over the student's vocabulary
-        p = pt if n_s == n_t else rng.dirichlet(np.ones(n_s))
-        support = topk_support(p, max(1, n_s - 2))
-        g_k = chunk_kl_grad(z, p, support=support)
-        num_k = central_difference(lambda zz: chunk_kl(p, softmax(zz), support=support), z, h)
-        worst["chunk_kl"] = max(worst["chunk_kl"], max_relative_error(g_k, num_k))
+        for mode in MODES:
+            v_t, p_t, top_k = (vs, p, max(1, n_s - 2)) if mode == "kl" else (vt, pt, n_t)
+            kernel = loss_kernel(mode, vs, v_t, w, top_k, hw, LOG_EPS)
+            _, g_z, g_w = kernel(p_t, ps, np.empty(n_s))
+            num_z = central_difference(lambda zz: kernel(p_t, softmax(zz))[0], z, h)
+            family = "pkl_logits" if mode == "pkl" else mode
+            worst[family] = max(worst[family], max_relative_error(g_z, num_z))
+            if mode == "pkl":
+                base = np.array([wt for _, _, wt in w.entries()])
+                # differences in log-weight: every stencil point stays a valid
+                # projection, and the step shrinks with the weight it moves
+                num_w = central_difference(lambda u: loss_kernel(
+                    mode, vs, vt, w.with_weights(base * np.exp(u)), top_k, hw, LOG_EPS)(pt, ps)[0],
+                    np.zeros_like(base), h)
+                worst["pkl_entries"] = max(worst["pkl_entries"],
+                                           max_relative_error(base * g_w, num_w))
     return worst

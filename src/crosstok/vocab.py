@@ -331,9 +331,6 @@ class Tokenizer:
                 )
         return ids
 
-    def decode(self, ids: Sequence[int]) -> str:
-        return "".join(self.vocabulary.tokens[i] for i in ids)
-
     def decode_token(self, token_id: int) -> str:
         return self.vocabulary.tokens[token_id]
 

@@ -6,16 +6,21 @@ the benchmark's output check must read a step report.
 with an ``AttributeError``. This reads the list without changing it, and
 checks that a traced step attributes its cross-entropy to a span.
 ``benchmarks/workloads.py`` checks each step report it times; a report field
-it cannot read would show only as incorrect outputs in a benchmark run.
+it cannot read would show only as incorrect outputs in a benchmark run. And
+every public function of ``crosstok.losses`` has a reader: a library module
+or the tracer.
 """
 
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crosstok.losses as losses
 import crosstok.training as training
 from crosstok.chunks import PositionLogits
 from crosstok.projection import build_projection
@@ -46,6 +51,24 @@ def test_traced_function_resolves(entry):
 def test_traced_method_resolves(entry):
     _, module, cls, method = entry[:4]
     assert callable(getattr(getattr(importlib.import_module(module), cls), method))
+
+
+def test_every_public_loss_function_has_a_reader():
+    """A public function defined in ``crosstok.losses`` is named in a library
+    module other than by its own ``def`` (``__init__.py``'s export does not
+    count), or the tracer wraps it. One that neither reads is a second way
+    into the loss kernels beside ``loss_kernel``, with no caller."""
+    traced = {entry[2] for entry in SPAN_TABLE.FUNCTIONS if entry[1] == losses.__name__}
+    package = Path(losses.__file__).parent
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
+                     if path.name != "__init__.py")
+    public = [name for name, obj in vars(losses).items()
+              if inspect.isfunction(obj) and obj.__module__ == losses.__name__
+              and not name.startswith("_")]
+    assert "loss_kernel" in public
+    unread = [name for name in public if name not in traced
+              and not re.search(rf"\b{name}\b", text.replace(f"def {name}(", ""))]
+    assert unread == []
 
 
 @pytest.mark.parametrize("grads", [False, True], ids=["forward", "grad"])

@@ -294,6 +294,16 @@ class TestLoss:
         assert payload["pass"] is True
         assert all(err < 1e-6 for err in payload["max_relative_error"].values())
 
+    def test_gradcheck_json_keys(self, capsys):
+        """One family per mode, ``pkl`` split into logits and entries; the
+        record's keys come out sorted."""
+        assert main(["--format", "json", "--seed", "11", "loss", "--gradcheck",
+                     "--instances", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["max_relative_error", "pass", "tolerance"]
+        assert list(payload["max_relative_error"]) == ["gold", "hkl", "kl", "pkl_entries",
+                                                       "pkl_logits", "uld"]
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_gradcheck_without_instances_exits_1(self, capsys, instances):
         rc = main(["loss", "--gradcheck", "--instances", instances])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crosstok import losses
 from crosstok.errors import ValidationError
 from crosstok.losses import (
+    LOG_EPS,
     CommonSet,
     HybridWeights,
     LossReport,
@@ -20,8 +21,6 @@ from crosstok.losses import (
     build_common_set_exact,
     build_common_set_relaxed,
     chunk_kl,
-    common_kl,
-    common_kl_grad,
     gold,
     gold_grad,
     kd_aggregate,
@@ -29,7 +28,6 @@ from crosstok.losses import (
     pkl,
     pkl_grads,
     uld,
-    uld_grad,
 )
 from crosstok.chunks import softmax, topk_support
 from crosstok.numdiff import central_difference, max_relative_error
@@ -40,6 +38,8 @@ from uld_reference import reference_rank_l1
 PT3 = np.array([0.5, 0.3, 0.2])
 PS3 = np.array([0.2, 0.3, 0.5])
 C01 = CommonSet([0, 1], [0, 1])
+COMMON_KL = HybridWeights(1.0, 0.0)  # gold at these weights is the common-set KL alone
+ULD_ONLY = HybridWeights(0.0, 1.0)  # and at these, ULD over the uncommon ids alone
 
 
 def assert_common(c, student_ids, teacher_ids):
@@ -81,6 +81,31 @@ def random_projection(rng, n_student, n_teacher):
                            key=lambda tw: (-tw[1], tw[0])))
     return SparseProjection.from_rows(n_teacher, rows, [Provenance.MULTI_TOKEN] * n_student,
                                       ProjectionConfig())
+
+
+def exact_pair(c, n_student, n_teacher):
+    """Vocabularies ``s0..`` and ``t0..`` whose exact common set is ``c`` (given
+    in student order): teacher token ``c.teacher_ids[i]`` is named after
+    student token ``c.student_ids[i]``."""
+    teacher = [f"t{j}" for j in range(n_teacher)]
+    for s, t in zip(c.student_ids.tolist(), c.teacher_ids.tolist()):
+        teacher[t] = f"s{s}"
+    return Vocabulary(f"s{i}" for i in range(n_student)), Vocabulary(teacher)
+
+
+def gold_kernel(c, n_student, n_teacher, hw, eps=LOG_EPS):
+    """The ``gold`` kernel as ``loss_kernel`` binds it over the exact common set ``c``."""
+    return loss_kernel("gold", *exact_pair(c, n_student, n_teacher), None, 1, hw, eps)
+
+
+def logit_grad(kernel, z, p_t):
+    """A bound kernel's ``grad_z`` at the student chunk logits ``z``."""
+    return kernel(p_t, softmax(z), np.empty(np.size(z)))[1]
+
+
+def numeric_grad(kernel, z, p_t):
+    """Central differences of a bound kernel's value in the student chunk logits."""
+    return central_difference(lambda zz: kernel(p_t, softmax(zz))[0], z)
 
 
 def random_bijective_common_set(rng, n_student, n_teacher):
@@ -130,6 +155,10 @@ class TestCommonSet:
         assert_common(build_common_set_exact(vs, vt), [0, 1], [0, 1])
         vt_bare = Vocabulary(["a", "<bos>"], specials=[1])
         assert_common(build_common_set_exact(vs, vt_bare), [0], [0])
+
+    def test_exact_pair_has_the_given_common_set(self):
+        c = CommonSet([0, 2, 3], [4, 0, 1])
+        assert_common(build_common_set_exact(*exact_pair(c, 5, 6)), [0, 2, 3], [4, 0, 1])
 
     def test_keeps_the_order_given(self):
         c = CommonSet((4, 0, 2), np.array([1, 5, 0], dtype=np.uint8))
@@ -212,6 +241,11 @@ class TestRelaxedCommonSet:
         assert_common(build_common_set_relaxed(w), [0], [0])
 
 
+def common_kl(p_t, p_s, c, eps=LOG_EPS):
+    """The common-set KL value, from the bound ``gold`` kernel."""
+    return gold_kernel(c, p_s.size, p_t.size, COMMON_KL, eps)(p_t, p_s)[0]
+
+
 class TestCommonKl:
     def test_identical_distributions_zero(self):
         c = CommonSet([0, 1, 2], [0, 1, 2])
@@ -253,7 +287,7 @@ class TestCommonKlGrad:
         pt = np.array([0.0, 0.0, 1.0])
         z = np.array([0.1, -0.2, 0.3, 0.0])
         c = CommonSet([0, 1], [0, 1])
-        grad = common_kl_grad(z, pt, c)
+        grad = logit_grad(gold_kernel(c, 4, 3, COMMON_KL), z, pt)
         np.testing.assert_array_equal(grad[[2, 3]], 0.0)
 
     def test_uniform_student_example(self):
@@ -261,16 +295,16 @@ class TestCommonKlGrad:
         z = np.zeros(4)
         pt = np.array([0.3, 0.2, 0.25, 0.25])
         c = CommonSet([0, 1], [0, 1])
-        grad = common_kl_grad(z, pt, c)
+        kernel = gold_kernel(c, 4, 4, COMMON_KL)
+        grad = logit_grad(kernel, z, pt)
         assert grad[2] == pytest.approx(0.125, abs=1e-12)
         assert grad[3] == pytest.approx(0.125, abs=1e-12)
-        numeric = central_difference(lambda zz: common_kl(pt, softmax(zz), c), z)
-        assert max_relative_error(grad, numeric) < 1e-6
+        assert max_relative_error(grad, numeric_grad(kernel, z, pt)) < 1e-6
 
     def test_stationary_at_full_coverage_optimum(self):
         pt = np.array([0.4, 0.35, 0.25])
         c = CommonSet([0, 1, 2], [0, 1, 2])
-        grad = common_kl_grad(np.log(pt), pt, c)
+        grad = logit_grad(gold_kernel(c, 3, 3, COMMON_KL), np.log(pt), pt)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_suppression_identity_suite(self):
@@ -281,7 +315,8 @@ class TestCommonKlGrad:
             c = random_bijective_common_set(rng, n_s, n_t)
             z = rng.normal(size=n_s) * 2
             pt = rng.dirichlet(np.ones(n_t))
-            grad = common_kl_grad(z, pt, c)
+            kernel = gold_kernel(c, n_s, n_t, COMMON_KL)
+            grad = logit_grad(kernel, z, pt)
 
             ps = softmax(z)
             mass = pt[c.teacher_ids].sum()
@@ -291,8 +326,7 @@ class TestCommonKlGrad:
                 if ps[j] > 0 and mass > 0:
                     # a positive-step descent update strictly lowers the logit
                     assert (z[j] - 0.1 * grad[j]) < z[j]
-            numeric = central_difference(lambda zz: common_kl(pt, softmax(zz), c), z)
-            assert max_relative_error(grad, numeric) < 1e-6
+            assert max_relative_error(grad, numeric_grad(kernel, z, pt)) < 1e-6
 
 
 class TestUld:
@@ -323,8 +357,6 @@ class TestUld:
 
 class TestUldGrad:
     def test_matches_finite_differences_on_100_instances(self):
-        from crosstok.losses import uld_grad
-
         rng = np.random.default_rng(606)
         for _ in range(100):
             n_s = int(rng.integers(2, 13))
@@ -332,25 +364,24 @@ class TestUldGrad:
             c = random_bijective_common_set(rng, n_s, n_t)
             z = rng.normal(size=n_s)
             pt = rng.dirichlet(np.ones(n_t))
-            analytic = uld_grad(z, pt, c)
-            numeric = central_difference(lambda zz: uld(softmax(zz), pt, c), z)
-            assert max_relative_error(analytic, numeric) < 1e-6
+            kernel = gold_kernel(c, n_s, n_t, ULD_ONLY)
+            assert kernel(pt, softmax(z))[0] == uld(softmax(z), pt, c)
+            analytic = logit_grad(kernel, z, pt)
+            assert max_relative_error(analytic, numeric_grad(kernel, z, pt)) < 1e-6
 
 
 class TestChunkKlGrad:
     def test_matches_finite_differences_on_100_instances(self):
-        from crosstok.losses import chunk_kl, chunk_kl_grad
-
         rng = np.random.default_rng(707)
         for _ in range(100):
             n = int(rng.integers(2, 13))
             z = rng.normal(size=n)
             pt = rng.dirichlet(np.ones(n))
-            support = topk_support(pt, int(rng.integers(1, n + 1)))
-            analytic = chunk_kl_grad(z, pt, support=support)
-            numeric = central_difference(
-                lambda zz: chunk_kl(pt, softmax(zz), support=support), z)
-            assert max_relative_error(analytic, numeric) < 1e-6
+            v = Vocabulary(f"s{i}" for i in range(n))
+            kernel = loss_kernel("kl", v, v, None, int(rng.integers(1, n + 1)), HybridWeights(),
+                                 LOG_EPS)
+            analytic = logit_grad(kernel, z, pt)
+            assert max_relative_error(analytic, numeric_grad(kernel, z, pt)) < 1e-6
 
 
 class TestGold:
@@ -640,9 +671,10 @@ def test_uld_views_match_full_sort_reference(case):
     z = tie_vector(rng, n_s, TIE_LOGITS)
     p_s, p_t = softmax(z), tie_vector(rng, n_t, TIE_VALUES)
     hw = HybridWeights(0.5, 2.0)
-    got = (uld(p_s, p_t, c), uld_grad(z, p_t, c), gold_grad(z, p_t, c, hw))
+    uld_kernel = gold_kernel(c, n_s, n_t, ULD_ONLY)
+    got = (uld(p_s, p_t, c), logit_grad(uld_kernel, z, p_t), gold_grad(z, p_t, c, hw))
     with mock.patch.object(losses, "_rank_l1", reference_rank_l1):
-        want = (uld(p_s, p_t, c), uld_grad(z, p_t, c), gold_grad(z, p_t, c, hw))
+        want = (uld(p_s, p_t, c), logit_grad(uld_kernel, z, p_t), gold_grad(z, p_t, c, hw))
     assert [bits(x) for x in got] == [bits(x) for x in want]
 
 
@@ -661,10 +693,15 @@ def test_logit_gradient_bytes_do_not_depend_on_blas_threads():
     bytes under one BLAS thread and under two."""
     script = ("import hashlib\n"
               "import numpy as np\n"
-              "from crosstok.losses import chunk_kl_grad\n"
+              "from crosstok.chunks import softmax\n"
+              "from crosstok.losses import LOG_EPS, HybridWeights, loss_kernel\n"
+              "from crosstok.vocab import Vocabulary\n"
+              "v = Vocabulary(f's{i}' for i in range(32768))\n"
+              "kernel = loss_kernel('kl', v, v, None, 32768, HybridWeights(), LOG_EPS)\n"
               "rng = np.random.default_rng(0)\n"
               "z, pt = rng.normal(size=32768) * 3, rng.dirichlet(np.ones(32768))\n"
-              "print(hashlib.sha256(chunk_kl_grad(z, pt).tobytes()).hexdigest())\n")
+              "grad = kernel(pt, softmax(z), np.empty(32768))[1]\n"
+              "print(hashlib.sha256(grad.tobytes()).hexdigest())\n")
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,

@@ -195,7 +195,7 @@ class TestProject:
         rng = np.random.default_rng(42)
         for _ in range(20):
             p = rng.dirichlet(np.ones(w.n_student))
-            raw = project(w, p, renormalize=False)
+            raw = w.product(p)
             assert abs(raw.sum() - 1.0) < 1e-12
 
     def test_all_mass_on_empty_row_fails(self):
@@ -572,6 +572,20 @@ class TestCounts:
         with pytest.raises(ValidationError) as info:
             SparseProjection.from_rows(-1, [], [], ProjectionConfig())
         assert str(info.value) == f"n_teacher must be a count in [0, {sys.maxsize}], got -1"
+
+    @pytest.mark.parametrize("n_teacher", [sys.maxsize, sys.maxsize // 16],
+                             ids=["past_array_size", "past_memory"])
+    def test_teacher_count_too_large_to_project_named(self, n_teacher):
+        """numpy's ``array is too big`` ValueError (at ``sys.maxsize``) and a
+        MemoryError (at ``sys.maxsize // 16``) become one ValidationError that
+        names n_teacher. Only these two sizes: a smaller one, such as 2**40,
+        could be allocated lazily and fill the memory."""
+        w = SparseProjection.from_rows(n_teacher, [[(0, 1.0)]], ["exact"], ProjectionConfig())
+        for call in (lambda: w.product(np.array([1.0])), lambda: project(w, [1.0])):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == (f"a teacher-space vector of n_teacher {n_teacher} "
+                                       "entries cannot be allocated")
 
 
 class TestNonFiniteWeights:

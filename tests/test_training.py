@@ -712,26 +712,57 @@ class TestStepInputMessages:
         assert len(cache) == 0
 
 
+GRADCHECK_FAMILIES = {"pkl_logits", "pkl_entries", "hkl", "gold", "uld", "kl"}
+
+
 class TestGradientCheck:
     def test_every_family_checked_on_every_instance(self, monkeypatch):
-        # seed 13 draws no instance with n_s == n_t, and some draws leave a
-        # teacher id uncovered by the projection
-        calls = Counter()
+        """Every mode is bound through ``training.loss_kernel`` on every
+        instance, each student vocabulary standing for one instance; ``pkl``
+        is bound again at each log-weight stencil point, the others once.
+        Seed 13 draws no instance with n_s == n_t, and some draws leave a
+        teacher id uncovered by the projection."""
+        binds, real = [], training.loss_kernel
 
-        def counted(name):
-            real = getattr(training, name)
+        def counted(mode, vs, *args):
+            binds.append((mode, vs))
+            return real(mode, vs, *args)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        names = ("pkl_grads", "common_kl_grad", "uld_grad", "chunk_kl_grad")
-        for name in names:
-            monkeypatch.setattr(training, name, counted(name))
+        monkeypatch.setattr(training, "loss_kernel", counted)
         worst = gradient_check(seed=13, instances=20)
-        assert calls == {name: 20 for name in names}
+        students = list({id(vs): vs for _, vs in binds}.values())  # binds keeps each alive
+        assert len(students) == 20
+        for vs in students:
+            assert {mode for mode, v in binds if v is vs} == set(MODES)
+        counts = Counter(mode for mode, _ in binds)
+        assert all(counts[mode] == 20 for mode in MODES if mode != "pkl")
+        assert counts["pkl"] > 20
+        assert set(worst) == GRADCHECK_FAMILIES
         assert all(err < 1e-6 for err in worst.values())
+
+    def test_perturbed_hybrid_gradient_fails(self, monkeypatch):
+        """A bound ``hkl`` kernel whose ``grad_z`` is off in one entry shows as
+        an ``hkl`` error over the tolerance, and no other family moves."""
+        real = training.loss_kernel
+
+        def perturbed(mode, *args):
+            kernel = real(mode, *args)
+            if mode != "hkl":
+                return kernel
+
+            def off(pt, ps, out=None):
+                value, g_z, g_w = kernel(pt, ps, out)
+                if g_z is not None:
+                    g_z[0] += 1e-4
+                return value, g_z, g_w
+            return off
+
+        clean = gradient_check(seed=123, instances=10)
+        monkeypatch.setattr(training, "loss_kernel", perturbed)
+        worst = gradient_check(seed=123, instances=10)
+        assert worst["hkl"] > 1e-6 > clean["hkl"]
+        assert {f: e for f, e in worst.items() if f != "hkl"} == {
+            f: e for f, e in clean.items() if f != "hkl"}
 
     @pytest.mark.parametrize("instances", [0, -3])
     def test_rejects_fewer_than_one_instance(self, instances):
@@ -740,7 +771,7 @@ class TestGradientCheck:
 
     def test_all_paths_below_tolerance(self):
         worst = gradient_check(seed=123, instances=10)
-        assert set(worst) == {"pkl_logits", "pkl_entries", "common_kl", "uld", "chunk_kl"}
+        assert set(worst) == GRADCHECK_FAMILIES
         for name, err in worst.items():
             assert err < 1e-6, name
 

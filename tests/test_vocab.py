@@ -326,13 +326,13 @@ class TestToyTokenizers:
     def test_roundtrip_all_kinds(self, text):
         for kind in ("digit_splitting", "numeral_preserving", "char_level"):
             tok = make_toy_tokenizer(kind)
-            assert tok.decode(tok.encode(text)) == text
+            assert "".join(map(tok.decode_token, tok.encode(text))) == text
 
     @settings(max_examples=100)
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=40))
     def test_roundtrip_word_level(self, text):
         tok = make_toy_tokenizer("word_level", ["the cat ran"])
-        assert tok.decode(tok.encode(text)) == text
+        assert "".join(map(tok.decode_token, tok.encode(text))) == text
 
 
 # Token and text pieces: several tokens share a first character and differ in

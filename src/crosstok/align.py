@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_line, write_text
+from .errors import ValidationError, check_int, json_line, write_text
 from .vocab import Tokenizer, vocabulary_hash
 
 
@@ -42,6 +42,7 @@ class AlignScoring:
             raise ValidationError(f"alpha_comb must be positive, got {self.alpha_comb}")
         if not self.alpha_gap < 0:
             raise ValidationError(f"alpha_gap must be negative, got {self.alpha_gap}")
+        check_int(self.max_span, "max_span")
         if self.max_span < 2:
             raise ValidationError("max_span must be at least 2")
 

@@ -55,8 +55,12 @@ class PositionLogits:
             raise ValidationError(f"side must be one of {SIDES}, got {self.side!r}")
         if not (isinstance(self.logits, np.ndarray) and self.logits.dtype == np.float32):
             self.logits = np.asarray(self.logits, dtype=float)
+        ids = self.realized_ids  # a list as objects: Python ints stay ints, however large
+        ids = ids if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=object)
+        if ids.dtype.kind not in "iu" and (bad := [i for i in ids.flat if type(i) is not int]):
+            raise ValidationError(f"realized_ids must hold ints, got {bad[0]!r:.80}")
         try:
-            self.realized_ids = np.asarray(self.realized_ids, dtype=np.intp)
+            self.realized_ids = ids.astype(np.intp)
         except OverflowError:
             raise ValidationError("realized id outside the vocabulary") from None
         if self.logits.ndim != 2:

@@ -202,6 +202,11 @@ def _load_step_inputs(config: dict, path, grad: bool):
     return student_vocab, student_logits, teachers
 
 
+_STEP_KNOBS = ("temperature", "top_k")  # ``run_step`` keywords set at the config's top level
+_STEP_SECTIONS = {"policy": ScalingPolicy, "scoring": AlignScoring, "hybrid": HybridWeights}
+_STEP_KEYS = ("student", "teachers", "schedule", *_STEP_KNOBS, *_STEP_SECTIONS)
+
+
 def cmd_loss(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.gradcheck:
@@ -224,12 +229,13 @@ def cmd_loss(args, config: dict) -> int:
         _check_out(args.out, "the report file")
     if not config:
         raise ValidationError("loss needs --config pointing at a step config file")
+    if unknown := [key for key in config if key not in _STEP_KEYS]:
+        raise ValidationError(f"{args.config}: {unknown[0]} is not a known field")
     student_vocab, student_logits, teachers = _load_step_inputs(config, args.config, args.grad)
     step_hints = typing.get_type_hints(run_step)
-    step_kwargs = _flags_over_config(args, config,
-                                     {k: step_hints[k] for k in ("temperature", "top_k", "eps")})
-    sections = {name: _section(config, args.config, name, cls) for name, cls in (
-        ("policy", ScalingPolicy), ("scoring", AlignScoring), ("hybrid", HybridWeights))}
+    step_kwargs = _flags_over_config(args, config, {k: step_hints[k] for k in _STEP_KNOBS})
+    sections = {name: _section(config, args.config, name, cls)
+                for name, cls in _STEP_SECTIONS.items()}
     schedule = check_fields(config.get("schedule", {}), {"kind": str}, args.config, "schedule.")
 
     with located(args.config):

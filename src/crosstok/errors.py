@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader and writer of text
-files, ``json_line``, the field check that turns a malformed JSON object into a
-ValidationError, and ``located``, which names where that error's input came from."""
+"""Exception types shared across the package, the one text reader and writer,
+``json_line``, ``check_int``, the field check that turns a malformed JSON object
+into a ValidationError, and ``located``, which names where its input came from."""
 
 import contextlib
 import json
@@ -69,6 +69,13 @@ def parse_object(text: str, path, line: int | None = None) -> dict:
         detail = f"{type(exc).__name__}: {exc}"
     where = f": line {line}" if line is not None else ""
     raise ValidationError(f"{path}{where}: not a JSON object ({detail})")
+
+
+def check_int(value, name: str) -> None:
+    """Reject a ``value`` that is not a Python int (a bool, a float, a numpy
+    integer, which a JSON file header could not hold), naming it ``name``."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r:.80}")
 
 
 def _fits(value, hint) -> bool:

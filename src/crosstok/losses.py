@@ -17,9 +17,10 @@ reach the kernels only through it. The six value and gradient views (``pkl``,
 ``pkl_grads``, ``gold``, ``gold_grad``, ``chunk_kl`` and ``uld``) stay for the
 benchmark's span tracer, which wraps them by name.
 
-Logs are floored at a configurable ``eps`` (log(max(x, eps))), which prevents
-NaNs on truncated supports without touching any returned distribution; pass
-``eps=None`` (or 0) to make a zero probability on a live pair an error instead.
+Every KL log is floored at ``LOG_EPS`` (log(max(x, LOG_EPS))), so a zero
+probability on a truncated support cannot turn a loss into NaN; no returned
+distribution is touched. The floor is a fixed constant, not a setting: one
+above the step's probabilities would silently zero the KD term.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chunks import renormalize_on, softmax, topk_support
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .projection import SparseProjection
 from .vocab import Vocabulary, exact_partners, vocabulary_hash
 
@@ -114,25 +115,12 @@ def build_common_set_relaxed(w: SparseProjection) -> CommonSet:
     return _first_per_teacher(s[ranked], t[ranked])
 
 
-def check_eps(eps: float | None) -> None:
-    """Reject a log floor outside [0, 1)."""
-    if eps is not None and not 0 <= eps < 1:  # a floor of 1 or more zeroes every KL term
-        raise ValidationError(f"log floor eps must be None or in [0, 1), got {eps}")
-
-
-def _kl_sum(pt: np.ndarray, q: np.ndarray, eps: float | None) -> float:
+def _kl_sum(pt: np.ndarray, q: np.ndarray) -> float:
     """Log-floored KL sum over the entries where the teacher has mass."""
-    check_eps(eps)
     live = pt > 0
     if not live.all():
         pt, q = pt[live], q[live]
-    if not eps and np.any(q == 0):
-        raise ValidationError(
-            "student probability is zero where the teacher has mass (log of zero); "
-            "configure a log floor"
-        )
-    floor = eps or 0.0
-    return float(np.sum(pt * (np.log(np.maximum(pt, floor)) - np.log(np.maximum(q, floor)))))
+    return float(np.sum(pt * (np.log(np.maximum(pt, LOG_EPS)) - np.log(np.maximum(q, LOG_EPS)))))
 
 
 def _logit_grad(ps: np.ndarray, grad_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -145,8 +133,7 @@ def _logit_grad(ps: np.ndarray, grad_p: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
-def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
-                out: np.ndarray | None):
+def _support_kl(pt, ps, w: SparseProjection | None, support, out: np.ndarray | None):
     """KL from the teacher to the student, both renormalized on ``support``.
 
     With a projection ``w`` the student is first pushed into teacher space.
@@ -158,14 +145,14 @@ def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
     q_raw = ps if w is None else w.product(ps)
     pt_sup, _ = renormalize_on(pt, support, "teacher")
     q_sup, mass = renormalize_on(q_raw, support, "student" if w is None else "projected student")
-    value = _kl_sum(pt_sup, q_sup, eps)
+    value = _kl_sum(pt_sup, q_sup)
     if out is None:
         return value, None, None
 
     # dL/dq_raw on the support: -p_t/q_raw where unfloored, plus the
     # renormalization term shared by the whole support
     raw = q_raw[support]
-    active = (pt_sup > 0) & (raw > (eps or 0.0) * mass)
+    active = (pt_sup > 0) & (raw > LOG_EPS * mass)
     ratio = np.zeros(raw.size)
     np.divide(pt_sup, raw, out=ratio, where=active)
     d_q = np.zeros(q_raw.size)
@@ -176,7 +163,7 @@ def _support_kl(pt, ps, w: SparseProjection | None, support, eps: float | None,
     return value, _logit_grad(ps, grad_s, out), grad_w
 
 
-def _common_kl(pt, ps, c: CommonSet, eps: float | None, out: np.ndarray | None):
+def _common_kl(pt, ps, c: CommonSet, out: np.ndarray | None):
     """Partial KL over the common pairs, with no renormalization on either side.
 
     In the logits (written into ``out`` when given), every uncommon entry j
@@ -185,7 +172,7 @@ def _common_kl(pt, ps, c: CommonSet, eps: float | None, out: np.ndarray | None):
     teacher probability.
     """
     pt_c = pt[c.teacher_ids]
-    value = _kl_sum(pt_c, ps[c.student_ids], eps)
+    value = _kl_sum(pt_c, ps[c.student_ids])
     if out is None:
         return value, None
     grad = np.multiply(ps, float(pt_c.sum()), out=out)
@@ -248,11 +235,10 @@ def _rank_l1(pt, ps, u_s: np.ndarray, u_t: np.ndarray, grads: bool):
     return value, _logit_grad(ps, grad_p, grad_p)
 
 
-def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, eps: float | None,
-            out: np.ndarray | None):
+def _hybrid(pt, ps, c: CommonSet, uncommon, hw: HybridWeights, out: np.ndarray | None):
     """Weighted common-KL plus weighted rank-sorted L1 (``uncommon`` from
     ``_uncommon``); the logit gradient is assembled in ``out`` when given."""
-    kl, kl_grad = _common_kl(pt, ps, c, eps, out)
+    kl, kl_grad = _common_kl(pt, ps, c, out)
     l1, l1_grad = _rank_l1(pt, ps, *uncommon, out is not None)
     value = hw.lambda_kl * kl + hw.lambda_uld * l1
     try:
@@ -284,7 +270,7 @@ def _bound_set(memo: dict, key, build, vs: Vocabulary, vt: Vocabulary):
 
 
 def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection | None,
-                top_k: int, hw: HybridWeights, eps: float | None):
+                top_k: int, hw: HybridWeights):
     """Check one teacher's mode against its inputs and bind it to its kernel.
 
     ``kl`` needs the student's vocabulary on the teacher side; ``pkl`` and
@@ -310,11 +296,12 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
         if w.n_student != len(vs) or w.n_teacher != len(vt):
             raise ValidationError("projection shape does not match the vocabularies")
     if mode in ("kl", "pkl"):
+        check_int(top_k, "top_k")
         if not top_k >= 1:
             raise ValidationError(f"top_k must be at least 1, got {top_k}")
         proj = w if mode == "pkl" else None
         return lambda pt, ps, out=None: _support_kl(
-            pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, eps, out)
+            pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, out)
     if mode == "hkl":
         c, uncommon = _bound_set(w._memo, "relaxed", lambda: build_common_set_relaxed(w), vs, vt)
     elif mode == "gold":
@@ -323,7 +310,7 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
     else:
         c, hw = CommonSet(), HybridWeights()
         uncommon = _uncommon(c, len(vs), len(vt))
-    return lambda pt, ps, out=None: _hybrid(pt, ps, c, uncommon, hw, eps, out)
+    return lambda pt, ps, out=None: _hybrid(pt, ps, c, uncommon, hw, out)
 
 
 def uld(p_s, p_t, c: CommonSet) -> float:
@@ -331,42 +318,38 @@ def uld(p_s, p_t, c: CommonSet) -> float:
     return _rank_l1(p_t, p_s, *_uncommon(c, p_s.size, p_t.size), False)[0]
 
 
-def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights(),
-         eps: float | None = LOG_EPS) -> float:
+def gold(p_t, p_s, c: CommonSet, hw: HybridWeights = HybridWeights()) -> float:
     """Hybrid loss: weighted common-KL plus weighted ULD."""
-    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, eps, None)[0]
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, None)[0]
 
 
 def gold_grad(z_s, p_t, c: CommonSet, hw: HybridWeights = HybridWeights()) -> np.ndarray:
     """Subgradient of ``gold`` in the student chunk logits."""
     p_s = softmax(z_s)
-    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, LOG_EPS,
-                   np.empty(p_s.size))[1]
+    return _hybrid(p_t, p_s, c, _uncommon(c, p_s.size, p_t.size), hw, np.empty(p_s.size))[1]
 
 
-def pkl(p_t, p_s, w: SparseProjection, support=None,
-        eps: float | None = LOG_EPS) -> float:
+def pkl(p_t, p_s, w: SparseProjection, support=None) -> float:
     """KL from the teacher to the projected student distribution.
 
     ``support`` restricts the comparison to pre-truncated teacher indices;
     both sides are renormalized over that support.
     """
-    return _support_kl(p_t, p_s, w, support, eps, None)[0]
+    return _support_kl(p_t, p_s, w, support, None)[0]
 
 
-def pkl_grads(z_s, p_t, w: SparseProjection, support=None,
-              eps: float | None = LOG_EPS) -> tuple[np.ndarray, np.ndarray]:
+def pkl_grads(z_s, p_t, w: SparseProjection, support=None) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of ``pkl`` in the student chunk logits and W entries."""
-    return _support_kl(p_t, softmax(z_s), w, support, eps, np.empty(np.size(z_s)))[1:]
+    return _support_kl(p_t, softmax(z_s), w, support, np.empty(np.size(z_s)))[1:]
 
 
-def chunk_kl(p_t, p_s, support=None, eps: float | None = LOG_EPS) -> float:
+def chunk_kl(p_t, p_s, support=None) -> float:
     """Plain KL between two distributions over one shared vocabulary.
 
     ``support`` restricts both sides to the given indices and renormalizes
     them there.
     """
-    return _support_kl(p_t, p_s, None, support, eps, None)[0]
+    return _support_kl(p_t, p_s, None, support, None)[0]
 
 
 def temperature_squared(temperature: float) -> float:

@@ -24,8 +24,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chunks import renormalize_on
-from .errors import (UnencodableTextError, ValidationError, check_fields, json_line, located,
-                     parse_object, read_text)
+from .errors import (UnencodableTextError, ValidationError, check_fields, check_int, json_line,
+                     located, parse_object, read_text)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -40,10 +40,10 @@ class ProjectionConfig:
         if not 0 < self.gamma < self.beta <= 1:
             raise ValidationError(f"need 0 < gamma < beta <= 1, got beta={self.beta}, "
                                   f"gamma={self.gamma}")
-        if self.top_k < 1:
-            raise ValidationError("top_k must be at least 1")
-        if self.max_span < 1:
-            raise ValidationError("max_span must be at least 1")
+        for name in ("max_span", "top_k"):
+            check_int(getattr(self, name), name)
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
 
 
 class Provenance(str, Enum):
@@ -84,9 +84,8 @@ class SparseProjection:
         ``n_student``: ``counts`` holds Python ints or is an integer array, and
         ``provenance`` holds ``Provenance`` members or their values, or is an
         ``int8`` array of codes (indexes into ``Provenance``)."""
-        for key, count in (("n_student", n_student), ("n_teacher", n_teacher)):
-            if type(count) is not int:  # a bool or a float is not a count
-                raise ValidationError(f"{key} must be an int, got {count!r:.80}")
+        check_int(n_student, "n_student")
+        check_int(n_teacher, "n_teacher")
         if not 0 <= n_teacher <= sys.maxsize:
             raise ValidationError(f"n_teacher must be a count in [0, {sys.maxsize}], "
                                   f"got {n_teacher}")

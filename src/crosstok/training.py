@@ -23,8 +23,7 @@ import numpy as np
 from .align import AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax
 from .errors import ValidationError, json_line, located
-from .losses import (LOG_EPS, MODES, HybridWeights, LossReport, check_eps, loss_kernel,
-                     temperature_squared)
+from .losses import LOG_EPS, MODES, HybridWeights, LossReport, loss_kernel, temperature_squared
 from .numdiff import central_difference, max_relative_error
 from .projection import ProjectionConfig, Provenance, SparseProjection
 from .vocab import Tokenizer, Vocabulary
@@ -236,12 +235,10 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              top_k: int = 8192,
              hybrid: HybridWeights = HybridWeights(),
              cache: AlignmentCache | None = None,
-             compute_grads: bool = False,
-             eps: float | None = LOG_EPS) -> StepReport:
+             compute_grads: bool = False) -> StepReport:
     """One simulated training step over stored logits, its teachers weighted
     under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic."""
     t_squared = temperature_squared(temperature)
-    check_eps(eps)
     if schedule not in SCHEDULE_KINDS:
         raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
     if not teachers:
@@ -253,7 +250,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         check_dump(teacher.logits, "teacher", teacher.vocab, who + ":")
         with located(who):
             kernels.append(loss_kernel(teacher.mode, student_vocab, teacher.vocab,
-                                       teacher.projection, top_k, hybrid, eps))
+                                       teacher.projection, top_k, hybrid))
 
     if schedule == "static":
         alphas = np.asarray([t.weight for t in teachers], dtype=float)
@@ -356,7 +353,7 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     )
 
 
-def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str, float]:
+def gradient_check(seed: int, instances: int = 20) -> dict[str, float]:
     """Finite-difference check of every mode's kernel as ``loss_kernel`` binds it.
 
     On each random toy instance every mode in ``MODES`` is bound, and its
@@ -403,9 +400,9 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
 
         for mode in MODES:
             v_t, p_t, top_k = (vs, p, max(1, n_s - 2)) if mode == "kl" else (vt, pt, n_t)
-            kernel = loss_kernel(mode, vs, v_t, w, top_k, hw, LOG_EPS)
+            kernel = loss_kernel(mode, vs, v_t, w, top_k, hw)
             _, g_z, g_w = kernel(p_t, ps, np.empty(n_s))
-            num_z = central_difference(lambda zz: kernel(p_t, softmax(zz))[0], z, h)
+            num_z = central_difference(lambda zz: kernel(p_t, softmax(zz))[0], z)
             family = "pkl_logits" if mode == "pkl" else mode
             worst[family] = max(worst[family], max_relative_error(g_z, num_z))
             if mode == "pkl":
@@ -413,8 +410,8 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-6) -> dict[str,
                 # differences in log-weight: every stencil point stays a valid
                 # projection, and the step shrinks with the weight it moves
                 num_w = central_difference(lambda u: loss_kernel(
-                    mode, vs, vt, w.with_weights(base * np.exp(u)), top_k, hw, LOG_EPS)(pt, ps)[0],
-                    np.zeros_like(base), h)
+                    mode, vs, vt, w.with_weights(base * np.exp(u)), top_k, hw)(pt, ps)[0],
+                    np.zeros_like(base))
                 worst["pkl_entries"] = max(worst["pkl_entries"],
                                            max_relative_error(base * g_w, num_w))
     return worst

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
-                     located, parse_object, read_text, write_text)
+                     check_int, located, parse_object, read_text, write_text)
 
 # Glyphs that tokenizer families use to mark a leading space: U+0120 (GPT-2
 # style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -157,6 +157,7 @@ class Vocabulary:
             raise ValidationError(f"duplicate token string {self.tokens[i]!r} at ids "
                                   f"{first[self.tokens[i]]} and {i}")
         for sid in self.specials:
+            check_int(sid, "special id")
             if not 0 <= sid < len(self.tokens):
                 raise ValidationError(f"special id {sid} outside vocabulary of size {len(self.tokens)}")
         self._roles_of: dict[int, frozenset[str]] = {}
@@ -164,7 +165,7 @@ class Vocabulary:
             if _SURROGATE.search(role):
                 raise ValidationError(f"role {role!r} holds a lone surrogate, which UTF-8 "
                                       "cannot encode")
-            if rid not in self.specials:
+            if type(rid) is not int or rid not in self.specials:
                 raise ValidationError(f"role {role!r} points to id {rid}, which is not a special")
             self._roles_of[rid] = self._roles_of.get(rid, frozenset()) | {role}
         # Specials pass through canonicalization untouched; they pair only by role.

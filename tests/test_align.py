@@ -242,6 +242,12 @@ class TestAlignmentProperties:
         with pytest.raises(ValidationError):
             AlignScoring(max_span=1)
 
+    @pytest.mark.parametrize("max_span", [2.5, True], ids=["float", "bool"])
+    def test_scoring_max_span_must_be_int(self, max_span):
+        with pytest.raises(ValidationError) as info:
+            AlignScoring(max_span=max_span)
+        assert str(info.value) == f"max_span must be an int, got {max_span!r}"
+
 
 class TestCacheAndDump:
     def test_cache_returns_stored_alignment(self):

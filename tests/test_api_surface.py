@@ -8,7 +8,7 @@ checks that a traced step attributes its cross-entropy to a span.
 ``benchmarks/workloads.py`` checks each step report it times; a report field
 it cannot read would show only as incorrect outputs in a benchmark run. And
 every public function of ``crosstok.losses`` has a reader: a library module
-or the tracer.
+or the tracer. None of the ways into the loss kernels takes a log floor.
 """
 
 import importlib
@@ -69,6 +69,22 @@ def test_every_public_loss_function_has_a_reader():
     unread = [name for name in public if name not in traced
               and not re.search(rf"\b{name}\b", text.replace(f"def {name}(", ""))]
     assert unread == []
+
+
+LOSS_ENTRY_POINTS = {"run_step": training.run_step, "loss_kernel": losses.loss_kernel,
+                     "gradient_check": training.gradient_check,
+                     **{entry[2]: getattr(losses, entry[2]) for entry in SPAN_TABLE.FUNCTIONS
+                        if entry[1] == losses.__name__}}
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_ENTRY_POINTS))
+def test_log_floor_is_not_a_parameter(name):
+    """The KL log floor is the constant ``losses.LOG_EPS``: no way into the
+    kernels (the step, ``loss_kernel``, the gradient check or a loss view the
+    tracer wraps) takes an ``eps`` again, and the gradient check no ``h``."""
+    params = inspect.signature(LOSS_ENTRY_POINTS[name]).parameters
+    assert "eps" not in params
+    assert name != "gradient_check" or "h" not in params
 
 
 @pytest.mark.parametrize("grads", [False, True], ids=["forward", "grad"])

@@ -73,6 +73,16 @@ class TestSoftmax:
         assert logits.dtype == dtype and logits.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("ids, bad", [([0.7, 1.2], "0.7"), ([1, True], "True"),
+                                     (np.array([0.0, 1.0]), "np.float64(0.0)")],
+                         ids=["float", "bool", "float-array"])
+def test_realized_ids_must_be_integers(ids, bad):
+    """Not truncated or read as 0/1: a list of ints or an integer array only."""
+    with pytest.raises(ValidationError) as info:
+        PositionLogits("s0", "student", np.zeros((2, 3)), ids)
+    assert str(info.value) == f"realized_ids must hold ints, got {bad}"
+
+
 class TestChainRuleMerge:
     def test_single_position_is_plain_softmax(self):
         rng = np.random.default_rng(1)

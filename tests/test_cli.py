@@ -474,7 +474,6 @@ class TestConfigFields:
         (lambda c: c.update(policy={"kind": "fixed", "lambda_ce": math.nan}), "policy.lambda_ce"),
         (lambda c: c.update(hybrid={"lambda_uld": math.inf}), "hybrid.lambda_uld"),
         (lambda c: c.update(scoring={"alpha_gap": -math.inf}), "scoring.alpha_gap"),
-        (lambda c: c.update(eps=math.nan), "eps"),
     ]
 
     @pytest.mark.parametrize("edit, field", NON_FINITE, ids=[field for _, field in NON_FINITE])
@@ -490,7 +489,6 @@ class TestConfigFields:
         (lambda c: c.update(temperature=10**400), "temperature"),
         (lambda c: c["teachers"][0].update(weight=10**400), "teachers[0].weight"),
         (lambda c: c.update(scoring={"alpha_comb": 10**400}), "scoring.alpha_comb"),
-        (lambda c: c.update(eps=-(10**400)), "eps"),
     ]
 
     @pytest.mark.parametrize("edit, field", HUGE, ids=[field for _, field in HUGE])
@@ -539,10 +537,16 @@ class TestConfigFields:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["--config", str(path), "loss"]) == 0
 
-    def test_eps_null_is_accepted(self, step_fixture, tmp_path):
+    @pytest.mark.parametrize("key", ["eps", "temprature"])
+    def test_unknown_top_level_key_exits_1(self, step_fixture, capsys, key):
+        """A top-level key the step does not know, such as the log floor that
+        is now a constant or a misspelled temperature, fails by name before
+        any file is read (the student vocabulary is gone, which would exit 2)."""
         fx = step_fixture(modes=("pkl",))
-        edit_config(fx, lambda c: c.update(eps=None))
-        assert main(["--config", str(fx["config"]), "loss"]) == 0
+        edit_config(fx, lambda c: c.update({key: 5.0}))
+        fx["student_vocab"].unlink()
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err == f"error: {fx['config']}: {key} is not a known field\n"
 
     @pytest.mark.parametrize("field", ["positions", "vocab_size", "realized_ids", "side"])
     def test_sidecar_missing_field_exits_1(self, step_fixture, capsys, field):
@@ -689,8 +693,6 @@ class TestStepConfigSemantics:
         (lambda c: c.update(scoring={"max_span": 1}), "max_span must be at least 2"),
         (lambda c: c.update(hybrid={"lambda_kl": -1.0}), "hybrid loss weights must be "
                                                           "non-negative"),
-        (lambda c: c.update(eps=-1.0), "log floor eps must be None or in [0, 1), got -1.0"),
-        (lambda c: c.update(eps=1e308), "log floor eps must be None or in [0, 1), got 1e+308"),
         (lambda c: c.update(teachers=[]), "need at least one teacher"),
         (lambda c: c["teachers"][0].update(weight=-1.0),
          "teacher 't0_pkl': weight must be non-negative, got -1.0"),
@@ -704,11 +706,10 @@ class TestStepConfigSemantics:
     ]
     IDS = ["temperature", "temperature-square-overflows", "temperature-square-underflows",
            "top_k", "policy-kind", "policy-weights", "schedule-kind", "alpha_gap", "max_span",
-           "hybrid", "eps", "eps-over-1", "no-teacher", "weight", "weight-sum", "mode", "no-projection",
-           "kl-vocabulary"]
+           "hybrid", "no-teacher", "weight", "weight-sum", "mode", "no-projection", "kl-vocabulary"]
     # the step's own constants: named with nothing between the config and the message
     WHOLE_LINE = tuple(message for (_, message), name in zip(SEMANTIC, IDS)
-                       if name.startswith(("temperature", "eps")))
+                       if name.startswith("temperature"))
 
     @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
     def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):

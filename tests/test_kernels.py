@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from crosstok.chunks import PositionLogits, softmax
 from crosstok.errors import ValidationError
 from crosstok.losses import (
-    LOG_EPS,
     MODES,
     CommonSet,
     HybridWeights,
@@ -150,9 +149,9 @@ def test_kernel_gradients_match_finite_differences(seed, mode, truncate):
         assume(uld_far_from_ties(ps, pt, common))
 
     def value(proj, p_s):
-        return loss_kernel(mode, vs, vt, proj, top_k, hw, LOG_EPS)(pt, p_s)[0]
+        return loss_kernel(mode, vs, vt, proj, top_k, hw)(pt, p_s)[0]
 
-    got, grad_z, grad_w = loss_kernel(mode, vs, vt, w, top_k, hw, LOG_EPS)(pt, ps, np.empty(n_s))
+    got, grad_z, grad_w = loss_kernel(mode, vs, vt, w, top_k, hw)(pt, ps, np.empty(n_s))
     assert got == value(w, ps)
     numeric_z = central_difference(lambda zz: value(w, softmax(zz)), z)
     assert max_relative_error(grad_z, numeric_z) < 1e-6
@@ -186,5 +185,5 @@ def test_loss_kernel_rejects_inputs_its_mode_cannot_use(mode, teacher_vocab, pro
     w = {"fits": random_projection(rng, 4, 3), "transposed": random_projection(rng, 3, 4),
          None: None}[projection]
     with pytest.raises(ValidationError) as info:
-        loss_kernel(mode, vs, vt, w, 8, HybridWeights(), LOG_EPS)
+        loss_kernel(mode, vs, vt, w, 8, HybridWeights())
     assert str(info.value) == message

@@ -20,7 +20,6 @@ from crosstok.losses import (
     _stable_order,
     build_common_set_exact,
     build_common_set_relaxed,
-    chunk_kl,
     gold,
     gold_grad,
     kd_aggregate,
@@ -93,9 +92,9 @@ def exact_pair(c, n_student, n_teacher):
     return Vocabulary(f"s{i}" for i in range(n_student)), Vocabulary(teacher)
 
 
-def gold_kernel(c, n_student, n_teacher, hw, eps=LOG_EPS):
+def gold_kernel(c, n_student, n_teacher, hw):
     """The ``gold`` kernel as ``loss_kernel`` binds it over the exact common set ``c``."""
-    return loss_kernel("gold", *exact_pair(c, n_student, n_teacher), None, 1, hw, eps)
+    return loss_kernel("gold", *exact_pair(c, n_student, n_teacher), None, 1, hw)
 
 
 def logit_grad(kernel, z, p_t):
@@ -241,9 +240,9 @@ class TestRelaxedCommonSet:
         assert_common(build_common_set_relaxed(w), [0], [0])
 
 
-def common_kl(p_t, p_s, c, eps=LOG_EPS):
+def common_kl(p_t, p_s, c):
     """The common-set KL value, from the bound ``gold`` kernel."""
-    return gold_kernel(c, p_s.size, p_t.size, COMMON_KL, eps)(p_t, p_s)[0]
+    return gold_kernel(c, p_s.size, p_t.size, COMMON_KL)(p_t, p_s)[0]
 
 
 class TestCommonKl:
@@ -260,25 +259,10 @@ class TestCommonKl:
         assert expected == pytest.approx(0.4581, abs=1e-4)
 
     def test_zero_student_probability(self):
+        """A zero student probability is logged at the fixed floor ``LOG_EPS``."""
         ps = np.array([0.0, 0.5, 0.5])
-        with pytest.raises(ValidationError, match="log"):
-            common_kl(PT3, ps, C01, eps=None)
-        assert np.isfinite(common_kl(PT3, ps, C01))  # default floor
-
-    def test_zero_floor_is_no_floor(self):
-        """``eps=0`` fails like ``eps=None`` instead of returning inf."""
-        ps = np.array([0.0, 0.5, 0.5])
-        with pytest.raises(ValidationError, match="log"):
-            common_kl(PT3, ps, C01, eps=0.0)
-
-    @pytest.mark.parametrize("eps", [1.0, 1e308])
-    def test_floor_of_one_or_more_rejected(self, eps):
-        """A floor at or above every probability would make every KL term 0."""
-        for view in (lambda: common_kl(PT3, PS3, C01, eps=eps),
-                     lambda: chunk_kl(PT3, PS3, eps=eps)):
-            with pytest.raises(ValidationError) as info:
-                view()
-            assert str(info.value) == f"log floor eps must be None or in [0, 1), got {eps}"
+        expected = 0.5 * (math.log(0.5) - math.log(LOG_EPS)) + 0.3 * math.log(0.3 / 0.5)
+        assert common_kl(PT3, ps, C01) == pytest.approx(expected, rel=1e-14)
 
 
 class TestCommonKlGrad:
@@ -378,8 +362,7 @@ class TestChunkKlGrad:
             z = rng.normal(size=n)
             pt = rng.dirichlet(np.ones(n))
             v = Vocabulary(f"s{i}" for i in range(n))
-            kernel = loss_kernel("kl", v, v, None, int(rng.integers(1, n + 1)), HybridWeights(),
-                                 LOG_EPS)
+            kernel = loss_kernel("kl", v, v, None, int(rng.integers(1, n + 1)), HybridWeights())
             analytic = logit_grad(kernel, z, pt)
             assert max_relative_error(analytic, numeric_grad(kernel, z, pt)) < 1e-6
 
@@ -450,7 +433,7 @@ class TestPkl:
         tok = make_toy_tokenizer("char_level")
         w = build_projection(tok.vocabulary, tok.vocabulary, tok)
         with pytest.raises(ValidationError) as info:
-            loss_kernel(mode, tok.vocabulary, tok.vocabulary, w, top_k, HybridWeights(), None)
+            loss_kernel(mode, tok.vocabulary, tok.vocabulary, w, top_k, HybridWeights())
         assert str(info.value) == f"top_k must be at least 1, got {top_k}"
 
 
@@ -694,10 +677,10 @@ def test_logit_gradient_bytes_do_not_depend_on_blas_threads():
     script = ("import hashlib\n"
               "import numpy as np\n"
               "from crosstok.chunks import softmax\n"
-              "from crosstok.losses import LOG_EPS, HybridWeights, loss_kernel\n"
+              "from crosstok.losses import HybridWeights, loss_kernel\n"
               "from crosstok.vocab import Vocabulary\n"
               "v = Vocabulary(f's{i}' for i in range(32768))\n"
-              "kernel = loss_kernel('kl', v, v, None, 32768, HybridWeights(), LOG_EPS)\n"
+              "kernel = loss_kernel('kl', v, v, None, 32768, HybridWeights())\n"
               "rng = np.random.default_rng(0)\n"
               "z, pt = rng.normal(size=32768) * 3, rng.dirichlet(np.ones(32768))\n"
               "grad = kernel(pt, softmax(z), np.empty(32768))[1]\n"

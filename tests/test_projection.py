@@ -346,6 +346,15 @@ class TestProjectionFiles:
         with pytest.raises(ValidationError):
             ProjectionConfig(top_k=0)
 
+    @pytest.mark.parametrize("field", ["max_span", "top_k"])
+    @pytest.mark.parametrize("value", [2.5, True, np.int64(2)], ids=["float", "bool", "numpy"])
+    def test_config_count_must_be_int(self, field, value):
+        """A count ``load_projection`` would refuse in the header (or, for a
+        numpy integer, that the header could not hold) fails at construction."""
+        with pytest.raises(ValidationError) as info:
+            ProjectionConfig(**{field: value})
+        assert str(info.value) == f"{field} must be an int, got {value!r}"
+
 
 def rewrite_body(path, edit):
     """Replace the body record of a saved projection by ``edit(body)`` and

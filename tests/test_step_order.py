@@ -19,7 +19,7 @@ import crosstok.training as training
 from crosstok.align import AlignmentCache, AlignScoring
 from crosstok.chunks import PositionLogits
 from crosstok.errors import DegenerateDistributionError, ValidationError
-from crosstok.losses import LOG_EPS, HybridWeights, build_common_set_relaxed, loss_kernel
+from crosstok.losses import HybridWeights, build_common_set_relaxed, loss_kernel
 from crosstok.projection import SparseProjection, build_projection
 from crosstok.training import ScalingPolicy, TeacherConfig, run_step
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
@@ -191,10 +191,10 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
         pytest.fail("no reweighting changed the relaxed common set")
     pt, ps = rng.dirichlet(np.ones(len(vt))), rng.dirichlet(np.ones(len(vs)))
     hw = HybridWeights()
-    loss_kernel("hkl", vs, vt, w, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))  # binds and memoizes w's set
+    loss_kernel("hkl", vs, vt, w, 8, hw)(pt, ps, np.empty(len(vs)))  # binds and memoizes w's set
     fresh = SparseProjection.from_rows(len(vt), reweighted.rows, reweighted.provenance, w.config)
-    got = loss_kernel("hkl", vs, vt, reweighted, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))
-    want = loss_kernel("hkl", vs, vt, fresh, 8, hw, LOG_EPS)(pt, ps, np.empty(len(vs)))
+    got = loss_kernel("hkl", vs, vt, reweighted, 8, hw)(pt, ps, np.empty(len(vs)))
+    want = loss_kernel("hkl", vs, vt, fresh, 8, hw)(pt, ps, np.empty(len(vs)))
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 

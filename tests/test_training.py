@@ -534,7 +534,6 @@ NAN_SETTINGS = {
     "alpha_comb": lambda: AlignScoring(alpha_comb=math.nan),
     "alpha_gap": lambda: AlignScoring(alpha_gap=math.nan),
     "temperature": lambda: _nan_step(temperature=math.nan),
-    "eps": lambda: _nan_step(eps=math.nan),
     "weight sum": _nan_weight_after_construction,
 }
 
@@ -688,20 +687,21 @@ class TestStepInputMessages:
                      cache=cache)
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("top_k", [2.5, True], ids=["float", "bool"])
+    def test_top_k_must_be_int(self, top_k):
+        student, teacher = valid_pkl_step_inputs()
+        with pytest.raises(ValidationError) as info:
+            run_step(PIN_VS, student, [teacher], top_k=top_k)
+        assert str(info.value) == f"teacher 'x': top_k must be an int, got {top_k!r}"
 
     @pytest.mark.parametrize("setting, message", [
         ({"temperature": 0}, "temperature must be positive, got 0"),
         ({"temperature": math.nan}, "temperature must be positive, got nan"),
-        ({"eps": -1.0}, "log floor eps must be None or in [0, 1), got -1.0"),
-        ({"eps": math.nan}, "log floor eps must be None or in [0, 1), got nan"),
-        ({"eps": 1.0}, "log floor eps must be None or in [0, 1), got 1.0"),
-        ({"eps": 1e308}, "log floor eps must be None or in [0, 1), got 1e+308"),
         ({"schedule": "bogus"}, "schedule kind must be one of ('static', 'adaptive_ce', "
                                 "'adaptive_entropy', 'adaptive_maxprob')"),
-    ], ids=["temperature-0", "temperature-nan", "eps-negative", "eps-nan", "eps-1", "eps-1e308",
-            "schedule-bogus"])
+    ], ids=["temperature-0", "temperature-nan", "schedule-bogus"])
     def test_step_constant_checked_before_dumps_and_alignment(self, setting, message):
-        """A bad temperature, log floor or schedule kind is named alone, not blamed on a dump,
+        """A bad temperature or schedule kind is named alone, not blamed on a dump,
         even when a dump is broken too, and no teacher is aligned."""
         student, teacher = valid_pkl_step_inputs()
         cache = AlignmentCache()
@@ -837,19 +837,21 @@ class TestFloat32Dumps:
 
 # every float knob of a step, with the name its ValidationError must carry
 EXTREME_FLOATS = (1e308, -1e308, 5e-324, 1e-162, 1e154, 1.0)
-STEP_FLOAT_FIELDS = ("temperature", "eps", "lambda_kd", "lambda_ce", "lambda_kl", "lambda_uld",
+STEP_FLOAT_FIELDS = ("temperature", "lambda_kd", "lambda_ce", "lambda_kl", "lambda_uld",
                      "alpha_exact", "alpha_comb", "alpha_gap", "weight")
 
 
-def extreme_step(field, value, kind):
+def extreme_step(knobs, kind):
     """A 3-position step with one teacher per mode (the ``kl`` teacher is a
-    near copy of the student) and one float knob set to ``value``; the
-    teacher weights are ``(value, 1 - value, 0, 0, 0)`` for ``weight``."""
+    near copy of the student) and each float knob in ``knobs`` (field ->
+    value) set; the teacher weights are ``(value, 1 - value, 0, 0, 0)`` for
+    ``weight``."""
     rng = np.random.default_rng(0)
     z = rng.normal(size=(3, 4))
     student = dump("student", z, [0, 1, 2], PIN_VS)
     w = build_projection(PIN_VS, PIN_VT, Tokenizer(PIN_VT))
-    weights = (value, 1.0 - value, 0.0, 0.0, 0.0) if field == "weight" else (0.2,) * 5
+    weights = ((knobs["weight"], 1.0 - knobs["weight"], 0.0, 0.0, 0.0) if "weight" in knobs
+               else (0.2,) * 5)
     teachers = []
     for i, (mode, weight) in enumerate(zip(MODES, weights)):
         if mode == "kl":
@@ -858,30 +860,30 @@ def extreme_step(field, value, kind):
             pl = dump("teacher", rng.normal(size=(3, 3)), [0, 1, 2], PIN_VT)
         teachers.append(TeacherConfig(f"t{i}", mode, PIN_VS if mode == "kl" else PIN_VT, pl,
                                       w if mode in ("pkl", "hkl") else None, weight))
-    knob = {field: value}
     sections = {"policy": (ScalingPolicy, ("lambda_kd", "lambda_ce")),
                 "hybrid": (HybridWeights, ("lambda_kl", "lambda_uld")),
                 "scoring": (AlignScoring, ("alpha_exact", "alpha_comb", "alpha_gap"))}
     kwargs = {name: cls(**({"kind": kind} if name == "policy" else {}),
-                        **{k: v for k, v in knob.items() if k in keys})
+                        **{k: v for k, v in knobs.items() if k in keys})
               for name, (cls, keys) in sections.items()}
-    kwargs.update({k: v for k, v in knob.items() if k in ("temperature", "eps")})
+    kwargs.update({k: v for k, v in knobs.items() if k == "temperature"})
     return run_step(PIN_VS, student, teachers, compute_grads=True, **kwargs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(STEP_FLOAT_FIELDS), st.sampled_from(EXTREME_FLOATS),
+@given(st.dictionaries(st.sampled_from(STEP_FLOAT_FIELDS), st.sampled_from(EXTREME_FLOATS),
+                       min_size=1, max_size=2),
        st.sampled_from(["dynamic", "fixed"]))
-def test_extreme_float_knob_named_or_finite(field, value, kind):
-    """Every float knob of a step at an extreme finite value either fails with
-    a ValidationError naming it, or gives a finite total and finite gradients;
-    numpy never warns (warnings are errors here)."""
+def test_extreme_float_knob_named_or_finite(knobs, kind):
+    """One or two float knobs of a step at extreme finite values either fail
+    with a ValidationError naming one of them, or give a finite total and
+    finite gradients; numpy never warns (warnings are errors here)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = extreme_step(field, value, kind)
+            report = extreme_step(knobs, kind)
     except ValidationError as exc:
-        assert field in str(exc)
+        assert any(field in str(exc) for field in knobs), (knobs, str(exc))
         return
     assert math.isfinite(report.total)
     grads = [report.ce_grad] + [g for t in report.teachers for g in

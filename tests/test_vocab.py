@@ -115,6 +115,18 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match="bos"):
             Vocabulary(["a", "<bos>"], specials=[], special_roles={"bos": 1})
 
+    @pytest.mark.parametrize("special", [1.0, True], ids=["float", "bool"])
+    def test_special_id_must_be_int(self, special):
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(["a", "b"], specials=[special])
+        assert str(info.value) == f"special id must be an int, got {special!r}"
+
+    def test_role_id_must_be_int(self):
+        """``True == 1``, so a bool role id would otherwise pass as special 1."""
+        with pytest.raises(ValidationError) as info:
+            Vocabulary(["a", "b"], specials=[1], special_roles={"bos": True})
+        assert str(info.value) == "role 'bos' points to id True, which is not a special"
+
     def test_special_roles_are_read_only(self):
         v = Vocabulary(["a", "<bos>"], specials=[1], special_roles={"bos": 1})
         with pytest.raises(TypeError):

@@ -36,6 +36,9 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return z
 
 
+_FINITE_BLOCK = 32  # rows per finite check: a (P, V) bool temporary would cost P x V bytes
+
+
 @dataclass
 class PositionLogits:
     """Per-position logits over one side's vocabulary plus realized token ids.
@@ -70,7 +73,8 @@ class PositionLogits:
                                   f"{self.positions} and {self.vocab_size}")
         if self.realized_ids.shape != (self.logits.shape[0],):
             raise ValidationError("need one realized id per position")
-        if not np.isfinite(self.logits).all():
+        if not all(np.isfinite(self.logits[lo:lo + _FINITE_BLOCK]).all()
+                   for lo in range(0, self.positions, _FINITE_BLOCK)):
             raise ValidationError(
                 f"{self.side} logits of sequence {self.seq_id!r} hold non-finite values"
             )

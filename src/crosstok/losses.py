@@ -269,17 +269,25 @@ def _bound_set(memo: dict, key, build, vs: Vocabulary, vt: Vocabulary):
     return memo[key]
 
 
+def check_top_k(top_k) -> None:
+    """``top_k``, the teacher support ``kl`` and ``pkl`` keep, is an int of at least 1."""
+    check_int(top_k, "top_k")
+    if not top_k >= 1:
+        raise ValidationError(f"top_k must be at least 1, got {top_k}")
+
+
 def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection | None,
                 top_k: int, hw: HybridWeights):
     """Check one teacher's mode against its inputs and bind it to its kernel.
 
     ``kl`` needs the student's vocabulary on the teacher side; ``pkl`` and
     ``hkl`` need a projection shaped by both vocabularies. ``kl`` and ``pkl``
-    compare on the teacher's top-k support, ``top_k`` at least 1; ``hkl``,
-    ``gold`` and ``uld`` run the hybrid loss over the relaxed, exact and empty
-    common set (``uld`` at default weights). The exact set is built once per
-    vocabulary pair (kept on the student vocabulary under the teacher's
-    ``vocabulary_hash``), the relaxed one once per projection.
+    compare on the teacher's top-k support; ``top_k`` passes ``check_top_k``
+    whatever the mode. ``hkl``, ``gold`` and ``uld`` run the hybrid loss over
+    the relaxed, exact and empty common set (``uld`` at default weights). The
+    exact set is built once per vocabulary pair (kept on the student
+    vocabulary under the teacher's ``vocabulary_hash``), the relaxed one once
+    per projection.
     The result is the kernel: it maps ``(p_t, p_s, out=None)``, one chunk's
     merged teacher and student probability vectors, to ``(value, grad_z,
     grad_w)``. Given a float64 row ``out``, ``grad_z`` is the gradient in the
@@ -288,6 +296,7 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    check_top_k(top_k)
     if mode == "kl" and vt != vs:
         raise ValidationError("KL mode requires the student's vocabulary")
     if mode in ("pkl", "hkl"):
@@ -296,9 +305,6 @@ def loss_kernel(mode: str, vs: Vocabulary, vt: Vocabulary, w: SparseProjection |
         if w.n_student != len(vs) or w.n_teacher != len(vt):
             raise ValidationError("projection shape does not match the vocabularies")
     if mode in ("kl", "pkl"):
-        check_int(top_k, "top_k")
-        if not top_k >= 1:
-            raise ValidationError(f"top_k must be at least 1, got {top_k}")
         proj = w if mode == "pkl" else None
         return lambda pt, ps, out=None: _support_kl(
             pt, ps, proj, topk_support(pt, top_k) if top_k < pt.size else None, out)

@@ -12,18 +12,24 @@ external consumer with the dynamic ratio treated as a constant.
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import itertools
 import math
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .align import AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax
 from .errors import ValidationError, json_line, located
-from .losses import LOG_EPS, MODES, HybridWeights, LossReport, loss_kernel, temperature_squared
+from .losses import (LOG_EPS, MODES, HybridWeights, LossReport, check_top_k, loss_kernel,
+                     temperature_squared)
 from .numdiff import central_difference, max_relative_error
 from .projection import ProjectionConfig, Provenance, SparseProjection
 from .vocab import Tokenizer, Vocabulary
@@ -226,6 +232,87 @@ def cross_entropy_grad(pl: PositionLogits) -> tuple[float, np.ndarray]:
     return _cross_entropy(pl, True)
 
 
+def _usable_cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_LOOKAHEAD = 4  # groups claimed but not yet consumed: bounds the chunk results held at once
+
+
+class _GroupWalk:
+    """``run`` over each of ``groups``, by the calling thread and the helper
+    threads running ``help`` (``run_step`` starts at most one).
+
+    Each thread claims the next unclaimed group, at most ``_LOOKAHEAD`` past
+    the next one to consume. ``results`` yields the results in group order on
+    the calling thread, which runs groups itself while the one it needs is on
+    a helper. A group that raised raises there, in its turn. ``stop`` ends
+    the helpers' loops, whether or not every group was consumed.
+    """
+
+    def __init__(self, groups: Sequence, run: Callable) -> None:
+        self._groups, self._run = groups, run
+        self._cond = threading.Condition()
+        self._claimed = self._consumed = 0
+        self._done: dict[int, tuple] = {}  # group -> (exception, result)
+        self._stopped = False
+
+    def _claim(self) -> int | None:
+        """The next group to run, or None if none may be claimed now (lock held)."""
+        g = self._claimed
+        if self._stopped or g == len(self._groups) or g >= self._consumed + _LOOKAHEAD:
+            return None
+        self._claimed += 1
+        return g
+
+    def _finish(self, g: int) -> None:
+        try:
+            done = None, self._run(self._groups[g])
+        except Exception as exc:  # raised on the calling thread when group g is consumed
+            done = exc, None
+        with self._cond:
+            self._done[g] = done
+            self._cond.notify_all()
+
+    def help(self) -> None:
+        """The helper's loop: run claimed groups until none is left or the walk stops."""
+        while True:
+            with self._cond:
+                while (g := self._claim()) is None:
+                    if self._stopped or self._claimed == len(self._groups):
+                        return
+                    self._cond.wait()
+            self._finish(g)
+
+    def stop(self) -> None:
+        """Let no thread claim another group; a helper waiting for one returns."""
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+    def results(self) -> Iterator:
+        for g in range(len(self._groups)):
+            while True:
+                with self._cond:
+                    if g in self._done:
+                        exc, result = self._done.pop(g)
+                        self._consumed = g + 1
+                        self._cond.notify_all()
+                        break
+                    mine = self._claim()
+                    if mine is None:
+                        self._cond.wait()
+                        continue
+                self._finish(mine)
+            if exc is not None:
+                raise exc
+            yield result
+
+
 def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              teachers: Sequence[TeacherConfig],
              policy: ScalingPolicy = ScalingPolicy(),
@@ -237,10 +324,15 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
              cache: AlignmentCache | None = None,
              compute_grads: bool = False) -> StepReport:
     """One simulated training step over stored logits, its teachers weighted
-    under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic."""
+    under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic.
+
+    When more than one core is usable, the chunk walk runs on the calling
+    thread and one helper thread that lives only for the call; the outputs
+    are byte-identical either way."""
     t_squared = temperature_squared(temperature)
     if schedule not in SCHEDULE_KINDS:
         raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
+    check_top_k(top_k)
     if not teachers:
         raise ValidationError("need at least one teacher")
     check_dump(student_logits, "student", student_vocab, "student")
@@ -272,30 +364,60 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             raise ValidationError(f"teacher {teacher.name!r} has no loss-bearing chunks")
 
     # every teacher's chunks in student-span order (teacher order within a
-    # span): each distinct student span is merged once, and each chunk's
-    # gradient goes to row k of its teacher's (K, V) block
-    per_chunk: list[list[float]] = [[] for _ in teachers]
+    # span), grouped by student span: a group merges its span once, and each
+    # chunk's gradient goes to row k of its teacher's (K, V) block
+    ordered = heapq.merge(*([(i, k, c) for k, c in enumerate(chunks)]
+                            for i, chunks in enumerate(chunks_of)),
+                          key=lambda ikc: ikc[2].student_span)
+    groups = [list(group) for _, group in
+              itertools.groupby(ordered, key=lambda ikc: ikc[2].student_span)]
     blocks = [np.empty((len(chunks), student_logits.vocab_size)) if compute_grads else None
               for chunks in chunks_of]
-    grad_w: list[np.ndarray | None] = [None] * len(teachers)
     s_where = _named("student", student_logits)
     t_where = [_named(f"teacher {t.name!r}", t.logits) for t in teachers]
-    span = None
-    for i, chunk in heapq.merge(*([(i, c) for c in chunks] for i, chunks in enumerate(chunks_of)),
-                                key=lambda ic: ic[1].student_span):
-        if chunk.student_span != span:
-            with located(s_where):
-                p_s = chain_rule_merge(student_logits, chunk, temperature)
-            p_s.flags.writeable = False  # shared by every teacher with this span
-            span = chunk.student_span
-        values = per_chunk[i]
-        with located(t_where[i]):
-            p_t = chain_rule_merge(teachers[i].logits, chunk, temperature)
-            value, _, g_w = kernels[i](p_t, p_s,
-                                       None if blocks[i] is None else blocks[i][len(values)])
-        values.append(value)
-        if g_w is not None:
-            grad_w[i] = g_w if grad_w[i] is None else np.add(grad_w[i], g_w, out=grad_w[i])
+
+    def run_group(group):
+        with located(s_where):
+            p_s = chain_rule_merge(student_logits, group[0][2], temperature)
+        p_s.flags.writeable = False  # shared by every teacher with this span
+        out = []
+        for i, k, chunk in group:
+            with located(t_where[i]):
+                p_t = chain_rule_merge(teachers[i].logits, chunk, temperature)
+                value, _, g_w = kernels[i](p_t, p_s, None if blocks[i] is None else blocks[i][k])
+            out.append((i, value, g_w))
+        return out
+
+    def ce():
+        return (cross_entropy_grad(student_logits) if compute_grads
+                else (cross_entropy(student_logits), None))
+
+    walk = _GroupWalk(groups, run_group)
+
+    def helper_task():
+        result = ce()
+        walk.help()
+        return result
+
+    # the calling thread consumes the groups in order, so values append and
+    # ``grad_w`` sums in the serial walk's order: outputs are byte-identical
+    per_chunk: list[list[float]] = [[] for _ in teachers]
+    grad_w: list[np.ndarray | None] = [None] * len(teachers)
+    helper = ThreadPoolExecutor(max_workers=1) if _usable_cores() > 1 else None
+    try:
+        if helper is not None:  # under the caller's context: its ``np.errstate`` holds there
+            helped = helper.submit(contextvars.copy_context().run, helper_task)
+        for results in walk.results():
+            for i, value, g_w in results:
+                per_chunk[i].append(value)
+                if g_w is not None:
+                    grad_w[i] = g_w if grad_w[i] is None else np.add(grad_w[i], g_w,
+                                                                     out=grad_w[i])
+    finally:
+        walk.stop()
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)  # waits for the helper's running group
+    l_ce, ce_grad = ce() if helper is None else helped.result()
 
     breakdowns = [
         TeacherBreakdown(t.name, t.mode, float(alpha), LossReport(
@@ -306,8 +428,6 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
         in zip(alphas, teachers, per_chunk, blocks, grad_w, alignments)]
 
     l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
-    l_ce, ce_grad = (cross_entropy_grad(student_logits) if compute_grads
-                     else (cross_entropy(student_logits), None))
     if policy.kind == "dynamic" and abs(l_kd) <= _KD_FLOOR:
         unscaled = float(sum(b.alpha * np.mean(b.report.per_chunk) for b in breakdowns))
         if abs(unscaled) > _KD_FLOOR:  # T² alone pushed it under the floor

@@ -683,7 +683,7 @@ class TestStepConfigSemantics:
          "temperature must have a positive finite square, got 1e+160"),
         (lambda c: c.update(temperature=1e-300),
          "temperature must have a positive finite square, got 1e-300"),
-        (lambda c: c.update(top_k=0), "teacher 't0_pkl': top_k must be at least 1, got 0"),
+        (lambda c: c.update(top_k=0), "top_k must be at least 1, got 0"),
         (lambda c: c.update(policy={"kind": "adaptive"}),
          "policy kind must be 'dynamic' or 'fixed', got 'adaptive'"),
         (lambda c: c.update(policy={"kind": "fixed", "lambda_ce": -1.0}),
@@ -709,7 +709,7 @@ class TestStepConfigSemantics:
            "hybrid", "no-teacher", "weight", "weight-sum", "mode", "no-projection", "kl-vocabulary"]
     # the step's own constants: named with nothing between the config and the message
     WHOLE_LINE = tuple(message for (_, message), name in zip(SEMANTIC, IDS)
-                       if name.startswith("temperature"))
+                       if name.startswith("temperature") or name == "top_k")
 
     @pytest.mark.parametrize("edit, message", SEMANTIC, ids=IDS)
     def test_semantic_error_names_the_config(self, step_fixture, capsys, edit, message):

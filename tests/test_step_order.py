@@ -4,10 +4,15 @@
 each distinct student span once, binds each kernel once per vocabulary pair
 and projection, and writes chunk gradients into one block per teacher.
 ``tests/step_reference.py`` keeps the old loop and kernels; the step must
-match it byte for byte.
+match it byte for byte, on one usable core (the walk runs inline) and on two
+(the calling thread and one helper share the span groups).
 """
 
 import functools
+import sys
+import threading
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,13 +101,15 @@ def test_row_major_step_matches_teacher_major_reference(seed, text, specs, tempe
     vs, student, teachers = step_inputs(np.random.default_rng(seed), text, specs, dtype)
     kwargs = dict(policy=policy, schedule=schedule, temperature=temperature,
                   top_k=top_k, hybrid=hybrid, compute_grads=grads)
-    try:
-        want = reference_run_step(vs, student, teachers, **kwargs)
-    except ValidationError:  # e.g. a negative KD under the dynamic policy
-        with pytest.raises(ValidationError):
-            run_step(vs, student, teachers, **kwargs)
-        return
-    assert_same_bytes(run_step(vs, student, teachers, **kwargs), want)
+    for cores in (1, 2):
+        with mock.patch.object(training, "_usable_cores", lambda: cores):
+            try:
+                want = reference_run_step(vs, student, teachers, **kwargs)
+            except ValidationError:  # e.g. a negative KD under the dynamic policy
+                with pytest.raises(ValidationError):
+                    run_step(vs, student, teachers, **kwargs)
+                continue
+            assert_same_bytes(run_step(vs, student, teachers, **kwargs), want)
 
 
 def test_reference_inputs_have_multi_position_spans_on_both_sides():
@@ -156,6 +163,9 @@ def test_second_step_binds_no_common_set(monkeypatch):
 
 
 def test_each_student_span_is_merged_once(monkeypatch):
+    """Every student span of the step's loss chunks is merged exactly once;
+    with two threads the merges interleave, so their order is not pinned
+    (the results' order is: the reference property compares every byte)."""
     specs = [("digit_splitting", "pkl"), ("word_level", "hkl"), ("digit_splitting", "gold"),
              ("student", "kl")]
     vs, student, teachers = step_inputs(np.random.default_rng(1), TEXTS[1], specs, np.float32)
@@ -163,17 +173,19 @@ def test_each_student_span_is_merged_once(monkeypatch):
     real = training.chain_rule_merge
 
     def recorded(pl, chunk, temperature):
-        merged.append((pl.side, chunk.span(pl.side)))
+        merged.append((pl.side, chunk.student_span))
         return real(pl, chunk, temperature)
 
     monkeypatch.setattr(training, "chain_rule_merge", recorded)
-    report = run_step(vs, student, teachers, compute_grads=True)
-    student_spans = [span for side, span in merged if side == "student"]
-    assert len(student_spans) == len(set(student_spans))
-    assert len(student_spans) < sum(b.chunk_stats["loss_chunks"] for b in report.teachers)
-    assert sum(side == "teacher" for side, _ in merged) == sum(
-        b.chunk_stats["loss_chunks"] for b in report.teachers)
-    assert student_spans == sorted(student_spans)
+    for cores in (1, 2):
+        merged.clear()
+        with mock.patch.object(training, "_usable_cores", lambda: cores):
+            report = run_step(vs, student, teachers, compute_grads=True)
+        student_spans = [span for side, span in merged if side == "student"]
+        teacher_spans = [span for side, span in merged if side == "teacher"]
+        assert sorted(student_spans) == sorted(set(teacher_spans))
+        assert len(student_spans) < len(teacher_spans) == sum(
+            b.chunk_stats["loss_chunks"] for b in report.teachers)
 
 
 def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
@@ -223,6 +235,176 @@ def test_first_failing_chunk_in_student_order_is_reported():
     # with one failing teacher, the error names it and its dump
     with pytest.raises(DegenerateDistributionError, match=r"^teacher 'A' \(a\.bin\): "):
         run_step(vocab, student, [late, healthy(early)], policy=ScalingPolicy("fixed"))
+
+
+WAIT_S = 10  # a pinned wait that times out fails the step, and with it the test
+
+
+def pinned(monkeypatch, positions, holds):
+    """Two usable cores, with the step's span groups pinned to threads.
+
+    ``begun[s]`` is set when a student span starting at position s starts
+    its merge, ``tried[s]`` when a teacher merge in such a span returns or
+    raises, and ``helped`` when the helper starts a student merge. The
+    helper's CE waits until the caller has started one, so the caller claims
+    the first group; ``holds(begun, tried, helped)`` maps a span start to the
+    event its student merges wait for. Returns the thread that merged each
+    student span.
+    """
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    caller = threading.current_thread()
+    begun = [threading.Event() for _ in range(positions)]
+    tried = [threading.Event() for _ in range(positions)]
+    called, helped = threading.Event(), threading.Event()
+    waits = holds(begun, tried, helped)
+    ran = {}
+    real_merge = training.chain_rule_merge
+
+    def merge(pl, chunk, temperature):
+        s = chunk.student_span[0]
+        if pl.side == "student":
+            ran[chunk.student_span] = threading.current_thread()
+            begun[s].set()
+            (called if ran[chunk.student_span] is caller else helped).set()
+            if s in waits and not waits[s].wait(WAIT_S):
+                raise AssertionError(f"span {s} waited in vain")
+            return real_merge(pl, chunk, temperature)
+        try:
+            return real_merge(pl, chunk, temperature)
+        finally:
+            tried[s].set()
+
+    def after_the_caller(real):
+        def ce(pl):
+            if not called.wait(WAIT_S):
+                raise AssertionError("the caller never began a group")
+            return real(pl)
+        return ce
+
+    monkeypatch.setattr(training, "chain_rule_merge", merge)
+    for name in ("cross_entropy", "cross_entropy_grad"):
+        monkeypatch.setattr(training, name, after_the_caller(getattr(training, name)))
+    return ran
+
+
+AB_VOCAB = Vocabulary(["a", "b", "ab"])
+AB_STUDENT = PositionLogits("s", "student", np.zeros((3, 3)), [2, 2, 2])  # "ab" "ab" "ab"
+
+
+def test_first_failing_chunk_reported_when_the_helper_ran_it(monkeypatch):
+    # teacher A splits the second "ab" and B the third, each into a "a" "b"
+    # that merges to no mass; the caller holds span 0's group until the
+    # helper is inside span 1's, which fails only once the caller is inside
+    # span 2's, which fails too
+    late = degenerate_teacher("B", AB_VOCAB, [2, 2, 0, 1], 2, "b.bin")
+    first = degenerate_teacher("A", AB_VOCAB, [2, 0, 1, 2], 1, "a.bin")
+    threads = threading.active_count()
+    ran = pinned(monkeypatch, 3, lambda begun, tried, helped: {0: begun[1], 1: begun[2]})
+    with pytest.raises(DegenerateDistributionError) as info:
+        run_step(AB_VOCAB, AB_STUDENT, [late, first], policy=ScalingPolicy("fixed"))
+    assert str(info.value).startswith("teacher 'A' (a.bin): teacher chunk [1, 3) of sequence "
+                                      "'A': the merged distribution has no mass")
+    assert ran[0, 1] is ran[2, 3] is threading.current_thread() is not ran[1, 2]
+    assert threading.active_count() == threads
+
+
+def test_first_failing_chunk_reported_when_the_caller_ran_it(monkeypatch):
+    # B's first "ab" and A's second fail; span 0's group, on the caller,
+    # fails only after span 1's has failed on the helper
+    first = degenerate_teacher("B", AB_VOCAB, [0, 1, 2, 2], 0, "b.bin")
+    late = degenerate_teacher("A", AB_VOCAB, [2, 0, 1, 2], 1, "a.bin")
+    threads = threading.active_count()
+    ran = pinned(monkeypatch, 3, lambda begun, tried, helped: {0: tried[1]})
+    with pytest.raises(DegenerateDistributionError) as info:
+        run_step(AB_VOCAB, AB_STUDENT, [late, first], policy=ScalingPolicy("fixed"))
+    assert str(info.value).startswith("teacher 'B' (b.bin): teacher chunk [0, 2) of sequence "
+                                      "'B': the merged distribution has no mass")
+    assert ran[0, 1] is threading.current_thread() is not ran[1, 2]
+    assert threading.active_count() == threads
+
+
+def test_callers_errstate_holds_on_the_helper(monkeypatch):
+    # A's second "ab" underflows in its softmax, in the group the helper runs
+    first = degenerate_teacher("A", AB_VOCAB, [2, 0, 1, 2], 1, "a.bin")
+    other = healthy(degenerate_teacher("B", AB_VOCAB, [0, 1, 2, 2], 0, "b.bin"))
+    ran = pinned(monkeypatch, 3, lambda begun, tried, helped: {0: begun[1]})
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        run_step(AB_VOCAB, AB_STUDENT, [first, other], policy=ScalingPolicy("fixed"))
+    assert ran[0, 1] is threading.current_thread() is not ran[1, 2]
+
+
+@pytest.mark.parametrize("grads", [False, True])
+def test_groups_on_both_threads_match_one_core(monkeypatch, grads):
+    specs = [("digit_splitting", "pkl"), ("word_level", "hkl"), ("student", "kl")]
+    vs, student, teachers = step_inputs(np.random.default_rng(2), TEXTS[0], specs, np.float32)
+    with mock.patch.object(training, "_usable_cores", lambda: 1):
+        want = run_step(vs, student, teachers, compute_grads=grads)
+    threads = threading.active_count()
+    # the first group, on the caller, waits until the helper is inside another
+    ran = pinned(monkeypatch, student.positions, lambda begun, tried, helped: {0: helped})
+    got = run_step(vs, student, teachers, compute_grads=grads)
+    assert len(set(ran.values())) == 2 and ran[min(ran)] is threading.current_thread()
+    assert threading.active_count() == threads
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("fails_at", [None, 1234])
+def test_group_walk_under_contention(fails_at):
+    """Three helpers and the caller (four threads, more than a 2-core machine
+    has cores), switching every microsecond: each group runs once, no more
+    than ``_LOOKAHEAD`` are claimed ahead of the consumer, results come in
+    group order, and the first group that raised raises."""
+    n, calls, ahead = 3000, [], []
+    walk = None
+
+    def run(g):
+        calls.append(g)  # a group claimed twice, or lost, shows in the counts
+        ahead.append(walk._claimed - walk._consumed)
+        if g >= (fails_at or n):
+            raise ValueError(g)
+        return 2 * g
+
+    walk = training._GroupWalk(range(n), run)
+    helpers = [threading.Thread(target=walk.help) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for h in helpers:
+            h.start()
+        got = []
+        try:
+            for result in walk.results():
+                got.append(result)
+        except ValueError as exc:
+            assert exc.args == (fails_at,)
+        walk.stop()
+        for h in helpers:
+            h.join(WAIT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(h.is_alive() for h in helpers)
+    assert got == [2 * g for g in range(fails_at or n)]
+    ran = Counter(calls)
+    assert set(ran.values()) == {1} and max(ahead) <= training._LOOKAHEAD
+    assert set(ran) == set(range(n if fails_at is None else max(ran) + 1))
+    assert fails_at is None or max(ran) <= fails_at + training._LOOKAHEAD
+
+
+def test_one_usable_core_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(training, "ThreadPoolExecutor", None)  # calling it would raise
+    vs, student, teachers = step_inputs(np.random.default_rng(3), TEXTS[2],
+                                        [("word_level", "gold")], np.float64)
+    run_step(vs, student, teachers, compute_grads=True)
+
+
+def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
+    assert training._usable_cores() >= 1
+    monkeypatch.delattr(training.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: 3)
+    assert training._usable_cores() == 3
+    monkeypatch.setattr(training.os, "cpu_count", lambda: None)
+    assert training._usable_cores() == 1
 
 
 def healthy(teacher):

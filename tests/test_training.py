@@ -692,7 +692,24 @@ class TestStepInputMessages:
         student, teacher = valid_pkl_step_inputs()
         with pytest.raises(ValidationError) as info:
             run_step(PIN_VS, student, [teacher], top_k=top_k)
-        assert str(info.value) == f"teacher 'x': top_k must be an int, got {top_k!r}"
+        assert str(info.value) == f"top_k must be an int, got {top_k!r}"
+
+    @pytest.mark.parametrize("mode", ["uld", "gold"])
+    @pytest.mark.parametrize("top_k, message", [(0, "top_k must be at least 1, got 0"),
+                                                (2.5, "top_k must be an int, got 2.5")],
+                             ids=["zero", "float"])
+    def test_top_k_checked_whatever_the_modes(self, mode, top_k, message):
+        """A teacher mode that reads no top-k support still gets a valid
+        ``top_k``, checked before any dump, like the other step constants."""
+        student, teacher = valid_pkl_step_inputs()
+        teacher = replace(teacher, mode=mode, projection=None)
+        run_step(PIN_VS, student, [teacher])  # the valid step runs
+        cache = AlignmentCache()
+        with pytest.raises(ValidationError) as info:
+            run_step(PIN_VS, replace(student, side="teacher"), [teacher], cache=cache,
+                     top_k=top_k)
+        assert str(info.value) == message
+        assert len(cache) == 0
 
     @pytest.mark.parametrize("setting, message", [
         ({"temperature": 0}, "temperature must be positive, got 0"),

@@ -849,6 +849,23 @@ class TestStepConfigSemantics:
             ("t0_pkl/w_entries", "r.t0_pkl.w_entries.bin")]
 
 
+class TestHeapTrim:
+    def test_trimmed_after_each_command(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
+        vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
+        vocabs = ["--student-vocab", str(vs), "--teacher-vocab", str(vs)]
+        assert main(["build-w", *vocabs, "--out", str(tmp_path / "w.jsonl")]) == 0
+        assert main(["audit", *vocabs]) == 0
+        assert main(["audit", "--student-vocab", str(tmp_path / "nope.json"),
+                     "--teacher-vocab", str(vs)]) == 2
+        assert calls == [0, 0, 0]
+
+    @pytest.mark.skipif(cli._MALLOC_TRIM is None, reason="no malloc_trim in this C library")
+    def test_trim_is_callable(self):
+        assert cli._MALLOC_TRIM(0) in (0, 1)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")

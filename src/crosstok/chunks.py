@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignmentChunk
-from .errors import (DegenerateDistributionError, ValidationError, check_fields, json_line,
-                     located, parse_object, read_text, write_text)
+from .errors import (DegenerateDistributionError, ValidationError, check_fields, check_ids,
+                     json_line, located, parse_object, read_text, write_text)
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -58,14 +58,7 @@ class PositionLogits:
             raise ValidationError(f"side must be one of {SIDES}, got {self.side!r}")
         if not (isinstance(self.logits, np.ndarray) and self.logits.dtype == np.float32):
             self.logits = np.asarray(self.logits, dtype=float)
-        ids = self.realized_ids  # a list as objects: Python ints stay ints, however large
-        ids = ids if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=object)
-        if ids.dtype.kind not in "iu" and (bad := [i for i in ids.flat if type(i) is not int]):
-            raise ValidationError(f"realized_ids must hold ints, got {bad[0]!r:.80}")
-        try:
-            self.realized_ids = ids.astype(np.intp)
-        except OverflowError:
-            raise ValidationError("realized id outside the vocabulary") from None
+        self.realized_ids = check_ids(self.realized_ids, "realized_ids")
         if self.logits.ndim != 2:
             raise ValidationError("logits must be a positions-by-vocab matrix")
         if 0 in self.logits.shape:

@@ -1,11 +1,15 @@
 """Exception types shared across the package, the one text reader and writer,
-``json_line``, ``check_int``, the field check that turns a malformed JSON object
-into a ValidationError, and ``located``, which names where its input came from."""
+``json_line``, ``check_int`` and its sequence form ``check_ids``, the field
+check that turns a malformed JSON object into a ValidationError, and
+``located``, which names where its input came from."""
 
 import contextlib
 import json
 import sys
 import typing
+from collections.abc import Sequence
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -76,6 +80,31 @@ def check_int(value, name: str) -> None:
     integer, which a JSON file header could not hold), naming it ``name``."""
     if type(value) is not int:
         raise ValidationError(f"{name} must be an int, got {value!r:.80}")
+
+
+def check_ids(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D ``intp`` array, which shares memory with an ``intp``
+    array given. An integer array must hold values that ``intp`` can hold (a
+    ``uint64`` above its max is refused, not wrapped); any other input must
+    be an iterable of ints under ``check_int``'s rule (a bool, a float, a
+    numpy scalar or a nested list fails). Errors name ``name`` and the first
+    bad element: ``counts[1] must be an int, got True``."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValidationError(f"{name} must be 1-D, got an array of shape {values.shape}")
+        if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.intp):
+            return values.astype(np.intp, copy=False)
+        values = values.tolist()  # checked as a list: a uint64 above intp's max fails there
+    elif not isinstance(values, Sequence):
+        values = list(values)  # a set or a generator
+    if set(map(type, values)) - {int}:
+        at = next(i for i, v in enumerate(values) if type(v) is not int)
+        check_int(values[at], f"{name}[{at}]")  # raises
+    try:
+        return np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        at = next(i for i, v in enumerate(values) if not -sys.maxsize - 1 <= v <= sys.maxsize)
+        raise ValidationError(f"{name}[{at}] must fit intp, got {values[at]!r:.80}") from None
 
 
 def _fits(value, hint) -> bool:

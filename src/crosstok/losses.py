@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chunks import renormalize_on, softmax, topk_support
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_ids, check_int
 from .projection import SparseProjection
 from .vocab import Vocabulary, exact_partners, vocabulary_hash
 
@@ -43,9 +43,9 @@ class CommonSet:
     """Student/teacher token pairs treated as equivalent: ``student_ids[i]``
     pairs with ``teacher_ids[i]``.
 
-    Both fields become read-only ``intp`` arrays in the order given; the ids
-    must be non-negative integers in two 1-D sequences of equal length, each
-    without repeats.
+    Both fields become read-only ``intp`` arrays in the order given
+    (``errors.check_ids``); the ids must be non-negative, the two sequences
+    of equal length, each without repeats.
     """
 
     student_ids: np.ndarray = ()
@@ -54,13 +54,8 @@ class CommonSet:
     def __post_init__(self) -> None:
         for name, repeated in (("student_ids", "a student id appears in more than one pair"),
                                ("teacher_ids", "bijective common set reuses a teacher id")):
-            try:
-                ids = np.asarray(getattr(self, name))
-            except ValueError:  # ragged
-                ids = np.empty((0, 0))
-            if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-                raise ValidationError(f"common-set {name} must be a 1-D sequence of integers")
-            ids = ids.astype(np.intp)
+            # a copy, so that freezing it leaves the caller's array writable
+            ids = np.array(check_ids(getattr(self, name), f"common-set {name}"))
             ordered = np.sort(ids)  # np.unique took about 25x longer on 92k ids (numpy 2.4)
             if (ordered[:1] < 0).any():
                 raise ValidationError(f"common-set {name} holds an id outside [0, "

@@ -24,8 +24,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chunks import renormalize_on
-from .errors import (UnencodableTextError, ValidationError, check_fields, check_int, json_line,
-                     located, parse_object, read_text)
+from .errors import (UnencodableTextError, ValidationError, check_fields, check_ids, check_int,
+                     json_line, located, parse_object, read_text)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -81,7 +81,7 @@ class SparseProjection:
                  config: ProjectionConfig) -> None:
         """The one construction path, holding every rule. The arguments are the
         projection file's fields, checked before anything is allocated from
-        ``n_student``: ``counts`` holds Python ints or is an integer array, and
+        ``n_student``: ``counts`` and ``teacher_ids`` pass ``errors.check_ids``, and
         ``provenance`` holds ``Provenance`` members or their values, or is an
         ``int8`` array of codes (indexes into ``Provenance``)."""
         check_int(n_student, "n_student")
@@ -92,13 +92,10 @@ class SparseProjection:
         for key, values in (("counts", counts), ("provenance", provenance)):
             if len(values) != n_student:  # a negative n_student never matches
                 raise ValidationError(f"{key} holds {len(values)} rows, n_student is {n_student}")
-        array = isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
-        if (counts.min(initial=0) < 0 if array else
-                set(map(type, counts)) - {int} or min(counts, default=0) < 0):
-            bad = next(c for c in (counts.tolist() if array else counts)
-                       if type(c) is not int or c < 0)
-            raise ValidationError(f"counts holds {bad!r:.80}, not an entry count")
-        total = int(counts.sum(dtype=object)) if array else sum(counts)  # exact, no list copy
+        counts = check_ids(counts, "counts")
+        if counts.min(initial=0) < 0:
+            raise ValidationError(f"counts holds {counts[counts < 0][0]}, not an entry count")
+        total = int(counts.sum(dtype=object))  # exact, however large
         for key, values in (("teacher_ids", teacher_ids), ("weights", weights)):
             if len(values) != total:
                 raise ValidationError(f"{key} holds {len(values)} entries, counts sums to {total}")
@@ -115,10 +112,8 @@ class SparseProjection:
         self._indptr = np.zeros(n_student + 1, dtype=np.intp)
         np.cumsum(counts, dtype=np.intp, out=self._indptr[1:])
         self._flat_s = np.repeat(np.arange(n_student, dtype=np.intp), np.diff(self._indptr))
-        self._flat_t = self._flat_entries(teacher_ids, (int, np.integer), np.intp, "teacher id",
-                                          "an integer", "teacher_ids")
-        self._flat_w = self._flat_entries(weights, (int, float, np.integer, np.floating), float,
-                                          "weight", "a number", "weights")
+        self._flat_t = check_ids(teacher_ids, "teacher_ids")
+        self._flat_w = self._flat_weights(weights)
         self._kind, self.config = kind, config
         self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
         self._validate()
@@ -132,21 +127,21 @@ class SparseProjection:
                    [t for row in rows for t, _ in row], [w for row in rows for _, w in row],
                    provenance, config)
 
-    def _flat_entries(self, values: list, types: tuple, dtype, name: str, expected: str,
-                      field: str) -> np.ndarray:
-        """One field of every entry, row-major, after one type check over the
-        flat list (no silent ``int()``/``float()`` coercion; bools rejected)."""
-        if isinstance(values, np.ndarray) and values.dtype == dtype:
-            return values  # holds nothing of another type
-        bad = {tp for tp in set(map(type, values)) if tp is bool or not issubclass(tp, types)}
+    def _flat_weights(self, weights) -> np.ndarray:
+        """Every entry's weight, row-major, after one type check over the flat
+        list (no silent ``float()`` coercion; bools rejected)."""
+        if isinstance(weights, np.ndarray) and weights.dtype == float:
+            return weights  # holds nothing of another type
+        numbers = (int, float, np.integer, np.floating)
+        bad = {tp for tp in set(map(type, weights)) if tp is bool or not issubclass(tp, numbers)}
         if bad:
-            at = next(i for i, v in enumerate(values) if type(v) in bad)
-            raise ValidationError(f"row {self._flat_s[at]}: {name} {values[at]!r} in {field} "
-                                  f"is not {expected}")
+            at = next(i for i, v in enumerate(weights) if type(v) in bad)
+            raise ValidationError(f"row {self._flat_s[at]}: weight {weights[at]!r} in weights "
+                                  "is not a number")
         try:
-            return np.asarray(values, dtype=dtype)
+            return np.asarray(weights, dtype=float)
         except OverflowError:
-            raise ValidationError(f"a {name} in {field} is out of range") from None
+            raise ValidationError("a weight in weights is out of range") from None
 
     def _validate(self) -> None:
         """Each check lists rows it rejects (the entry checks: the first bad

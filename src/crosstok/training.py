@@ -16,7 +16,6 @@ import contextvars
 import heapq
 import itertools
 import math
-import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -232,20 +231,12 @@ def cross_entropy_grad(pl: PositionLogits) -> tuple[float, np.ndarray]:
     return _cross_entropy(pl, True)
 
 
-def _usable_cores() -> int:
-    """How many cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 _LOOKAHEAD = 4  # groups claimed but not yet consumed: bounds the chunk results held at once
 
 
 class _GroupWalk:
     """``run`` over each of ``groups``, by the calling thread and the helper
-    threads running ``help`` (``run_step`` starts at most one).
+    threads running ``help`` (``run_step`` starts one).
 
     Each thread claims the next unclaimed group, at most ``_LOOKAHEAD`` past
     the next one to consume. ``results`` yields the results in group order on
@@ -326,9 +317,8 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     """One simulated training step over stored logits, its teachers weighted
     under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic.
 
-    When more than one core is usable, the chunk walk runs on the calling
-    thread and one helper thread that lives only for the call; the outputs
-    are byte-identical either way."""
+    The chunk walk runs on the calling thread and one helper thread that
+    lives only for the call; the outputs are byte-identical to a serial walk."""
     t_squared = temperature_squared(temperature)
     if schedule not in SCHEDULE_KINDS:
         raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
@@ -388,14 +378,11 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             out.append((i, value, g_w))
         return out
 
-    def ce():
-        return (cross_entropy_grad(student_logits) if compute_grads
-                else (cross_entropy(student_logits), None))
-
     walk = _GroupWalk(groups, run_group)
 
     def helper_task():
-        result = ce()
+        result = (cross_entropy_grad(student_logits) if compute_grads
+                  else (cross_entropy(student_logits), None))
         walk.help()
         return result
 
@@ -403,10 +390,9 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     # ``grad_w`` sums in the serial walk's order: outputs are byte-identical
     per_chunk: list[list[float]] = [[] for _ in teachers]
     grad_w: list[np.ndarray | None] = [None] * len(teachers)
-    helper = ThreadPoolExecutor(max_workers=1) if _usable_cores() > 1 else None
-    try:
-        if helper is not None:  # under the caller's context: its ``np.errstate`` holds there
-            helped = helper.submit(contextvars.copy_context().run, helper_task)
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:  # the helper runs under the caller's context, so its ``np.errstate`` holds there
+        helped = helper.submit(contextvars.copy_context().run, helper_task)
         for results in walk.results():
             for i, value, g_w in results:
                 per_chunk[i].append(value)
@@ -415,9 +401,8 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
                                                                      out=grad_w[i])
     finally:
         walk.stop()
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)  # waits for the helper's running group
-    l_ce, ce_grad = ce() if helper is None else helped.result()
+        helper.shutdown(cancel_futures=True)  # waits for the helper's running group
+    l_ce, ce_grad = helped.result()
 
     breakdowns = [
         TeacherBreakdown(t.name, t.mode, float(alpha), LossReport(

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (MalformedTokenError, UnencodableTextError, ValidationError, check_fields,
-                     check_int, located, parse_object, read_text, write_text)
+                     check_ids, check_int, located, parse_object, read_text, write_text)
 
 # Glyphs that tokenizer families use to mark a leading space: U+0120 (GPT-2
 # style), U+2581 (SentencePiece), U+2423 (visible space).
@@ -143,7 +143,7 @@ class Vocabulary:
         special_roles: Mapping[str, int] | None = None,
     ) -> None:
         self.tokens: tuple[str, ...] = tuple(tokens)
-        self.specials: frozenset[int] = frozenset(specials)
+        self.specials: frozenset[int] = frozenset(check_ids(specials, "specials").tolist())
         self.special_roles: Mapping[str, int] = MappingProxyType(dict(special_roles or {}))
         self._hash: str | None = None
         self._memo: dict = {}
@@ -157,7 +157,6 @@ class Vocabulary:
             raise ValidationError(f"duplicate token string {self.tokens[i]!r} at ids "
                                   f"{first[self.tokens[i]]} and {i}")
         for sid in self.specials:
-            check_int(sid, "special id")
             if not 0 <= sid < len(self.tokens):
                 raise ValidationError(f"special id {sid} outside vocabulary of size {len(self.tokens)}")
         self._roles_of: dict[int, frozenset[str]] = {}
@@ -286,8 +285,7 @@ def load_vocabulary(path) -> Vocabulary:
     elif isinstance(raw_tokens, dict):
         by_id: dict[int, str] = {}
         for tok, tid in raw_tokens.items():
-            if type(tid) is not int:
-                raise ValidationError(f"{path}: token {tok!r} has non-integer id {tid!r}")
+            check_int(tid, f"{path}: the id of token {tok!r}")
             if tid in by_id:
                 raise ValidationError(
                     f"{path}: tokens {by_id[tid]!r} and {tok!r} share id {tid}"

@@ -366,7 +366,8 @@ class TestLoss:
         sidecar.write_text(json.dumps({**meta, "realized_ids": [big] + meta["realized_ids"][1:]}))
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {fx['dir'] / 'teacher0.bin'}: realized id outside the vocabulary\n"
+        assert err == (f"error: {fx['dir'] / 'teacher0.bin'}: realized_ids[0] must fit intp, "
+                       f"got {big}\n")
 
     def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
@@ -415,8 +416,8 @@ class TestLoss:
         rewrite_body(fx["projection"], lambda b: {
             **b, "teacher_ids": b["teacher_ids"][:-1] + [2.7]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
-        assert capsys.readouterr().err == (f"error: {fx['projection']}: row 3: teacher id 2.7 "
-                                           "in teacher_ids is not an integer\n")
+        assert capsys.readouterr().err == (f"error: {fx['projection']}: teacher_ids[5] must be "
+                                           "an int, got 2.7\n")
 
     def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))

@@ -408,9 +408,9 @@ class TestProjectionIndexValidation:
     @pytest.mark.parametrize("bad, words", [
         ((0, -1), "counts holds -1, not an entry count"),
         ((3, 4), "teacher_ids holds 6 entries, counts sums to 7"),
-        ((0, "1"), "counts holds '1', not an entry count"),
-        ((0, True), "counts holds True, not an entry count"),
-        ((0, 1.0), "counts holds 1.0, not an entry count"),
+        ((0, "1"), "counts[0] must be an int, got '1'"),
+        ((0, True), "counts[0] must be an int, got True"),
+        ((0, 1.0), "counts[0] must be an int, got 1.0"),
     ], ids=["negative", "past_end", "not_int", "bool", "float"])
     def test_bad_row_index(self, saved, bad, words):
         at, count = bad
@@ -533,7 +533,7 @@ class TestProjectionFileFields:
                                        [0, 10**400]])
     def test_mistyped_entry_named(self, saved, entry):
         rewrite_body(saved, last_row_holds(entry))
-        rejects(saved, f"in {'teacher_ids' if entry[1] == 0.9 else 'weights'} is")
+        rejects(saved, "teacher_ids[3] must" if entry[1] == 0.9 else "in weights is")
 
     def test_nan_weight_named(self, saved):
         rewrite_body(saved, last_row_holds([0, float("nan")]))
@@ -544,8 +544,7 @@ class TestProjectionFileFields:
         rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        assert str(info.value) == (f"{saved}: row 1: teacher id True in teacher_ids is not "
-                                   "an integer")
+        assert str(info.value) == f"{saved}: teacher_ids[1] must be an int, got True"
 
     def test_int_weight_loads_as_float(self, saved):
         rewrite_body(saved, last_row_holds([0, 1]))

@@ -3,16 +3,15 @@
 ``run_step`` walks every teacher's loss chunks in student-span order, merges
 each distinct student span once, binds each kernel once per vocabulary pair
 and projection, and writes chunk gradients into one block per teacher.
-``tests/step_reference.py`` keeps the old loop and kernels; the step must
-match it byte for byte, on one usable core (the walk runs inline) and on two
-(the calling thread and one helper share the span groups).
+``tests/step_reference.py`` keeps the old loop and kernels, run serially on
+one thread; the step, whose calling thread and one helper share the span
+groups, must match it byte for byte.
 """
 
 import functools
 import sys
 import threading
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -101,15 +100,13 @@ def test_row_major_step_matches_teacher_major_reference(seed, text, specs, tempe
     vs, student, teachers = step_inputs(np.random.default_rng(seed), text, specs, dtype)
     kwargs = dict(policy=policy, schedule=schedule, temperature=temperature,
                   top_k=top_k, hybrid=hybrid, compute_grads=grads)
-    for cores in (1, 2):
-        with mock.patch.object(training, "_usable_cores", lambda: cores):
-            try:
-                want = reference_run_step(vs, student, teachers, **kwargs)
-            except ValidationError:  # e.g. a negative KD under the dynamic policy
-                with pytest.raises(ValidationError):
-                    run_step(vs, student, teachers, **kwargs)
-                continue
-            assert_same_bytes(run_step(vs, student, teachers, **kwargs), want)
+    try:
+        want = reference_run_step(vs, student, teachers, **kwargs)
+    except ValidationError:  # e.g. a negative KD under the dynamic policy
+        with pytest.raises(ValidationError):
+            run_step(vs, student, teachers, **kwargs)
+        return
+    assert_same_bytes(run_step(vs, student, teachers, **kwargs), want)
 
 
 def test_reference_inputs_have_multi_position_spans_on_both_sides():
@@ -177,15 +174,12 @@ def test_each_student_span_is_merged_once(monkeypatch):
         return real(pl, chunk, temperature)
 
     monkeypatch.setattr(training, "chain_rule_merge", recorded)
-    for cores in (1, 2):
-        merged.clear()
-        with mock.patch.object(training, "_usable_cores", lambda: cores):
-            report = run_step(vs, student, teachers, compute_grads=True)
-        student_spans = [span for side, span in merged if side == "student"]
-        teacher_spans = [span for side, span in merged if side == "teacher"]
-        assert sorted(student_spans) == sorted(set(teacher_spans))
-        assert len(student_spans) < len(teacher_spans) == sum(
-            b.chunk_stats["loss_chunks"] for b in report.teachers)
+    report = run_step(vs, student, teachers, compute_grads=True)
+    student_spans = [span for side, span in merged if side == "student"]
+    teacher_spans = [span for side, span in merged if side == "teacher"]
+    assert sorted(student_spans) == sorted(set(teacher_spans))
+    assert len(student_spans) < len(teacher_spans) == sum(
+        b.chunk_stats["loss_chunks"] for b in report.teachers)
 
 
 def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
@@ -241,7 +235,7 @@ WAIT_S = 10  # a pinned wait that times out fails the step, and with it the test
 
 
 def pinned(monkeypatch, positions, holds):
-    """Two usable cores, with the step's span groups pinned to threads.
+    """The step's span groups pinned to threads.
 
     ``begun[s]`` is set when a student span starting at position s starts
     its merge, ``tried[s]`` when a teacher merge in such a span returns or
@@ -251,7 +245,6 @@ def pinned(monkeypatch, positions, holds):
     event its student merges wait for. Returns the thread that merged each
     student span.
     """
-    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
     caller = threading.current_thread()
     begun = [threading.Event() for _ in range(positions)]
     tried = [threading.Event() for _ in range(positions)]
@@ -335,10 +328,11 @@ def test_callers_errstate_holds_on_the_helper(monkeypatch):
 
 @pytest.mark.parametrize("grads", [False, True])
 def test_groups_on_both_threads_match_one_core(monkeypatch, grads):
+    """Both threads run groups, and the step matches the serial reference,
+    which walks on one core."""
     specs = [("digit_splitting", "pkl"), ("word_level", "hkl"), ("student", "kl")]
     vs, student, teachers = step_inputs(np.random.default_rng(2), TEXTS[0], specs, np.float32)
-    with mock.patch.object(training, "_usable_cores", lambda: 1):
-        want = run_step(vs, student, teachers, compute_grads=grads)
+    want = reference_run_step(vs, student, teachers, compute_grads=grads)
     threads = threading.active_count()
     # the first group, on the caller, waits until the helper is inside another
     ran = pinned(monkeypatch, student.positions, lambda begun, tried, helped: {0: helped})
@@ -388,23 +382,6 @@ def test_group_walk_under_contention(fails_at):
     assert set(ran.values()) == {1} and max(ahead) <= training._LOOKAHEAD
     assert set(ran) == set(range(n if fails_at is None else max(ran) + 1))
     assert fails_at is None or max(ran) <= fails_at + training._LOOKAHEAD
-
-
-def test_one_usable_core_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
-    monkeypatch.setattr(training, "ThreadPoolExecutor", None)  # calling it would raise
-    vs, student, teachers = step_inputs(np.random.default_rng(3), TEXTS[2],
-                                        [("word_level", "gold")], np.float64)
-    run_step(vs, student, teachers, compute_grads=True)
-
-
-def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
-    assert training._usable_cores() >= 1
-    monkeypatch.delattr(training.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(training.os, "cpu_count", lambda: 3)
-    assert training._usable_cores() == 3
-    monkeypatch.setattr(training.os, "cpu_count", lambda: None)
-    assert training._usable_cores() == 1
 
 
 def healthy(teacher):

@@ -119,7 +119,7 @@ class TestVocabulary:
     def test_special_id_must_be_int(self, special):
         with pytest.raises(ValidationError) as info:
             Vocabulary(["a", "b"], specials=[special])
-        assert str(info.value) == f"special id must be an int, got {special!r}"
+        assert str(info.value) == f"specials[0] must be an int, got {special!r}"
 
     def test_role_id_must_be_int(self):
         """``True == 1``, so a bool role id would otherwise pass as special 1."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import os
 import sys
 import typing
@@ -196,13 +197,14 @@ def _load_step_inputs(config: dict, path, grad: bool):
                      required=("mode", *_FILES))
     names = _teacher_names(teacher_cfgs, path, grad)
 
-    student_vocab = load_vocabulary(student_cfg["vocab"])
+    load = functools.cache(lambda reader, file: reader(file))  # a file named twice is read once
+    student_vocab = load(load_vocabulary, student_cfg["vocab"])
     student_logits = load_position_logits(student_cfg["logits"], student_vocab, "student")
     teachers = []
     for name, tc in zip(names, teacher_cfgs):
-        vocab = load_vocabulary(tc["vocab"])
+        vocab = load(load_vocabulary, tc["vocab"])
         logits = load_position_logits(tc["logits"], vocab, "teacher")
-        projection = load_projection(tc["projection"]) if tc.get("projection") else None
+        projection = load(load_projection, tc["projection"]) if tc.get("projection") else None
         with located(path):
             teachers.append(TeacherConfig(name, tc["mode"], vocab, logits, projection,
                                           **{k: tc[k] for k in ("weight",) if k in tc}))

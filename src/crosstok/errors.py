@@ -1,7 +1,7 @@
-"""Exception types shared across the package, the one text reader and writer,
-``json_line``, ``check_int`` and its sequence form ``check_ids``, the field
-check that turns a malformed JSON object into a ValidationError, and
-``located``, which names where its input came from."""
+"""Exception types shared across the package, the one file reader and the text
+reader and writer over it, ``json_line``, ``check_int`` and its sequence form
+``check_ids``, the field check that turns a malformed JSON object into a
+ValidationError, and ``located``, which names where its input came from."""
 
 import contextlib
 import json
@@ -38,16 +38,29 @@ def located(where):
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def read_text(path) -> str:
-    """The file's UTF-8 text, read in text mode; other bytes, or a path the file
-    system cannot encode (named by its ``repr``), raise a ValidationError."""
+def read_bytes(path) -> bytes:
+    """The file's bytes; a path the file system cannot encode raises a
+    ValidationError that names it by its ``repr``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     except UnicodeEncodeError as exc:
         raise ValidationError(f"{str(path)!r}: not an encodable file path ({exc})") from None
+
+
+def decode_text(data: bytes, path) -> str:
+    """``data`` as UTF-8 text with ``\\r\\n`` and ``\\r`` read as ``\\n``, as text mode
+    reads them; other bytes raise a ValidationError that names ``path``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text, as ``decode_text`` reads ``read_bytes(path)``."""
+    return decode_text(read_bytes(path), path)
 
 
 def write_text(path, text: str) -> None:

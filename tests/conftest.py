@@ -48,7 +48,7 @@ def step_fixture(tmp_path):
         save_vocabulary(vs, vs_path)
         save_vocabulary(vt, vt_path)
 
-        w_path = tmp_path / "projection.jsonl"
+        w_path = tmp_path / "projection.proj"
         save_projection(build_projection(vs, vt, Tokenizer(vt)), w_path)
 
         student_dump = write_dump(tmp_path / "student.bin", "student",

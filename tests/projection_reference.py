@@ -3,7 +3,9 @@
 The tuple-of-tuples storage and the row-by-row validation loop that the CSR
 arrays replaced, kept as the slow reference they are property-tested
 against, together with the summary, ``top1``, relaxed common set and saved
-file bytes derived from those rows. ``top1(w, s)`` reads the same answer
+file bytes derived from those rows (packed with ``struct``, not numpy, by
+``pack_body``, which with ``sealed_file`` and ``unpack_file`` also lets tests
+write a sealed file from arbitrary arrays). ``top1(w, s)`` reads the same answer
 from a ``SparseProjection``'s CSR arrays, and ``apply_w_gradient``
 differentiates ``project`` in its stored entries, one entry at a time.
 ``build_projection`` is the per-row builder that the flat one in
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -105,21 +108,56 @@ class ReferenceProjection:
         return tuple(sorted((s, t) for t, s in chosen.items()))
 
     def saved_bytes(self) -> bytes:
-        """The header line, then one body record of the rows' lists, each
-        line written by ``json.dumps`` in sorted key order."""
-        body = json.dumps({"counts": [len(row) for row in self.rows],
-                           "provenance": [prov.value for prov in self.provenance],
-                           "teacher_ids": [t for row in self.rows for t, _ in row],
-                           "weights": [w for row in self.rows for _, w in row]},
-                          sort_keys=True, separators=(",", ":"))
-        header = {
-            "n_student": self.n_student,
-            "n_teacher": self.n_teacher,
-            "config": asdict(self.config),
-            "content_hash": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-        }
-        return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + body
-                + "\n").encode("utf-8")
+        """The header line, then the rows as ``pack_body`` packs them."""
+        counts = [len(row) for row in self.rows]
+        header = {"n_student": self.n_student, "n_teacher": self.n_teacher,
+                  "config": asdict(self.config), "entries": sum(counts)}
+        return sealed_file(header, pack_body({
+            "counts": counts, "provenance": self.provenance,
+            "teacher_ids": [t for row in self.rows for t, _ in row],
+            "weights": [w for row in self.rows for _, w in row]}))
+
+
+# The projection file body, written independently of numpy: each field in file
+# order with its ``struct`` code, all little-endian, and the provenance codes.
+BODY_FORMATS = {"counts": "q", "provenance": "b", "teacher_ids": "q", "weights": "d"}
+CODES = [p.value for p in Provenance]
+
+
+def pack_body(body: dict) -> bytes:
+    """``body``'s lists as raw body bytes; provenance may be ``Provenance``
+    values (packed as their codes) or codes. A value no raw body can hold (an
+    id that is not an int of int64, a weight that is not a float) raises
+    ``TypeError`` or ``struct.error``."""
+    provenance = [CODES.index(p) if isinstance(p, str) else p for p in body["provenance"]]
+    out = []
+    for key, code in BODY_FORMATS.items():
+        values = provenance if key == "provenance" else body[key]
+        if any(type(v) is not (float if code == "d" else int) for v in values):
+            raise TypeError(f"{key} holds a value that a raw body cannot hold")
+        out.append(struct.pack(f"<{len(values)}{code}", *values))
+    return b"".join(out)
+
+
+def sealed_file(header: dict, body: bytes) -> bytes:
+    """``header`` with the ``content_hash`` of ``body``, as one sorted-key JSON
+    line, then ``body``."""
+    header = {**header, "content_hash": hashlib.sha256(body).hexdigest()}
+    return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode() + body
+
+
+def unpack_file(data: bytes) -> tuple[dict, dict]:
+    """A file's header and its body's lists (provenance as value strings)."""
+    line, body = data.split(b"\n", 1)
+    header = json.loads(line)
+    sizes = {"counts": header["n_student"], "provenance": header["n_student"],
+             "teacher_ids": header["entries"], "weights": header["entries"]}
+    fields, at = {}, 0
+    for key, code in BODY_FORMATS.items():
+        fields[key] = list(struct.unpack_from(f"<{sizes[key]}{code}", body, at))
+        at += struct.calcsize(f"<{sizes[key]}{code}")
+    fields["provenance"] = [CODES[c] for c in fields["provenance"]]
+    return header, fields
 
 
 def lexsort_validate(self) -> None:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 import crosstok.cli as cli
 from crosstok.chunks import load_float_matrix
 from crosstok.cli import main
+from crosstok.errors import json_line
 from crosstok.projection import (build_projection, decay_weights, load_projection,
                                  save_projection)
 from crosstok.training import run_step
@@ -20,7 +22,8 @@ from crosstok.vocab import (Tokenizer, Vocabulary, load_vocabulary, make_toy_tok
                             save_vocabulary)
 
 from conftest import read_alignment_dump, write_dump
-from test_projection import rewrite_body
+from projection_reference import unpack_file
+from test_projection import OLD_LAYOUT, rewrite_body
 
 
 def write_toy_vocab(path, kind):
@@ -32,7 +35,7 @@ class TestBuildW:
     def test_digit_pair_row_matches_library(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
         vt = write_toy_vocab(tmp_path / "t.json", "digit_splitting")
-        out = tmp_path / "w.jsonl"
+        out = tmp_path / "w.proj"
         assert main(["build-w", "--student-vocab", str(vs), "--teacher-vocab", str(vt),
                      "--out", str(out)]) == 0
         w = load_projection(out)
@@ -44,7 +47,7 @@ class TestBuildW:
 
     def test_identical_vocabs_all_exact(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "char_level")
-        out = tmp_path / "w.jsonl"
+        out = tmp_path / "w.proj"
         assert main(["--format", "json", "build-w", "--student-vocab", str(vs),
                      "--teacher-vocab", str(vs), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -75,7 +78,7 @@ class TestOutCheckedFirst:
         (["align", "--texts", "missing.txt"], "the chunk dump")])
     def test_bad_out_rejected_before_any_vocabulary(self, tmp_path, capsys, command, what):
         (tmp_path / "outdir").mkdir()
-        directory, missing = str(tmp_path / "outdir"), str(tmp_path / "nodir" / "w.jsonl")
+        directory, missing = str(tmp_path / "outdir"), str(tmp_path / "nodir" / "w.proj")
         cases = [(out, f"--out {out!r} is a directory; it must name {what}")
                  for out in (directory, directory + "/")]
         cases.append((missing, f"--out {missing!r}: its directory does not exist"))
@@ -235,6 +238,42 @@ class TestLoss:
         assert main(["--config", str(fx["config"]), "loss", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_shared_files_loaded_once(self, step_fixture, tmp_path, monkeypatch):
+        """Three teachers naming one vocabulary and one projection read each
+        file once, and the report and ``--grad`` files are the bytes of a run
+        whose teachers name a copy each (the report's echo of the config's
+        paths aside)."""
+        fx = step_fixture(modes=("pkl", "hkl", "pkl"), weights=[0.25, 0.25, 0.5])
+        out = tmp_path / "report.json"
+
+        def run():
+            assert main(["--config", str(fx["config"]), "loss", "--out", str(out), "--grad"]) == 0
+            files = {path.name: path.read_bytes() for path in sorted(tmp_path.glob("report*"))}
+            report = json.loads(files.pop("report.json"))
+            assert report.pop("config_echo")
+            return files, json_line(report)
+
+        reads = []
+
+        def counted(load):
+            return lambda path: reads.append(path) or load(path)
+
+        monkeypatch.setattr(cli, "load_vocabulary", counted(cli.load_vocabulary))
+        monkeypatch.setattr(cli, "load_projection", counted(cli.load_projection))
+        shared = run()
+        assert sorted(reads) == sorted(map(str, [fx["student_vocab"], fx["teacher_vocab"],
+                                                 fx["projection"]]))
+        config = json.loads(fx["config"].read_text())
+        for i, teacher in enumerate(config["teachers"]):
+            for key in ("vocab", "projection"):
+                copy = tmp_path / f"{i}.{Path(teacher[key]).name}"
+                copy.write_bytes(Path(teacher[key]).read_bytes())
+                teacher[key] = str(copy)
+        fx["config"].write_text(json.dumps(config))
+        reads.clear()
+        assert run() == shared and len(shared[0]) > 2
+        assert len(reads) == 7
+
     def test_grad_writes_tensors(self, step_fixture, tmp_path):
         fx = step_fixture(modes=("pkl",))
         out = tmp_path / "report.json"
@@ -370,13 +409,27 @@ class TestLoss:
                        f"got {big}\n")
 
     def test_projection_row_outside_student_range_exits_1(self, step_fixture, capsys):
+        """A body one row longer than ``n_student`` fails the length check."""
         fx = step_fixture(modes=("pkl",))
         rewrite_body(fx["projection"], lambda b: {
             "counts": b["counts"] + [0], "provenance": b["provenance"] + ["empty"],
             "teacher_ids": b["teacher_ids"], "weights": b["weights"]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
-        assert capsys.readouterr().err == (f"error: {fx['projection']}: counts holds 5 rows, "
-                                           "n_student is 4\n")
+        assert capsys.readouterr().err == (f"error: {fx['projection']}: the body holds 141 bytes, "
+                                           "not 9 per row and 16 per entry (n_student 4, "
+                                           "entries 6)\n")
+
+    def test_projection_of_an_old_layout_exits_1(self, step_fixture, capsys):
+        """A file of the JSON-body layout (its header has no ``entries``) fails
+        with a pointer to ``crosstok build-w``."""
+        fx = step_fixture(modes=("pkl",))
+        header, body = unpack_file(fx["projection"].read_bytes())
+        del header["entries"]
+        line = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        header["content_hash"] = hashlib.sha256(line.encode()).hexdigest()
+        fx["projection"].write_text(f"{json.dumps(header)}\n{line}\n")
+        assert main(["--config", str(fx["config"]), "loss"]) == 1
+        assert capsys.readouterr().err == f"error: {fx['projection']}: {OLD_LAYOUT}\n"
 
     def test_negative_kd_exits_1(self, tmp_path, capsys):
         vs, vt = Vocabulary(["a", "b"]), Vocabulary(["a", "c"])
@@ -412,22 +465,25 @@ class TestLoss:
         assert f"step.json: student ({tmp_path / 's.bin'}): student chunk [0, 2)" in err
 
     def test_projection_entry_float_id_exits_1(self, step_fixture, capsys):
+        """A float written where a teacher id belongs reads as the int64 of its
+        bits, an id out of range."""
         fx = step_fixture(modes=("pkl",))
+        bits = struct.unpack("<q", struct.pack("<d", 2.7))[0]
         rewrite_body(fx["projection"], lambda b: {
-            **b, "teacher_ids": b["teacher_ids"][:-1] + [2.7]})
+            **b, "teacher_ids": b["teacher_ids"][:-1] + [bits]})
         assert main(["--config", str(fx["config"]), "loss"]) == 1
-        assert capsys.readouterr().err == (f"error: {fx['projection']}: teacher_ids[5] must be "
-                                           "an int, got 2.7\n")
+        assert capsys.readouterr().err == (f"error: {fx['projection']}: row 3: teacher id "
+                                           f"{bits} out of range\n")
 
     def test_projection_header_without_config_exits_1(self, step_fixture, capsys):
         fx = step_fixture(modes=("pkl",))
-        lines = fx["projection"].read_text().splitlines()
-        header = json.loads(lines[0])
+        line, body = fx["projection"].read_bytes().split(b"\n", 1)
+        header = json.loads(line)
         del header["config"]
-        fx["projection"].write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        fx["projection"].write_bytes(json.dumps(header).encode() + b"\n" + body)
         assert main(["--config", str(fx["config"]), "loss"]) == 1
         err = capsys.readouterr().err
-        assert "projection.jsonl" in err and "config" in err
+        assert "projection.proj" in err and "config" in err
 
 
 def edit_config(fx, edit):
@@ -528,7 +584,7 @@ class TestConfigFields:
         config = json.loads(block.split("```", 1)[0])
         fx = step_fixture(modes=("pkl",))
         files = {"student.json": fx["student_vocab"], "teacher.json": fx["teacher_vocab"],
-                 "w.jsonl": fx["projection"], "student.bin": fx["dir"] / "student.bin",
+                 "w.proj": fx["projection"], "student.bin": fx["dir"] / "student.bin",
                  "teacher0.bin": fx["dir"] / "teacher0.bin"}
         for section in [config["student"], *config["teachers"]]:
             for key in ("vocab", "logits", "projection"):
@@ -856,7 +912,7 @@ class TestHeapTrim:
         monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
         vs = write_toy_vocab(tmp_path / "s.json", "numeral_preserving")
         vocabs = ["--student-vocab", str(vs), "--teacher-vocab", str(vs)]
-        assert main(["build-w", *vocabs, "--out", str(tmp_path / "w.jsonl")]) == 0
+        assert main(["build-w", *vocabs, "--out", str(tmp_path / "w.proj")]) == 0
         assert main(["audit", *vocabs]) == 0
         assert main(["audit", "--student-vocab", str(tmp_path / "nope.json"),
                      "--teacher-vocab", str(vs)]) == 2

@@ -154,14 +154,14 @@ def test_pinned_projection_and_common_sets(seed):
 # seed -> (file sha256, summary) at the default config, then at top_k=2,
 # where truncation drops mass from the three- and four-token rows
 PINNED_FILES = {
-    0: ("0a7bf080a5399260", "5ea6aef819295b4e", "f295b6c8ac23d5c6", "4f561487bc98bb98"),
-    1: ("57202405719531dd", "cf90aa4b45f0e570", "e8c690f815bf9e09", "09d36093d0557737"),
-    2: ("76317f96e27bd7e9", "5ea6aef819295b4e", "ff13803923445f9c", "4f561487bc98bb98"),
-    3: ("88f9be0b1b975eb3", "c69562e5ffc12460", "01859399f5f564d4", "2b196088689855d1"),
-    4: ("aa5d79822fc5517a", "3106e94d1fad8c35", "f3ad49251a316794", "6695ef10c3bb6d68"),
-    5: ("37c218c9b13c8a18", "a14163c920879913", "f371b232ab4f5ded", "a14163c920879913"),
-    6: ("da3f5456c377d37e", "843b8f122fb3f449", "78263fa1bb414567", "c1d769b3c6296ee1"),
-    7: ("d73d0552cddeea8b", "6f614fa8d07a4b6b", "6c86819c4c3627c1", "c9f596a356b39a60"),
+    0: ("063030b219ef2870", "5ea6aef819295b4e", "1bff995bf7801381", "4f561487bc98bb98"),
+    1: ("9639a14afbc6a37f", "cf90aa4b45f0e570", "4ca63e91d015a679", "09d36093d0557737"),
+    2: ("90182490cb0df7d6", "5ea6aef819295b4e", "034b85e480744b3d", "4f561487bc98bb98"),
+    3: ("808f08dc4ed49a45", "c69562e5ffc12460", "33c6faf6004da93f", "2b196088689855d1"),
+    4: ("6f2c2ac4499c176e", "3106e94d1fad8c35", "814440669282d01d", "6695ef10c3bb6d68"),
+    5: ("f4aa1e95d1d1cd76", "a14163c920879913", "81fe6121a0c835e8", "a14163c920879913"),
+    6: ("ecba6706ac0ee467", "843b8f122fb3f449", "a021e80cd557f917", "c1d769b3c6296ee1"),
+    7: ("2460f05afb3b7a49", "6f614fa8d07a4b6b", "6d2cca20fea99806", "c9f596a356b39a60"),
 }
 
 
@@ -171,7 +171,7 @@ def test_pinned_projection_file_and_summary(seed, tmp_path):
     got = []
     for config in (ProjectionConfig(), ProjectionConfig(top_k=2)):
         w = build_projection(vs, vt, Tokenizer(vt), config)
-        path = tmp_path / "w.jsonl"
+        path = tmp_path / "w.proj"
         save_projection(w, path)
         summary = json.dumps(w.summary(), sort_keys=True, separators=(",", ":"))
         got += [hashlib.sha256(path.read_bytes()).hexdigest()[:16],

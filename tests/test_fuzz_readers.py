@@ -49,8 +49,11 @@ def owner(doc, at):
 
 
 @st.composite
-def mutated(draw, data: bytes, json_lines: bool = False, binary: bool = False) -> bytes:
-    """``data`` with one mutation; a binary file only truncates or flips bytes."""
+def mutated(draw, data: bytes, json_lines: bool = False, binary: bool = False,
+            headed: bool = False) -> bytes:
+    """``data`` with one mutation; a binary file only truncates or flips bytes,
+    and a headed file (a JSON header line, then raw bytes: the projection)
+    takes the JSON mutations in its header line only."""
     kind = draw(st.sampled_from(KINDS[:2] if binary else KINDS))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
@@ -59,8 +62,9 @@ def mutated(draw, data: bytes, json_lines: bool = False, binary: bool = False) -
         for _ in range(draw(st.integers(1, 3))):
             out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
         return bytes(out)
-    lines = data.split(b"\n") if json_lines else [data]
-    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+    lines = data.split(b"\n", 1) if headed else data.split(b"\n") if json_lines else [data]
+    i = 0 if headed else draw(st.sampled_from([i for i, line in enumerate(lines)
+                                               if line.strip()]))
     doc = json.loads(lines[i])
     if kind == "drop":
         at = draw(st.sampled_from([at for at in spots(doc)
@@ -80,22 +84,25 @@ def mutated(draw, data: bytes, json_lines: bool = False, binary: bool = False) -
 
 
 def resealed(data: bytes) -> bytes:
-    """A projection file with its header's content hash recomputed, so that a
-    mutated row reaches the row checks."""
-    lines = data.split(b"\n")
+    """A projection file with its header's content hash recomputed over the
+    body, so that a mutated body reaches the length and row checks."""
+    line, _, body = data.partition(b"\n")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except (ValueError, RecursionError):
         return data
     if not isinstance(header, dict):
         return data
-    body = b"\n".join(line for line in lines[1:] if line.strip())
     header["content_hash"] = hashlib.sha256(body).hexdigest()
-    return b"\n".join([json.dumps(header).encode()] + lines[1:])
+    return json.dumps(header).encode() + b"\n" + body
 
 
 def is_binary(path) -> bool:
     return path.suffix in (".bin", ".txt")
+
+
+def is_headed(path) -> bool:
+    return path.suffix == ".proj"
 
 
 @FUZZ
@@ -104,8 +111,9 @@ def is_binary(path) -> bool:
 def test_reader_names_its_file(tmp_path, reader, data):
     path, sidecar, load = READERS[reader](tmp_path)
     target = data.draw(st.sampled_from(sorted({path, sidecar})))
-    out = data.draw(mutated(target.read_bytes(), reader in JSON_LINES, is_binary(target)))
-    if reader == "projection" and data.draw(st.booleans()):
+    out = data.draw(mutated(target.read_bytes(), reader in JSON_LINES, is_binary(target),
+                            is_headed(target)))
+    if is_headed(target) and data.draw(st.booleans()):
         out = resealed(out)
     target.write_bytes(out)
     try:
@@ -145,8 +153,9 @@ def test_command_exits_cleanly(commands, capsys, tmp_path, command, data):
     target = data.draw(st.sampled_from(files))
     backup = tmp_path / "backup"
     shutil.copyfile(target, backup)
-    out = data.draw(mutated(target.read_bytes(), target.suffix == ".jsonl", is_binary(target)))
-    if target.suffix == ".jsonl" and data.draw(st.booleans()):
+    out = data.draw(mutated(target.read_bytes(), target.suffix == ".jsonl", is_binary(target),
+                            is_headed(target)))
+    if is_headed(target) and data.draw(st.booleans()):
         out = resealed(out)
     target.write_bytes(out)
     try:

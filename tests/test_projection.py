@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -28,7 +29,8 @@ from crosstok.projection import (
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
 import projection_reference
-from projection_reference import ReferenceProjection, apply_w_gradient, top1
+from projection_reference import (ReferenceProjection, apply_w_gradient, pack_body,
+                                  sealed_file, top1, unpack_file)
 from test_losses import random_projection
 
 
@@ -132,7 +134,7 @@ class TestBuildProjection:
     def test_deterministic_serialization(self, digit_pair, tmp_path):
         student, teacher, w1 = digit_pair
         w2 = build_projection(student.vocabulary, teacher.vocabulary, teacher)
-        p1, p2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
+        p1, p2 = tmp_path / "w1.proj", tmp_path / "w2.proj"
         save_projection(w1, p1)
         save_projection(w2, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -323,7 +325,7 @@ def test_pkl_entry_gradient_is_the_projection_chain_rule(seed, n_s, n_t):
 class TestProjectionFiles:
     def test_roundtrip(self, digit_pair, tmp_path):
         _, _, w = digit_pair
-        path = tmp_path / "w.jsonl"
+        path = tmp_path / "w.proj"
         save_projection(w, path)
         loaded = load_projection(path)
         assert loaded.rows == w.rows
@@ -332,13 +334,12 @@ class TestProjectionFiles:
 
     def test_tampered_file_rejected(self, digit_pair, tmp_path):
         _, _, w = digit_pair
-        path = tmp_path / "w.jsonl"
+        path = tmp_path / "w.proj"
         save_projection(w, path)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace("1.0", "0.9")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError, match="hash"):
-            load_projection(path)
+        data = bytearray(path.read_bytes())
+        data[-2] ^= 1  # the last weight, 1.0 of an exact row, one ulp off
+        path.write_bytes(data)
+        rejects(path, "content hash mismatch, file corrupted or edited")
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -356,18 +357,27 @@ class TestProjectionFiles:
         assert str(info.value) == f"{field} must be an int, got {value!r}"
 
 
-def rewrite_body(path, edit):
-    """Replace the body record of a saved projection by ``edit(body)`` and
-    re-seal its hash."""
-    header, body = [json.loads(line) for line in path.read_text().splitlines()]
-    body = json.dumps(edit(body), separators=(",", ":"))
-    header["content_hash"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path.write_text("\n".join([json.dumps(header), body]) + "\n")
+def rewrite_body(path, edit, **header):
+    """Replace the body of a saved projection by ``edit(body)`` (field name ->
+    list) and re-seal its hash. ``header.entries`` becomes the new length of
+    ``teacher_ids``, unless ``header`` (fields set over the old header) sets it."""
+    old, body = unpack_file(path.read_bytes())
+    body = edit(body)
+    path.write_bytes(sealed_file({**old, "entries": len(body["teacher_ids"]), **header},
+                                 pack_body(body)))
+
+
+def rewrite_header(path, edit):
+    """Replace the header line of a saved projection by ``edit(header)``."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + body)
 
 
 def reseal_lines(path, lines):
-    """Write ``lines`` after the header, with the content hash over them."""
-    header = json.loads(path.read_text().splitlines()[0])
+    """The header without ``entries``, then ``lines``, with the content hash
+    over the nonblank ones: a file of an older JSON layout."""
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    del header["entries"]
     header["content_hash"] = hashlib.sha256(
         "\n".join(line for line in lines if line.strip()).encode("utf-8")).hexdigest()
     path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
@@ -388,7 +398,7 @@ def saved(tmp_path):
     """Rows 0-2 exact, row 3 a three-entry multi-token row."""
     vs = Vocabulary(["2", "0", "1", "201"])
     vt = Vocabulary(["2", "0", "1"])
-    path = tmp_path / "digits.jsonl"
+    path = tmp_path / "digits.w"
     save_projection(build_projection(vs, vt, Tokenizer(vt)), path)
     return path
 
@@ -399,6 +409,31 @@ def rejects(path, *words):
     assert str(info.value).startswith(f"{path}: ")
     for word in words:
         assert word in str(info.value)
+
+
+def rejects_body(path, edit, *words):
+    """``edit(body)`` fails naming ``words``: loaded from the re-sealed file,
+    with its path in front, when a raw body can hold it, else from the
+    constructor, as a ``from_rows`` caller meets it (a bool, a string or a
+    float id, an int weight, a provenance string that is no value)."""
+    header, body = unpack_file(path.read_bytes())
+    body = edit(body)
+    try:
+        pack_body(body)
+    except (TypeError, ValueError, struct.error):
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(header["n_student"], header["n_teacher"],
+                             config=ProjectionConfig(**header["config"]), **body)
+        for word in words:
+            assert word in str(info.value)
+        return "constructor"
+    rewrite_body(path, lambda _: body)
+    rejects(path, *words)
+    return "file"
+
+
+def body_bytes(path) -> bytes:
+    return path.read_bytes().split(b"\n", 1)[1]
 
 
 class TestProjectionIndexValidation:
@@ -413,18 +448,24 @@ class TestProjectionIndexValidation:
         ((0, 1.0), "counts[0] must be an int, got 1.0"),
     ], ids=["negative", "past_end", "not_int", "bool", "float"])
     def test_bad_row_index(self, saved, bad, words):
+        """A count of another type than int (the last three) cannot be packed,
+        so the constructor alone meets it."""
         at, count = bad
-        rewrite_body(saved, lambda b: {**b, "counts": [count if s == at else c
-                                                      for s, c in enumerate(b["counts"])]})
-        rejects(saved, words)
+        assert rejects_body(saved, lambda b: {**b, "counts": [count if s == at else c
+                                                             for s, c in enumerate(b["counts"])]},
+                            words) == ("file" if type(count) is int else "constructor")
 
     def test_duplicate_row_index(self, saved):
-        """Row 3 given twice: one row more than ``header.n_student``."""
+        """Row 3 given twice: the body is one row and three entries longer
+        than the header says."""
+        old = body_bytes(saved)
         rewrite_body(saved, lambda b: {"counts": b["counts"] + [3],
                                        "provenance": b["provenance"] + ["multi_token"],
                                        "teacher_ids": b["teacher_ids"] + b["teacher_ids"][3:],
-                                       "weights": b["weights"] + b["weights"][3:]})
-        rejects(saved, "counts holds 5 rows, n_student is 4")
+                                       "weights": b["weights"] + b["weights"][3:]}, entries=6)
+        assert len(body_bytes(saved)) == len(old) + 9 + 3 * 16
+        rejects(saved, f"the body holds {len(old) + 57} bytes, not 9 per row and 16 per entry "
+                       "(n_student 4, entries 6)")
 
     @pytest.mark.parametrize("field, words", [
         ("counts", "counts holds 3 rows, n_student is 4"),
@@ -433,8 +474,16 @@ class TestProjectionIndexValidation:
         ("weights", "weights holds 5 entries, counts sums to 6"),
     ])
     def test_list_one_short(self, saved, field, words):
-        rewrite_body(saved, lambda b: {**b, field: b[field][:-1]})
-        rejects(saved, words)
+        """The constructor names the short list; in a file under an unchanged
+        header the same body is one value short, which the length check names."""
+        header, body = unpack_file(saved.read_bytes())
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(4, 3, config=ProjectionConfig(**header["config"]),
+                             **{**body, field: body[field][:-1]})
+        assert str(info.value) == words
+        size = len(body_bytes(saved)) - (1 if field == "provenance" else 8)
+        rewrite_body(saved, lambda b: {**b, field: b[field][:-1]}, entries=6)
+        rejects(saved, f"the body holds {size} bytes, not 9 per row and 16 per entry")
 
     def test_teacher_id_repeated_within_a_row(self, saved):
         rewrite_body(saved, lambda b: {**b, "teacher_ids": b["teacher_ids"][:4] + [0, 2]})
@@ -446,127 +495,172 @@ class TestProjectionIndexValidation:
                                        ProjectionConfig())
 
 
-class TestProjectionFileFields:
-    def rewrite_header(self, path, edit):
-        lines = path.read_text().splitlines()
-        lines[0] = json.dumps(edit(json.loads(lines[0])))
-        path.write_text("\n".join(lines) + "\n")
+OLD_LAYOUT = ("header.entries is missing, so the body is not raw arrays (a file of an older "
+              "JSON layout?); rebuild the projection with `crosstok build-w`")
 
+
+class TestProjectionFileFields:
     def test_header_without_config(self, saved):
-        self.rewrite_header(saved, lambda h: {k: v for k, v in h.items() if k != "config"})
+        rewrite_header(saved, lambda h: {k: v for k, v in h.items() if k != "config"})
         rejects(saved, "config")
 
     def test_unknown_config_key(self, saved):
-        self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "bogus": 1}})
+        rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "bogus": 1}})
         rejects(saved, "config.bogus")
 
     def test_mistyped_header_field(self, saved):
-        self.rewrite_header(saved, lambda h: {**h, "n_student": "2"})
+        rewrite_header(saved, lambda h: {**h, "n_student": "2"})
         rejects(saved, "n_student")
 
     @pytest.mark.parametrize("n_student", [10**30, 2**63, -1], ids=["1e30", "2**63", "-1"])
     def test_impossible_student_count_named(self, saved, n_student):
-        self.rewrite_header(saved, lambda h: {**h, "n_student": n_student})
-        rejects(saved, f"counts holds 4 rows, n_student is {n_student}")
+        rewrite_header(saved, lambda h: {**h, "n_student": n_student})
+        rejects(saved, f"the body holds 132 bytes, not 9 per row and 16 per entry "
+                       f"(n_student {n_student}, entries 6)")
 
-    def test_student_count_beyond_memory_named(self, saved):
+    def test_student_count_beyond_memory_named(self, saved, tmp_path):
         """A row count that no allocation can hold fails by name, and before
-        anything is allocated from it (run under a 2 GB address-space limit)."""
-        self.rewrite_header(saved, lambda h: {**h, "n_student": 2**40})
+        anything is allocated from it (run under a 2 GB address-space limit):
+        ``n_student`` 2**40 over the saved body, and 2**62 over a body one
+        byte short of it."""
+        rewrite_header(saved, lambda h: {**h, "n_student": 2**40})
+        short = tmp_path / "short.w"
+        short.write_bytes(saved.read_bytes()[:-1])
+        rewrite_header(short, lambda h: {**h, "n_student": 2**62})
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
                   "from crosstok.errors import ValidationError\n"
                   "from crosstok.projection import load_projection\n"
-                  "try:\n"
-                  "    load_projection(sys.argv[1])\n"
-                  "except ValidationError as exc:\n"
-                  "    print(exc)\n")
+                  "for path in sys.argv[1:]:\n"
+                  "    try:\n"
+                  "        load_projection(path)\n"
+                  "    except ValidationError as exc:\n"
+                  "        print(exc)\n")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", script, str(saved)], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, str(saved), str(short)],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (f"{saved}: counts holds 4 rows, n_student is "
-                               f"{2**40}\n"), proc.stdout
+        assert proc.stdout == "".join(
+            f"{path}: the body holds {size} bytes, not 9 per row and 16 per entry "
+            f"(n_student {n}, entries 6)\n"
+            for path, size, n in ((saved, 132, 2**40), (short, 131, 2**62))), proc.stdout
 
-    def test_rows_numbered_by_file_line(self, saved):
-        """The body record is named by its file line; blank lines are outside
-        the content hash."""
-        reseal_lines(saved, ["", " ", "", "\t", "", '{"counts": [1,'])
-        rejects(saved, "line 7: not a JSON object")
+    @pytest.mark.parametrize("edit", [lambda data: data[:-1], lambda data: data + b"\0"],
+                             ids=["short", "long"])
+    def test_body_one_byte_off_named(self, saved, edit):
+        """A body one byte short or long fails the length check, before the
+        hash, whatever its bytes."""
+        saved.write_bytes(edit(saved.read_bytes()))
+        size = len(body_bytes(saved))
+        rejects(saved, f"the body holds {size} bytes, not 9 per row and 16 per entry "
+                       "(n_student 4, entries 6)")
+
+    @pytest.mark.parametrize("entries", [5, 7])
+    def test_entries_that_disagree_with_the_body_named(self, saved, entries):
+        rewrite_header(saved, lambda h: {**h, "entries": entries})
+        rejects(saved, f"the body holds 132 bytes, not 9 per row and 16 per entry "
+                       f"(n_student 4, entries {entries})")
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda b: {**b, "teacher_ids": b["teacher_ids"][:-1] + [3]},
+         "row 3: teacher id 3 out of range"),
+        (lambda b: {**b, "teacher_ids": b["teacher_ids"][:-1] + [-2**63]},
+         f"row 3: teacher id {-2**63} out of range"),
+        (lambda b: {**b, "provenance": b["provenance"][:-1] + [3]},
+         "provenance holds code 3, not in [0, 3)"),
+        (lambda b: {**b, "provenance": [-128] + b["provenance"][1:]},
+         "provenance holds code -128, not in [0, 3)"),
+    ], ids=["teacher_id", "teacher_id_min", "code", "negative_code"])
+    def test_resealed_value_out_of_range_named(self, saved, edit, words):
+        assert rejects_body(saved, edit, words) == "file"
 
     def test_bad_config_constants_named(self, saved):
-        self.rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "beta": 0.05}})
+        rewrite_header(saved, lambda h: {**h, "config": {**h["config"], "beta": 0.05}})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
         assert str(info.value).startswith(f"{saved}: header.config: need 0 < gamma < beta")
 
     def test_header_not_an_object(self, saved):
-        self.rewrite_header(saved, lambda h: [1, 2])
+        rewrite_header(saved, lambda h: [1, 2])
         rejects(saved, "object")
 
     def test_row_without_entries(self, saved):
-        rewrite_body(saved, lambda b: {k: v for k, v in b.items() if k != "teacher_ids"})
-        rejects(saved, "teacher_ids is missing")
+        """``entries`` agrees with the body but not with ``counts``: the last
+        row's third entry is missing."""
+        rewrite_body(saved, lambda b: {**b, "teacher_ids": b["teacher_ids"][:-1],
+                                       "weights": b["weights"][:-1]})
+        rejects(saved, "teacher_ids holds 5 entries, counts sums to 6")
 
-    @pytest.mark.parametrize("body, words", [
-        ({"counts": 5}, "counts must be list, got 5"),
-        ({"rows": []}, "rows is not a known field"),
+    @pytest.mark.parametrize("header, words", [
+        ({"entries": 6.0}, "header.entries must be int, got 6.0"),
+        ({"rows": []}, "header.rows is not a known field"),
     ], ids=["not_a_list", "unknown"])
-    def test_mistyped_or_unknown_body_field(self, saved, body, words):
-        rewrite_body(saved, lambda b: {**b, **body})
+    def test_mistyped_or_unknown_body_field(self, saved, header, words):
+        """The body's one header field, ``entries``, of another type than int
+        (the id names the JSON-list field it replaced), and a header field
+        that no layout has."""
+        rewrite_header(saved, lambda h: {**h, **header})
         rejects(saved, words)
 
     def test_malformed_entry_and_unknown_provenance(self, saved):
-        rewrite_body(saved, lambda b: {**b, "weights": b["weights"][1:]})
-        rejects(saved, "weights holds 5 entries, counts sums to 6")
-        rewrite_body(saved, lambda b: {**b, "weights": b["weights"] + [0.5],
-                                       "provenance": ["guess"] + b["provenance"][1:]})
-        rejects(saved, "provenance holds 'guess', not one of ['exact', "
-                       "'multi_token', 'empty']")
-        for garbled in ('{"counts": 0,', "[0]"):
-            reseal_lines(saved, [garbled])
-            rejects(saved, "line 2: not a JSON object")
+        original = saved.read_bytes()
+        rewrite_body(saved, lambda b: {**b, "weights": b["weights"][1:]}, entries=6)
+        rejects(saved, "the body holds 124 bytes, not 9 per row and 16 per entry")
+        saved.write_bytes(original)
+        assert rejects_body(saved, lambda b: {**b, "provenance": ["guess"] + b["provenance"][1:]},
+                            "provenance holds 'guess', not one of ['exact', "
+                            "'multi_token', 'empty']") == "constructor"
+        for garbled in (b'{"counts": 0,', b"[0]"):
+            saved.write_bytes(garbled + b"\n" + original.split(b"\n", 1)[1])
+            rejects(saved, "line 1: not a JSON object")
 
     @pytest.mark.parametrize("entry", [[2.7, 0.9], [True, 0.9], ["x", 0.9], [None, 0.9],
                                        [0, "0.9"], [0, None], [0, False], [10**30, 0.9],
                                        [0, 10**400]])
     def test_mistyped_entry_named(self, saved, entry):
-        rewrite_body(saved, last_row_holds(entry))
-        rejects(saved, "teacher_ids[3] must" if entry[1] == 0.9 else "in weights is")
+        """No raw body holds these, so the constructor names them."""
+        assert rejects_body(saved, last_row_holds(entry), "teacher_ids[3] must"
+                            if entry[1] == 0.9 else "in weights is") == "constructor"
 
     def test_nan_weight_named(self, saved):
         rewrite_body(saved, last_row_holds([0, float("nan")]))
         rejects(saved, "row 3: non-positive weight nan")
 
     def test_first_bad_entry_named_in_student_order(self, saved):
-        """With bad entries in rows 1 and 3, the type check names row 1's."""
-        rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]})
+        """With bad entries in rows 1 and 3, the loader names row 1's, and the
+        constructor's type check names row 1's as well."""
+        rewrite_body(saved, lambda b: {**b, "teacher_ids": [0, 5, 2, 9, 1, 2]})
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        assert str(info.value) == f"{saved}: teacher_ids[1] must be an int, got True"
+        assert str(info.value) == f"{saved}: row 1: teacher id 5 out of range"
+        rejects_body(saved, lambda b: {**b, "teacher_ids": [0, True, 2, "x", 1, 2]},
+                     "teacher_ids[1] must be an int, got True")
 
     def test_int_weight_loads_as_float(self, saved):
-        rewrite_body(saved, last_row_holds([0, 1]))
-        [(t, w)] = load_projection(saved).rows[-1]
-        assert (t, w) == (0, 1.0) and type(w) is float
+        """A raw body holds only float weights; a ``from_rows`` caller's int
+        weight becomes a float."""
+        header, body = unpack_file(saved.read_bytes())
+        body = last_row_holds([0, 1])(body)
+        w = SparseProjection(4, 3, config=ProjectionConfig(**header["config"]), **body)
+        [(t, weight)] = w.rows[-1]
+        assert (t, weight) == (0, 1.0) and type(weight) is float
 
-    @pytest.mark.parametrize("lines, found", [
-        (['{"entries":[[0,1.0]],"provenance":"exact","s":0}',
-          '{"entries":[[1,1.0]],"provenance":"exact","s":1}'], "2 lines follow the header"),
-        (['{"entries":[[0,1.0]],"provenance":"exact","s":0}'],
-         "the line after the header is a row record"),
-        ([], "0 lines follow the header"),
-    ], ids=["row_records", "one_row_record", "no_body"])
-    def test_old_layout_named_for_rebuild(self, saved, lines, found):
-        """A file with one JSON record per row, one of them or none, fails
-        with a pointer to ``crosstok build-w``, its content hash valid."""
+    @pytest.mark.parametrize("lines", [
+        ['{"entries":[[0,1.0]],"provenance":"exact","s":0}',
+         '{"entries":[[1,1.0]],"provenance":"exact","s":1}'],
+        ['{"entries":[[0,1.0]],"provenance":"exact","s":0}'],
+        [],
+        ['{"counts":[1],"provenance":["exact"],"teacher_ids":[0],"weights":[1.0]}'],
+    ], ids=["row_records", "one_row_record", "no_body", "json_body"])
+    def test_old_layout_named_for_rebuild(self, saved, lines):
+        """A file of an older layout (one JSON record per row, one of them,
+        none, or one JSON body record), its content hash valid, has no
+        ``header.entries`` and fails with a pointer to ``crosstok build-w``."""
         reseal_lines(saved, lines)
         with pytest.raises(ValidationError) as info:
             load_projection(saved)
-        assert str(info.value) == (f"{saved}: {found}, not one body record (a file of the old "
-                                   "row-per-line layout?); rebuild the projection with "
-                                   "`crosstok build-w`")
+        assert str(info.value) == f"{saved}: {OLD_LAYOUT}"
 
 
 class TestCounts:
@@ -672,7 +766,7 @@ def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     relaxed = build_common_set_relaxed(w)
     assert (tuple(zip(relaxed.student_ids.tolist(), relaxed.teacher_ids.tolist()))
             == ref.common_set_relaxed())
-    path = tmp_path_factory.mktemp("csr") / "w.jsonl"
+    path = tmp_path_factory.mktemp("csr") / "w.proj"
     save_projection(w, path)
     assert path.read_bytes() == ref.saved_bytes()
 
@@ -741,7 +835,7 @@ def test_constructor_raises_only_validation_errors_and_round_trips(tmp_path_fact
         w = SparseProjection(*args)
     except ValidationError:
         return
-    path = tmp_path_factory.mktemp("accepted") / "w.jsonl"
+    path = tmp_path_factory.mktemp("accepted") / "w.proj"
     save_projection(w, path)
     got = load_projection(path)
     assert ((got.n_student, got.n_teacher, got.rows, got.provenance, got.config)
@@ -838,35 +932,47 @@ def one_ulp_up_on_multi_token_rows(w: SparseProjection) -> SparseProjection:
 @settings(max_examples=300, deadline=None)
 @given(valid_projections(), st.booleans())
 def test_save_load_round_trip_is_bit_identical(tmp_path_factory, w, reweighted):
-    """Empty rows, ``n_student = 0``, weights with long ``repr``s down to
-    ``5e-324``, and a ``with_weights`` result all load back bit for bit."""
+    """Empty rows, ``n_student = 0``, every provenance, ``top_k`` 1-4,
+    ``n_teacher`` up to 2**62, weights with long ``repr``s down to ``5e-324``,
+    and a ``with_weights`` result all load back bit for bit, with the same
+    ``rows``; saving twice, or saving what was loaded, gives the same bytes."""
     if reweighted:
         w = one_ulp_up_on_multi_token_rows(w)
-    path = tmp_path_factory.mktemp("round") / "w.jsonl"
+    path = tmp_path_factory.mktemp("round") / "w.proj"
     save_projection(w, path)
+    data = path.read_bytes()
     got = load_projection(path)
     assert same_arrays(got, w) and got._flat_w.tobytes() == w._flat_w.tobytes()
+    assert got.rows == w.rows and not any(a.flags.writeable for a in got.body)
+    save_projection(w, path)
+    assert path.read_bytes() == data
+    save_projection(got, path)
+    assert path.read_bytes() == data
 
 
 def test_round_trip_of_no_rows(tmp_path):
+    """No rows: the file is the header line alone, over an empty body."""
     w = SparseProjection.from_rows(3, [], [], ProjectionConfig())
-    save_projection(w, tmp_path / "w.jsonl")
-    assert (tmp_path / "w.jsonl").read_text().splitlines()[1] == (
-        '{"counts":[],"provenance":[],"teacher_ids":[],"weights":[]}')
-    assert same_arrays(load_projection(tmp_path / "w.jsonl"), w)
+    save_projection(w, tmp_path / "w.proj")
+    header, body = (tmp_path / "w.proj").read_bytes().split(b"\n")
+    assert body == b"" and json.loads(header)["entries"] == 0
+    assert json.loads(header)["content_hash"] == hashlib.sha256(b"").hexdigest()
+    assert same_arrays(load_projection(tmp_path / "w.proj"), w)
 
 
-def test_load_reads_crlf_and_blank_lines(tmp_path):
-    rows = [[(2, 0.6), (0, 0.30000000000000004)], [], [(1, 1.0)], [(0, 0.5)]]
-    prov = [Provenance.MULTI_TOKEN, Provenance.EMPTY, Provenance.EXACT, Provenance.MULTI_TOKEN]
-    w = SparseProjection.from_rows(3, rows, prov, ProjectionConfig())
-    path = tmp_path / "w.jsonl"
+def test_text_mode_edits_fail_the_length_check(tmp_path):
+    """The body is raw bytes: a file written back in text mode, with CRLF line
+    ends or a blank line after the header, fails as a body one byte too long
+    (the JSON layout read both)."""
+    w = SparseProjection.from_rows(11, [[(10, 1.0)], []], ["exact", "empty"], ProjectionConfig())
+    path = tmp_path / "w.proj"
     save_projection(w, path)
-    header, body = path.read_text().splitlines()
-    # text mode reads CRLF as LF; blank lines are outside the content hash
-    path.write_bytes("\r\n".join(["", header, "", " ", body, "\t", ""]).encode())
-    loaded = load_projection(path)
-    assert loaded.rows == w.rows and loaded.provenance == w.provenance
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert body.count(b"\n") == 1  # teacher id 10's low byte
+    for edited in (header + b"\r\n" + body.replace(b"\n", b"\r\n"), header + b"\n\n" + body):
+        path.write_bytes(edited)
+        rejects(path, f"the body holds {len(body) + 1} bytes, not 9 per row and 16 per entry "
+                      "(n_student 2, entries 1)")
 
 
 # Teacher pieces: single characters (a left-out one makes text unencodable)
@@ -915,9 +1021,9 @@ def assert_same_build(vs, vt, config, tmp_path):
     if got is None:
         return None
     assert same_arrays(got, ref) and got._flat_w.tobytes() == ref._flat_w.tobytes()
-    save_projection(got, tmp_path / "got.jsonl")
-    save_projection(ref, tmp_path / "ref.jsonl")
-    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    save_projection(got, tmp_path / "got.proj")
+    save_projection(ref, tmp_path / "ref.proj")
+    assert (tmp_path / "got.proj").read_bytes() == (tmp_path / "ref.proj").read_bytes()
     return got
 
 

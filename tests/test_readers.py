@@ -1,7 +1,9 @@
-"""Every input file is read through ``errors.read_text`` and ``errors.parse_object``:
-a truncated file, a non-UTF-8 byte or nesting too deep to parse fails with a
-ValidationError (CLI: exit 1, ``error: <path>: ...``) that starts with the path,
-and with ``line N`` in a JSON Lines file."""
+"""Every input file is read through ``errors.read_text`` (the projection file:
+``errors.read_bytes``, its header line through ``errors.decode_text``) and
+``errors.parse_object``: a truncated file, a non-UTF-8 byte or nesting too
+deep to parse fails with a ValidationError (CLI: exit 1, ``error: <path>:
+...``) that starts with the path, and with ``line N`` in a JSON Lines file or
+a projection header."""
 
 import json
 import sys
@@ -29,7 +31,7 @@ def vocab_file(tmp_path):
 
 
 def projection_file(tmp_path):
-    path = tmp_path / "w.jsonl"
+    path = tmp_path / "w.proj"
     tok = make_toy_tokenizer("char_level")
     save_projection(build_projection(VOCAB, tok.vocabulary, tok), path)
     return path, path, load_projection
@@ -57,7 +59,7 @@ def alignment_dump_file(tmp_path):
 READERS = {"vocabulary": vocab_file, "projection": projection_file,
            "logits": logits_file, "float_matrix": float_matrix_file,
            "alignment_dump": alignment_dump_file}
-JSON_LINES = {"projection", "alignment_dump"}
+JSON_LINES = {"projection", "alignment_dump"}  # the projection: a header line, a raw body
 MUTATIONS = {
     "truncated": lambda data: data[:data.index(b"}")],
     "leading_0xff": lambda data: b"\xff" + data,
@@ -127,8 +129,9 @@ def test_projection_teacher_count_named(tmp_path, n_teacher):
     """An impossible ``n_teacher`` fails at load, by name, not later
     inside ``product``."""
     path = projection_file(tmp_path)[0]
-    header, rest = path.read_text().split("\n", 1)
-    path.write_text(json.dumps({**json.loads(header), "n_teacher": n_teacher}) + "\n" + rest)
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), "n_teacher": n_teacher}).encode() + b"\n"
+                     + body)
     with pytest.raises(ValidationError) as info:
         load_projection(path)
     assert str(info.value) == (f"{path}: n_teacher must be a count in [0, "

@@ -187,14 +187,21 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
     vs = Vocabulary([f"s{i}" for i in range(12)])
     vt = Vocabulary([f"t{i}" for i in range(9)])
     w = random_projection(rng, len(vs), len(vt))
-    base = np.array([wt for _, _, wt in w.entries()])
-    for _ in range(100):  # reweigh rows until the relaxed set changes
-        reweighted = w.with_weights(base * np.repeat(rng.uniform(0.1, 1.0, len(vs)),
-                                                     np.diff(w._indptr)))
-        if build_common_set_relaxed(reweighted) != build_common_set_relaxed(w):
-            break
-    else:
-        pytest.fail("no reweighting changed the relaxed common set")
+    # 12 rows over 9 teacher ids: some two rows share a head teacher id. Scale
+    # the row that wins it in the relaxed set until its head weighs half the
+    # runner-up's, so the runner-up wins it instead.
+    heads = sorted((row[0][0], -row[0][1], s) for s, row in enumerate(w.rows))
+    (t, winner_head, winner), (_, rival_head, rival) = next(
+        pair for pair in zip(heads, heads[1:]) if pair[0][0] == pair[1][0])
+    scale = np.ones(len(vs))
+    scale[winner] = rival_head / winner_head / 2
+    reweighted = w.with_weights(np.array([wt for _, _, wt in w.entries()])
+                                * np.repeat(scale, np.diff(w._indptr)))
+    before, after = build_common_set_relaxed(w), build_common_set_relaxed(reweighted)
+    assert not (np.array_equal(before.student_ids, after.student_ids)
+                and np.array_equal(before.teacher_ids, after.teacher_ids))
+    assert (winner, t) in zip(before.student_ids.tolist(), before.teacher_ids.tolist())
+    assert (rival, t) in zip(after.student_ids.tolist(), after.teacher_ids.tolist())
     pt, ps = rng.dirichlet(np.ones(len(vt))), rng.dirichlet(np.ones(len(vs)))
     hw = HybridWeights()
     loss_kernel("hkl", vs, vt, w, 8, hw)(pt, ps, np.empty(len(vs)))  # binds and memoizes w's set

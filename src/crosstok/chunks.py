@@ -167,12 +167,13 @@ def _load_matrix(path, fields: dict, required, shape_of) -> tuple[dict, np.ndarr
                         required=required)
     with located(sidecar):
         shape = shape_of(meta)
-    flat = np.fromfile(path, dtype="<f4")
-    if flat.size != math.prod(shape):
-        raise ValidationError(
-            f"{path}: shape {shape} needs {math.prod(shape)} float32 values, found {flat.size}")
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size != 4 * math.prod(shape):  # a partial value at the end fails too
+        found, stray = divmod(data.size, 4)
+        raise ValidationError(f"{path}: shape {shape} needs {math.prod(shape)} float32 values, "
+                              f"found {found}" + (f" and {stray} stray bytes" if stray else ""))
     try:
-        return meta, flat.reshape(shape)
+        return meta, data.view("<f4").reshape(shape)
     except ValueError as exc:  # a size or a rank numpy cannot hold
         raise ValidationError(f"{sidecar}: 'shape' {shape} is not a numpy shape ({exc})") from None
 

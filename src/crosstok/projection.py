@@ -130,7 +130,7 @@ class SparseProjection:
         """Every entry's weight, row-major, after one type check over the flat
         list (no silent ``float()`` coercion; bools rejected)."""
         if isinstance(weights, np.ndarray) and weights.dtype == float:
-            return weights  # holds nothing of another type
+            return np.require(weights, requirements="A")  # an unaligned view is copied
         numbers = (int, float, np.integer, np.floating)
         bad = {tp for tp in set(map(type, weights)) if tp is bool or not issubclass(tp, numbers)}
         if bad:

@@ -19,12 +19,12 @@ import math
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .align import AlignmentCache, AlignScoring, ChunkKind
+from .align import Alignment, AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax
 from .errors import ValidationError, json_line, located
 from .losses import (LOG_EPS, MODES, HybridWeights, LossReport, check_top_k, loss_kernel,
@@ -128,17 +128,9 @@ class StepReport:
             "total": self.total,
             "kd_multiplier": self.kd_multiplier,
             "alphas": list(self.alphas),
-            "teachers": [
-                {
-                    "name": t.name,
-                    "mode": t.mode,
-                    "alpha": t.alpha,
-                    "per_chunk": list(t.report.per_chunk),
-                    "aggregate": t.report.aggregate,
-                    "chunk_stats": t.chunk_stats,
-                }
-                for t in self.teachers
-            ],
+            "teachers": [{"name": t.name, "mode": t.mode, "alpha": t.alpha,
+                          "per_chunk": list(t.report.per_chunk), "aggregate": t.report.aggregate,
+                          "chunk_stats": t.chunk_stats} for t in self.teachers],
             **extra,
         }
         return json_line(payload)
@@ -236,7 +228,7 @@ _LOOKAHEAD = 4  # groups claimed but not yet consumed: bounds the chunk results 
 
 class _GroupWalk:
     """``run`` over each of ``groups``, by the calling thread and the helper
-    threads running ``help`` (``run_step`` starts one).
+    threads running ``help`` (``run_with_helper`` starts one).
 
     Each thread claims the next unclaimed group, at most ``_LOOKAHEAD`` past
     the next one to consume. ``results`` yields the results in group order on
@@ -303,23 +295,51 @@ class _GroupWalk:
                 raise exc
             yield result
 
+    def run_with_helper(self, first: Callable, take: Callable):
+        """``take`` each result, in group order on the calling thread, while one
+        helper thread runs ``first`` and then ``help`` under the caller's context
+        (so its ``np.errstate`` holds there). The helper is joined before this
+        returns ``first``'s value or raises: a group's error before ``first``'s."""
+        def helper():
+            value = first()
+            self.help()
+            return value
 
-def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
-             teachers: Sequence[TeacherConfig],
-             policy: ScalingPolicy = ScalingPolicy(),
-             schedule: str = "static",
-             temperature: float = 1.0,
-             scoring: AlignScoring = AlignScoring(),
-             top_k: int = 8192,
-             hybrid: HybridWeights = HybridWeights(),
-             cache: AlignmentCache | None = None,
-             compute_grads: bool = False) -> StepReport:
-    """One simulated training step over stored logits, its teachers weighted
-    under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. Deterministic.
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            helped = pool.submit(contextvars.copy_context().run, helper)
+            for result in self.results():
+                take(result)
+        finally:
+            self.stop()
+            pool.shutdown(cancel_futures=True)  # waits for the helper's running group
+        return helped.result()
 
-    The chunk walk runs on the calling thread and one helper thread that
-    lives only for the call; the outputs are byte-identical to a serial walk."""
-    t_squared = temperature_squared(temperature)
+
+@dataclass
+class _Teacher:
+    """One teacher through a step: ``_plan`` sets the first five fields, the
+    walk its chunk values, (K, V) gradient block and summed ``grad_w``."""
+
+    config: TeacherConfig
+    kernel: Callable
+    where: str  # the error label: the teacher, and its dump's file
+    alpha: float
+    alignment: Alignment
+    values: list[float] = field(default_factory=list)
+    block: np.ndarray | None = None
+    grad_w: np.ndarray | None = None
+
+
+def _plan(student_vocab: Vocabulary, student_logits: PositionLogits,
+          teachers: Sequence[TeacherConfig], schedule: str, temperature: float,
+          scoring: AlignScoring, top_k: int, hybrid: HybridWeights, cache: AlignmentCache):
+    """``run_step``'s checks, in order: temperature, schedule and ``top_k``; every
+    dump and kernel binding; the static weights' sum; each alignment, and that
+    it has loss chunks. Returns a record per teacher and the groups of
+    ``(record, k, chunk)``: every loss chunk in student-span order (teacher order
+    within a span), one group per span. Allocates no (K, V) or (P, V) array."""
+    temperature_squared(temperature)
     if schedule not in SCHEDULE_KINDS:
         raise ValidationError(f"schedule kind must be one of {SCHEDULE_KINDS}")
     check_top_k(top_k)
@@ -343,75 +363,64 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     else:
         alphas = adaptive_weights(schedule, [t.logits for t in teachers])
 
-    tok_s = Tokenizer(student_vocab)
-    cache = cache if cache is not None else AlignmentCache()
-    s_seq = student_logits.realized_ids.tolist()
-    alignments = [cache.get_or_compute(s_seq, t.logits.realized_ids.tolist(), scoring, tok_s,
-                                       Tokenizer(t.vocab)) for t in teachers]
-    chunks_of = [a.loss_chunks() for a in alignments]
-    for teacher, chunks in zip(teachers, chunks_of):
-        if not chunks:
-            raise ValidationError(f"teacher {teacher.name!r} has no loss-bearing chunks")
+    tok_s, s_seq = Tokenizer(student_vocab), student_logits.realized_ids.tolist()
+    records = [_Teacher(t, kernel, _named(f"teacher {t.name!r}", t.logits), float(alpha),
+                        cache.get_or_compute(s_seq, t.logits.realized_ids.tolist(), scoring,
+                                             tok_s, Tokenizer(t.vocab)))
+               for t, kernel, alpha in zip(teachers, kernels, alphas)]
+    for r in records:
+        if not r.alignment.loss_chunks():
+            raise ValidationError(f"teacher {r.config.name!r} has no loss-bearing chunks")
+    ordered = heapq.merge(*([(r, k, c) for k, c in enumerate(r.alignment.loss_chunks())]
+                            for r in records), key=lambda rkc: rkc[2].student_span)
+    return records, [list(group) for _, group in
+                     itertools.groupby(ordered, key=lambda rkc: rkc[2].student_span)]
 
-    # every teacher's chunks in student-span order (teacher order within a
-    # span), grouped by student span: a group merges its span once, and each
-    # chunk's gradient goes to row k of its teacher's (K, V) block
-    ordered = heapq.merge(*([(i, k, c) for k, c in enumerate(chunks)]
-                            for i, chunks in enumerate(chunks_of)),
-                          key=lambda ikc: ikc[2].student_span)
-    groups = [list(group) for _, group in
-              itertools.groupby(ordered, key=lambda ikc: ikc[2].student_span)]
-    blocks = [np.empty((len(chunks), student_logits.vocab_size)) if compute_grads else None
-              for chunks in chunks_of]
+
+def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
+             teachers: Sequence[TeacherConfig], policy: ScalingPolicy = ScalingPolicy(),
+             schedule: str = "static", temperature: float = 1.0,
+             scoring: AlignScoring = AlignScoring(), top_k: int = 8192,
+             hybrid: HybridWeights = HybridWeights(), cache: AlignmentCache | None = None,
+             compute_grads: bool = False) -> StepReport:
+    """One simulated training step over stored logits, its teachers weighted
+    under the ``schedule`` kind, one of ``SCHEDULE_KINDS``. ``_plan`` checks
+    every input; the chunk walk runs on the calling thread and one helper that
+    lives only for the walk; the finish combines the results. Deterministic:
+    the outputs are byte-identical to a serial walk."""
+    records, groups = _plan(student_vocab, student_logits, teachers, schedule, temperature,
+                            scoring, top_k, hybrid, AlignmentCache() if cache is None else cache)
+    if compute_grads:  # chunk k of a teacher writes row k of its block
+        for r in records:
+            r.block = np.empty((len(r.alignment.loss_chunks()), student_logits.vocab_size))
     s_where = _named("student", student_logits)
-    t_where = [_named(f"teacher {t.name!r}", t.logits) for t in teachers]
 
     def run_group(group):
         with located(s_where):
             p_s = chain_rule_merge(student_logits, group[0][2], temperature)
         p_s.flags.writeable = False  # shared by every teacher with this span
         out = []
-        for i, k, chunk in group:
-            with located(t_where[i]):
-                p_t = chain_rule_merge(teachers[i].logits, chunk, temperature)
-                value, _, g_w = kernels[i](p_t, p_s, None if blocks[i] is None else blocks[i][k])
-            out.append((i, value, g_w))
+        for r, k, chunk in group:
+            with located(r.where):
+                p_t = chain_rule_merge(r.config.logits, chunk, temperature)
+                value, _, g_w = r.kernel(p_t, p_s, None if r.block is None else r.block[k])
+            out.append((r, value, g_w))
         return out
 
-    walk = _GroupWalk(groups, run_group)
+    def take(results):  # in group order, so ``grad_w`` sums as a serial walk's does
+        for r, value, g_w in results:
+            r.values.append(value)
+            if g_w is not None:
+                r.grad_w = g_w if r.grad_w is None else np.add(r.grad_w, g_w, out=r.grad_w)
 
-    def helper_task():
-        result = (cross_entropy_grad(student_logits) if compute_grads
-                  else (cross_entropy(student_logits), None))
-        walk.help()
-        return result
+    l_ce, ce_grad = _GroupWalk(groups, run_group).run_with_helper(
+        lambda: cross_entropy_grad(student_logits) if compute_grads
+        else (cross_entropy(student_logits), None), take)
 
-    # the calling thread consumes the groups in order, so values append and
-    # ``grad_w`` sums in the serial walk's order: outputs are byte-identical
-    per_chunk: list[list[float]] = [[] for _ in teachers]
-    grad_w: list[np.ndarray | None] = [None] * len(teachers)
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:  # the helper runs under the caller's context, so its ``np.errstate`` holds there
-        helped = helper.submit(contextvars.copy_context().run, helper_task)
-        for results in walk.results():
-            for i, value, g_w in results:
-                per_chunk[i].append(value)
-                if g_w is not None:
-                    grad_w[i] = g_w if grad_w[i] is None else np.add(grad_w[i], g_w,
-                                                                     out=grad_w[i])
-    finally:
-        walk.stop()
-        helper.shutdown(cancel_futures=True)  # waits for the helper's running group
-    l_ce, ce_grad = helped.result()
-
-    breakdowns = [
-        TeacherBreakdown(t.name, t.mode, float(alpha), LossReport(
-            temperature, tuple(values),
-            grad_chunk_logits=None if block is None else tuple(block), grad_projection=g_w),
-            _chunk_stats(alignment))
-        for alpha, t, values, block, g_w, alignment
-        in zip(alphas, teachers, per_chunk, blocks, grad_w, alignments)]
-
+    breakdowns = [TeacherBreakdown(r.config.name, r.config.mode, r.alpha, LossReport(
+        temperature, tuple(r.values),
+        grad_chunk_logits=None if r.block is None else tuple(r.block), grad_projection=r.grad_w),
+        _chunk_stats(r.alignment)) for r in records]
     l_kd = float(sum(b.alpha * b.report.aggregate for b in breakdowns))
     if policy.kind == "dynamic" and abs(l_kd) <= _KD_FLOOR:
         unscaled = float(sum(b.alpha * np.mean(b.report.per_chunk) for b in breakdowns))
@@ -428,34 +437,25 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
     if compute_grads:
         if policy.kind == "fixed":
             ce_grad *= policy.lambda_ce
-        # scale each teacher's chunk and projection gradients into
-        # total-loss gradients in place, holding the dynamic multiplier constant
-        for breakdown, block in zip(breakdowns, blocks):
-            report = breakdown.report
-            scale = multiplier * breakdown.alpha * t_squared / len(report.per_chunk)
+        t_squared = temperature_squared(temperature)
+        for r in records:  # into total-loss gradients in place, the multiplier held constant
+            scale = multiplier * r.alpha * t_squared / len(r.values)
             try:
                 if not math.isfinite(scale):
                     raise FloatingPointError
                 with np.errstate(over="raise"):  # the multiply flags an overflow: no extra pass
-                    block *= scale
-                    if report.grad_projection is not None:
-                        report.grad_projection *= scale
+                    r.block *= scale
+                    if r.grad_w is not None:
+                        r.grad_w *= scale
             except FloatingPointError:
                 raise ValidationError(
-                    f"teacher {breakdown.name!r}: gradients scaled by {scale!r} are not finite "
+                    f"teacher {r.config.name!r}: gradients scaled by {scale!r} are not finite "
                     f"(KD multiplier {multiplier!r}, which is lambda_kd under a fixed policy, x "
-                    f"alpha {breakdown.alpha!r} x temperature {temperature!r} squared / "
-                    f"{len(report.per_chunk)} loss chunks)") from None
+                    f"alpha {r.alpha!r} x temperature {temperature!r} squared / "
+                    f"{len(r.values)} loss chunks)") from None
 
-    return StepReport(
-        temperature=temperature,
-        ce=l_ce,
-        kd=l_kd,
-        total=total,
-        kd_multiplier=multiplier,
-        teachers=breakdowns,
-        ce_grad=ce_grad,
-    )
+    return StepReport(temperature=temperature, ce=l_ce, kd=l_kd, total=total,
+                      kd_multiplier=multiplier, teachers=breakdowns, ce_grad=ce_grad)
 
 
 def gradient_check(seed: int, instances: int = 20) -> dict[str, float]:

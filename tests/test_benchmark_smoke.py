@@ -1,10 +1,13 @@
-"""The benchmark's smoke tier on the projection path, run as part of the tests.
+"""The benchmark's smoke tier on the projection and step paths, run as part of
+the tests.
 
 ``build_w_audit`` writes a projection with ``crosstok build-w``, loads it back
 and checks it against one built in-process; ``step_warm_grad`` loads the
 projection that ``benchmarks/gen.py`` saved and runs ``pkl`` and ``hkl`` on
-it. Both check the seed-0 smoke goldens, so a change to the projection file
-that breaks either path fails here, not only in the benchmark's own tests.
+it; ``step_cold_fwd`` runs forward-only steps with ``pkl``, ``kl`` and ``uld``
+teachers on a cold alignment cache. Each checks the seed-0 smoke goldens, so
+a change that breaks one of these paths fails here, not only in the
+benchmark's own tests.
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["build_w_audit", "step_warm_grad"])
+@pytest.mark.parametrize("workload", ["build_w_audit", "step_warm_grad", "step_cold_fwd"])
 def test_smoke_tier_is_correct(workload):
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,

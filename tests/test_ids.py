@@ -111,6 +111,12 @@ def test_an_intp_array_is_returned_as_is():
     assert check_ids(ids, "ids") is ids
 
 
+def test_an_unaligned_intp_array_is_copied_aligned():
+    ids = np.frombuffer(b"\0" + np.arange(3).tobytes(), np.intp, 3, 1)
+    got = check_ids(ids, "ids")
+    assert not ids.flags.aligned and got.flags.aligned and got.tolist() == [0, 1, 2]
+
+
 def test_an_array_of_more_than_one_dimension_is_refused():
     with pytest.raises(ValidationError) as info:
         check_ids(np.zeros((2, 2), dtype=int), "ids")

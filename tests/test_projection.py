@@ -885,6 +885,27 @@ class TestConstructorRules:
                              ProjectionConfig())
         assert str(info.value) == f"provenance holds code {code}, not in [0, 3)"
 
+    def test_unaligned_arrays_are_stored_aligned(self):
+        """Ids and weights read from a buffer at an odd offset are copied
+        aligned (numpy reads an unaligned view about 2.5 times slower), and
+        the copy projects and pulls back byte for byte as an aligned build."""
+        rng = np.random.default_rng(3)
+        w = random_projection(rng, 12, 9)
+        counts, codes, teacher_ids, weights = w.body
+
+        def unaligned(a):
+            return np.frombuffer(b"\0" + a.tobytes(), a.dtype, a.size, 1)
+
+        moved = SparseProjection(w.n_student, w.n_teacher, unaligned(counts),
+                                 unaligned(teacher_ids), unaligned(weights), codes.copy(),
+                                 w.config)
+        assert not unaligned(teacher_ids).flags.aligned
+        assert all(a.flags.aligned for a in moved.body)
+        p_s, d_q = rng.dirichlet(np.ones(12)), rng.normal(size=9)
+        assert moved.product(p_s).tobytes() == w.product(p_s).tobytes()
+        for got, want in zip(moved.pullback(p_s, d_q), w.pullback(p_s, d_q)):
+            assert got.tobytes() == want.tobytes()
+
 
 # weights whose ``repr`` is long or unusual
 LONG_WEIGHTS = (0.1 + 0.2, 1 / 3, 2 / 3, 0.1, 1e-300, 5e-324, 1e-5, 0.7 / 3)

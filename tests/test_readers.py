@@ -83,6 +83,19 @@ def test_reader_names_the_file(tmp_path, reader, mutation):
     assert str(info.value).startswith(expected_prefix(mutated, mutation, reader in JSON_LINES))
 
 
+@pytest.mark.parametrize("stray", [1, 2, 3])
+@pytest.mark.parametrize("reader", ["logits", "float_matrix"])
+def test_float32_file_with_a_partial_value_named(tmp_path, reader, stray):
+    """Bytes past the last whole value fail the size check; they were
+    dropped before, so the file loaded."""
+    path, _, load = READERS[reader](tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0" * stray)
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    assert str(info.value) == (f"{path}: shape [2, 3] needs 6 float32 values, found 6 and "
+                               f"{stray} stray bytes")
+
+
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_step_config_names_the_file(tmp_path, capsys, mutation):
     config = tmp_path / "step.json"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -727,6 +728,58 @@ class TestStepInputMessages:
                      **setting)
         assert str(info.value) == message
         assert len(cache) == 0
+
+
+def no_loss_chunk_step():
+    """A ``uld`` teacher whose one token aligns with the student's as a
+    mismatch, so it has no loss-bearing chunk."""
+    vs, vt = Vocabulary(["a", "x"]), Vocabulary(["y", "z"])
+    rng = np.random.default_rng(9)
+    teacher = TeacherConfig("hopeless", "uld", vt,
+                            dump("teacher", rng.normal(size=(1, 2)), [0], vt))
+    return vs, dump("student", rng.normal(size=(1, 2)), [0], vs), [teacher]
+
+
+def pkl_step(*changes):
+    student, teacher = valid_pkl_step_inputs()
+    return PIN_VS, student, [replace(teacher, **change) for change in changes]
+
+
+PLAN_FAILURES = {  # case -> (step inputs, message, alignments the plan computes first)
+    "second teacher's mode": (
+        lambda: pkl_step({"weight": 0.5}, {"name": "y", "mode": "bogus", "weight": 0.5}),
+        "teacher 'y': mode must be one of ('pkl', 'hkl', 'gold', 'uld', 'kl'), got 'bogus'",
+        0),
+    "static weights": (lambda: pkl_step({"weight": 0.5}),
+                       "static teacher weights sum to 0.5, not 1: 'x' 0.5", 0),
+    "no loss chunks": (no_loss_chunk_step, "teacher 'hopeless' has no loss-bearing chunks", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_FAILURES))
+def test_plan_fails_before_the_walk(monkeypatch, case):
+    """``run_step``'s plan raises before any chunk is merged or a helper thread
+    started; a mode or weight fault, before any teacher is aligned."""
+    inputs, message, alignments = PLAN_FAILURES[case]
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(training, "chain_rule_merge",
+                        counted("merge", training.chain_rule_merge))
+    monkeypatch.setattr(AlignmentCache, "get_or_compute",
+                        counted("align", AlignmentCache.get_or_compute))
+    monkeypatch.setattr(threading.Thread, "start", counted("thread", threading.Thread.start))
+    threads = threading.active_count()
+    with pytest.raises(ValidationError) as info:
+        run_step(*inputs())
+    assert str(info.value) == message
+    assert threading.active_count() == threads
+    assert calls == Counter({"align": alignments} if alignments else {})
 
 
 GRADCHECK_FAMILIES = {"pkl_logits", "pkl_entries", "hkl", "gold", "uld", "kl"}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .align import AlignmentChunk
 from .errors import (DegenerateDistributionError, ValidationError, check_fields, check_ids,
-                     json_line, located, parse_object, read_text, write_text)
+                     check_int, json_line, located, parse_object, read_text, write_text)
 from .vocab import Vocabulary, vocabulary_hash
 
 SIDES = ("student", "teacher")
@@ -115,6 +115,7 @@ def chain_rule_merge(pl: PositionLogits, chunk: AlignmentChunk,
 
 def topk_support(probs, k: int) -> np.ndarray:
     """Indices of the k largest entries; boundary ties go to the smaller id."""
+    check_int(k, "k")
     p = np.asarray(probs, dtype=float)
     if k < 1:
         raise ValidationError("k must be at least 1")

@@ -104,7 +104,9 @@ def cmd_align(args, config: dict) -> int:
             raise ValidationError(
                 "--student-add-bos needs a 'bos' role in the student vocabulary"
             )
-    texts = read_text(args.texts).splitlines()
+    texts = read_text(args.texts).split("\n")  # "\n" only: \f, \v or U+2028 stay in their line
+    if not texts[-1]:  # the empty piece after a final newline
+        texts.pop()
 
     items = []
     counts = {kind.value: 0 for kind in ChunkKind}

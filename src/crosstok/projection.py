@@ -59,6 +59,7 @@ _EXACT, _MULTI, _EMPTY = (_KIND[p] for p in Provenance)
 
 def decay_weights(length: int, beta: float = 0.9, gamma: float = 0.1) -> np.ndarray:
     """Normalized exponential-decay weights for a re-tokenized span."""
+    check_int(length, "span length")
     if length < 1:
         raise ValidationError(f"span length must be at least 1, got {length}")
     raw = beta * gamma ** np.arange(length, dtype=float)
@@ -229,13 +230,13 @@ class SparseProjection:
         """Stored entries as (student_id, teacher_id, weight), row-major."""
         return zip(self._flat_s.tolist(), self._flat_t.tolist(), self._flat_w.tolist())
 
-    def with_weights(self, flat_weights: np.ndarray) -> "SparseProjection":
-        """Same sparsity pattern with replaced entry weights (for refinement)."""
-        flat = np.array(flat_weights, dtype=float)
-        if flat.shape != self._flat_w.shape:
+    def with_weights(self, flat_weights: Sequence[float]) -> "SparseProjection":
+        """Same sparsity pattern with replaced entry weights (for refinement),
+        checked as the constructor checks them and kept as a private copy."""
+        if np.shape(flat_weights) != self._flat_w.shape:
             raise ValidationError("weight vector does not match the stored entries")
         out = copy.copy(self)
-        out._flat_w, out._memo = flat, {}
+        out._flat_w, out._memo = self._flat_weights(flat_weights).copy(), {}
         out._validate()
         return out
 

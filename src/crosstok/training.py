@@ -16,11 +16,10 @@ import contextvars
 import heapq
 import itertools
 import math
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -223,97 +222,42 @@ def cross_entropy_grad(pl: PositionLogits) -> tuple[float, np.ndarray]:
     return _cross_entropy(pl, True)
 
 
-_LOOKAHEAD = 4  # groups claimed but not yet consumed: bounds the chunk results held at once
+_LOOKAHEAD = 4  # groups submitted but not yet taken: bounds the chunk results held at once
 
 
-class _GroupWalk:
-    """``run`` over each of ``groups``, by the calling thread and the helper
-    threads running ``help`` (``run_with_helper`` starts one).
+def _ran(run: Callable, group) -> Future:
+    """``run(group)`` on the calling thread, as a finished future."""
+    done = Future()
+    try:
+        done.set_result(run(group))
+    except Exception as exc:  # raised on the calling thread when the group is taken
+        done.set_exception(exc)
+    return done
 
-    Each thread claims the next unclaimed group, at most ``_LOOKAHEAD`` past
-    the next one to consume. ``results`` yields the results in group order on
-    the calling thread, which runs groups itself while the one it needs is on
-    a helper. A group that raised raises there, in its turn. ``stop`` ends
-    the helpers' loops, whether or not every group was consumed.
-    """
 
-    def __init__(self, groups: Sequence, run: Callable) -> None:
-        self._groups, self._run = groups, run
-        self._cond = threading.Condition()
-        self._claimed = self._consumed = 0
-        self._done: dict[int, tuple] = {}  # group -> (exception, result)
-        self._stopped = False
-
-    def _claim(self) -> int | None:
-        """The next group to run, or None if none may be claimed now (lock held)."""
-        g = self._claimed
-        if self._stopped or g == len(self._groups) or g >= self._consumed + _LOOKAHEAD:
-            return None
-        self._claimed += 1
-        return g
-
-    def _finish(self, g: int) -> None:
-        try:
-            done = None, self._run(self._groups[g])
-        except Exception as exc:  # raised on the calling thread when group g is consumed
-            done = exc, None
-        with self._cond:
-            self._done[g] = done
-            self._cond.notify_all()
-
-    def help(self) -> None:
-        """The helper's loop: run claimed groups until none is left or the walk stops."""
-        while True:
-            with self._cond:
-                while (g := self._claim()) is None:
-                    if self._stopped or self._claimed == len(self._groups):
-                        return
-                    self._cond.wait()
-            self._finish(g)
-
-    def stop(self) -> None:
-        """Let no thread claim another group; a helper waiting for one returns."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-
-    def results(self) -> Iterator:
-        for g in range(len(self._groups)):
-            while True:
-                with self._cond:
-                    if g in self._done:
-                        exc, result = self._done.pop(g)
-                        self._consumed = g + 1
-                        self._cond.notify_all()
-                        break
-                    mine = self._claim()
-                    if mine is None:
-                        self._cond.wait()
-                        continue
-                self._finish(mine)
-            if exc is not None:
-                raise exc
-            yield result
-
-    def run_with_helper(self, first: Callable, take: Callable):
-        """``take`` each result, in group order on the calling thread, while one
-        helper thread runs ``first`` and then ``help`` under the caller's context
-        (so its ``np.errstate`` holds there). The helper is joined before this
-        returns ``first``'s value or raises: a group's error before ``first``'s."""
-        def helper():
-            value = first()
-            self.help()
-            return value
-
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            helped = pool.submit(contextvars.copy_context().run, helper)
-            for result in self.results():
-                take(result)
-        finally:
-            self.stop()
-            pool.shutdown(cancel_futures=True)  # waits for the helper's running group
-        return helped.result()
+def _walk(groups: Sequence, run: Callable, first: Callable, take: Callable):
+    """``take(run(group))`` for each of ``groups``, in order on the calling thread, while
+    one helper thread runs ``first`` and then the groups queued for it, in order, under a
+    copy of the caller's context (so its ``np.errstate`` holds there). At most ``_LOOKAHEAD``
+    groups are queued and not yet taken; while the group it needs is not done, the caller
+    cancels queued groups, lowest first, and runs them itself. The helper is joined before
+    this returns ``first``'s value or raises: a group's error, in its turn, before ``first``'s."""
+    context, ahead = contextvars.copy_context(), []
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        helped = pool.submit(context.run, first)
+        for taken in range(len(groups)):  # ahead[i] runs groups[taken + i]
+            ahead += [pool.submit(context.run, run, g)
+                      for g in groups[taken + len(ahead):taken + _LOOKAHEAD]]
+            for i, future in enumerate(ahead):
+                if ahead[0].done():
+                    break
+                if future.cancel():  # the helper never started it
+                    ahead[i] = _ran(run, groups[taken + i])
+            take(ahead.pop(0).result())
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the helper after its running item
+    return helped.result()
 
 
 @dataclass
@@ -413,9 +357,8 @@ def run_step(student_vocab: Vocabulary, student_logits: PositionLogits,
             if g_w is not None:
                 r.grad_w = g_w if r.grad_w is None else np.add(r.grad_w, g_w, out=r.grad_w)
 
-    l_ce, ce_grad = _GroupWalk(groups, run_group).run_with_helper(
-        lambda: cross_entropy_grad(student_logits) if compute_grads
-        else (cross_entropy(student_logits), None), take)
+    l_ce, ce_grad = _walk(groups, run_group, lambda: cross_entropy_grad(student_logits)
+                          if compute_grads else (cross_entropy(student_logits), None), take)
 
     breakdowns = [TeacherBreakdown(r.config.name, r.config.mode, r.alpha, LossReport(
         temperature, tuple(r.values),

@@ -190,6 +190,11 @@ class TestTopkTruncate:
         with pytest.raises(ValidationError):
             topk_support(np.array([1.0]), 0)
 
+    def test_k_must_be_int(self):
+        """A float ``k`` raised numpy's ``TypeError`` from ``np.partition``."""
+        with pytest.raises(ValidationError, match=r"^k must be an int, got 2\.5$"):
+            topk_support(np.array([0.5, 0.3, 0.2]), 2.5)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25]), min_size=1, max_size=12),
            st.data())

@@ -137,6 +137,20 @@ class TestAlign:
         assert rc == 0
         assert read_alignment_dump(out) == []
 
+    def test_texts_split_on_newline_only(self, tmp_path, capsys):
+        """A form feed or a file separator inside a line, which
+        ``str.splitlines`` split on, keeps the line one sequence; ``\\r\\n``
+        still ends a line."""
+        vs = write_toy_vocab(tmp_path / "s.json", "char_level")
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"a\x0cb\r\nc d\ne\x1cf\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["--format", "json", "align", "--student-vocab", str(vs),
+                     "--teacher-vocab", str(vs), "--texts", str(texts), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["sequences"] == 3
+        seq_ids = [r["seq_id"] for r in read_alignment_dump(out)]
+        assert seq_ids == [0] * 3 + [1] * 3 + [2] * 3  # one chunk per character
+
     def test_unencodable_text_exits_1(self, tmp_path, capsys):
         vs = write_toy_vocab(tmp_path / "s.json", "char_level")
         texts = tmp_path / "texts.txt"

@@ -66,6 +66,11 @@ class TestDecayWeights:
         with pytest.raises(ValidationError):
             decay_weights(0)
 
+    def test_length_must_be_int(self):
+        """A float length read as ``np.arange(2.5)`` gave three weights."""
+        with pytest.raises(ValidationError, match=r"^span length must be an int, got 2\.5$"):
+            decay_weights(2.5)
+
 
 class TestBuildProjection:
     def test_digit_splitting_row(self, digit_pair):
@@ -702,6 +707,31 @@ class TestNonFiniteWeights:
                                        ProjectionConfig())
         with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
             w.with_weights([0.5, float("nan")])
+
+    @pytest.mark.parametrize("flat, words", [
+        (["0.6", 0.3, 1.0], "row 0: weight '0.6'"),
+        (np.array(["0.6", "0.3", "1.0"]), "row 0: weight np.str_('0.6')"),
+        ([0.6, 0.3, True], "row 1: weight True"),
+    ], ids=["string", "numpy_string", "bool"])
+    def test_with_weights_keeps_the_constructor_weight_rule(self, flat, words):
+        """Accepted before as floats (a bool as 1.0); refused as the constructor
+        refuses the same flat weights."""
+        args = 2, 3, [2, 1], [0, 1, 2]
+        w = SparseProjection(*args, [0.6, 0.3, 1.0], ["multi_token"] * 2, ProjectionConfig())
+        for build in (lambda: w.with_weights(flat),
+                      lambda: SparseProjection(*args, flat, ["multi_token"] * 2,
+                                               ProjectionConfig())):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == f"{words} in weights is not a number"
+
+    def test_with_weights_keeps_a_private_copy(self):
+        w = SparseProjection.from_rows(3, [[(0, 0.6), (1, 0.3)], [(2, 1.0)]],
+                                       [Provenance.MULTI_TOKEN] * 2, ProjectionConfig())
+        flat = np.array([0.5, 0.4, 1.0])
+        reweighted = w.with_weights(flat)
+        flat[:] = -1.0  # would fail the checks ``with_weights`` already made
+        assert [wt for _, _, wt in reweighted.entries()] == [0.5, 0.4, 1.0]
 
 
 # the reference accepts NaN weights; this stand-in makes it reject them where

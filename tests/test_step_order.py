@@ -351,44 +351,55 @@ def test_groups_on_both_threads_match_one_core(monkeypatch, grads):
 
 @pytest.mark.parametrize("fails_at", [None, 1234])
 def test_group_walk_under_contention(fails_at):
-    """Three helpers and the caller (four threads, more than a 2-core machine
-    has cores), switching every microsecond: each group runs once, no more
-    than ``_LOOKAHEAD`` are claimed ahead of the consumer, results come in
-    group order, and the first group that raised raises."""
-    n, calls, ahead = 3000, [], []
-    walk = None
+    """The caller and the helper switching every microsecond, with and without
+    ``first`` raising: each group runs once, none starts ``_LOOKAHEAD`` or more
+    groups past the next one to take, ``take`` sees the results in group order,
+    the first group that raised raises (before ``first``'s error), and the
+    helper is gone when the walk returns or raises."""
+    n = 3000
+    for first_fails in (False, True):
+        calls, ahead, got = [], [], []
 
-    def run(g):
-        calls.append(g)  # a group claimed twice, or lost, shows in the counts
-        ahead.append(walk._claimed - walk._consumed)
-        if g >= (fails_at or n):
-            raise ValueError(g)
-        return 2 * g
+        def run(g):
+            calls.append(g)  # a group run twice, or lost, shows in the counts
+            ahead.append(g - len(got))  # len(got) is the next group to take
+            if g >= (fails_at or n):
+                raise ValueError(g)
+            return 2 * g
 
-    walk = training._GroupWalk(range(n), run)
-    helpers = [threading.Thread(target=walk.help) for _ in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for h in helpers:
-            h.start()
-        got = []
+        def first():
+            if first_fails:
+                raise KeyError("first")
+            return "first"
+
+        def walk():  # on its own thread, so that a walk that hangs fails the test
+            try:
+                outcome.append(training._walk(range(n), run, first, got.append))
+            except (ValueError, KeyError) as exc:
+                outcome.append(exc)
+
+        threads, outcome = threading.active_count(), []
+        caller = threading.Thread(target=walk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            for result in walk.results():
-                got.append(result)
-        except ValueError as exc:
-            assert exc.args == (fails_at,)
-        walk.stop()
-        for h in helpers:
-            h.join(WAIT_S)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(h.is_alive() for h in helpers)
-    assert got == [2 * g for g in range(fails_at or n)]
-    ran = Counter(calls)
-    assert set(ran.values()) == {1} and max(ahead) <= training._LOOKAHEAD
-    assert set(ran) == set(range(n if fails_at is None else max(ran) + 1))
-    assert fails_at is None or max(ran) <= fails_at + training._LOOKAHEAD
+            caller.start()
+            caller.join(WAIT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and threading.active_count() == threads
+        [outcome] = outcome
+        if fails_at is not None:
+            assert type(outcome) is ValueError and outcome.args == (fails_at,)
+        elif first_fails:
+            assert type(outcome) is KeyError and outcome.args == ("first",)
+        else:
+            assert outcome == "first"
+        assert got == [2 * g for g in range(fails_at or n)]
+        ran = Counter(calls)
+        assert set(ran.values()) == {1} and max(ahead) < training._LOOKAHEAD
+        assert set(ran) == set(range(n if fails_at is None else max(ran) + 1))
+        assert fails_at is None or max(ran) < fails_at + training._LOOKAHEAD
 
 
 def healthy(teacher):

@@ -15,7 +15,7 @@ from .align import (
     dp_align,
     trl_substring_align,
 )
-from .audit import CategoryRule, CoverageRow, audit_coverage, default_rules, recommend_mode
+from .audit import CoverageRow, audit_coverage, recommend_mode
 from .chunks import (
     PositionLogits,
     chain_rule_merge,

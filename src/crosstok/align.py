@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_int, json_line, write_text
+from .errors import ValidationError, check_int, check_real, json_line, write_text
 from .vocab import Tokenizer, vocabulary_hash
 
 
@@ -34,6 +34,7 @@ class AlignScoring:
 
     def __post_init__(self) -> None:
         for name in ("alpha_exact", "alpha_comb", "alpha_gap"):
+            check_real(getattr(self, name), name)
             if type(getattr(self, name)) is int:  # numpy would keep it an int64
                 object.__setattr__(self, name, float(getattr(self, name)))
         if not self.alpha_exact > 0:

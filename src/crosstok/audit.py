@@ -1,18 +1,16 @@
 """Coverage audit of the common set by token category, and loss-mode selection.
 
-Predicates run on canonical token text. The default categories are mutually
-exclusive, so the table reads as disjoint counts: digit strings by length,
-ASCII punctuation, alphabetic (with an optional leading space), and anything
-containing a non-ASCII byte.
+Categories are counted from a byte-class table over canonical token bytes.
+They are mutually exclusive, so the table reads as disjoint counts: ASCII
+digit strings by length, ASCII punctuation, ASCII letters (with an optional
+leading space), and anything containing a non-ASCII byte.
 """
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,32 +23,8 @@ HKL_MODE = "hkl"
 
 DEFAULT_CRITICAL = ("2-digit", "3-digit")
 
-
-@dataclass(frozen=True)
-class CategoryRule:
-    name: str
-    predicate: Callable[[str], bool]
-
-
-def _decode(canon: bytes) -> str:
-    # latin-1 is total on bytes, so predicates always see a string
-    return canon.decode("latin-1")
-
-
-_PUNCT = frozenset(string.punctuation)
-_ALPHA = re.compile(r" ?[A-Za-z]+\Z")
-
-
-def default_rules() -> tuple[CategoryRule, ...]:
-    return (
-        CategoryRule("1-digit", lambda s: len(s) == 1 and s.isdigit() and s.isascii()),
-        CategoryRule("2-digit", lambda s: len(s) == 2 and s.isdigit() and s.isascii()),
-        CategoryRule("3-digit", lambda s: len(s) == 3 and s.isdigit() and s.isascii()),
-        CategoryRule("ascii-punct", lambda s: bool(s) and _PUNCT.issuperset(s)),
-        CategoryRule("alphabetic", lambda s: bool(_ALPHA.match(s))),
-        CategoryRule("non-ascii", lambda s: not s.isascii()),
-    )
-
+# the categories, in table order; ``_default_members`` gives their members
+_CATEGORIES = ("1-digit", "2-digit", "3-digit", "ascii-punct", "alphabetic", "non-ascii")
 
 # Byte classes, one bit each; a token's classes are the OR over its bytes.
 _DIGIT, _LETTER, _PUNCT_CLASS, _SPACE, _HIGH, _OTHER = 1, 2, 4, 8, 16, 32
@@ -63,8 +37,8 @@ _BYTE_CLASS[0x80:] = _HIGH
 
 
 def _default_members(canon: Sequence[bytes]) -> list[np.ndarray]:
-    """Per ``default_rules()`` category, in order, the mask of its members
-    among ``canon``, counted from the byte classes of the joined bytes."""
+    """Per ``_CATEGORIES`` entry, in order, the mask of its members among
+    ``canon``, counted from the byte classes of the joined bytes."""
     lengths = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
     filled = np.flatnonzero(lengths)
     starts = (lengths.cumsum() - lengths)[filled]
@@ -103,30 +77,18 @@ class CoverageRow:
         return self.matched / self.size
 
 
-def audit_coverage(vs: Vocabulary, c: CommonSet,
-                   rules: Sequence[CategoryRule] = ()) -> list[CoverageRow]:
-    """Count, per category, the student tokens that survive into the common set.
-
-    Without ``rules`` the ``default_rules()`` categories are counted from the
-    byte-class table; given rules run their predicates per token. Every
-    common-set student id must be an id of ``vs``.
-    """
+def audit_coverage(vs: Vocabulary, c: CommonSet) -> list[CoverageRow]:
+    """Count, per category, the student tokens that survive into the common
+    set, from the byte-class table. Every common-set student id must be an
+    id of ``vs``."""
     if c.student_ids.max(initial=-1) >= len(vs):
         raise ValidationError(f"common-set student id {c.student_ids.max()} is outside the "
                               f"student vocabulary of size {len(vs)}")
     common = np.zeros(len(vs), dtype=bool)
     common[c.student_ids] = True
-    if not rules:
-        return [CoverageRow(rule.name, int(np.count_nonzero(members & common)),
-                            int(np.count_nonzero(members)))
-                for rule, members in zip(default_rules(), _default_members(vs._canon))]
-    flags = common.tolist()
-    texts = list(map(_decode, vs._canon))
-    rows = []
-    for rule in rules:
-        members = list(compress(flags, map(rule.predicate, texts)))  # each member's common flag
-        rows.append(CoverageRow(rule.name, sum(members), len(members)))
-    return rows
+    return [CoverageRow(name, int(np.count_nonzero(members & common)),
+                        int(np.count_nonzero(members)))
+            for name, members in zip(_CATEGORIES, _default_members(vs._canon))]
 
 
 def recommend_mode(coverage: Sequence[CoverageRow],

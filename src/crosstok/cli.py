@@ -221,6 +221,10 @@ _STEP_KEYS = ("student", "teachers", "schedule", *_STEP_KNOBS, *_STEP_SECTIONS)
 def cmd_loss(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.gradcheck:
+        for flag, given in (("--grad", args.grad), ("--out", args.out is not None)):
+            if given:
+                raise ValidationError(f"{flag} cannot be used with --gradcheck, which writes "
+                                      "only to stdout")
         with located("--instances"):
             worst = gradient_check(seed=seed, instances=args.instances)
         ok = all(err < GRADCHECK_TOLERANCE for err in worst.values())

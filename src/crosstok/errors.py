@@ -1,7 +1,8 @@
 """Exception types shared across the package, the one file reader and the text
-reader and writer over it, ``json_line``, ``check_int`` and its sequence form
-``check_ids``, the field check that turns a malformed JSON object into a
-ValidationError, and ``located``, which names where its input came from."""
+reader and writer over it, ``json_line``, ``check_int``, its sequence form
+``check_ids`` and ``check_real``, the field check that turns a malformed JSON
+object into a ValidationError, and ``located``, which names where its input
+came from."""
 
 import contextlib
 import json
@@ -95,19 +96,26 @@ def check_int(value, name: str) -> None:
         raise ValidationError(f"{name} must be an int, got {value!r:.80}")
 
 
+def check_real(value, name: str) -> None:
+    """Reject a ``value`` that is neither a Python int nor a float (``np.float64``
+    is one; a bool, a string, ``None`` and ``np.float32`` are not), naming it
+    ``name``."""
+    if type(value) is not int and not isinstance(value, float):
+        raise ValidationError(f"{name} must be an int or a float, got {value!r:.80}")
+
+
 def check_ids(values, name: str) -> np.ndarray:
-    """``values`` as a 1-D ``intp`` array, which shares memory with an aligned
-    ``intp`` array given (an unaligned one is copied: numpy reads it about 2.5
-    times slower). An integer array must hold values that ``intp`` can hold (a
-    ``uint64`` above its max is refused, not wrapped); any other input must
-    be an iterable of ints under ``check_int``'s rule (a bool, a float, a
-    numpy scalar or a nested list fails). Errors name ``name`` and the first
-    bad element: ``counts[1] must be an int, got True``."""
+    """``values`` as a new 1-D ``intp`` array. An integer array must hold
+    values that ``intp`` can hold (a ``uint64`` above its max is refused, not
+    wrapped); any other input must be an iterable of ints under
+    ``check_int``'s rule (a bool, a float, a numpy scalar or a nested list
+    fails). Errors name ``name`` and the first bad element: ``counts[1] must
+    be an int, got True``."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValidationError(f"{name} must be 1-D, got an array of shape {values.shape}")
         if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.intp):
-            return np.require(values, np.intp, "A")
+            return np.array(values, dtype=np.intp)
         values = values.tolist()  # checked as a list: a uint64 above intp's max fails there
     elif not isinstance(values, Sequence):
         values = list(values)  # a set or a generator
@@ -115,7 +123,7 @@ def check_ids(values, name: str) -> np.ndarray:
         at = next(i for i, v in enumerate(values) if type(v) is not int)
         check_int(values[at], f"{name}[{at}]")  # raises
     try:
-        return np.asarray(values, dtype=np.intp)
+        return np.array(values, dtype=np.intp)
     except OverflowError:
         at = next(i for i, v in enumerate(values) if not -sys.maxsize - 1 <= v <= sys.maxsize)
         raise ValidationError(f"{name}[{at}] must fit intp, got {values[at]!r:.80}") from None

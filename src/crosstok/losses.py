@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chunks import renormalize_on, softmax, topk_support
-from .errors import ValidationError, check_ids, check_int
+from .errors import ValidationError, check_ids, check_int, check_real
 from .projection import SparseProjection
 from .vocab import Vocabulary, exact_partners, vocabulary_hash
 
@@ -54,8 +54,7 @@ class CommonSet:
     def __post_init__(self) -> None:
         for name, repeated in (("student_ids", "a student id appears in more than one pair"),
                                ("teacher_ids", "bijective common set reuses a teacher id")):
-            # a copy, so that freezing it leaves the caller's array writable
-            ids = np.array(check_ids(getattr(self, name), f"common-set {name}"))
+            ids = check_ids(getattr(self, name), f"common-set {name}")
             ordered = np.sort(ids)  # np.unique took about 25x longer on 92k ids (numpy 2.4)
             if (ordered[:1] < 0).any():
                 raise ValidationError(f"common-set {name} holds an id outside [0, "
@@ -75,6 +74,8 @@ class HybridWeights:
     lambda_uld: float = 1.0
 
     def __post_init__(self) -> None:
+        check_real(self.lambda_kl, "lambda_kl")
+        check_real(self.lambda_uld, "lambda_uld")
         if not (self.lambda_kl >= 0 and self.lambda_uld >= 0):
             raise ValidationError("hybrid loss weights must be non-negative, got "
                                   f"lambda_kl={self.lambda_kl}, lambda_uld={self.lambda_uld}")
@@ -356,6 +357,7 @@ def chunk_kl(p_t, p_s, support=None) -> float:
 def temperature_squared(temperature: float) -> float:
     """T², the scale of every KD term, for a positive T whose square is a
     positive finite float (T = 1e160 overflows it, T = 1e-300 rounds it to 0)."""
+    check_real(temperature, "temperature")
     if not temperature > 0:  # NaN is not positive
         raise ValidationError(f"temperature must be positive, got {temperature}")
     try:

@@ -11,7 +11,6 @@ row summing to slightly less than 1, so ``project`` renormalizes its output.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 
 from .chunks import renormalize_on
 from .errors import (UnencodableTextError, ValidationError, check_fields, check_ids, check_int,
-                     decode_text, json_line, located, parse_object, read_bytes)
+                     check_real, decode_text, json_line, located, parse_object, read_bytes)
 from .vocab import Tokenizer, Vocabulary, exact_partners
 
 
@@ -36,6 +35,8 @@ class ProjectionConfig:
     top_k: int = 4
 
     def __post_init__(self) -> None:
+        check_real(self.beta, "beta")
+        check_real(self.gamma, "gamma")
         if not 0 < self.gamma < self.beta <= 1:
             raise ValidationError(f"need 0 < gamma < beta <= 1, got beta={self.beta}, "
                                   f"gamma={self.gamma}")
@@ -83,7 +84,8 @@ class SparseProjection:
         projection file's fields, checked before anything is allocated from
         ``n_student``: ``counts`` and ``teacher_ids`` pass ``errors.check_ids``, and
         ``provenance`` holds ``Provenance`` members or their values, or is an
-        ``int8`` array of codes (indexes into ``Provenance``)."""
+        ``int8`` array of codes (indexes into ``Provenance``). The projection
+        keeps read-only copies: changing an argument afterwards changes nothing."""
         check_int(n_student, "n_student")
         check_int(n_teacher, "n_teacher")
         if not 0 <= n_teacher <= sys.maxsize:
@@ -101,7 +103,7 @@ class SparseProjection:
                 raise ValidationError(f"{key} holds {len(values)} entries, counts sums to {total}")
         codes = isinstance(provenance, np.ndarray) and provenance.dtype == np.int8
         try:
-            kind = provenance if codes else np.array([_KIND[p] for p in provenance], dtype=np.int8)
+            kind = np.array(provenance if codes else [_KIND[p] for p in provenance], dtype=np.int8)
         except (KeyError, TypeError):
             bad = next(p for p in provenance if not isinstance(p, str) or p not in _KIND)
             raise ValidationError(f"provenance holds {bad!r:.80}, not one of "
@@ -115,7 +117,9 @@ class SparseProjection:
         self._flat_t = check_ids(teacher_ids, "teacher_ids")
         self._flat_w = self._flat_weights(weights)
         self._kind, self.config = kind, config
-        self._memo: dict = {}  # data derived from the entries; ``with_weights`` drops it
+        for stored in (self._indptr, self._flat_t, self._flat_w, self._kind):
+            stored.flags.writeable = False
+        self._memo: dict = {}  # data derived from the entries
         self._validate()
 
     @classmethod
@@ -128,10 +132,10 @@ class SparseProjection:
                    provenance, config)
 
     def _flat_weights(self, weights) -> np.ndarray:
-        """Every entry's weight, row-major, after one type check over the flat
-        list (no silent ``float()`` coercion; bools rejected)."""
+        """Every entry's weight as a new float array, row-major, after one type
+        check over the flat list (no silent ``float()`` coercion; bools rejected)."""
         if isinstance(weights, np.ndarray) and weights.dtype == float:
-            return np.require(weights, requirements="A")  # an unaligned view is copied
+            return np.array(weights, dtype=float)
         numbers = (int, float, np.integer, np.floating)
         bad = {tp for tp in set(map(type, weights)) if tp is bool or not issubclass(tp, numbers)}
         if bad:
@@ -184,14 +188,12 @@ class SparseProjection:
 
     @property
     def body(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The projection file body's arrays, in file order, as read-only views:
+        """The projection file body's arrays, in file order, all read-only:
         each row's entry count and provenance code (an index into
         ``Provenance``), then every entry's teacher id and weight, row-major."""
-        views = (np.diff(self._indptr), self._kind.view(), self._flat_t.view(),
-                 self._flat_w.view())
-        for view in views:
-            view.flags.writeable = False
-        return views
+        counts = np.diff(self._indptr)
+        counts.flags.writeable = False
+        return counts, self._kind, self._flat_t, self._flat_w
 
     @property
     def provenance(self) -> tuple[Provenance, ...]:
@@ -232,13 +234,11 @@ class SparseProjection:
 
     def with_weights(self, flat_weights: Sequence[float]) -> "SparseProjection":
         """Same sparsity pattern with replaced entry weights (for refinement),
-        checked as the constructor checks them and kept as a private copy."""
+        built by the constructor from the stored counts, teacher ids and codes."""
         if np.shape(flat_weights) != self._flat_w.shape:
             raise ValidationError("weight vector does not match the stored entries")
-        out = copy.copy(self)
-        out._flat_w, out._memo = self._flat_weights(flat_weights).copy(), {}
-        out._validate()
-        return out
+        return SparseProjection(self.n_student, self.n_teacher, np.diff(self._indptr),
+                                self._flat_t, flat_weights, self._kind, self.config)
 
     def summary(self) -> dict:
         """Provenance histogram and truncation-dropped mass statistics."""
@@ -364,8 +364,7 @@ def load_projection(path) -> SparseProjection:
     The header, its config, the body's length (``9 * n_student + 16 *
     entries`` bytes, checked before anything is allocated from either) and
     the content hash are checked here; every rule on the arrays is
-    ``SparseProjection``'s. Each array is read as an aligned native copy:
-    numpy reads an unaligned int64 view about 2.5 times slower.
+    ``SparseProjection``'s, and its copies of them are aligned and native.
     """
     data = read_bytes(path)
     cut = data.find(b"\n") + 1 or len(data)
@@ -389,9 +388,8 @@ def load_projection(path) -> SparseProjection:
         raise ValidationError(f"{path}: content hash mismatch, file corrupted or edited")
     arrays = []
     for size, dtype in zip(sizes, _BODY_DTYPES):
-        arrays.append(np.frombuffer(data, dtype, size, cut).astype(dtype.newbyteorder("=")))
+        arrays.append(np.frombuffer(data, dtype, size, cut))
         cut += arrays[-1].nbytes
-    del data
     counts, codes, teacher_ids, weights = arrays
     with located(path):
         return SparseProjection(n, header["n_teacher"], counts, teacher_ids, weights, codes,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .align import Alignment, AlignmentCache, AlignScoring, ChunkKind
 from .chunks import PositionLogits, chain_rule_merge, check_dump, softmax
-from .errors import ValidationError, json_line, located
+from .errors import ValidationError, check_real, json_line, located
 from .losses import (LOG_EPS, MODES, HybridWeights, LossReport, check_top_k, loss_kernel,
                      temperature_squared)
 from .numdiff import central_difference, max_relative_error
@@ -47,6 +47,8 @@ class ScalingPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("dynamic", "fixed"):
             raise ValidationError(f"policy kind must be 'dynamic' or 'fixed', got {self.kind!r}")
+        check_real(self.lambda_kd, "lambda_kd")
+        check_real(self.lambda_ce, "lambda_ce")
         if not (self.lambda_kd >= 0 and self.lambda_ce >= 0):
             raise ValidationError("fixed policy weights must be non-negative, got "
                                   f"lambda_kd={self.lambda_kd}, lambda_ce={self.lambda_ce}")
@@ -87,6 +89,7 @@ class TeacherConfig:
     weight: float = 1.0  # the static schedule's alpha; adaptive kinds ignore it
 
     def __post_init__(self) -> None:
+        check_real(self.weight, f"teacher {self.name!r}: weight")
         if not self.weight >= 0:
             raise ValidationError(
                 f"teacher {self.name!r}: weight must be non-negative, got {self.weight}")

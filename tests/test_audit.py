@@ -1,18 +1,18 @@
 import math
 import string
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import audit_reference
 from crosstok.audit import (
-    CategoryRule,
     CoverageRow,
     _default_members,
     audit_coverage,
     coverage_json,
     coverage_table,
-    default_rules,
     recommend_mode,
 )
 from crosstok.errors import ValidationError
@@ -80,10 +80,11 @@ class TestAuditCoverage:
         c = build_common_set_exact(student, teacher)
         rows = audit_coverage(student, c)
         common = set(c.student_ids.tolist())
-        for rule, row in zip(default_rules(), rows):
+        assert [row.category for row in rows] == [name for name, _ in audit_reference.CATEGORIES]
+        for (_, predicate), row in zip(audit_reference.CATEGORIES, rows):
             members = [
                 sid for sid in range(len(student))
-                if rule.predicate(student.canonical(sid).decode("latin-1"))
+                if predicate(audit_reference.text(student.canonical(sid)))
             ]
             assert row.size == len(members)
             assert row.matched == sum(1 for sid in members if sid in common)
@@ -91,28 +92,23 @@ class TestAuditCoverage:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(AUDIT_TOKENS, unique=True, min_size=1, max_size=30), st.data())
     def test_counts_match_per_rule_loop(self, tokens, data):
-        """Against the per-rule list comprehension and set intersection, with
-        a rule whose predicate returns truthy values that are not bools."""
+        """Against the reference predicates' list comprehension and set
+        intersection, on toy-tokenizer pieces and byte-fallback tokens."""
         student = Vocabulary(tokens)
         chosen = data.draw(st.lists(st.integers(0, len(tokens) - 1), unique=True))
         c = CommonSet(chosen, range(len(chosen)))
-        rules = (*default_rules(), CategoryRule("first-char", lambda s: s[:1]))
-        texts = [student.canonical(sid).decode("latin-1") for sid in range(len(student))]
-        expected = []
-        for rule in rules:
-            members = [sid for sid, text in enumerate(texts) if rule.predicate(text)]
-            expected.append(CoverageRow(rule.name, len(set(chosen).intersection(members)),
-                                        len(members)))
-        assert audit_coverage(student, c, rules) == expected
+        assert (list(map(astuple, audit_coverage(student, c)))
+                == audit_reference.coverage(student._canon, set(chosen)))
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(CANON_TOKENS, max_size=25))
     def test_byte_class_table_matches_default_predicates(self, canon):
-        """The table path's members are the tokens each default predicate
-        takes, over arbitrary canonical bytes."""
-        texts = [b.decode("latin-1") for b in canon]
+        """The table's members are the tokens each reference predicate takes,
+        over arbitrary canonical bytes."""
+        texts = list(map(audit_reference.text, canon))
         assert [members.tolist() for members in _default_members(canon)] == [
-            [bool(rule.predicate(text)) for text in texts] for rule in default_rules()]
+            [bool(predicate(text)) for text in texts]
+            for _, predicate in audit_reference.CATEGORIES]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(CANON_TOKENS.filter(lambda b: not b.startswith(b"<0x")), unique=True,
@@ -122,19 +118,13 @@ class TestAuditCoverage:
         chosen = data.draw(st.lists(st.integers(0, max(len(canon) - 1, 0)), unique=True,
                                     max_size=len(canon)))
         c = CommonSet(chosen, range(len(chosen)))
-        assert audit_coverage(student, c) == audit_coverage(student, c, default_rules())
+        assert (list(map(astuple, audit_coverage(student, c)))
+                == audit_reference.coverage(student._canon, set(chosen)))
 
     def test_default_rules_mutually_exclusive(self, packed_student):
-        rules = default_rules()
-        for sid in range(len(packed_student)):
-            text = packed_student.canonical(sid).decode("latin-1")
-            assert sum(rule.predicate(text) for rule in rules) <= 1
-
-    def test_custom_rule(self):
-        student = Vocabulary(["aa", "ab", "ba"])
-        c = CommonSet([0], [0])
-        rows = audit_coverage(student, c, [CategoryRule("starts-a", lambda s: s.startswith("a"))])
-        assert rows[0].size == 2 and rows[0].matched == 1
+        for canon in packed_student._canon:
+            text = audit_reference.text(canon)
+            assert sum(predicate(text) for _, predicate in audit_reference.CATEGORIES) <= 1
 
     def test_student_id_outside_vocabulary_rejected(self):
         """A common set built for another student vocabulary is an error, not

@@ -364,6 +364,18 @@ class TestLoss:
         assert rc == 1 and "PASS" not in captured.out
         assert f"error: --instances: instances must be at least 1, got {instances}" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--grad"], ["--out", "missing/x.json"],
+                                       ["--grad", "--out", "missing/x.json"]],
+                             ids=["grad", "out", "both"])
+    def test_gradcheck_refuses_output_flags(self, capsys, tmp_path, monkeypatch, flags):
+        """Both were ignored before: the run wrote nothing and exited 0."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["loss", "--gradcheck", "--instances", "1", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == (f"error: {flags[0]} cannot be used with --gradcheck, which "
+                                "writes only to stdout\n")
+
     def test_gradcheck_passes_on_small_projection_weights(self, capsys):
         rc = main(["--format", "json", "--seed", "142", "loss", "--gradcheck"])
         payload = json.loads(capsys.readouterr().out)

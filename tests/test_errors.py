@@ -1,13 +1,21 @@
-"""``check_fields`` messages: the path, the key and the type as written; and
-``errors`` as the one module that writes text files or sorts JSON keys."""
+"""``check_fields`` messages: the path, the key and the type as written;
+``check_real`` on every real-valued setting; and ``errors`` as the one module
+that writes text files or sorts JSON keys."""
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from crosstok.align import AlignScoring
+from crosstok.chunks import PositionLogits
 from crosstok.errors import ValidationError, check_fields
+from crosstok.losses import HybridWeights
+from crosstok.projection import ProjectionConfig
+from crosstok.training import ScalingPolicy, TeacherConfig, run_step
+from crosstok.vocab import Vocabulary, vocabulary_hash
 
 
 @pytest.mark.parametrize("hint, value, expected", [
@@ -23,6 +31,47 @@ def test_mistyped_value_message(hint, value, expected):
     with pytest.raises(ValidationError) as info:
         check_fields({"key": value}, {"key": hint}, "cfg.json", "section.")
     assert str(info.value) == f"cfg.json: section.key must be {expected}"
+
+
+VOCAB = Vocabulary(["a", "b"])
+
+
+def one_step(temperature):
+    def dump(side):
+        return PositionLogits("s0", side, np.zeros((2, 2)), [0, 1], vocabulary_hash(VOCAB))
+
+    teacher = TeacherConfig("t", "kl", VOCAB, dump("teacher"))
+    return run_step(VOCAB, dump("student"), [teacher], temperature=temperature)
+
+
+# each real-valued setting: how to build with it set to a value, and its name
+REAL_SETTINGS = {
+    "ProjectionConfig": (lambda v: ProjectionConfig(beta=v), "beta"),
+    "TeacherConfig": (lambda v: TeacherConfig("t", "kl", VOCAB, None, weight=v),
+                      "teacher 't': weight"),
+    "AlignScoring": (lambda v: AlignScoring(alpha_exact=v), "alpha_exact"),
+    "HybridWeights": (lambda v: HybridWeights(lambda_kl=v), "lambda_kl"),
+    "ScalingPolicy": (lambda v: ScalingPolicy(lambda_kd=v), "lambda_kd"),
+    "run_step": (one_step, "temperature"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, np.float32(0.5)],
+                         ids=["bool", "string", "none", "float32"])
+@pytest.mark.parametrize("site", sorted(REAL_SETTINGS))
+def test_real_setting_refuses_other_types(site, value):
+    """Each was accepted before (a bool as 1 or 0, a ``float32`` that JSON
+    cannot write) or failed with a ``TypeError`` from a comparison."""
+    build, name = REAL_SETTINGS[site]
+    with pytest.raises(ValidationError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be an int or a float, got {value!r:.80}"
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5)], ids=["int", "float", "float64"])
+@pytest.mark.parametrize("site", sorted(REAL_SETTINGS))
+def test_real_setting_takes_an_int_or_a_float(site, value):
+    REAL_SETTINGS[site][0](value)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crosstok"

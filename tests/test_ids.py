@@ -106,9 +106,17 @@ def test_list_and_every_integer_dtype_build_equal_objects(site, ids):
         assert same(view(build(np.array(ids, dtype=dtype))), want), dtype
 
 
-def test_an_intp_array_is_returned_as_is():
+def test_an_intp_array_is_returned_as_a_new_array():
     ids = np.arange(3)
-    assert check_ids(ids, "ids") is ids
+    got = check_ids(ids, "ids")
+    assert got.tolist() == [0, 1, 2] and not np.shares_memory(got, ids)
+
+
+def test_realized_ids_do_not_share_the_callers_array():
+    ids = np.array([0, 1, 2])
+    logits = PositionLogits("s0", "student", np.zeros((3, 4)), ids)
+    ids[0] = 9
+    assert logits.realized_ids.tolist() == [0, 1, 2]
 
 
 def test_an_unaligned_intp_array_is_copied_aligned():

@@ -361,6 +361,14 @@ class TestProjectionFiles:
             ProjectionConfig(**{field: value})
         assert str(info.value) == f"{field} must be an int, got {value!r}"
 
+    @pytest.mark.parametrize("beta", [1, np.float64(0.5)], ids=["int", "float64"])
+    def test_real_config_values_round_trip(self, tmp_path, beta):
+        """Every float setting ``ProjectionConfig`` takes is one its loader reads back."""
+        w = SparseProjection.from_rows(1, [[(0, 1.0)]], [Provenance.EXACT],
+                                       ProjectionConfig(beta=beta))
+        save_projection(w, tmp_path / "w.proj")
+        assert load_projection(tmp_path / "w.proj").config == w.config
+
 
 def rewrite_body(path, edit, **header):
     """Replace the body of a saved projection by ``edit(body)`` (field name ->
@@ -730,8 +738,33 @@ class TestNonFiniteWeights:
                                        [Provenance.MULTI_TOKEN] * 2, ProjectionConfig())
         flat = np.array([0.5, 0.4, 1.0])
         reweighted = w.with_weights(flat)
-        flat[:] = -1.0  # would fail the checks ``with_weights`` already made
+        # -1 would fail the checks ``with_weights`` already made
+        assert_unchanged_by(reweighted, lambda: flat.fill(-1.0))
         assert [wt for _, _, wt in reweighted.entries()] == [0.5, 0.4, 1.0]
+
+
+def assert_unchanged_by(w, change):
+    """A checked projection holds read-only copies of its arrays: ``change()``,
+    which edits arrays the caller passed in, changes neither ``entries()`` nor
+    ``body``, and no ``body`` array can be written."""
+    entries, body = list(w.entries()), [a.copy() for a in w.body]
+    change()
+    assert list(w.entries()) == entries
+    assert all(np.array_equal(a, b) for a, b in zip(w.body, body, strict=True))
+    assert not any(a.flags.writeable for a in w.body)
+
+
+class TestPrivateCopies:
+    def test_constructor_keeps_private_copies(self):
+        counts, ids = np.array([2, 1]), np.array([0, 1, 2])
+        weights, codes = np.array([0.6, 0.3, 1.0]), np.array([1, 0], dtype=np.int8)
+        w = SparseProjection(2, 3, counts, ids, weights, codes, ProjectionConfig())
+
+        def change():
+            counts[0], ids[2], weights[0], codes[:] = 1, 99, -5.0, 2
+
+        assert_unchanged_by(w, change)
+        assert w.provenance == (Provenance.MULTI_TOKEN, Provenance.EXACT)
 
 
 # the reference accepts NaN weights; this stand-in makes it reject them where

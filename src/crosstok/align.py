@@ -226,8 +226,8 @@ def trl_substring_align(student: Sequence[int], teacher: Sequence[int],
     texts agree, otherwise a super-group excluded from the loss. Baseline
     alignments carry no DP score (score is 0).
     """
-    s_text = [tok_s.decode_token(t) for t in student]
-    t_text = [tok_t.decode_token(t) for t in teacher]
+    s_text = [tok_s.vocabulary.tokens[t] for t in student]
+    t_text = [tok_t.vocabulary.tokens[t] for t in teacher]
     n, m = len(student), len(teacher)
 
     chunks: list[AlignmentChunk] = []

@@ -218,20 +218,33 @@ _STEP_SECTIONS = {"policy": ScalingPolicy, "scoring": AlignScoring, "hybrid": Hy
 _STEP_KEYS = ("student", "teachers", "schedule", *_STEP_KNOBS, *_STEP_SECTIONS)
 
 
-def cmd_loss(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.gradcheck:
-        for flag, given in (("--grad", args.grad), ("--out", args.out is not None)):
+def _refuse_unread_flags(args) -> None:
+    """Refuse a flag that the command would not read, before any file is read:
+    ``--seed`` and ``--instances`` belong to ``loss --gradcheck``, which reads
+    no ``--config`` and writes only to stdout."""
+    if args.command == "loss" and args.gradcheck:
+        for flag, given, why in (("--config", args.config is not None, "reads no config"),
+                                 ("--grad", args.grad, "writes only to stdout"),
+                                 ("--out", args.out is not None, "writes only to stdout")):
             if given:
-                raise ValidationError(f"{flag} cannot be used with --gradcheck, which writes "
-                                      "only to stdout")
+                raise ValidationError(f"{flag} cannot be used with --gradcheck, which {why}")
+    elif args.seed is not None:
+        raise ValidationError("--seed is read only by loss --gradcheck")
+    elif args.command == "loss" and args.instances is not None:
+        raise ValidationError("--instances is read only by loss --gradcheck")
+
+
+def cmd_loss(args, config: dict) -> int:
+    if args.gradcheck:
+        seed = 0 if args.seed is None else args.seed
+        instances = 20 if args.instances is None else args.instances
         with located("--instances"):
-            worst = gradient_check(seed=seed, instances=args.instances)
+            worst = gradient_check(seed=seed, instances=instances)
         ok = all(err < GRADCHECK_TOLERANCE for err in worst.values())
         payload = {"max_relative_error": worst, "tolerance": GRADCHECK_TOLERANCE,
                    "pass": ok}
         text = "\n".join(
-            [f"finite-difference check (seed {seed}, {args.instances} instances)"]
+            [f"finite-difference check (seed {seed}, {instances} instances)"]
             + [f"  {name}: {err:.3e}" for name, err in sorted(worst.items())]
             + [f"  -> {'PASS' if ok else 'FAIL'} at {GRADCHECK_TOLERANCE:.0e}"]
         )
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file (step config for 'loss', "
                                          "default overrides elsewhere)")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    parser.add_argument("--seed", type=int, help="seed for 'loss --gradcheck' (default 0)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
     vocabs = argparse.ArgumentParser(add_help=False)
@@ -331,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write gradient tensors next to the report")
     p.add_argument("--gradcheck", action="store_true",
                    help="run the finite-difference suite instead of a step")
-    p.add_argument("--instances", type=int, default=20,
-                   help="instance count for --gradcheck")
+    p.add_argument("--instances", type=int, help="instance count for --gradcheck (default 20)")
     p.set_defaults(func=cmd_loss)
     return parser
 
@@ -352,6 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_unread_flags(args)
         config = {} if args.config is None else parse_object(read_text(args.config), args.config)
         return args.func(args, config)
     except (OSError, ValueError) as exc:

@@ -17,7 +17,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class SparseProjection:
     Row ``s`` owns the entries ``indptr[s]:indptr[s + 1]`` of the flat
     teacher-id and weight arrays, sorted by descending weight (ties toward
     the smaller teacher id), and each row's provenance as a ``_kind`` code.
-    ``rows`` and ``provenance`` are tuple views derived on each access;
-    ``from_rows`` builds one from such rows.
+    The constructor is the one way in and ``body`` the one array read-out.
     """
 
     def __init__(self, n_student: int, n_teacher: int, counts: Sequence[int],
@@ -121,15 +120,6 @@ class SparseProjection:
             stored.flags.writeable = False
         self._memo: dict = {}  # data derived from the entries
         self._validate()
-
-    @classmethod
-    def from_rows(cls, n_teacher: int, rows: Sequence[Sequence[tuple[int, float]]],
-                  provenance: Sequence, config: ProjectionConfig) -> "SparseProjection":
-        """The projection whose row ``s`` holds the ``(teacher_id, weight)``
-        pairs ``rows[s]`` in order; ``n_student`` is ``len(rows)``."""
-        return cls(len(rows), n_teacher, [len(row) for row in rows],
-                   [t for row in rows for t, _ in row], [w for row in rows for _, w in row],
-                   provenance, config)
 
     def _flat_weights(self, weights) -> np.ndarray:
         """Every entry's weight as a new float array, row-major, after one type
@@ -181,7 +171,9 @@ class SparseProjection:
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """``rows[s]`` is a tuple of ``(teacher_id, weight)`` pairs; built on each access."""
+        """``rows[s]`` is a tuple of ``(teacher_id, weight)`` pairs, built from
+        ``body`` on each access: the benchmark digest's view, until that digest
+        reads ``body``."""
         pairs = tuple(zip(self._flat_t.tolist(), self._flat_w.tolist()))
         bounds = self._indptr.tolist()
         return tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
@@ -197,7 +189,8 @@ class SparseProjection:
 
     @property
     def provenance(self) -> tuple[Provenance, ...]:
-        """``provenance[s]`` is row ``s``'s ``Provenance``; built on each access."""
+        """``provenance[s]`` is row ``s``'s ``Provenance``, built from ``body`` on
+        each access: the benchmark digest's view, like ``rows``."""
         return tuple(map(_MEMBERS.__getitem__, self._kind.tolist()))
 
     def _first_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -223,22 +216,10 @@ class SparseProjection:
     def pullback(self, p_s: np.ndarray, d_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A teacher-space gradient ``d_q`` pulled back through ``product(p_s)``:
         ``W d_q`` over the student vocabulary, and the gradient in the stored
-        entries (``entries()`` order), from one gather of ``d_q``."""
+        entries (``body`` order), from one gather of ``d_q``."""
         d_e = d_q[self._flat_t]
         return (np.bincount(self._flat_s, weights=self._flat_w * d_e, minlength=self.n_student),
                 p_s[self._flat_s] * d_e)
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Stored entries as (student_id, teacher_id, weight), row-major."""
-        return zip(self._flat_s.tolist(), self._flat_t.tolist(), self._flat_w.tolist())
-
-    def with_weights(self, flat_weights: Sequence[float]) -> "SparseProjection":
-        """Same sparsity pattern with replaced entry weights (for refinement),
-        built by the constructor from the stored counts, teacher ids and codes."""
-        if np.shape(flat_weights) != self._flat_w.shape:
-            raise ValidationError("weight vector does not match the stored entries")
-        return SparseProjection(self.n_student, self.n_teacher, np.diff(self._indptr),
-                                self._flat_t, flat_weights, self._kind, self.config)
 
     def summary(self) -> dict:
         """Provenance histogram and truncation-dropped mass statistics."""

@@ -259,7 +259,9 @@ def _walk(groups: Sequence, run: Callable, first: Callable, take: Callable):
                     ahead[i] = _ran(run, groups[taken + i])
             take(ahead.pop(0).result())
     finally:
-        pool.shutdown(cancel_futures=True)  # joins the helper after its running item
+        for future in reversed(ahead):  # last first: the groups the helper runs stay a prefix
+            future.cancel()
+        pool.shutdown()  # joins the helper after its running item
     return helped.result()
 
 
@@ -433,8 +435,11 @@ def gradient_check(seed: int, instances: int = 20) -> dict[str, float]:
                 rows.append(sorted(zip(ids.tolist(), weights.tolist()),
                                    key=lambda tw: (-tw[1], tw[0])))
                 covered.update(ids.tolist())
-        w = SparseProjection.from_rows(n_t, rows, [Provenance.MULTI_TOKEN] * n_s,
-                                       ProjectionConfig())
+        counts = [len(row) for row in rows]
+        teacher_ids = [t for row in rows for t, _ in row]
+        provenance = [Provenance.MULTI_TOKEN] * n_s
+        w = SparseProjection(n_s, n_t, counts, teacher_ids, [wt for row in rows for _, wt in row],
+                             provenance, ProjectionConfig())
         z = rng.normal(size=n_s)
         pt = rng.dirichlet(np.ones(n_t))
         width = int(rng.integers(0, min(n_s, n_t) + 1))
@@ -457,12 +462,12 @@ def gradient_check(seed: int, instances: int = 20) -> dict[str, float]:
             family = "pkl_logits" if mode == "pkl" else mode
             worst[family] = max(worst[family], max_relative_error(g_z, num_z))
             if mode == "pkl":
-                base = np.array([wt for _, _, wt in w.entries()])
+                base = w.body[3]
                 # differences in log-weight: every stencil point stays a valid
                 # projection, and the step shrinks with the weight it moves
-                num_w = central_difference(lambda u: loss_kernel(
-                    mode, vs, vt, w.with_weights(base * np.exp(u)), top_k, hw)(pt, ps)[0],
-                    np.zeros_like(base))
+                num_w = central_difference(lambda u: loss_kernel(mode, vs, vt, SparseProjection(
+                    n_s, n_t, counts, teacher_ids, base * np.exp(u), provenance, w.config),
+                    top_k, hw)(pt, ps)[0], np.zeros_like(base))
                 worst["pkl_entries"] = max(worst["pkl_entries"],
                                            max_relative_error(base * g_w, num_w))
     return worst

@@ -330,9 +330,6 @@ class Tokenizer:
                 )
         return ids
 
-    def decode_token(self, token_id: int) -> str:
-        return self.vocabulary.tokens[token_id]
-
 
 _ASCII_CHARS = tuple(chr(c) for c in range(128))
 TOY_KINDS = ("digit_splitting", "numeral_preserving", "char_level", "word_level")

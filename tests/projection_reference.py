@@ -9,7 +9,8 @@ write a sealed file from arbitrary arrays). ``top1(w, s)`` reads the same answer
 from a ``SparseProjection``'s CSR arrays, and ``apply_w_gradient``
 differentiates ``project`` in its stored entries, one entry at a time.
 ``build_projection`` is the per-row builder that the flat one in
-``crosstok.projection`` replaced, and ``lexsort_validate`` the
+``crosstok.projection`` replaced, ``from_rows`` builds a ``SparseProjection``
+from such rows through its constructor, and ``lexsort_validate`` the
 ``SparseProjection._validate`` that found repeated teacher ids with
 ``np.lexsort``. Checks run in the order of the loop: entry
 count, repeated teacher ids, then per entry the id range and a positive
@@ -200,7 +201,7 @@ def top1(w, s: int):
 
 def apply_w_gradient(w, p_s, upstream) -> np.ndarray:
     """Gradient of ``upstream . project(w, p_s)`` in the stored entries, one
-    value per entry in ``entries()`` order.
+    value per entry in ``body`` order.
 
     The chain rule through the product and the output renormalization,
     written out per entry: entry ``(s, t)`` gets
@@ -214,7 +215,7 @@ def apply_w_gradient(w, p_s, upstream) -> np.ndarray:
     if u.shape != (w.n_teacher,):
         raise ValidationError(f"expected an upstream vector of length {w.n_teacher}, "
                               f"got shape {u.shape}")
-    entries = list(w.entries())
+    entries = [(s, t, weight) for s, row in enumerate(w.rows) for t, weight in row]
     q_raw = np.zeros(w.n_teacher)
     for s, t, weight in entries:
         q_raw[t] += weight * p[s]
@@ -223,10 +224,18 @@ def apply_w_gradient(w, p_s, upstream) -> np.ndarray:
     return np.array([p[s] * (u[t] - shift) / mass for s, t, _ in entries])
 
 
+def from_rows(n_teacher, rows, provenance, config):
+    """The ``SparseProjection`` whose row ``s`` holds the ``(teacher_id, weight)``
+    pairs ``rows[s]`` in order; ``n_student`` is ``len(rows)``."""
+    return SparseProjection(len(rows), n_teacher, [len(row) for row in rows],
+                            [t for row in rows for t, _ in row],
+                            [w for row in rows for _, w in row], provenance, config)
+
+
 def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
     """One loop iteration and one list of ``(teacher_id, weight)`` tuples per
     student row, repeated teacher ids summed in a dict, each row sorted and
-    cut to ``top_k``, then ``SparseProjection.from_rows``; partners
+    cut to ``top_k``, then ``from_rows``; partners
     and sub-tokens come from ``vocab_reference``. A row whose sub-tokens
     hold a teacher special stays empty."""
     if len(vs) == 0 or len(vt) == 0:
@@ -258,4 +267,4 @@ def build_projection(vs, vt, tok_t, config=ProjectionConfig()):
         rows.append(row)
         provenance.append(prov)
 
-    return SparseProjection.from_rows(len(vt), rows, provenance, config)
+    return from_rows(len(vt), rows, provenance, config)

@@ -382,6 +382,42 @@ class TestLoss:
         assert payload["max_relative_error"]["pkl_entries"] < 1e-6
         assert rc == 0 and payload["pass"] is True
 
+    def test_gradcheck_refuses_config(self, capsys, tmp_path):
+        """Ignored before: a config naming a missing vocabulary printed PASS
+        and exited 0."""
+        config = tmp_path / "step.json"
+        config.write_text(json.dumps({"student": {"vocab": str(tmp_path / "missing.json"),
+                                                  "logits": str(tmp_path / "missing.bin")},
+                                      "teachers": []}))
+        rc = main(["--config", str(config), "loss", "--gradcheck", "--instances", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == ("error: --config cannot be used with --gradcheck, which reads "
+                                "no config\n")
+
+    @pytest.mark.parametrize("command", [
+        ["loss", "--instances", "5"], ["loss"],
+        ["audit", "--student-vocab", "missing.json", "--teacher-vocab", "missing.json"],
+        ["build-w", "--student-vocab", "missing.json", "--teacher-vocab", "missing.json",
+         "--out", "w.proj"],
+        ["align", "--student-vocab", "missing.json", "--teacher-vocab", "missing.json",
+         "--texts", "missing.txt", "--out", "a.jsonl"],
+    ], ids=["loss_instances", "loss", "audit", "build_w", "align"])
+    def test_seed_refused_outside_gradcheck(self, capsys, tmp_path, monkeypatch, command):
+        """Refused before the config file is read: it does not exist, and
+        reading it would exit 2."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["--config", "missing.json", "--seed", "3", *command])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == "error: --seed is read only by loss --gradcheck\n"
+
+    def test_instances_refused_without_gradcheck(self, capsys, tmp_path):
+        rc = main(["--config", str(tmp_path / "missing.json"), "loss", "--instances", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: --instances is read only by loss --gradcheck\n"
+
     def test_loss_without_config_exits_1(self, capsys):
         assert main(["loss"]) == 1
 

@@ -32,6 +32,7 @@ from crosstok.chunks import softmax, topk_support
 from crosstok.numdiff import central_difference, max_relative_error
 from crosstok.projection import ProjectionConfig, Provenance, SparseProjection, build_projection, project
 from crosstok.vocab import Vocabulary, make_toy_tokenizer
+from projection_reference import from_rows
 from uld_reference import reference_rank_l1
 
 PT3 = np.array([0.5, 0.3, 0.2])
@@ -78,8 +79,7 @@ def random_projection(rng, n_student, n_teacher):
         weights = rng.dirichlet(np.ones(len(ordered))) * 0.9
         rows.append(sorted(zip(ordered, weights.tolist()),
                            key=lambda tw: (-tw[1], tw[0])))
-    return SparseProjection.from_rows(n_teacher, rows, [Provenance.MULTI_TOKEN] * n_student,
-                                      ProjectionConfig())
+    return from_rows(n_teacher, rows, [Provenance.MULTI_TOKEN] * n_student, ProjectionConfig())
 
 
 def exact_pair(c, n_student, n_teacher):
@@ -222,21 +222,20 @@ class TestRelaxedCommonSet:
     def test_conflict_rule_exact_beats_weight_beats_id(self):
         cfg = ProjectionConfig()
         # students 0 (exact) and 1 (multi) both point at teacher 0
-        w = SparseProjection.from_rows(
+        w = from_rows(
             2, [[(0, 1.0)], [(0, 0.9), (1, 0.09)], [(0, 0.5), (1, 0.4)]],
             [Provenance.EXACT, Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN], cfg)
         assert_common(build_common_set_relaxed(w), [0], [0])
         # equal weight 1: the exact row wins over a smaller student id
-        w = SparseProjection.from_rows(1, [[(0, 1.0)], [(0, 1.0)]],
-                                       [Provenance.MULTI_TOKEN, Provenance.EXACT], cfg)
+        w = from_rows(1, [[(0, 1.0)], [(0, 1.0)]], [Provenance.MULTI_TOKEN, Provenance.EXACT],
+                      cfg)
         assert_common(build_common_set_relaxed(w), [1], [0])
         # no exact row: highest weight wins
-        w = SparseProjection.from_rows(2, [[(0, 0.5), (1, 0.4)], [(0, 0.9), (1, 0.09)]],
-                                       [Provenance.MULTI_TOKEN] * 2, cfg)
+        w = from_rows(2, [[(0, 0.5), (1, 0.4)], [(0, 0.9), (1, 0.09)]],
+                      [Provenance.MULTI_TOKEN] * 2, cfg)
         assert_common(build_common_set_relaxed(w), [1], [0])
         # equal weight: smaller student id wins
-        w = SparseProjection.from_rows(2, [[(0, 0.9)], [(0, 0.9)]],
-                                       [Provenance.MULTI_TOKEN] * 2, cfg)
+        w = from_rows(2, [[(0, 0.9)], [(0, 0.9)]], [Provenance.MULTI_TOKEN] * 2, cfg)
         assert_common(build_common_set_relaxed(w), [0], [0])
 
 
@@ -450,11 +449,11 @@ class TestPklGrads:
             numeric_z = central_difference(lambda zz: pkl(pt, softmax(zz), w), z)
             assert max_relative_error(grad_z, numeric_z) < 1e-6
 
-            base = np.array([wt for _, _, wt in w.entries()])
+            counts, codes, ids, base = w.body
             ps = softmax(z)
 
             def value(flat):
-                return pkl(pt, ps, w.with_weights(flat))
+                return pkl(pt, ps, SparseProjection(n_s, n_t, counts, ids, flat, codes, w.config))
 
             numeric_w = central_difference(value, base)
             assert max_relative_error(grad_w, numeric_w) < 1e-6
@@ -474,16 +473,17 @@ class TestPklGrads:
         assert max_relative_error(grad_z, numeric_z) < 1e-6
 
         ps = softmax(z)
-        base = np.array([wt for _, _, wt in w.entries()])
-        numeric_w = central_difference(
-            lambda flat: pkl(pt, ps, w.with_weights(flat), support=support), base)
+        counts, codes, ids, base = w.body
+        numeric_w = central_difference(lambda flat: pkl(
+            pt, ps, SparseProjection(6, 5, counts, ids, flat, codes, w.config), support=support),
+            base)
         assert max_relative_error(grad_w, numeric_w) < 1e-6
 
     def test_unreachable_teacher_mass_gives_zero_w_gradient(self):
         # teacher mass sits where no student mass flows: every stored entry
         # multiplies a zero student probability or a zero dL/dq term
-        w = SparseProjection.from_rows(2, [[(0, 1.0)], [(1, 1.0)]],
-                                       [Provenance.EXACT, Provenance.EXACT], ProjectionConfig())
+        w = from_rows(2, [[(0, 1.0)], [(1, 1.0)]], [Provenance.EXACT, Provenance.EXACT],
+                      ProjectionConfig())
         z = np.array([800.0, 0.0])  # student mass entirely on id 0
         pt = np.array([1.0, 0.0])   # teacher mass entirely reachable from id 0
         _, grad_w = pkl_grads(z, pt, w)
@@ -527,7 +527,7 @@ class TestHkl:
 
     def test_four_token_hand_computed_instance(self):
         # V_S = V_T = 4; rows: 0,1,2 exact; 3 multi with top1 -> teacher 3
-        w = SparseProjection.from_rows(
+        w = from_rows(
             4,
             [[(0, 1.0)], [(1, 1.0)], [(2, 1.0)], [(3, 0.9), (0, 0.09)]],
             [Provenance.EXACT, Provenance.EXACT, Provenance.EXACT, Provenance.MULTI_TOKEN],

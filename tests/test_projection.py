@@ -29,7 +29,7 @@ from crosstok.projection import (
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
 import projection_reference
-from projection_reference import (ReferenceProjection, apply_w_gradient, pack_body,
+from projection_reference import (ReferenceProjection, apply_w_gradient, from_rows, pack_body,
                                   sealed_file, top1, unpack_file)
 from test_losses import random_projection
 
@@ -44,8 +44,9 @@ def digit_pair():
 
 def dense_of(w: SparseProjection) -> np.ndarray:
     mat = np.zeros((w.n_student, w.n_teacher))
-    for s, t, weight in w.entries():
-        mat[s, t] = weight
+    for s, row in enumerate(w.rows):
+        for t, weight in row:
+            mat[s, t] = weight
     return mat
 
 
@@ -188,8 +189,8 @@ class TestProject:
             [(2, 1.0)],
             [(1, 0.5), (3, 0.4)],
         ]
-        w = SparseProjection.from_rows(4, rows, [Provenance.MULTI_TOKEN, Provenance.EXACT,
-                                                 Provenance.MULTI_TOKEN], ProjectionConfig())
+        w = from_rows(4, rows, [Provenance.MULTI_TOKEN, Provenance.EXACT, Provenance.MULTI_TOKEN],
+                      ProjectionConfig())
         p = np.full(3, 1.0 / 3.0)
         dense = dense_of(w).T @ p
         np.testing.assert_allclose(project(w, p), dense / dense.sum(), atol=1e-12)
@@ -289,14 +290,14 @@ class TestWGradient:
 
     def test_matches_finite_differences_dense_2x2(self):
         rows = [[(0, 0.8), (1, 0.2)], [(0, 0.4), (1, 0.6)]]
-        w = SparseProjection.from_rows(2, rows, [Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
-                                       ProjectionConfig())
+        w = from_rows(2, rows, [Provenance.MULTI_TOKEN, Provenance.MULTI_TOKEN],
+                      ProjectionConfig())
         rng = np.random.default_rng(3)
         p = rng.dirichlet([1.0, 1.0])
         upstream = rng.normal(size=2)
         analytic = apply_w_gradient(w, p, upstream)
 
-        entries = [(s, t) for s, t, _ in w.entries()]
+        entries = [(s, t) for s, row in enumerate(rows) for t, _ in row]
 
         def value(flat_w):
             mat = np.zeros((2, 2))
@@ -305,7 +306,7 @@ class TestWGradient:
             q_raw = mat.T @ p
             return float(upstream @ (q_raw / q_raw.sum()))
 
-        numeric = central_difference(value, np.array([wt for _, _, wt in w.entries()]))
+        numeric = central_difference(value, w.body[3])
         assert max_relative_error(analytic, numeric) < 1e-6
 
 
@@ -364,8 +365,7 @@ class TestProjectionFiles:
     @pytest.mark.parametrize("beta", [1, np.float64(0.5)], ids=["int", "float64"])
     def test_real_config_values_round_trip(self, tmp_path, beta):
         """Every float setting ``ProjectionConfig`` takes is one its loader reads back."""
-        w = SparseProjection.from_rows(1, [[(0, 1.0)]], [Provenance.EXACT],
-                                       ProjectionConfig(beta=beta))
+        w = from_rows(1, [[(0, 1.0)]], [Provenance.EXACT], ProjectionConfig(beta=beta))
         save_projection(w, tmp_path / "w.proj")
         assert load_projection(tmp_path / "w.proj").config == w.config
 
@@ -427,7 +427,7 @@ def rejects(path, *words):
 def rejects_body(path, edit, *words):
     """``edit(body)`` fails naming ``words``: loaded from the re-sealed file,
     with its path in front, when a raw body can hold it, else from the
-    constructor, as a ``from_rows`` caller meets it (a bool, a string or a
+    constructor, as a caller passing lists meets it (a bool, a string or a
     float id, an int weight, a provenance string that is no value)."""
     header, body = unpack_file(path.read_bytes())
     body = edit(body)
@@ -504,8 +504,7 @@ class TestProjectionIndexValidation:
 
     def test_constructor_rejects_repeated_teacher_id(self):
         with pytest.raises(ValidationError, match="teacher id repeats"):
-            SparseProjection.from_rows(2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN],
-                                       ProjectionConfig())
+            from_rows(2, [[(0, 0.5), (0, 0.4)]], [Provenance.MULTI_TOKEN], ProjectionConfig())
 
 
 OLD_LAYOUT = ("header.entries is missing, so the body is not raw arrays (a file of an older "
@@ -651,8 +650,8 @@ class TestProjectionFileFields:
                      "teacher_ids[1] must be an int, got True")
 
     def test_int_weight_loads_as_float(self, saved):
-        """A raw body holds only float weights; a ``from_rows`` caller's int
-        weight becomes a float."""
+        """A raw body holds only float weights; an int weight passed to the
+        constructor becomes a float."""
         header, body = unpack_file(saved.read_bytes())
         body = last_row_holds([0, 1])(body)
         w = SparseProjection(4, 3, config=ProjectionConfig(**header["config"]), **body)
@@ -685,7 +684,7 @@ class TestCounts:
 
     def test_negative_teacher_count_named(self):
         with pytest.raises(ValidationError) as info:
-            SparseProjection.from_rows(-1, [], [], ProjectionConfig())
+            SparseProjection(0, -1, [], [], [], [], ProjectionConfig())
         assert str(info.value) == f"n_teacher must be a count in [0, {sys.maxsize}], got -1"
 
     @pytest.mark.parametrize("n_teacher", [sys.maxsize, sys.maxsize // 16],
@@ -695,7 +694,7 @@ class TestCounts:
         MemoryError (at ``sys.maxsize // 16``) become one ValidationError that
         names n_teacher. Only these two sizes: a smaller one, such as 2**40,
         could be allocated lazily and fill the memory."""
-        w = SparseProjection.from_rows(n_teacher, [[(0, 1.0)]], ["exact"], ProjectionConfig())
+        w = SparseProjection(1, n_teacher, [1], [0], [1.0], ["exact"], ProjectionConfig())
         for call in (lambda: w.product(np.array([1.0])), lambda: project(w, [1.0])):
             with pytest.raises(ValidationError) as info:
                 call()
@@ -708,48 +707,28 @@ class TestNonFiniteWeights:
                              ids=["second_entry", "single_entry"])
     def test_nan_weight_rejected(self, row):
         with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
-            SparseProjection.from_rows(2, [row], [Provenance.MULTI_TOKEN], ProjectionConfig())
-
-    def test_nan_weight_rejected_by_with_weights(self):
-        w = SparseProjection.from_rows(2, [[(0, 0.5), (1, 0.4)]], [Provenance.MULTI_TOKEN],
-                                       ProjectionConfig())
-        with pytest.raises(ValidationError, match="row 0: non-positive weight nan"):
-            w.with_weights([0.5, float("nan")])
+            from_rows(2, [row], [Provenance.MULTI_TOKEN], ProjectionConfig())
 
     @pytest.mark.parametrize("flat, words", [
         (["0.6", 0.3, 1.0], "row 0: weight '0.6'"),
         (np.array(["0.6", "0.3", "1.0"]), "row 0: weight np.str_('0.6')"),
         ([0.6, 0.3, True], "row 1: weight True"),
     ], ids=["string", "numpy_string", "bool"])
-    def test_with_weights_keeps_the_constructor_weight_rule(self, flat, words):
-        """Accepted before as floats (a bool as 1.0); refused as the constructor
-        refuses the same flat weights."""
-        args = 2, 3, [2, 1], [0, 1, 2]
-        w = SparseProjection(*args, [0.6, 0.3, 1.0], ["multi_token"] * 2, ProjectionConfig())
-        for build in (lambda: w.with_weights(flat),
-                      lambda: SparseProjection(*args, flat, ["multi_token"] * 2,
-                                               ProjectionConfig())):
-            with pytest.raises(ValidationError) as info:
-                build()
-            assert str(info.value) == f"{words} in weights is not a number"
-
-    def test_with_weights_keeps_a_private_copy(self):
-        w = SparseProjection.from_rows(3, [[(0, 0.6), (1, 0.3)], [(2, 1.0)]],
-                                       [Provenance.MULTI_TOKEN] * 2, ProjectionConfig())
-        flat = np.array([0.5, 0.4, 1.0])
-        reweighted = w.with_weights(flat)
-        # -1 would fail the checks ``with_weights`` already made
-        assert_unchanged_by(reweighted, lambda: flat.fill(-1.0))
-        assert [wt for _, _, wt in reweighted.entries()] == [0.5, 0.4, 1.0]
+    def test_weight_that_is_not_a_number_refused(self, flat, words):
+        """No silent ``float()``: a string, or a bool that would be 1.0."""
+        with pytest.raises(ValidationError) as info:
+            SparseProjection(2, 3, [2, 1], [0, 1, 2], flat, ["multi_token"] * 2,
+                             ProjectionConfig())
+        assert str(info.value) == f"{words} in weights is not a number"
 
 
 def assert_unchanged_by(w, change):
     """A checked projection holds read-only copies of its arrays: ``change()``,
-    which edits arrays the caller passed in, changes neither ``entries()`` nor
+    which edits arrays the caller passed in, changes neither ``rows`` nor
     ``body``, and no ``body`` array can be written."""
-    entries, body = list(w.entries()), [a.copy() for a in w.body]
+    rows, body = w.rows, [a.copy() for a in w.body]
     change()
-    assert list(w.entries()) == entries
+    assert w.rows == rows
     assert all(np.array_equal(a, b) for a, b in zip(w.body, body, strict=True))
     assert not any(a.flags.writeable for a in w.body)
 
@@ -822,7 +801,7 @@ def assert_same_outcome(n_s, n_t, rows, provenance, config, make):
 @given(projection_inputs(), st.sampled_from([0.5, 1.0, 2.0]))
 def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     n_s, n_t, rows, provenance, config = args
-    w, ref = assert_same_outcome(*args, lambda: SparseProjection.from_rows(*args[1:]))
+    w, ref = assert_same_outcome(*args, lambda: from_rows(*args[1:]))
     if w is None:
         return
     assert [top1(w, s) for s in range(n_s)] == [ref.top1(s) for s in range(n_s)]
@@ -834,8 +813,9 @@ def test_csr_projection_matches_reference(tmp_path_factory, args, scale):
     assert path.read_bytes() == ref.saved_bytes()
 
     scaled = [[(t, wt * scale) for t, wt in row] for row in rows]
-    flat = np.array([wt for _, _, wt in w.entries()]) * scale
-    assert_same_outcome(n_s, n_t, scaled, provenance, config, lambda: w.with_weights(flat))
+    counts, codes, ids, weights = w.body
+    assert_same_outcome(n_s, n_t, scaled, provenance, config, lambda: SparseProjection(
+        n_s, n_t, counts, ids, weights * scale, codes, config))
 
 
 # teacher ids that repeat within a row, fall out of range on either side, or
@@ -911,8 +891,7 @@ class TestConstructorRules:
     @pytest.mark.parametrize("n_teacher", [10**30, 2**63], ids=["1e30", "2**63"])
     def test_teacher_count_past_maxsize_named(self, n_teacher):
         with pytest.raises(ValidationError) as info:
-            SparseProjection.from_rows(n_teacher, [[(0, 0.5)]], [Provenance.MULTI_TOKEN],
-                                       ProjectionConfig())
+            from_rows(n_teacher, [[(0, 0.5)]], [Provenance.MULTI_TOKEN], ProjectionConfig())
         assert str(info.value) == (f"n_teacher must be a count in [0, {sys.maxsize}], "
                                    f"got {n_teacher}")
 
@@ -930,8 +909,7 @@ class TestConstructorRules:
     @pytest.mark.parametrize("bad", ["bogus", None, []], ids=["bogus", "none", "list"])
     def test_unknown_provenance_named(self, bad):
         with pytest.raises(ValidationError) as info:
-            SparseProjection.from_rows(2, [[(0, 0.5)], []], [Provenance.MULTI_TOKEN, bad],
-                                       ProjectionConfig())
+            from_rows(2, [[(0, 0.5)], []], [Provenance.MULTI_TOKEN, bad], ProjectionConfig())
         assert str(info.value) == (f"provenance holds {bad!r}, not one of "
                                    "['exact', 'multi_token', 'empty']")
 
@@ -996,7 +974,7 @@ def valid_projections(draw):
             row = [(t, draw(weight)) for t in ids]
         rows.append(row)
         provenance.append(prov)
-    return SparseProjection.from_rows(n_teacher, rows, provenance, ProjectionConfig(top_k=top_k))
+    return from_rows(n_teacher, rows, provenance, ProjectionConfig(top_k=top_k))
 
 
 def same_arrays(got: SparseProjection, ref: SparseProjection) -> bool:
@@ -1008,9 +986,11 @@ def same_arrays(got: SparseProjection, ref: SparseProjection) -> bool:
 
 
 def one_ulp_up_on_multi_token_rows(w: SparseProjection) -> SparseProjection:
-    """``w.with_weights``: every multi-token entry's weight one ulp larger."""
-    multi = np.repeat(w._kind == projection._MULTI, np.diff(w._indptr))
-    return w.with_weights(np.where(multi, np.nextafter(w._flat_w, 1.0), w._flat_w))
+    """``w`` rebuilt with every multi-token entry's weight one ulp larger."""
+    counts, codes, ids, weights = w.body
+    multi = np.repeat(codes == projection._MULTI, counts)
+    return SparseProjection(w.n_student, w.n_teacher, counts, ids,
+                            np.where(multi, np.nextafter(weights, 1.0), weights), codes, w.config)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1018,7 +998,7 @@ def one_ulp_up_on_multi_token_rows(w: SparseProjection) -> SparseProjection:
 def test_save_load_round_trip_is_bit_identical(tmp_path_factory, w, reweighted):
     """Empty rows, ``n_student = 0``, every provenance, ``top_k`` 1-4,
     ``n_teacher`` up to 2**62, weights with long ``repr``s down to ``5e-324``,
-    and a ``with_weights`` result all load back bit for bit, with the same
+    and a reweighted rebuild all load back bit for bit, with the same
     ``rows``; saving twice, or saving what was loaded, gives the same bytes."""
     if reweighted:
         w = one_ulp_up_on_multi_token_rows(w)
@@ -1036,7 +1016,7 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, w, reweighted):
 
 def test_round_trip_of_no_rows(tmp_path):
     """No rows: the file is the header line alone, over an empty body."""
-    w = SparseProjection.from_rows(3, [], [], ProjectionConfig())
+    w = SparseProjection(0, 3, [], [], [], [], ProjectionConfig())
     save_projection(w, tmp_path / "w.proj")
     header, body = (tmp_path / "w.proj").read_bytes().split(b"\n")
     assert body == b"" and json.loads(header)["entries"] == 0
@@ -1048,7 +1028,7 @@ def test_text_mode_edits_fail_the_length_check(tmp_path):
     """The body is raw bytes: a file written back in text mode, with CRLF line
     ends or a blank line after the header, fails as a body one byte too long
     (the JSON layout read both)."""
-    w = SparseProjection.from_rows(11, [[(10, 1.0)], []], ["exact", "empty"], ProjectionConfig())
+    w = SparseProjection(2, 11, [1, 0], [10], [1.0], ["exact", "empty"], ProjectionConfig())
     path = tmp_path / "w.proj"
     save_projection(w, path)
     header, body = path.read_bytes().split(b"\n", 1)

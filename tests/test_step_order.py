@@ -28,6 +28,7 @@ from crosstok.projection import SparseProjection, build_projection
 from crosstok.training import ScalingPolicy, TeacherConfig, run_step
 from crosstok.vocab import Tokenizer, Vocabulary, make_toy_tokenizer
 
+from projection_reference import from_rows
 from step_reference import reference_run_step
 from test_losses import random_projection
 
@@ -195,8 +196,9 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
         pair for pair in zip(heads, heads[1:]) if pair[0][0] == pair[1][0])
     scale = np.ones(len(vs))
     scale[winner] = rival_head / winner_head / 2
-    reweighted = w.with_weights(np.array([wt for _, _, wt in w.entries()])
-                                * np.repeat(scale, np.diff(w._indptr)))
+    counts, codes, ids, weights = w.body
+    reweighted = SparseProjection(len(vs), len(vt), counts, ids,
+                                  weights * np.repeat(scale, counts), codes, w.config)
     before, after = build_common_set_relaxed(w), build_common_set_relaxed(reweighted)
     assert not (np.array_equal(before.student_ids, after.student_ids)
                 and np.array_equal(before.teacher_ids, after.teacher_ids))
@@ -205,7 +207,7 @@ def test_hkl_on_reweighted_projection_equals_a_fresh_bind():
     pt, ps = rng.dirichlet(np.ones(len(vt))), rng.dirichlet(np.ones(len(vs)))
     hw = HybridWeights()
     loss_kernel("hkl", vs, vt, w, 8, hw)(pt, ps, np.empty(len(vs)))  # binds and memoizes w's set
-    fresh = SparseProjection.from_rows(len(vt), reweighted.rows, reweighted.provenance, w.config)
+    fresh = from_rows(len(vt), reweighted.rows, reweighted.provenance, w.config)
     got = loss_kernel("hkl", vs, vt, reweighted, 8, hw)(pt, ps, np.empty(len(vs)))
     want = loss_kernel("hkl", vs, vt, fresh, 8, hw)(pt, ps, np.empty(len(vs)))
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()

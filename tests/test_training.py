@@ -834,6 +834,22 @@ class TestGradientCheck:
         assert {f: e for f, e in worst.items() if f != "hkl"} == {
             f: e for f, e in clean.items() if f != "hkl"}
 
+    @pytest.mark.parametrize("seed, expected", [
+        (0, {"pkl_logits": 3.5579949441344114e-08, "pkl_entries": 1.0064861704489614e-07,
+             "hkl": 3.317891711652008e-09, "gold": 1.5913971373268057e-08,
+             "uld": 1.9356244964031368e-08, "kl": 1.6653345369377348e-07}),
+        (11, {"pkl_logits": 7.706052163135413e-08, "pkl_entries": 3.092277025803017e-08,
+              "hkl": 2.3494149747645913e-08, "gold": 1.0855390688060423e-09,
+              "uld": 9.948245242152729e-10, "kl": 1.1102230246251565e-07}),
+        (142, {"pkl_logits": 2.514785008299939e-08, "pkl_entries": 7.666229120701501e-08,
+               "hkl": 3.248356163386409e-09, "gold": 1.1547803942688383e-08,
+               "uld": 2.189363972271216e-09, "kl": 1.110223356322641e-07}),
+    ])
+    def test_pinned_errors(self, seed, expected):
+        """The exact errors of three instances per seed: a change in how the
+        instances are drawn, or in how their projections are built, moves them."""
+        assert gradient_check(seed, instances=3) == expected
+
     @pytest.mark.parametrize("instances", [0, -3])
     def test_rejects_fewer_than_one_instance(self, instances):
         with pytest.raises(ValidationError, match="instances must be at least 1"):
